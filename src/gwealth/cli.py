@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, config_from_dict
+from .config import ExperimentConfig, load_config
 from .errors import ConfigError, GWealthError
 from .girl import (
     GirlParams,
@@ -201,7 +201,7 @@ def cmd_fit(cfg: ExperimentConfig, written: list) -> None:
         for name in ("lam", "eta", "rho", "omega"):
             grid, vals = slices[name]
             for g, v in zip(grid, vals):
-                fh.write(f"{name},{g!r},{v!r}\n")
+                fh.write(f"{name},{storage._fmt(g)},{storage._fmt(v)}\n")
 
 
 def cmd_report(cfg: ExperimentConfig, written: list) -> None:
@@ -239,7 +239,7 @@ def cmd_report(cfg: ExperimentConfig, written: list) -> None:
         fh.write("strategy,period,mean_return\n")
         for name in sorted(summaries):
             for t, val in enumerate(summaries[name].mean_returns):
-                fh.write(f"{name},{t},{val!r}\n")
+                fh.write(f"{name},{t},{storage._fmt(val)}\n")
     payload = {
         "sharpe": {name: s.sharpe for name, s in sorted(summaries.items())},
         "terminal_wealth": {
@@ -304,26 +304,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_for(args) -> ExperimentConfig:
-    if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"missing input: config file '{path}' not found")
-        raw = json.loads(path.read_text())
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-    else:
-        raw = {}
-    if args.seed is not None or args.outdir is not None:
-        io_sec = dict(raw.get("io", {}))
-        if args.seed is not None:
-            io_sec["seed"] = args.seed
-        if args.outdir is not None:
-            io_sec["outdir"] = args.outdir
-        raw["io"] = io_sec
-    return config_from_dict(raw)
-
-
 def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
@@ -333,13 +313,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     written: list[Path] = []
     try:
-        cfg = _config_for(args)
+        cfg = load_config(args.config, seed=args.seed, outdir=args.outdir)
         cfg.outdir.mkdir(parents=True, exist_ok=True)
         args.func(cfg, written)
         return 0
-    except json.JSONDecodeError as exc:
-        print(f"gwealth: error: invalid JSON in config: {exc}", file=sys.stderr)
-        return 2
     except ConfigError as exc:
         _cleanup(written)
         print(f"gwealth: error: {exc}", file=sys.stderr)

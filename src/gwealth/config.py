@@ -35,16 +35,10 @@ class RewardSection:
 class SolverSection:
     beta: float = 1000.0
     gamma: float = 0.95
-    max_inner_iters: int = 100
-    inner_tol: float = 1e-9
     sigma_p_scale: float = 10.0
-    omega_in_quu: bool = False
 
     def config(self) -> SolverConfig:
-        return SolverConfig(
-            beta=self.beta, gamma=self.gamma, max_inner_iters=self.max_inner_iters,
-            inner_tol=self.inner_tol, omega_in_quu=self.omega_in_quu,
-        )
+        return SolverConfig(beta=self.beta, gamma=self.gamma)
 
 
 @dataclass(frozen=True)
@@ -150,21 +144,24 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"missing input: config file '{path}' not found")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file '{path}' is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
-
-
-def default_config(seed: int | None = None, outdir: str | None = None) -> ExperimentConfig:
-    data: dict = {"io": {}}
-    if seed is not None:
-        data["io"]["seed"] = seed
-    if outdir is not None:
-        data["io"]["outdir"] = outdir
+def load_config(
+    path: str | Path | None = None, seed: int | None = None, outdir: str | None = None
+) -> ExperimentConfig:
+    """Read a JSON config file (defaults when ``path`` is None) and apply the
+    ``io.seed`` / ``io.outdir`` overrides that are not None."""
+    data: dict = {}
+    if path is not None:
+        path = Path(path)
+        if not path.exists():
+            raise ConfigError(f"missing input: config file '{path}' not found")
+        try:
+            data = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file '{path}' is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError("config root must be a JSON object")
+    overrides = {k: v for k, v in (("seed", seed), ("outdir", outdir)) if v is not None}
+    io_data = data.get("io", {})
+    if overrides and isinstance(io_data, dict):  # a non-object io fails in config_from_dict
+        data["io"] = {**io_data, **overrides}
     return config_from_dict(data)

@@ -29,10 +29,6 @@ class InfeasibleError(GWealthError, RuntimeError):
     """A matrix that must be positive definite is not (names the step)."""
 
 
-class ConvergenceError(GWealthError, RuntimeError):
-    """An iterative procedure exhausted its iteration budget."""
-
-
 class DivergenceError(GWealthError, RuntimeError):
     """The optimizer loss increased persistently instead of decreasing."""
 

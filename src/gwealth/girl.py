@@ -88,7 +88,7 @@ class FitConfig:
 
     learning_rate: float = 0.1
     stop_tol: float = 1e-8
-    max_iters: int = 2000
+    max_iters: int = 1000
     fd_step: float = 1e-5
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999

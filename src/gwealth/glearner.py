@@ -21,44 +21,39 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, InfeasibleError, ParameterError, ShapeError
+from .errors import InfeasibleError, ParameterError, ShapeError
 from .market import ReturnCovariance, ReturnPaths
 from .rewards import BenchmarkPath, RewardCoeffs, RewardParams, build_coeffs
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver hyper-parameters.
-
-    beta is the inverse temperature (> 0), gamma the per-period discount.
-    ``omega_in_quu`` switches to an alternative convention that subtracts the
-    transaction-cost matrix a second time in the action curvature of G; it is
-    off by default because it breaks the Bellman identity
-    G = R + gamma * E[F'] (see tests), and is kept only as a diagnostic.
-    """
+    """Solver hyper-parameters: beta is the inverse temperature (> 0), gamma
+    the per-period discount in (0, 1]."""
 
     beta: float = 1000.0
     gamma: float = 0.95
-    max_inner_iters: int = 100
-    inner_tol: float = 1e-9
-    omega_in_quu: bool = False
 
     def validate(self) -> None:
         if not self.beta > 0.0:
             raise ParameterError(f"beta must be > 0, got {self.beta}")
         if not 0.0 < self.gamma <= 1.0:
             raise ParameterError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if self.max_inner_iters < 1 or self.inner_tol <= 0.0:
-            raise ParameterError("max_inner_iters >= 1 and inner_tol > 0 required")
 
 
 @dataclass(frozen=True)
 class PolicyPrior:
-    """Reference (prior) policy: u ~ N(u_bar + v_bar x, sigma_p)."""
+    """Reference (prior) policy: u ~ N(u_bar + v_bar x, sigma_p).
+
+    ``sigma_p_inv`` and ``logdet_sigma_p`` are derived on construction from
+    the factorization that validates sigma_p.
+    """
 
     u_bar: np.ndarray
     v_bar: np.ndarray
     sigma_p: np.ndarray
+    sigma_p_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    logdet_sigma_p: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.u_bar.shape[0]
@@ -67,9 +62,12 @@ class PolicyPrior:
         if not np.allclose(self.sigma_p, self.sigma_p.T, atol=1e-12, rtol=0.0):
             raise ParameterError("prior covariance must be symmetric")
         try:
-            np.linalg.cholesky(self.sigma_p)
+            chol = np.linalg.cholesky(self.sigma_p)
         except np.linalg.LinAlgError as exc:
             raise ParameterError("prior covariance must be positive definite") from exc
+        inv = np.linalg.solve(self.sigma_p, np.eye(n))
+        object.__setattr__(self, "sigma_p_inv", 0.5 * (inv + inv.T))
+        object.__setattr__(self, "logdet_sigma_p", 2.0 * float(np.sum(np.log(np.diag(chol)))))
 
     @property
     def n_assets(self) -> int:
@@ -96,8 +94,9 @@ class FCoeffs:
 
 @dataclass(frozen=True)
 class QCoeffs:
-    """Soft action-value coefficients at one step, plus the auxiliary
-    quantities of the Gaussian integral (u_aux, w_aux, sigma_bar)."""
+    """Soft action-value coefficients at one step,
+    G(x, u) = x^T q_xx x + u^T q_ux x + u^T q_uu u + x^T q_x + u^T q_u + q_0,
+    plus the posterior precision sigma_bar = sigma_p^{-1} - 2 beta q_uu."""
 
     q_xx: np.ndarray
     q_ux: np.ndarray
@@ -105,8 +104,6 @@ class QCoeffs:
     q_x: np.ndarray
     q_u: np.ndarray
     q_0: float
-    u_aux: np.ndarray
-    w_aux: np.ndarray
     sigma_bar: np.ndarray
 
 
@@ -135,7 +132,6 @@ class SolvedPlan:
     f: list[FCoeffs]       # recursion value function (hard max at T-1)
     f_soft: list[FCoeffs]  # policy log-partition (equals f for t < T-1)
     policy: GaussianPolicy
-    terminal_curvature: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
     def horizon(self) -> int:
@@ -188,13 +184,6 @@ def _chol_logdet(m: np.ndarray, context: str) -> tuple[np.ndarray, float]:
     return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def _spd_inverse(m: np.ndarray, context: str) -> tuple[np.ndarray, float]:
-    """Inverse and log-determinant via Cholesky; raises InfeasibleError."""
-    chol, logdet = _chol_logdet(m, context)
-    inv = np.linalg.solve(m, np.eye(m.shape[0]))
-    return 0.5 * (inv + inv.T), logdet
-
-
 def terminal_action(coeffs: RewardCoeffs, params: RewardParams, x: np.ndarray) -> np.ndarray:
     """Analytic maximizer of the final-period reward in the trades u.
 
@@ -215,85 +204,59 @@ def _terminal_f(rc: RewardCoeffs) -> FCoeffs:
     max_u [u^T r_uu u + u^T b + const] = const + b^T (-r_uu)^{-1} b / 4 with
     b = r_ux x + r_u, expanded into quadratic coefficients of x.
     """
-    s = -rc.r_uu  # lam * sigma_hat + omega, SPD
-    s_inv_rux = np.linalg.solve(s, rc.r_ux)
-    s_inv_ru = np.linalg.solve(s, rc.r_u)
+    n = rc.n_assets
+    # (lam * sigma_hat + omega)^{-1} [r_ux | r_u] in one solve
+    sol = np.linalg.solve(-rc.r_uu, np.column_stack([rc.r_ux, rc.r_u]))
+    s_inv_rux, s_inv_ru = sol[:, :n], sol[:, n]
     f_xx = rc.r_xx + 0.25 * rc.r_ux.T @ s_inv_rux
     f_x = rc.r_x + 0.5 * rc.r_ux.T @ s_inv_ru
     f_0 = rc.r_0 + 0.25 * float(rc.r_u @ s_inv_ru)
     return FCoeffs(f_xx=0.5 * (f_xx + f_xx.T), f_x=f_x, f_0=float(f_0))
 
 
-def _bayes_and_f(
-    q_xx, q_ux, q_uu, q_x, q_u, q_0,
-    prior: PolicyPrior,
-    sigma_p_inv: np.ndarray,
-    logdet_sigma_p: float,
-    cfg: SolverConfig,
-    t: int,
-):
-    """One step of the policy-update / evaluation loop.
+def _bayes_and_f(q_xx, q_ux, q_uu, q_x, q_u, q_0, prior: PolicyPrior, beta: float, t: int):
+    """Closed-form Bayesian update of the prior and Gaussian integral at step t.
 
-    The posterior covariance and the F coefficients depend on the fixed prior
-    and the Q coefficients only, so they are computed once; the posterior
-    means are iterated against the stated tolerance (the prior-anchored update
-    map is idempotent, so the loop settles at the second pass).
+    The posterior precision is sigma_bar = sigma_p^{-1} - 2 beta q_uu, the
+    posterior gain and offset are sigma_bar^{-1} v_rhs and sigma_bar^{-1} u_rhs,
+    and F is the log-partition of pi0 * exp(beta * G), all from one solve
+    against sigma_bar.  The Cholesky factor of the posterior covariance feeds
+    both the sampler and log|sigma_tilde| = -log|sigma_bar|.
     """
-    beta = cfg.beta
     n = q_uu.shape[0]
     # contraction requirement: spectral radius of sigma_tilde sigma_p^{-1} < 1,
-    # equivalently q_uu negative definite
+    # equivalently q_uu negative definite; sigma_bar is then SPD as well
     _chol_logdet(
         -q_uu,
         f"action curvature at step t={t} (posterior-to-prior covariance ratio "
         "would have spectral radius >= 1)",
     )
-    sigma_bar = sigma_p_inv - 2.0 * beta * q_uu
+    sigma_bar = prior.sigma_p_inv - 2.0 * beta * q_uu
     sigma_bar = 0.5 * (sigma_bar + sigma_bar.T)
-    _, logdet_bar = _chol_logdet(sigma_bar, f"posterior precision at step t={t}")
 
-    prior_pull_u = sigma_p_inv @ prior.u_bar
-    prior_pull_v = sigma_p_inv @ prior.v_bar
-    u_aux = beta * q_ux + prior_pull_v
-    w_aux = beta * q_u + prior_pull_u
-    # sigma_tilde times [u_aux | w_aux | I] in one factorization
-    rhs = np.concatenate([u_aux, w_aux[:, None], np.eye(n)], axis=1)
-    sol = np.linalg.solve(sigma_bar, rhs)
-    v_star = sol[:, :n]            # posterior state gain at the fixed point
-    u_star = sol[:, n]             # posterior offset at the fixed point
-    sigma_tilde = sol[:, n + 1:]
-    sigma_tilde = 0.5 * (sigma_tilde + sigma_tilde.T)
+    prior_pull_u = prior.sigma_p_inv @ prior.u_bar
+    prior_pull_v = prior.sigma_p_inv @ prior.v_bar
+    v_rhs = beta * q_ux + prior_pull_v
+    u_rhs = beta * q_u + prior_pull_u
+    # sigma_bar^{-1} [v_rhs | u_rhs | I] in one factorization
+    sol = np.linalg.solve(sigma_bar, np.concatenate([v_rhs, u_rhs[:, None], np.eye(n)], axis=1))
+    v_til = sol[:, :n]
+    u_til = sol[:, n]
+    sigma_tilde = 0.5 * (sol[:, n + 1:] + sol[:, n + 1:].T)
+    chol_tilde, logdet_tilde = _chol_logdet(sigma_tilde, f"posterior covariance at step t={t}")
 
-    u_prev, v_prev = prior.u_bar, prior.v_bar
-    resid = float("inf")
-    for _ in range(cfg.max_inner_iters):
-        u_til, v_til = u_star, v_star
-        scale = max(float(np.linalg.norm(u_til)), float(np.linalg.norm(v_til)), 1.0)
-        resid = max(
-            float(np.linalg.norm(u_til - u_prev)), float(np.linalg.norm(v_til - v_prev))
-        ) / scale
-        if resid < cfg.inner_tol:
-            break
-        u_prev, v_prev = u_til, v_til
-    else:
-        raise ConvergenceError(
-            f"policy iteration at step t={t} exceeded {cfg.max_inner_iters} iterations "
-            f"(last residual {resid:g})"
-        )
-
-    f_xx = q_xx + (0.5 / beta) * (u_aux.T @ v_til - prior.v_bar.T @ prior_pull_v)
-    f_x = q_x + (1.0 / beta) * (v_til.T @ w_aux - prior.v_bar.T @ prior_pull_u)
+    f_xx = q_xx + (0.5 / beta) * (v_rhs.T @ v_til - prior.v_bar.T @ prior_pull_v)
+    f_x = q_x + (1.0 / beta) * (v_til.T @ u_rhs - prior.v_bar.T @ prior_pull_u)
     f_0 = q_0 + (0.5 / beta) * (
-        float(w_aux @ u_til) - float(prior.u_bar @ prior_pull_u)
-    ) - (0.5 / beta) * (logdet_sigma_p + logdet_bar)
+        float(u_rhs @ u_til) - float(prior.u_bar @ prior_pull_u)
+    ) - (0.5 / beta) * (prior.logdet_sigma_p - logdet_tilde)
 
     f = FCoeffs(f_xx=0.5 * (f_xx + f_xx.T), f_x=f_x, f_0=float(f_0))
     q = QCoeffs(
         q_xx=0.5 * (q_xx + q_xx.T), q_ux=q_ux, q_uu=0.5 * (q_uu + q_uu.T),
-        q_x=q_x, q_u=q_u, q_0=float(q_0),
-        u_aux=u_aux, w_aux=w_aux, sigma_bar=sigma_bar,
+        q_x=q_x, q_u=q_u, q_0=float(q_0), sigma_bar=sigma_bar,
     )
-    return q, f, u_til, v_til, sigma_tilde, -logdet_bar
+    return q, f, u_til, v_til, sigma_tilde, chol_tilde, logdet_tilde
 
 
 def backward_pass(
@@ -301,13 +264,11 @@ def backward_pass(
     prior: PolicyPrior,
     cfg: SolverConfig,
     rbar: np.ndarray,
-    omega: np.ndarray | None = None,
 ) -> SolvedPlan:
     """Solve the finite-horizon problem by backward recursion.
 
     ``rc`` holds the per-period reward coefficients, ``rbar`` the matching
-    (T, N) expected-return path.  ``omega`` is only consulted under the
-    ``omega_in_quu`` diagnostic convention.
+    (T, N) expected-return path.
     """
     cfg.validate()
     t_len = len(rc)
@@ -319,10 +280,7 @@ def backward_pass(
         raise ShapeError(f"rbar must have shape ({t_len}, {n}), got {rbar.shape}")
     if prior.n_assets != n:
         raise ShapeError("prior dimension does not match reward coefficients")
-    if cfg.omega_in_quu and omega is None:
-        raise ParameterError("omega matrix required when omega_in_quu is enabled")
 
-    sigma_p_inv, logdet_sigma_p = _spd_inverse(prior.sigma_p, "prior covariance")
     a = 1.0 + rbar
 
     q_list: list[QCoeffs] = [None] * t_len
@@ -347,24 +305,15 @@ def backward_pass(
             q_xx = r.r_xx + cfg.gamma * growth
             q_ux = r.r_ux + 2.0 * cfg.gamma * growth
             q_uu = r.r_uu + cfg.gamma * growth
-            if cfg.omega_in_quu:
-                q_uu = q_uu - omega
             q_x = r.r_x + lin
             q_u = r.r_u + lin
             q_0 = r.r_0 + cfg.gamma * f_next.f_0
 
-        q, f_soft, u_til, v_til, sig_til, logdet_til = _bayes_and_f(
-            q_xx, q_ux, q_uu, q_x, q_u, q_0,
-            prior, sigma_p_inv, logdet_sigma_p, cfg, t,
+        (q_list[t], f_soft_list[t], u_tilde[t], v_tilde[t], sigma_tilde[t],
+         chol_tilde[t], logdet_tilde[t]) = _bayes_and_f(
+            q_xx, q_ux, q_uu, q_x, q_u, q_0, prior, cfg.beta, t,
         )
-        q_list[t] = q
-        f_soft_list[t] = f_soft
-        f_list[t] = _terminal_f(r) if t == t_len - 1 else f_soft
-        u_tilde[t] = u_til
-        v_tilde[t] = v_til
-        sigma_tilde[t] = sig_til
-        chol_tilde[t], _ = _chol_logdet(sig_til, f"posterior covariance at step t={t}")
-        logdet_tilde[t] = logdet_til
+        f_list[t] = _terminal_f(r) if t == t_len - 1 else f_soft_list[t]
 
     policy = GaussianPolicy(
         prior=prior, u_tilde=u_tilde, v_tilde=v_tilde,
@@ -373,7 +322,6 @@ def backward_pass(
     return SolvedPlan(
         beta=cfg.beta, gamma=cfg.gamma, rbar=rbar, a=a,
         q=q_list, f=f_list, f_soft=f_soft_list, policy=policy,
-        terminal_curvature=-rc[-1].r_uu,
     )
 
 
@@ -397,8 +345,7 @@ def solve_plan(
         build_coeffs(params, rbar_path[t], sigma_r, float(benchmark.b[t]))
         for t in range(rbar_path.shape[0])
     ]
-    omega = params.omega_matrix(rbar_path.shape[1]) if cfg.omega_in_quu else None
-    return backward_pass(rc, prior, cfg, rbar_path, omega=omega)
+    return backward_pass(rc, prior, cfg, rbar_path)
 
 
 def free_energy(plan: SolvedPlan, t: int, x: np.ndarray) -> float:

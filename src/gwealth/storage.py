@@ -132,7 +132,6 @@ def write_plan_npz(path: Path, plan: SolvedPlan) -> None:
         "beta": np.array(plan.beta),
         "gamma": np.array(plan.gamma),
         "rbar": plan.rbar,
-        "terminal_curvature": plan.terminal_curvature,
         "prior_u_bar": pol.prior.u_bar,
         "prior_v_bar": pol.prior.v_bar,
         "prior_sigma_p": pol.prior.sigma_p,
@@ -152,14 +151,14 @@ def write_plan_npz(path: Path, plan: SolvedPlan) -> None:
     arrays["q_x"] = np.stack([q.q_x for q in plan.q])
     arrays["q_u"] = np.stack([q.q_u for q in plan.q])
     arrays["q_0"] = np.array([q.q_0 for q in plan.q])
-    arrays["u_aux"] = np.stack([q.u_aux for q in plan.q])
-    arrays["w_aux"] = np.stack([q.w_aux for q in plan.q])
     arrays["sigma_bar"] = np.stack([q.sigma_bar for q in plan.q])
     np.savez_compressed(path, **arrays)
 
 
 def read_plan_npz(path: Path) -> SolvedPlan:
-    with np.load(path) as data:
+    with np.load(path) as npz:
+        # each NpzFile lookup decompresses the whole member: load every one once
+        data = {name: npz[name] for name in npz.files}
         t_len = data["rbar"].shape[0]
         prior = PolicyPrior(
             u_bar=data["prior_u_bar"], v_bar=data["prior_v_bar"],
@@ -182,7 +181,6 @@ def read_plan_npz(path: Path) -> SolvedPlan:
             QCoeffs(
                 q_xx=data["q_xx"][t], q_ux=data["q_ux"][t], q_uu=data["q_uu"][t],
                 q_x=data["q_x"][t], q_u=data["q_u"][t], q_0=float(data["q_0"][t]),
-                u_aux=data["u_aux"][t], w_aux=data["w_aux"][t],
                 sigma_bar=data["sigma_bar"][t],
             )
             for t in range(t_len)
@@ -191,5 +189,4 @@ def read_plan_npz(path: Path) -> SolvedPlan:
         return SolvedPlan(
             beta=float(data["beta"]), gamma=float(data["gamma"]),
             rbar=rbar, a=1.0 + rbar, q=q, f=f, f_soft=f_soft, policy=policy,
-            terminal_curvature=data["terminal_curvature"],
         )

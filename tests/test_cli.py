@@ -1,5 +1,6 @@
 """CLI and file-format tests on a miniature configuration."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,18 +8,22 @@ import numpy as np
 import pytest
 
 from gwealth.cli import main
-from gwealth.config import config_from_dict, load_config
+from gwealth.config import GirlSection, config_from_dict, load_config
 from gwealth.errors import ConfigError
-from gwealth.glearner import Trajectory
+from gwealth.girl import FitConfig
+from gwealth.glearner import Trajectory, solve_plan
 from gwealth.storage import (
     read_matrix_csv,
     read_returns_csv,
     read_trajectories_csv,
     read_plan_npz,
     write_matrix_csv,
+    write_plan_npz,
     write_returns_csv,
     write_trajectories_csv,
 )
+
+from conftest import random_problem
 
 
 def tiny_config(outdir: Path, **girl_overrides) -> dict:
@@ -72,6 +77,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
 
+    def test_load_config_non_object_root(self, tmp_path):
+        with pytest.raises(ConfigError, match="object"):
+            load_config(write_config(tmp_path, [1, 2]))
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_inner_iters", 100), ("inner_tol", 1e-9), ("omega_in_quu", False),
+    ])
+    def test_removed_solver_keys_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({"solver": {key: value}})
+
+    def test_girl_section_defaults_match_fit_config(self):
+        assert GirlSection().fit_config() == FitConfig()
+
 
 class TestStorageRoundTrip:
     def test_returns_panel(self, tmp_path, rng):
@@ -105,6 +124,27 @@ class TestStorageRoundTrip:
             assert np.array_equal(a.u, b.u)
             assert np.array_equal(a.cash, b.cash)
 
+    def test_plan(self, tmp_path, rng):
+        plan = solve_plan(*random_problem(rng, n=3, t_len=4))
+        path = tmp_path / "plan.npz"
+        write_plan_npz(path, plan)
+        assert_same_arrays(read_plan_npz(path), plan, "plan")
+
+
+def assert_same_arrays(got, want, where: str) -> None:
+    """Every array and number reachable through dataclass fields and lists
+    of ``want`` equals the one at the same place in ``got``, bit for bit."""
+    if dataclasses.is_dataclass(want):
+        for f in dataclasses.fields(want):
+            assert_same_arrays(getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for t, (g, w) in enumerate(zip(got, want)):
+            assert_same_arrays(g, w, f"{where}[{t}]")
+    else:
+        assert np.shape(got) == np.shape(want), where
+        assert np.array_equal(got, want), where
+
 
 class TestCliStages:
     def test_simulate_exit_zero_and_files(self, tmp_path):
@@ -128,6 +168,11 @@ class TestCliStages:
         slices = (out / "loss_slices.csv").read_text().splitlines()
         assert slices[0] == "parameter,value,nll"
         assert len(slices) == 1 + 4 * 21
+        # past the leading name column every field is a plain decimal number
+        for name in ("loss_slices.csv", "performance.csv"):
+            for row in (out / name).read_text().splitlines()[1:]:
+                for field in row.split(",")[1:]:
+                    float(field)
 
     def test_fit_without_trajectories_is_missing_input(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tiny_config(tmp_path / "empty"))
@@ -138,6 +183,13 @@ class TestCliStages:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_invalid_json_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"solver": {"beta": 10.0,}')
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error" in err and "JSON" in err
 
     def test_invalid_config_key(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"reward": {"nope": 1}})

@@ -4,7 +4,7 @@ Bayesian policy update, limits in the inverse temperature, and rollouts."""
 import numpy as np
 import pytest
 
-from gwealth.errors import InfeasibleError, ParameterError, ShapeError
+from gwealth.errors import InfeasibleError, ShapeError
 from gwealth.glearner import (
     SolverConfig,
     Trajectory,
@@ -185,24 +185,6 @@ class TestBackwardPass:
             backward_pass([convex], prior, SolverConfig(beta=10.0, gamma=0.95),
                           np.zeros((1, n)))
 
-    def test_single_inner_iteration_cannot_verify_convergence(self, rng):
-        from gwealth.errors import ConvergenceError
-
-        params, rbar_path, sigma_r, benchmark, prior, _ = random_problem(rng, n=3, t_len=2)
-        cfg = SolverConfig(beta=100.0, gamma=0.95, max_inner_iters=1)
-        with pytest.raises(ConvergenceError):
-            solve_plan(params, rbar_path, sigma_r, benchmark, prior, cfg)
-
-    def test_omega_flag_requires_matrix(self, rng):
-        params, rbar_path, sigma_r, benchmark, prior, _ = random_problem(rng, n=3, t_len=2)
-        rc = [
-            build_coeffs(params, rbar_path[t], sigma_r, float(benchmark.b[t]))
-            for t in range(2)
-        ]
-        cfg = SolverConfig(beta=10.0, gamma=0.95, omega_in_quu=True)
-        with pytest.raises(ParameterError):
-            backward_pass(rc, prior, cfg, rbar_path)
-
 
 class TestFreeEnergy:
     def test_matches_monte_carlo_gaussian_integral(self, rng):
@@ -301,23 +283,6 @@ class TestGValue:
         se = cfg.gamma * vals.std(ddof=1) / np.sqrt(n_draws)
         assert abs(g_value(plan, 0, x, u) - est) < 3.0 * se
 
-    def test_omega_in_quu_breaks_bellman(self, rng):
-        # the alternative convention double-counts transaction costs; the
-        # Bellman identity is the arbiter and rejects it
-        params, rbar_path, sigma_r, benchmark, prior, _ = random_problem(rng, n=2, t_len=2)
-        cfg = SolverConfig(beta=5.0, gamma=0.95, omega_in_quu=True)
-        plan = solve_plan(params, rbar_path, sigma_r, benchmark, prior, cfg)
-        sig_pad = pad_covariance(sigma_r.sigma_r)
-        x = rng.normal(0.0, 20.0, size=2)
-        u = rng.normal(0.0, 5.0, size=2)
-        rc = build_coeffs(params, rbar_path[0], sigma_r, float(benchmark.b[0]))
-        f_next = plan.f[1]
-        ev = expected_next_value(
-            (f_next.f_xx, f_next.f_x, f_next.f_0), 1.0 + rbar_path[0], sig_pad, x + u
-        )
-        want = reward_value(rc, x, u) + cfg.gamma * ev
-        assert g_value(plan, 0, x, u) != pytest.approx(want, rel=1e-10)
-
 
 class TestPosterior:
     def test_black_box_completion_of_square(self, rng):
@@ -355,6 +320,22 @@ class TestPosterior:
             rad = np.max(np.abs(np.linalg.eigvals(plan.policy.sigma_tilde[t] @ p_inv)))
             assert rad < 1.0
 
+    def test_factor_inverse_and_logdet_consistent(self, rng):
+        # the sampling factor, the stored precision and log|sigma_tilde| all
+        # describe the same posterior covariance at every step
+        for beta in (0.5, 50.0, 1000.0):
+            plan, *_ = build_plan(rng, n=4, t_len=4, beta=beta)
+            pol = plan.policy
+            for t in range(4):
+                sig = pol.sigma_tilde[t]
+                chol = pol.chol_tilde[t]
+                assert np.allclose(chol, np.tril(chol))
+                assert np.allclose(chol @ chol.T, sig, rtol=1e-12, atol=1e-14 * np.abs(sig).max())
+                assert np.allclose(plan.q[t].sigma_bar @ sig, np.eye(4), rtol=0.0, atol=1e-10)
+                sign, logdet = np.linalg.slogdet(sig)
+                assert sign == 1.0
+                assert pol.logdet_tilde[t] == pytest.approx(logdet, rel=1e-12, abs=1e-12)
+
     def test_stored_matrices_symmetric(self, rng):
         plan, *_ = build_plan(rng, n=3, t_len=3)
         for t in range(3):
@@ -377,7 +358,6 @@ class TestSampleAction:
         plan_tiny = type(plan)(
             beta=plan.beta, gamma=plan.gamma, rbar=plan.rbar, a=plan.a,
             q=plan.q, f=plan.f, f_soft=plan.f_soft, policy=tiny,
-            terminal_curvature=plan.terminal_curvature,
         )
         x = rng.normal(size=2)
         u = sample_action(plan_tiny, 0, x, np.random.default_rng(0))
@@ -420,7 +400,6 @@ class TestRollout:
         return type(plan)(
             beta=plan.beta, gamma=plan.gamma, rbar=plan.rbar, a=plan.a,
             q=plan.q, f=plan.f, f_soft=plan.f_soft, policy=frozen,
-            terminal_curvature=plan.terminal_curvature,
         )
 
     def _flat_paths(self, n_paths, horizon, n_risky):
@@ -438,7 +417,6 @@ class TestRollout:
             beta=frozen.beta, gamma=frozen.gamma,
             rbar=np.zeros_like(frozen.rbar), a=np.ones_like(frozen.a),
             q=frozen.q, f=frozen.f, f_soft=frozen.f_soft, policy=frozen.policy,
-            terminal_curvature=frozen.terminal_curvature,
         )
         paths = self._flat_paths(5, 4, 2)
         x0 = np.array([100.0, 50.0, 25.0])
@@ -455,7 +433,6 @@ class TestRollout:
         frozen = type(frozen)(
             beta=frozen.beta, gamma=frozen.gamma, rbar=rbar, a=1.0 + rbar,
             q=frozen.q, f=frozen.f, f_soft=frozen.f_soft, policy=frozen.policy,
-            terminal_curvature=frozen.terminal_curvature,
         )
         paths = self._flat_paths(3, 4, 2)
         x0 = np.array([1000.0, 0.0, 0.0])
