@@ -44,11 +44,9 @@ from .girl import (
     FitConfig,
     FitReport,
     GirlParams,
-    action_log_prob,
     fit,
     loss_slices,
     nll_gradient,
-    trajectory_nll,
     transition_log_prob,
 )
 from .metrics import (
@@ -69,8 +67,7 @@ __all__ = [
     "backward_pass", "solve_plan", "terminal_action", "free_energy", "g_value",
     "policy_mean", "sample_action", "rollout", "cash_installment", "default_prior",
     "GirlParams", "FitConfig", "FitReport",
-    "transition_log_prob", "action_log_prob", "trajectory_nll", "nll_gradient",
-    "fit", "loss_slices",
+    "transition_log_prob", "nll_gradient", "fit", "loss_slices",
     "PerformanceSummary", "equal_weight_baseline", "investment_returns",
     "mean_wealth", "performance_summary", "sharpe",
 ]

@@ -1,15 +1,17 @@
 """Experiment configuration: a flat JSON tree with fail-closed parsing.
 
 Five sections (market, reward, solver, girl, io), every key optional with
-defaults matching the reference experiment; unknown sections or keys are
-errors.
+defaults matching the reference experiment; unknown sections or keys, and
+values of the wrong type, are errors.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ConfigError
 from .girl import FitConfig
@@ -92,26 +94,45 @@ _SECTION_TYPES = {
     "io": IoSection,
 }
 
-# tuple-valued MarketSpec fields arrive as JSON lists
-_TUPLE_KEYS = {"alpha_range", "beta_range", "price_range"}
+# field name -> type of every section, resolved once from the annotations
+_FIELD_TYPES = {name: get_type_hints(cls) for name, cls in _SECTION_TYPES.items()}
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number: int or float, not bool, NaN or infinity."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _typed_value(where: str, value, hint):
+    """``value`` checked against a section field's type (ints must be int and
+    not bool, floats take a finite int or float); tuple-valued fields arrive
+    as two-element JSON lists of numbers."""
+    if hint is float and _is_number(value):
+        return float(value)
+    if hint is int and isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if hint in (bool, str) and isinstance(value, hint):
+        return value
+    if hint == tuple[float, float]:
+        if not (isinstance(value, (list, tuple)) and len(value) == 2
+                and all(_is_number(v) for v in value)):
+            raise ConfigError(f"'{where}' must be a two-element interval of numbers")
+        return (float(value[0]), float(value[1]))
+    raise ConfigError(f"'{where}' must be of type {hint.__name__}, got {value!r}")
 
 
 def _build_section(name: str, cls, data: dict):
     if not isinstance(data, dict):
         raise ConfigError(f"section '{name}' must be an object")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    hints = _FIELD_TYPES[name]
+    unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(
             f"unknown key(s) in section '{name}': {', '.join(sorted(unknown))}"
         )
-    kwargs = {}
-    for key, value in data.items():
-        if key in _TUPLE_KEYS:
-            if not isinstance(value, (list, tuple)) or len(value) != 2:
-                raise ConfigError(f"'{name}.{key}' must be a two-element interval")
-            value = (float(value[0]), float(value[1]))
-        kwargs[key] = value
+    kwargs = {key: _typed_value(f"{name}.{key}", value, hints[key])
+              for key, value in data.items()}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:

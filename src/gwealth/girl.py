@@ -32,7 +32,6 @@ from .glearner import (
     SolvedPlan,
     SolverConfig,
     Trajectory,
-    g_value,
     solve_plan,
 )
 from .market import ReturnCovariance
@@ -188,26 +187,6 @@ def transition_log_prob(
     return -0.5 * logdet - 0.5 * float(w @ w)
 
 
-def action_log_prob(plan: SolvedPlan, t: int, x: np.ndarray, u: np.ndarray, beta: float) -> float:
-    """Log probability of an action: log pi0(u|x) + beta * (G(x,u) - F(x)).
-
-    F here is the soft log-partition at step t, which makes this exactly the
-    log-density of the posterior Gaussian policy.
-    """
-    prior = plan.policy.prior
-    x = np.asarray(x, float)
-    u = np.asarray(u, float)
-    n = u.shape[0]
-    mean0 = prior.u_bar + prior.v_bar @ x
-    chol = np.linalg.cholesky(prior.sigma_p)
-    w = np.linalg.solve(chol, u - mean0)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    log_pi0 = -0.5 * (n * LOG_2PI + logdet + float(w @ w))
-    f = plan.f_soft[t]
-    f_val = float(x @ f.f_xx @ x + x @ f.f_x + f.f_0)
-    return log_pi0 + beta * (g_value(plan, t, x, u) - f_val)
-
-
 def _solve_for(theta: GirlParams, rbar_path: np.ndarray,
                solver_cfg: SolverConfig | None = None,
                prior: PolicyPrior | None = None) -> SolvedPlan:
@@ -223,34 +202,6 @@ def _solve_for(theta: GirlParams, rbar_path: np.ndarray,
             f"eta={theta.reward.eta:g}, rho={theta.reward.rho:g}, "
             f"omega={float(theta.reward.omega):g})"
         ) from exc
-
-
-def trajectory_nll(
-    theta: GirlParams,
-    trajs: list[Trajectory],
-    rbar_path: np.ndarray,
-    solver_cfg: SolverConfig | None = None,
-) -> float:
-    """Negative log-likelihood of the trajectories under theta.
-
-    Re-runs the backward recursion under theta, then sums the per-step action
-    and transition log-probabilities; trajectories enter additively.
-    """
-    if len(trajs) == 0:
-        return 0.0
-    plan = _solve_for(theta, rbar_path, solver_cfg)
-    total = 0.0
-    for traj in trajs:
-        if traj.horizon != plan.horizon:
-            raise ShapeError(
-                f"trajectory horizon {traj.horizon} != plan horizon {plan.horizon}"
-            )
-        for t in range(traj.horizon):
-            total += action_log_prob(plan, t, traj.x[t], traj.u[t], theta.beta)
-            total += transition_log_prob(
-                traj.x[t + 1], traj.x[t], traj.u[t], rbar_path[t], theta.sigma_r
-            )
-    return -total
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +278,10 @@ def nll_from_stats(
     solver_cfg: SolverConfig | None = None,
     prior: PolicyPrior | None = None,
 ) -> float:
-    """Same value as ``trajectory_nll`` computed from pooled moments.
+    """Negative log-likelihood of the pooled trajectories under theta.
+
+    Equals the per-step sum of action and transition log-densities over
+    every trajectory (``trajectory_nll`` in ``tests/oracles.py``).
 
     The action term is the Gaussian posterior log-density accumulated through
     second moments, which costs a handful of N x N products per step instead

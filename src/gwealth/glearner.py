@@ -166,13 +166,16 @@ class Trajectory:
         return self.u.shape[1]
 
 
-def cash_installment(u_t: np.ndarray) -> float:
-    """Cash injected at one step: the sum of all trades.
+def cash_installment(u: np.ndarray) -> float | np.ndarray:
+    """Cash injected at each step: the sum of the trades over the last axis.
 
+    Takes one trade vector (returns a scalar) or any batch of them, such as
+    the (M, T, N) trades of M paths (returns their (M, T) installments).
     Every consumer of the budget identity goes through this helper so the
-    summation order (and hence the float result) is identical everywhere.
+    summation order (and hence the float result) is identical everywhere: a
+    row of a batch sums to the same bits as the row on its own.
     """
-    return float(np.sum(u_t))
+    return np.sum(u, axis=-1)
 
 
 def _chol_logdet(m: np.ndarray, context: str) -> tuple[np.ndarray, float]:
@@ -394,7 +397,13 @@ def rollout(
     Trades are sampled from the per-step posterior, the cash installment is
     the sum of trades, and positions compound at the realized returns (the
     bond at its expected, deterministic rate).  Each path consumes its own
-    spawned RNG stream, so results do not depend on evaluation order.
+    spawned RNG stream, drawn as one (T, N) block (the same numbers as T
+    sequential draws of N), so a path's trajectory does not depend on the
+    other paths, up to the last bits of the batched matrix products.
+
+    All paths advance together: one batched affine step per period.  The
+    returned trajectories hold views into shared (M, T+1, N), (M, T, N) and
+    (M, T) arrays.
     """
     t_len, n = plan.horizon, plan.n_assets
     if paths.horizon != t_len:
@@ -405,20 +414,18 @@ def rollout(
     if x0.shape != (n,):
         raise ShapeError(f"x0 must have shape ({n},)")
 
-    streams = rng.spawn(paths.n_paths)
-    out: list[Trajectory] = []
-    bond_gross = plan.a[:, 0]
-    for p, stream in enumerate(streams):
-        x = np.empty((t_len + 1, n))
-        u = np.empty((t_len, n))
-        cash = np.empty(t_len)
-        x[0] = x0
-        for t in range(t_len):
-            u[t] = policy_mean(plan, t, x[t]) + plan.policy.chol_tilde[t] @ stream.standard_normal(n)
-            cash[t] = cash_installment(u[t])
-            gross = np.empty(n)
-            gross[0] = bond_gross[t]
-            gross[1:] = 1.0 + paths.realized[p, t]
-            x[t + 1] = gross * (x[t] + u[t])
-        out.append(Trajectory(x=x, u=u, cash=cash))
-    return out
+    m = paths.n_paths
+    pol = plan.policy
+    x = np.empty((m, t_len + 1, n))
+    u = np.empty((m, t_len, n))
+    # the noise goes straight into u; each period overwrites it with the trade
+    for p, stream in enumerate(rng.spawn(m)):
+        stream.standard_normal(out=u[p])
+    x[:, 0] = x0
+    for t in range(t_len):
+        u[:, t] = pol.u_tilde[t] + x[:, t] @ pol.v_tilde[t].T + u[:, t] @ pol.chol_tilde[t].T
+        np.add(x[:, t], u[:, t], out=x[:, t + 1])
+        x[:, t + 1, 0] *= plan.a[t, 0]
+        x[:, t + 1, 1:] *= 1.0 + paths.realized[:, t]
+    cash = cash_installment(u)
+    return [Trajectory(x=x[p], u=u[p], cash=cash[p]) for p in range(m)]

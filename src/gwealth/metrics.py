@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ShapeError, UndefinedSharpeError
 from .glearner import Trajectory
 from .market import ReturnPaths
-from .rewards import BenchmarkPath, RewardParams, target_portfolio
+from .rewards import BenchmarkPath, RewardParams
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,35 @@ class PerformanceSummary:
     shortfall: np.ndarray | None = None
 
 
+def _returns(wealth: np.ndarray, cash: np.ndarray) -> np.ndarray:
+    """Time-weighted returns along the last axis of wealth (T+1) and cash (T)."""
+    base = wealth[..., :-1] + cash
+    return (wealth[..., 1:] - base) / base
+
+
+def _wealth_and_cash(trajs: list[Trajectory]) -> tuple[np.ndarray, np.ndarray]:
+    """Total wealth (M, T+1) and cash installments (M, T) of M trajectories,
+    without stacking their (M, T+1, N) positions."""
+    wealth = np.stack([traj.x.sum(axis=1) for traj in trajs])
+    cash = np.stack([traj.cash for traj in trajs])
+    return wealth, cash
+
+
+def _sharpe(rets: np.ndarray, r_f: float, dt: float) -> float:
+    """Annualized Sharpe ratio of (M, T) returns pooled over paths and periods."""
+    if rets.shape[1] < 2:
+        raise UndefinedSharpeError("need at least two periods for a Sharpe ratio")
+    excess = rets.ravel() - r_f * dt
+    std = float(excess.std(ddof=1))
+    mean = float(excess.mean())
+    if std == 0.0 or std < 1e-12 * abs(mean):
+        raise UndefinedSharpeError("return variance is zero; Sharpe ratio undefined")
+    return mean / std * float(np.sqrt(1.0 / dt))
+
+
 def investment_returns(traj: Trajectory) -> np.ndarray:
     """Per-period portfolio returns net of external cashflows."""
-    wealth = traj.x.sum(axis=1)
-    base = wealth[:-1] + traj.cash
-    return (wealth[1:] - base) / base
+    return _returns(traj.x.sum(axis=1), traj.cash)
 
 
 def mean_wealth(trajs: list[Trajectory]) -> np.ndarray:
@@ -45,39 +69,35 @@ def equal_weight_baseline(
     paths: ReturnPaths, x0: np.ndarray, r_f: float, dt: float
 ) -> list[Trajectory]:
     """Buy-and-hold benchmark: initial positions evolve at realized returns
-    (bond at r_f * dt per period) with no trades and no cashflows."""
+    (bond at r_f * dt per period) with no trades and no cashflows.
+
+    All paths advance together, one in-place product per period; the
+    returned trajectories hold views into shared position, trade and cash
+    arrays (the trades and cash all zero).
+    """
     x0 = np.asarray(x0, dtype=float)
     n = paths.n_risky + 1
     if x0.shape != (n,):
         raise ShapeError(f"x0 must cover the bond plus {paths.n_risky} risky assets")
-    t_len = paths.horizon
-    out = []
+    m, t_len = paths.n_paths, paths.horizon
+    x = np.empty((m, t_len + 1, n))
+    x[:, 0] = x0
     bond = 1.0 + r_f * dt
-    for p in range(paths.n_paths):
-        x = np.empty((t_len + 1, n))
-        x[0] = x0
-        for t in range(t_len):
-            gross = np.empty(n)
-            gross[0] = bond
-            gross[1:] = 1.0 + paths.realized[p, t]
-            x[t + 1] = gross * x[t]
-        out.append(Trajectory(x=x, u=np.zeros((t_len, n)), cash=np.zeros(t_len)))
-    return out
+    for t in range(t_len):
+        np.multiply(x[:, t, 0], bond, out=x[:, t + 1, 0])
+        np.multiply(x[:, t, 1:], 1.0 + paths.realized[:, t], out=x[:, t + 1, 1:])
+    u = np.zeros((m, t_len, n))
+    cash = np.zeros((m, t_len))
+    return [Trajectory(x=x[p], u=u[p], cash=cash[p]) for p in range(m)]
 
 
 def sharpe(trajs: list[Trajectory], r_f: float, dt: float) -> float:
     """Annualized Sharpe ratio of per-period investment returns pooled over
     paths and periods: mean excess over r_f * dt divided by the standard
     deviation, scaled by sqrt(1 / dt)."""
-    if not trajs or trajs[0].horizon < 2:
+    if not trajs:
         raise UndefinedSharpeError("need at least two periods for a Sharpe ratio")
-    rets = np.concatenate([investment_returns(traj) for traj in trajs])
-    excess = rets - r_f * dt
-    std = float(excess.std(ddof=1))
-    mean = float(excess.mean())
-    if std == 0.0 or std < 1e-12 * abs(mean):
-        raise UndefinedSharpeError("return variance is zero; Sharpe ratio undefined")
-    return mean / std * float(np.sqrt(1.0 / dt))
+    return _sharpe(_returns(*_wealth_and_cash(trajs)), r_f, dt)
 
 
 def performance_summary(
@@ -89,12 +109,17 @@ def performance_summary(
 ) -> PerformanceSummary:
     """Summarize a strategy's trajectories.
 
-    The shortfall diagnostic (positive part of target minus next-period
-    wealth, path-averaged per period) requires the reward parameters and the
+    Total wealth (M, T+1) and cash (M, T) are gathered once; the returns,
+    the Sharpe ratio (the same pooled returns as ``sharpe``), the
+    terminal-wealth statistics and the shortfall all come from them.  The
+    shortfall diagnostic (positive part of target minus next-period wealth,
+    path-averaged per period, with the target of
+    ``rewards.target_portfolio``) requires the reward parameters and the
     benchmark path and is omitted when they are not given.
     """
-    rets = np.stack([investment_returns(traj) for traj in trajs])
-    terminal = np.array([traj.x[-1].sum() for traj in trajs])
+    wealth, cash = _wealth_and_cash(trajs)
+    rets = _returns(wealth, cash)
+    terminal = wealth[:, -1]
     stats = {
         "mean": float(terminal.mean()),
         "std": float(terminal.std(ddof=1)) if terminal.size > 1 else 0.0,
@@ -106,19 +131,14 @@ def performance_summary(
     }
     shortfall = None
     if params is not None and benchmark is not None:
-        t_len = trajs[0].horizon
-        if benchmark.horizon != t_len:
+        if benchmark.horizon != rets.shape[1]:
             raise ShapeError("benchmark horizon does not match trajectories")
-        gaps = np.zeros((len(trajs), t_len))
-        for i, traj in enumerate(trajs):
-            wealth = traj.x.sum(axis=1)
-            for t in range(t_len):
-                target = target_portfolio(params, float(benchmark.b[t]), traj.x[t])
-                gaps[i, t] = max(target - wealth[t + 1], 0.0)
-        shortfall = gaps.mean(axis=0)
+        # rewards.target_portfolio for every path and period at once
+        target = (1.0 - params.rho) * benchmark.b + params.rho * params.eta * wealth[:, :-1]
+        shortfall = np.maximum(target - wealth[:, 1:], 0.0).mean(axis=0)
     return PerformanceSummary(
         mean_returns=rets.mean(axis=0),
-        sharpe=sharpe(trajs, r_f, dt),
+        sharpe=_sharpe(rets, r_f, dt),
         terminal_wealth_stats=stats,
         shortfall=shortfall,
     )

@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeError
-from .glearner import FCoeffs, GaussianPolicy, PolicyPrior, QCoeffs, SolvedPlan, Trajectory
+from .glearner import (
+    FCoeffs, GaussianPolicy, PolicyPrior, QCoeffs, SolvedPlan, Trajectory, cash_installment,
+)
 
 
 def _fmt(value: float) -> str:
@@ -91,8 +93,6 @@ def write_trajectories_csv(path: Path, trajs: list[Trajectory]) -> None:
 
 
 def read_trajectories_csv(path: Path) -> list[Trajectory]:
-    from .glearner import cash_installment
-
     raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     p_idx = raw[:, 0].astype(int)
     t_idx = raw[:, 1].astype(int)
@@ -106,12 +106,9 @@ def read_trajectories_csv(path: Path) -> list[Trajectory]:
     u_all[p_idx, t_idx, a_idx] = raw[:, 4]
     if np.isnan(x_all).any():
         raise ShapeError(f"'{path}' does not cover a full trajectory panel")
-    out = []
-    for p in range(n_paths):
-        u = u_all[p, :t_len]
-        cash = np.array([cash_installment(u[t]) for t in range(t_len)])
-        out.append(Trajectory(x=x_all[p], u=u, cash=cash))
-    return out
+    u = u_all[:, :t_len]
+    cash = cash_installment(u)
+    return [Trajectory(x=x_all[p], u=u[p], cash=cash[p]) for p in range(n_paths)]
 
 
 def write_cash_csv(path: Path, trajs: list[Trajectory]) -> None:

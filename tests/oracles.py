@@ -1,14 +1,26 @@
 """Independent oracles used by the test suite.
 
-Everything here is derived from first principles (definitions of the reward,
-Gaussian moments, black-box quadratic fitting, brute-force maximization) and
-deliberately shares no code path with the package internals it checks.
+Most of what is here is derived from first principles (definitions of the
+reward, Gaussian moments, black-box quadratic fitting, brute-force
+maximization) and deliberately shares no code path with the package
+internals it checks.  The rest are the direct, per-path and per-step forms of
+computations the package batches or pools (the trajectory likelihood, the
+rollout, the equal-weight baseline, the shortfall); they call only the
+package's single-step building blocks.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import optimize, stats
+
+from gwealth.girl import transition_log_prob
+from gwealth.glearner import Trajectory, cash_installment, g_value, sample_action, solve_plan
+from gwealth.rewards import target_portfolio
+
+LOG_2PI = math.log(2.0 * math.pi)
 
 
 def pad(sigma_r: np.ndarray) -> np.ndarray:
@@ -183,3 +195,96 @@ def mc_log_partition(g_batch_fn, beta, mean0, cov0, n_draws, rng):
     est = (m + np.log(w.mean())) / beta
     se_logmean = w.std(ddof=1) / (w.mean() * np.sqrt(n_draws))
     return float(est), float(se_logmean / beta)
+
+
+# ---------------------------------------------------------------------------
+# direct likelihood: per trajectory and step (the package pools moments)
+# ---------------------------------------------------------------------------
+
+def action_log_prob(plan, t, x, u, beta):
+    """Log probability of an action: log pi0(u|x) + beta * (G(x,u) - F(x)).
+
+    F here is the soft log-partition at step t, which makes this exactly the
+    log-density of the posterior Gaussian policy.
+    """
+    prior = plan.policy.prior
+    x = np.asarray(x, float)
+    u = np.asarray(u, float)
+    n = u.shape[0]
+    mean0 = prior.u_bar + prior.v_bar @ x
+    chol = np.linalg.cholesky(prior.sigma_p)
+    w = np.linalg.solve(chol, u - mean0)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    log_pi0 = -0.5 * (n * LOG_2PI + logdet + float(w @ w))
+    f = plan.f_soft[t]
+    f_val = float(x @ f.f_xx @ x + x @ f.f_x + f.f_0)
+    return log_pi0 + beta * (g_value(plan, t, x, u) - f_val)
+
+
+def trajectory_nll(theta, trajs, rbar_path):
+    """Negative log-likelihood of the trajectories under theta.
+
+    Re-runs the backward recursion under theta, then sums the per-step action
+    and transition log-probabilities; trajectories enter additively.
+    """
+    if len(trajs) == 0:
+        return 0.0
+    plan = solve_plan(theta.reward, rbar_path, theta.sigma_r, theta.benchmark,
+                      theta.prior(), theta.solver_config())
+    total = 0.0
+    for traj in trajs:
+        assert traj.horizon == plan.horizon
+        for t in range(traj.horizon):
+            total += action_log_prob(plan, t, traj.x[t], traj.u[t], theta.beta)
+            total += transition_log_prob(
+                traj.x[t + 1], traj.x[t], traj.u[t], rbar_path[t], theta.sigma_r
+            )
+    return -total
+
+
+# ---------------------------------------------------------------------------
+# per-path Monte-Carlo loops (the package advances all paths at once)
+# ---------------------------------------------------------------------------
+
+def rollout_loop(plan, paths, x0, rng):
+    """Policy rollout one path and one period at a time, each path drawing
+    its trades with ``sample_action`` from its own spawned stream."""
+    t_len, n = plan.horizon, plan.n_assets
+    out = []
+    for p, stream in enumerate(rng.spawn(paths.n_paths)):
+        x = np.empty((t_len + 1, n))
+        u = np.empty((t_len, n))
+        x[0] = x0
+        for t in range(t_len):
+            u[t] = sample_action(plan, t, x[t], stream)
+            gross = np.concatenate([[plan.a[t, 0]], 1.0 + paths.realized[p, t]])
+            x[t + 1] = gross * (x[t] + u[t])
+        cash = np.array([cash_installment(u[t]) for t in range(t_len)])
+        out.append(Trajectory(x=x, u=u, cash=cash))
+    return out
+
+
+def equal_weight_loop(paths, x0, r_f, dt):
+    """Buy-and-hold positions one path and one period at a time."""
+    t_len, n = paths.horizon, paths.n_risky + 1
+    out = []
+    for p in range(paths.n_paths):
+        x = np.empty((t_len + 1, n))
+        x[0] = x0
+        for t in range(t_len):
+            gross = np.concatenate([[1.0 + r_f * dt], 1.0 + paths.realized[p, t]])
+            x[t + 1] = gross * x[t]
+        out.append(Trajectory(x=x, u=np.zeros((t_len, n)), cash=np.zeros(t_len)))
+    return out
+
+
+def shortfall_loop(trajs, params, benchmark):
+    """Path-averaged rectified shortfall max(target_t - wealth_{t+1}, 0) with
+    the target of ``rewards.target_portfolio``, one path and period at a time."""
+    t_len = trajs[0].horizon
+    gaps = np.zeros((len(trajs), t_len))
+    for i, traj in enumerate(trajs):
+        for t in range(t_len):
+            target = target_portfolio(params, float(benchmark.b[t]), traj.x[t])
+            gaps[i, t] = max(target - float(np.sum(traj.x[t + 1])), 0.0)
+    return gaps.mean(axis=0)

@@ -13,7 +13,6 @@ import pytest
 from gwealth.girl import (
     FitConfig,
     GirlParams,
-    action_log_prob,
     default_slice_grids,
     fit,
     loss_slices,
@@ -40,7 +39,9 @@ from gwealth.rewards import (
 )
 
 from conftest import random_problem, random_spd
-from oracles import dp_solve, expected_reward, mc_log_partition, mvn_logpdf
+from oracles import action_log_prob, dp_solve, expected_reward, mc_log_partition, mvn_logpdf
+
+pytestmark = pytest.mark.slow
 
 SEED = 7
 TRUTH = RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15)

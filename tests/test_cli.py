@@ -91,6 +91,23 @@ class TestConfig:
     def test_girl_section_defaults_match_fit_config(self):
         assert GirlSection().fit_config() == FitConfig()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "beta", "x"), ("reward", "lam", True), ("reward", "rho", None),
+        ("market", "n_paths", 2.5), ("market", "n_risky", True), ("market", "horizon", "30"),
+        ("market", "exact_gbm", 1), ("market", "alpha_range", ["a", 0.1]),
+        ("market", "beta_range", [False, 0.5]), ("girl", "max_iters", 10.0),
+        ("io", "seed", "7"), ("io", "outdir", 5),
+        ("market", "dt", float("nan")), ("reward", "initial_wealth", float("inf")),
+    ])
+    def test_wrong_type_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            config_from_dict({section: {key: value}})
+
+    def test_int_accepted_for_float(self):
+        cfg = config_from_dict({"solver": {"beta": 10}, "market": {"price_range": [20, 120]}})
+        assert cfg.solver.beta == 10.0 and type(cfg.solver.beta) is float
+        assert cfg.market.price_range == (20.0, 120.0)
+
 
 class TestStorageRoundTrip:
     def test_returns_panel(self, tmp_path, rng):
@@ -123,6 +140,10 @@ class TestStorageRoundTrip:
             assert np.array_equal(a.x, b.x)
             assert np.array_equal(a.u, b.u)
             assert np.array_equal(a.cash, b.cash)
+        # views into one panel per field, no per-path copies
+        for field in ("x", "u", "cash"):
+            bases = {id(getattr(b, field).base) for b in back}
+            assert len(bases) == 1 and getattr(back[0], field).base is not None
 
     def test_plan(self, tmp_path, rng):
         plan = solve_plan(*random_problem(rng, n=3, t_len=4))
@@ -190,6 +211,11 @@ class TestCliStages:
         assert main(["simulate", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "error" in err and "JSON" in err
+
+    def test_wrong_typed_config_value(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"solver": {"beta": "x"}})
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+        assert "solver.beta" in capsys.readouterr().err
 
     def test_invalid_config_key(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"reward": {"nope": 1}})

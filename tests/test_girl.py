@@ -12,7 +12,6 @@ from gwealth.errors import (
 from gwealth.girl import (
     FitConfig,
     GirlParams,
-    action_log_prob,
     default_slice_grids,
     fit,
     loss_slices,
@@ -21,7 +20,6 @@ from gwealth.girl import (
     pack_reward,
     prepare_stats,
     scaled_start,
-    trajectory_nll,
     transition_log_prob,
     unpack_reward,
 )
@@ -30,7 +28,7 @@ from gwealth.market import ReturnCovariance, ReturnPaths
 from gwealth.rewards import RewardParams
 
 from conftest import random_problem, random_spd
-from oracles import mvn_logpdf
+from oracles import action_log_prob, mvn_logpdf, trajectory_nll
 
 
 def make_setup(rng, n=3, t_len=3, n_paths=40, beta=50.0, gamma=0.95, lam=None):

@@ -19,8 +19,21 @@ from gwealth.glearner import (
     solve_plan,
     terminal_action,
 )
-from gwealth.market import ReturnPaths
-from gwealth.rewards import RewardCoeffs, build_coeffs, pad_covariance, reward_value
+from gwealth.market import (
+    MarketSpec,
+    ReturnPaths,
+    mean_expected_returns,
+    residual_covariance,
+    simulate,
+)
+from gwealth.rewards import (
+    RewardCoeffs,
+    RewardParams,
+    build_coeffs,
+    exponential_benchmark,
+    pad_covariance,
+    reward_value,
+)
 
 from conftest import random_problem, random_spd
 from oracles import (
@@ -30,6 +43,7 @@ from oracles import (
     expected_reward,
     mc_log_partition,
     quad_fit,
+    rollout_loop,
 )
 
 
@@ -37,6 +51,21 @@ def build_plan(rng, n=3, t_len=3, **kwargs):
     params, rbar_path, sigma_r, benchmark, prior, cfg = random_problem(rng, n, t_len, **kwargs)
     plan = solve_plan(params, rbar_path, sigma_r, benchmark, prior, cfg)
     return plan, params, rbar_path, sigma_r, benchmark, prior, cfg
+
+
+def market_plan(n_risky, n_paths, horizon=30, seed=11):
+    """A plan solved at the reference reward on a simulated market, with the
+    market's return paths."""
+    spec = MarketSpec(n_risky=n_risky, horizon=horizon, n_paths=n_paths, seed=seed)
+    paths = simulate(spec)
+    rbar = np.concatenate(
+        [np.full((horizon, 1), spec.r_f * spec.dt), mean_expected_returns(paths)], axis=1)
+    plan = solve_plan(
+        RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15), rbar,
+        residual_covariance(paths), exponential_benchmark(1000.0, 0.5, horizon, spec.dt),
+        default_prior(n_risky + 1, 10.0), SolverConfig(),
+    )
+    return plan, paths
 
 
 def reward_fn_for(params, rbar_t, sigma_r, b_t, n):
@@ -462,6 +491,33 @@ class TestRollout:
         b = rollout(plan, paths, np.full(3, 10.0), np.random.default_rng(42))
         for ta, tb in zip(a, b):
             assert np.array_equal(ta.u, tb.u)
+
+    @pytest.mark.parametrize("n_risky", [2, 99])
+    def test_matches_per_path_loop(self, n_risky):
+        plan, paths = market_plan(n_risky, n_paths=40)
+        x0 = np.full(n_risky + 1, 1000.0 / (n_risky + 1))
+        got = rollout(plan, paths, x0, np.random.default_rng(42))
+        want = rollout_loop(plan, paths, x0, np.random.default_rng(42))
+        scale = max(np.abs(t.x).max() for t in want)
+        for g, w in zip(got, want, strict=True):
+            assert np.abs(g.x - w.x).max() <= 1e-12 * scale
+            assert np.abs(g.u - w.u).max() <= 1e-12 * scale
+            assert np.array_equal(g.cash, cash_installment(g.u))
+        # views into one batch per field, no per-path copies
+        for field in ("x", "u", "cash"):
+            assert len({id(getattr(t, field).base) for t in got}) == 1
+
+    def test_path_independent_of_other_paths(self):
+        plan, paths = market_plan(9, n_paths=40)
+        few = ReturnPaths(expected=paths.expected[:5], realized=paths.realized[:5],
+                          market=paths.market[:5])
+        x0 = np.full(10, 100.0)
+        many_trajs = rollout(plan, paths, x0, np.random.default_rng(7))
+        few_trajs = rollout(plan, few, x0, np.random.default_rng(7))
+        scale = max(np.abs(t.x).max() for t in few_trajs)
+        for a, b in zip(few_trajs, many_trajs[:5]):
+            assert np.abs(a.x - b.x).max() <= 1e-12 * scale
+            assert np.abs(a.u - b.u).max() <= 1e-12 * scale
 
 
 class TestExpectationIdentity:

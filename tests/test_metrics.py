@@ -14,6 +14,8 @@ from gwealth.metrics import (
 )
 from gwealth.rewards import BenchmarkPath, RewardParams
 
+from oracles import equal_weight_loop, shortfall_loop
+
 
 def flat_paths(n_paths, horizon, n_risky, value=0.0):
     shape = (n_paths, horizon, n_risky)
@@ -60,6 +62,21 @@ class TestEqualWeightBaseline:
         b = equal_weight_baseline(paths, np.full(3, 10.0), 0.02, 0.25)
         for ta, tb in zip(a, b):
             assert np.array_equal(ta.x, tb.x)
+
+    def test_matches_per_path_loop(self):
+        rng = np.random.default_rng(6)
+        shape = (7, 5, 4)
+        paths = ReturnPaths(
+            expected=np.zeros(shape), realized=rng.normal(0.01, 0.08, shape),
+            market=np.zeros(shape[:2]),
+        )
+        x0 = rng.uniform(10.0, 300.0, size=5)
+        got = equal_weight_baseline(paths, x0, 0.02, 0.25)
+        want = equal_weight_loop(paths, x0, 0.02, 0.25)
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g.x, w.x)
+            assert np.array_equal(g.u, w.u)
+            assert np.array_equal(g.cash, w.cash)
 
 
 class TestSharpe:
@@ -130,3 +147,22 @@ class TestPerformanceSummary:
         bench = BenchmarkPath(b=np.array([1.0, 1.0]))
         summary = performance_summary([traj], 0.0, 0.25, params=params, benchmark=bench)
         assert summary.shortfall == pytest.approx([10.0, 10.0])
+
+    def test_pooled_results_match_per_path_definitions(self):
+        rng = np.random.default_rng(8)
+        t_len = 6
+        trajs = []
+        for _ in range(9):
+            x = rng.uniform(50.0, 150.0, size=(t_len + 1, 3))
+            u = rng.normal(0.0, 5.0, size=(t_len, 3))
+            trajs.append(Trajectory(x=x, u=u, cash=cash_installment(u)))
+        params = RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15)
+        bench = BenchmarkPath(b=rng.uniform(200.0, 400.0, size=t_len))
+        summary = performance_summary(trajs, 0.02, 0.25, params=params, benchmark=bench)
+        assert np.array_equal(summary.shortfall, shortfall_loop(trajs, params, bench))
+        assert summary.shortfall.max() > 0.0
+        assert summary.sharpe == sharpe(trajs, 0.02, 0.25)
+        want_returns = np.mean([investment_returns(t) for t in trajs], axis=0)
+        assert np.array_equal(summary.mean_returns, want_returns)
+        terminal = [t.x[-1].sum() for t in trajs]
+        assert summary.terminal_wealth_stats["mean"] == pytest.approx(np.mean(terminal), rel=1e-15)
