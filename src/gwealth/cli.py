@@ -155,13 +155,13 @@ def cmd_solve(cfg: ExperimentConfig, written: list) -> None:
 def _rollout_stage(cfg: ExperimentConfig, written: list, plan_file: str,
                    traj_file: str, cash_file: str, stream: int) -> None:
     outdir = cfg.outdir
-    plan = storage.read_plan_npz(_require(outdir, plan_file, "run `gwealth solve` first"))
+    policy = storage.read_plan_npz(_require(outdir, plan_file, "run `gwealth solve` first"))
     realized = storage.read_returns_csv(
         _require(outdir, F_REALIZED, "run `gwealth simulate` first")
     )
     paths = ReturnPaths(expected=realized, realized=realized,
                         market=np.zeros(realized.shape[:2]))
-    trajs = rollout(plan, paths, _x0(cfg), _rollout_rng(cfg, stream))
+    trajs = rollout(policy, paths, _x0(cfg), _rollout_rng(cfg, stream))
     storage.write_trajectories_csv(_track(written, outdir / traj_file), trajs)
     storage.write_cash_csv(_track(written, outdir / cash_file), trajs)
 

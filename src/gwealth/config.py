@@ -26,8 +26,12 @@ class RewardSection:
     eta: float = 1.01
     rho: float = 0.4
     omega: float = 0.15
-    benchmark_rate: float = 0.5  # continuous compounding per year
+    benchmark_rate: float = 0.5  # continuous compounding per year (any sign)
     initial_wealth: float = 1000.0
+
+    def __post_init__(self):
+        if not self.initial_wealth > 0.0:
+            raise ValueError(f"initial_wealth must be > 0, got {self.initial_wealth}")
 
     def params(self) -> RewardParams:
         return RewardParams(lam=self.lam, eta=self.eta, rho=self.rho, omega=self.omega)
@@ -38,6 +42,10 @@ class SolverSection:
     beta: float = 1000.0
     gamma: float = 0.95
     sigma_p_scale: float = 10.0
+
+    def __post_init__(self):
+        if not self.sigma_p_scale > 0.0:
+            raise ValueError(f"sigma_p_scale must be > 0, got {self.sigma_p_scale}")
 
     def config(self) -> SolverConfig:
         return SolverConfig(beta=self.beta, gamma=self.gamma)
@@ -53,6 +61,11 @@ class GirlSection:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     theta0_scale: float = 2.0
+
+    def __post_init__(self):
+        # the fit starts at the configured reward moved by this factor
+        if not (self.theta0_scale > 0.0 and self.theta0_scale != 1.0):
+            raise ValueError(f"theta0_scale must be > 0 and not 1, got {self.theta0_scale}")
 
     def fit_config(self) -> FitConfig:
         return FitConfig(

@@ -188,14 +188,12 @@ def transition_log_prob(
 
 
 def _solve_for(theta: GirlParams, rbar_path: np.ndarray,
-               solver_cfg: SolverConfig | None = None,
                prior: PolicyPrior | None = None) -> SolvedPlan:
-    cfg = solver_cfg if solver_cfg is not None else theta.solver_config()
     if prior is None:
         prior = theta.prior()
     try:
         return solve_plan(theta.reward, rbar_path, theta.sigma_r, theta.benchmark,
-                          prior, cfg)
+                          prior, theta.solver_config())
     except InfeasibleError as exc:
         raise InfeasibleError(
             f"{exc} (under reward parameters lam={theta.reward.lam:g}, "
@@ -275,7 +273,6 @@ def nll_from_stats(
     theta: GirlParams,
     stats: _DataStats,
     rbar_path: np.ndarray,
-    solver_cfg: SolverConfig | None = None,
     prior: PolicyPrior | None = None,
 ) -> float:
     """Negative log-likelihood of the pooled trajectories under theta.
@@ -287,17 +284,16 @@ def nll_from_stats(
     second moments, which costs a handful of N x N products per step instead
     of a pass over every trajectory.
     """
-    plan = _solve_for(theta, rbar_path, solver_cfg, prior=prior)
+    plan = _solve_for(theta, rbar_path, prior=prior)
     if plan.horizon != stats.horizon or plan.n_assets != stats.n_assets:
         raise ShapeError("data statistics do not match the solved plan")
     m = stats.count
     n = stats.n_assets
     total = 0.0
-    pol = plan.policy
     for t in range(stats.horizon):
-        v_t = pol.v_tilde[t]
-        u_t = pol.u_tilde[t]
-        prec = plan.q[t].sigma_bar  # posterior precision
+        v_t = plan.v_tilde[t]
+        u_t = plan.u_tilde[t]
+        prec = plan.sigma_bar[t]  # posterior precision
         see = (
             stats.suu[t]
             - stats.sux[t] @ v_t.T
@@ -307,7 +303,7 @@ def nll_from_stats(
         se = stats.su[t] - v_t @ stats.sx[t]
         sdd = see - np.outer(se, u_t) - np.outer(u_t, se) + m * np.outer(u_t, u_t)
         quad = float(np.sum(prec * sdd))
-        total += -0.5 * (quad + m * (n * LOG_2PI + pol.logdet_tilde[t]))
+        total += -0.5 * (quad + m * (n * LOG_2PI + plan.logdet_tilde[t]))
     return -(total + stats.transition_const)
 
 

@@ -84,54 +84,25 @@ def default_prior(n_assets: int, sigma_p_scale: float = 10.0) -> PolicyPrior:
 
 
 @dataclass(frozen=True)
-class FCoeffs:
-    """Free-energy coefficients at one step: F(x) = x^T f_xx x + x^T f_x + f_0."""
-
-    f_xx: np.ndarray
-    f_x: np.ndarray
-    f_0: float
-
-
-@dataclass(frozen=True)
-class QCoeffs:
-    """Soft action-value coefficients at one step,
-    G(x, u) = x^T q_xx x + u^T q_ux x + u^T q_uu u + x^T q_x + u^T q_u + q_0,
-    plus the posterior precision sigma_bar = sigma_p^{-1} - 2 beta q_uu."""
-
-    q_xx: np.ndarray
-    q_ux: np.ndarray
-    q_uu: np.ndarray
-    q_x: np.ndarray
-    q_u: np.ndarray
-    q_0: float
-    sigma_bar: np.ndarray
-
-
-@dataclass(frozen=True)
 class GaussianPolicy:
-    """Per-step posterior policy u ~ N(u_tilde_t + v_tilde_t x, sigma_tilde_t)
-    together with the constant prior it was updated from."""
+    """Per-step posterior policy u ~ N(u_tilde[t] + v_tilde[t] x, sigma_tilde_t),
+    sigma_tilde_t = chol_tilde[t] chol_tilde[t]^T, with the constant prior it
+    was updated from and the parameters and expected returns it was solved
+    under.
 
-    prior: PolicyPrior
-    u_tilde: np.ndarray       # (T, N)
-    v_tilde: np.ndarray       # (T, N, N)
-    sigma_tilde: np.ndarray   # (T, N, N)
-    chol_tilde: np.ndarray    # (T, N, N) lower Cholesky factors
-    logdet_tilde: np.ndarray  # (T,) log|sigma_tilde_t|
-
-
-@dataclass(frozen=True)
-class SolvedPlan:
-    """Everything the backward recursion produces for one horizon."""
+    Per-step results are stacked along the first axis: (T, N, N) for
+    matrices, (T, N) for vectors and (T,) for scalars.  This is what a
+    rollout reads and what ``plan.npz`` stores.
+    """
 
     beta: float
     gamma: float
-    rbar: np.ndarray  # (T, N) expected per-period returns, entry 0 = bond rate
-    a: np.ndarray     # (T, N) expected gross returns 1 + rbar
-    q: list[QCoeffs]
-    f: list[FCoeffs]       # recursion value function (hard max at T-1)
-    f_soft: list[FCoeffs]  # policy log-partition (equals f for t < T-1)
-    policy: GaussianPolicy
+    rbar: np.ndarray          # (T, N) expected per-period returns, entry 0 = bond rate
+    prior: PolicyPrior
+    u_tilde: np.ndarray       # (T, N)
+    v_tilde: np.ndarray       # (T, N, N)
+    chol_tilde: np.ndarray    # (T, N, N) lower Cholesky factors of sigma_tilde
+    logdet_tilde: np.ndarray  # (T,) log|sigma_tilde_t|
 
     @property
     def horizon(self) -> int:
@@ -140,6 +111,32 @@ class SolvedPlan:
     @property
     def n_assets(self) -> int:
         return self.rbar.shape[1]
+
+
+@dataclass(frozen=True)
+class SolvedPlan(GaussianPolicy):
+    """The policy plus the value coefficients of the backward recursion,
+    stacked like the policy's fields.
+
+    G_t(x, u) = x^T q_xx x + u^T q_ux x + u^T q_uu u + x^T q_x + u^T q_u + q_0
+    and F_t(x) = x^T f_xx x + x^T f_x + f_0, where F is the recursion's value
+    function (the hard max of the reward at T-1).  The policy normalizer is
+    the soft log-partition, which equals F for t < T-1; at T-1 it is
+    ``f_soft_last`` = (f_xx, f_x, f_0).  ``sigma_bar`` is the posterior
+    precision sigma_p^{-1} - 2 beta q_uu.
+    """
+
+    q_xx: np.ndarray       # (T, N, N)
+    q_ux: np.ndarray       # (T, N, N)
+    q_uu: np.ndarray       # (T, N, N)
+    q_x: np.ndarray        # (T, N)
+    q_u: np.ndarray        # (T, N)
+    q_0: np.ndarray        # (T,)
+    f_xx: np.ndarray       # (T, N, N)
+    f_x: np.ndarray        # (T, N)
+    f_0: np.ndarray        # (T,)
+    f_soft_last: tuple[np.ndarray, np.ndarray, float]
+    sigma_bar: np.ndarray  # (T, N, N)
 
 
 @dataclass(frozen=True)
@@ -201,11 +198,11 @@ def terminal_action(coeffs: RewardCoeffs, params: RewardParams, x: np.ndarray) -
     return np.linalg.solve(curvature, 0.5 * (coeffs.r_ux @ x + coeffs.r_u))
 
 
-def _terminal_f(rc: RewardCoeffs) -> FCoeffs:
+def _terminal_f(rc: RewardCoeffs) -> tuple[np.ndarray, np.ndarray, float]:
     """Plug the analytic terminal action back into the reward.
 
     max_u [u^T r_uu u + u^T b + const] = const + b^T (-r_uu)^{-1} b / 4 with
-    b = r_ux x + r_u, expanded into quadratic coefficients of x.
+    b = r_ux x + r_u, expanded into the (f_xx, f_x, f_0) coefficients of x.
     """
     n = rc.n_assets
     # (lam * sigma_hat + omega)^{-1} [r_ux | r_u] in one solve
@@ -214,7 +211,7 @@ def _terminal_f(rc: RewardCoeffs) -> FCoeffs:
     f_xx = rc.r_xx + 0.25 * rc.r_ux.T @ s_inv_rux
     f_x = rc.r_x + 0.5 * rc.r_ux.T @ s_inv_ru
     f_0 = rc.r_0 + 0.25 * float(rc.r_u @ s_inv_ru)
-    return FCoeffs(f_xx=0.5 * (f_xx + f_xx.T), f_x=f_x, f_0=float(f_0))
+    return 0.5 * (f_xx + f_xx.T), f_x, float(f_0)
 
 
 def _bayes_and_f(q_xx, q_ux, q_uu, q_x, q_u, q_0, prior: PolicyPrior, beta: float, t: int):
@@ -225,6 +222,9 @@ def _bayes_and_f(q_xx, q_ux, q_uu, q_x, q_u, q_0, prior: PolicyPrior, beta: floa
     and F is the log-partition of pi0 * exp(beta * G), all from one solve
     against sigma_bar.  The Cholesky factor of the posterior covariance feeds
     both the sampler and log|sigma_tilde| = -log|sigma_bar|.
+
+    Returns sigma_bar, u_tilde, v_tilde, chol_tilde, log|sigma_tilde| and the
+    (f_xx, f_x, f_0) coefficients of F.
     """
     n = q_uu.shape[0]
     # contraction requirement: spectral radius of sigma_tilde sigma_p^{-1} < 1,
@@ -253,13 +253,8 @@ def _bayes_and_f(q_xx, q_ux, q_uu, q_x, q_u, q_0, prior: PolicyPrior, beta: floa
     f_0 = q_0 + (0.5 / beta) * (
         float(u_rhs @ u_til) - float(prior.u_bar @ prior_pull_u)
     ) - (0.5 / beta) * (prior.logdet_sigma_p - logdet_tilde)
-
-    f = FCoeffs(f_xx=0.5 * (f_xx + f_xx.T), f_x=f_x, f_0=float(f_0))
-    q = QCoeffs(
-        q_xx=0.5 * (q_xx + q_xx.T), q_ux=q_ux, q_uu=0.5 * (q_uu + q_uu.T),
-        q_x=q_x, q_u=q_u, q_0=float(q_0), sigma_bar=sigma_bar,
-    )
-    return q, f, u_til, v_til, sigma_tilde, chol_tilde, logdet_tilde
+    f = (0.5 * (f_xx + f_xx.T), f_x, float(f_0))
+    return sigma_bar, u_til, v_til, chol_tilde, logdet_tilde, f
 
 
 def backward_pass(
@@ -271,7 +266,8 @@ def backward_pass(
     """Solve the finite-horizon problem by backward recursion.
 
     ``rc`` holds the per-period reward coefficients, ``rbar`` the matching
-    (T, N) expected-return path.
+    (T, N) expected-return path.  Every step writes its results into row t
+    of the plan's stacked arrays.
     """
     cfg.validate()
     t_len = len(rc)
@@ -284,47 +280,40 @@ def backward_pass(
     if prior.n_assets != n:
         raise ShapeError("prior dimension does not match reward coefficients")
 
-    a = 1.0 + rbar
-
-    q_list: list[QCoeffs] = [None] * t_len
-    f_list: list[FCoeffs] = [None] * t_len
-    f_soft_list: list[FCoeffs] = [None] * t_len
-    u_tilde = np.empty((t_len, n))
-    v_tilde = np.empty((t_len, n, n))
-    sigma_tilde = np.empty((t_len, n, n))
-    chol_tilde = np.empty((t_len, n, n))
-    logdet_tilde = np.empty(t_len)
+    q_xx, q_ux, q_uu, f_xx, sigma_bar, v_tilde, chol_tilde = (
+        np.empty((t_len, n, n)) for _ in range(7))
+    q_x, q_u, f_x, u_tilde = (np.empty((t_len, n)) for _ in range(4))
+    q_0, f_0, logdet_tilde = (np.empty(t_len) for _ in range(3))
 
     for t in range(t_len - 1, -1, -1):
         r = rc[t]
         if t == t_len - 1:
-            q_xx, q_ux, q_uu = r.r_xx, r.r_ux, r.r_uu
-            q_x, q_u, q_0 = r.r_x, r.r_u, r.r_0
+            qxx, qux, quu, qx, qu, q0 = r.r_xx, r.r_ux, r.r_uu, r.r_x, r.r_u, r.r_0
         else:
-            f_next = f_list[t + 1]
-            a_t = a[t]
-            growth = f_next.f_xx * np.outer(a_t, a_t) + r.sigma_r_padded * f_next.f_xx
-            lin = cfg.gamma * (a_t * f_next.f_x)
-            q_xx = r.r_xx + cfg.gamma * growth
-            q_ux = r.r_ux + 2.0 * cfg.gamma * growth
-            q_uu = r.r_uu + cfg.gamma * growth
-            q_x = r.r_x + lin
-            q_u = r.r_u + lin
-            q_0 = r.r_0 + cfg.gamma * f_next.f_0
+            a_t = 1.0 + rbar[t]
+            growth = f_xx[t + 1] * np.outer(a_t, a_t) + r.sigma_r_padded * f_xx[t + 1]
+            lin = cfg.gamma * (a_t * f_x[t + 1])
+            qxx = r.r_xx + cfg.gamma * growth
+            qux = r.r_ux + 2.0 * cfg.gamma * growth
+            quu = r.r_uu + cfg.gamma * growth
+            qx = r.r_x + lin
+            qu = r.r_u + lin
+            q0 = r.r_0 + cfg.gamma * f_0[t + 1]
 
-        (q_list[t], f_soft_list[t], u_tilde[t], v_tilde[t], sigma_tilde[t],
-         chol_tilde[t], logdet_tilde[t]) = _bayes_and_f(
-            q_xx, q_ux, q_uu, q_x, q_u, q_0, prior, cfg.beta, t,
+        sigma_bar[t], u_tilde[t], v_tilde[t], chol_tilde[t], logdet_tilde[t], f_t = _bayes_and_f(
+            qxx, qux, quu, qx, qu, q0, prior, cfg.beta, t,
         )
-        f_list[t] = _terminal_f(r) if t == t_len - 1 else f_soft_list[t]
+        q_xx[t], q_ux[t], q_uu[t] = 0.5 * (qxx + qxx.T), qux, 0.5 * (quu + quu.T)
+        q_x[t], q_u[t], q_0[t] = qx, qu, q0
+        if t == t_len - 1:  # the recursion takes the hard max, the policy the soft F
+            f_soft_last, f_t = f_t, _terminal_f(r)
+        f_xx[t], f_x[t], f_0[t] = f_t
 
-    policy = GaussianPolicy(
-        prior=prior, u_tilde=u_tilde, v_tilde=v_tilde,
-        sigma_tilde=sigma_tilde, chol_tilde=chol_tilde, logdet_tilde=logdet_tilde,
-    )
     return SolvedPlan(
-        beta=cfg.beta, gamma=cfg.gamma, rbar=rbar, a=a,
-        q=q_list, f=f_list, f_soft=f_soft_list, policy=policy,
+        beta=cfg.beta, gamma=cfg.gamma, rbar=rbar, prior=prior,
+        u_tilde=u_tilde, v_tilde=v_tilde, chol_tilde=chol_tilde, logdet_tilde=logdet_tilde,
+        q_xx=q_xx, q_ux=q_ux, q_uu=q_uu, q_x=q_x, q_u=q_u, q_0=q_0,
+        f_xx=f_xx, f_x=f_x, f_0=f_0, f_soft_last=f_soft_last, sigma_bar=sigma_bar,
     )
 
 
@@ -355,39 +344,38 @@ def free_energy(plan: SolvedPlan, t: int, x: np.ndarray) -> float:
     """Value of the recursion F-function at step t and state x."""
     if not 0 <= t < plan.horizon:
         raise ShapeError(f"step t={t} outside horizon {plan.horizon}")
-    f = plan.f[t]
     x = np.asarray(x, dtype=float)
-    return float(x @ f.f_xx @ x + x @ f.f_x + f.f_0)
+    return float(x @ plan.f_xx[t] @ x + x @ plan.f_x[t] + plan.f_0[t])
 
 
 def g_value(plan: SolvedPlan, t: int, x: np.ndarray, u: np.ndarray) -> float:
     """Value of the soft action-value function G at (t, x, u)."""
     if not 0 <= t < plan.horizon:
         raise ShapeError(f"step t={t} outside horizon {plan.horizon}")
-    q = plan.q[t]
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     return float(
-        x @ q.q_xx @ x + u @ q.q_ux @ x + u @ q.q_uu @ u + x @ q.q_x + u @ q.q_u + q.q_0
+        x @ plan.q_xx[t] @ x + u @ plan.q_ux[t] @ x + u @ plan.q_uu[t] @ u
+        + x @ plan.q_x[t] + u @ plan.q_u[t] + plan.q_0[t]
     )
 
 
-def policy_mean(plan: SolvedPlan, t: int, x: np.ndarray) -> np.ndarray:
+def policy_mean(policy: GaussianPolicy, t: int, x: np.ndarray) -> np.ndarray:
     """Posterior mean trade at step t in state x."""
-    pol = plan.policy
-    return pol.u_tilde[t] + pol.v_tilde[t] @ np.asarray(x, dtype=float)
+    return policy.u_tilde[t] + policy.v_tilde[t] @ np.asarray(x, dtype=float)
 
 
-def sample_action(plan: SolvedPlan, t: int, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def sample_action(policy: GaussianPolicy, t: int, x: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
     """Draw a trade vector from the posterior Gaussian policy."""
-    if not 0 <= t < plan.horizon:
-        raise ShapeError(f"step t={t} outside horizon {plan.horizon}")
-    z = rng.standard_normal(plan.n_assets)
-    return policy_mean(plan, t, x) + plan.policy.chol_tilde[t] @ z
+    if not 0 <= t < policy.horizon:
+        raise ShapeError(f"step t={t} outside horizon {policy.horizon}")
+    z = rng.standard_normal(policy.n_assets)
+    return policy_mean(policy, t, x) + policy.chol_tilde[t] @ z
 
 
 def rollout(
-    plan: SolvedPlan,
+    policy: GaussianPolicy,
     paths: ReturnPaths,
     x0: np.ndarray,
     rng: np.random.Generator,
@@ -405,7 +393,7 @@ def rollout(
     returned trajectories hold views into shared (M, T+1, N), (M, T, N) and
     (M, T) arrays.
     """
-    t_len, n = plan.horizon, plan.n_assets
+    t_len, n = policy.horizon, policy.n_assets
     if paths.horizon != t_len:
         raise ShapeError(f"paths horizon {paths.horizon} != plan horizon {t_len}")
     if paths.n_risky != n - 1:
@@ -415,7 +403,6 @@ def rollout(
         raise ShapeError(f"x0 must have shape ({n},)")
 
     m = paths.n_paths
-    pol = plan.policy
     x = np.empty((m, t_len + 1, n))
     u = np.empty((m, t_len, n))
     # the noise goes straight into u; each period overwrites it with the trade
@@ -423,9 +410,10 @@ def rollout(
         stream.standard_normal(out=u[p])
     x[:, 0] = x0
     for t in range(t_len):
-        u[:, t] = pol.u_tilde[t] + x[:, t] @ pol.v_tilde[t].T + u[:, t] @ pol.chol_tilde[t].T
+        u[:, t] = (policy.u_tilde[t] + x[:, t] @ policy.v_tilde[t].T
+                   + u[:, t] @ policy.chol_tilde[t].T)
         np.add(x[:, t], u[:, t], out=x[:, t + 1])
-        x[:, t + 1, 0] *= plan.a[t, 0]
+        x[:, t + 1, 0] *= 1.0 + policy.rbar[t, 0]
         x[:, t + 1, 1:] *= 1.0 + paths.realized[:, t]
     cash = cash_installment(u)
     return [Trajectory(x=x[p], u=u[p], cash=cash[p]) for p in range(m)]

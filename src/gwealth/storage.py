@@ -3,23 +3,37 @@
 CSV files carry a header row, stable column order, and full-precision decimal
 floats (shortest representation that round-trips).  Asset indices are global:
 0 is the bond, 1..n are the risky assets; return panels cover risky assets
-only.  Solved plans are stored as compressed NPZ archives.
+only.  A solved plan is stored as its policy, a compressed NPZ archive.
+Readers raise ShapeError, naming the file, on content they cannot parse.
 """
 
 from __future__ import annotations
 
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ShapeError
-from .glearner import (
-    FCoeffs, GaussianPolicy, PolicyPrior, QCoeffs, SolvedPlan, Trajectory, cash_installment,
-)
+from .glearner import GaussianPolicy, PolicyPrior, Trajectory, cash_installment
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _read_table(path: Path, n_cols: int) -> np.ndarray:
+    """The numeric rows below a CSV file's header, ``n_cols`` values each."""
+    try:
+        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ShapeError(f"'{path}' is not a numeric CSV table: {exc}") from exc
+    if raw.size == 0:
+        raise ShapeError(f"'{path}' contains no data rows")
+    if raw.shape[1] != n_cols:
+        raise ShapeError(f"'{path}' has {raw.shape[1]} columns, expected {n_cols}")
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +55,7 @@ def write_returns_csv(path: Path, panel: np.ndarray) -> None:
 
 
 def read_returns_csv(path: Path) -> np.ndarray:
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if raw.size == 0:
-        raise ShapeError(f"'{path}' contains no data rows")
+    raw = _read_table(path, 4)
     p_idx = raw[:, 0].astype(int)
     t_idx = raw[:, 1].astype(int)
     a_idx = raw[:, 2].astype(int) - 1
@@ -65,7 +77,7 @@ def write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
 
 
 def read_matrix_csv(path: Path) -> np.ndarray:
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    raw = _read_table(path, 3)
     i_idx = raw[:, 0].astype(int)
     j_idx = raw[:, 1].astype(int)
     out = np.full((i_idx.max() + 1, j_idx.max() + 1), np.nan)
@@ -93,7 +105,7 @@ def write_trajectories_csv(path: Path, trajs: list[Trajectory]) -> None:
 
 
 def read_trajectories_csv(path: Path) -> list[Trajectory]:
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    raw = _read_table(path, 5)
     p_idx = raw[:, 0].astype(int)
     t_idx = raw[:, 1].astype(int)
     a_idx = raw[:, 2].astype(int)
@@ -123,67 +135,49 @@ def write_cash_csv(path: Path, trajs: list[Trajectory]) -> None:
 # solved plans
 # ---------------------------------------------------------------------------
 
-def write_plan_npz(path: Path, plan: SolvedPlan) -> None:
-    pol = plan.policy
-    arrays = {
-        "beta": np.array(plan.beta),
-        "gamma": np.array(plan.gamma),
-        "rbar": plan.rbar,
-        "prior_u_bar": pol.prior.u_bar,
-        "prior_v_bar": pol.prior.v_bar,
-        "prior_sigma_p": pol.prior.sigma_p,
-        "u_tilde": pol.u_tilde,
-        "v_tilde": pol.v_tilde,
-        "sigma_tilde": pol.sigma_tilde,
-        "chol_tilde": pol.chol_tilde,
-        "logdet_tilde": pol.logdet_tilde,
-    }
-    for tag, coeffs in (("f", plan.f), ("fs", plan.f_soft)):
-        arrays[f"{tag}_xx"] = np.stack([c.f_xx for c in coeffs])
-        arrays[f"{tag}_x"] = np.stack([c.f_x for c in coeffs])
-        arrays[f"{tag}_0"] = np.array([c.f_0 for c in coeffs])
-    arrays["q_xx"] = np.stack([q.q_xx for q in plan.q])
-    arrays["q_ux"] = np.stack([q.q_ux for q in plan.q])
-    arrays["q_uu"] = np.stack([q.q_uu for q in plan.q])
-    arrays["q_x"] = np.stack([q.q_x for q in plan.q])
-    arrays["q_u"] = np.stack([q.q_u for q in plan.q])
-    arrays["q_0"] = np.array([q.q_0 for q in plan.q])
-    arrays["sigma_bar"] = np.stack([q.sigma_bar for q in plan.q])
-    np.savez_compressed(path, **arrays)
+# plan.npz members with their axes: T periods, N assets (the bond first)
+_PLAN_MEMBERS = {
+    "beta": "", "gamma": "", "rbar": "TN",
+    "prior_u_bar": "N", "prior_v_bar": "NN", "prior_sigma_p": "NN",
+    "u_tilde": "TN", "v_tilde": "TNN", "chol_tilde": "TNN", "logdet_tilde": "T",
+}
 
 
-def read_plan_npz(path: Path) -> SolvedPlan:
-    with np.load(path) as npz:
-        # each NpzFile lookup decompresses the whole member: load every one once
-        data = {name: npz[name] for name in npz.files}
-        t_len = data["rbar"].shape[0]
-        prior = PolicyPrior(
-            u_bar=data["prior_u_bar"], v_bar=data["prior_v_bar"],
-            sigma_p=data["prior_sigma_p"],
-        )
-        policy = GaussianPolicy(
-            prior=prior, u_tilde=data["u_tilde"], v_tilde=data["v_tilde"],
-            sigma_tilde=data["sigma_tilde"], chol_tilde=data["chol_tilde"],
-            logdet_tilde=data["logdet_tilde"],
-        )
-        f = [
-            FCoeffs(f_xx=data["f_xx"][t], f_x=data["f_x"][t], f_0=float(data["f_0"][t]))
-            for t in range(t_len)
-        ]
-        f_soft = [
-            FCoeffs(f_xx=data["fs_xx"][t], f_x=data["fs_x"][t], f_0=float(data["fs_0"][t]))
-            for t in range(t_len)
-        ]
-        q = [
-            QCoeffs(
-                q_xx=data["q_xx"][t], q_ux=data["q_ux"][t], q_uu=data["q_uu"][t],
-                q_x=data["q_x"][t], q_u=data["q_u"][t], q_0=float(data["q_0"][t]),
-                sigma_bar=data["sigma_bar"][t],
-            )
-            for t in range(t_len)
-        ]
-        rbar = data["rbar"]
-        return SolvedPlan(
-            beta=float(data["beta"]), gamma=float(data["gamma"]),
-            rbar=rbar, a=1.0 + rbar, q=q, f=f, f_soft=f_soft, policy=policy,
-        )
+def write_plan_npz(path: Path, policy: GaussianPolicy) -> None:
+    """The policy's fields, the prior's with a ``prior_`` prefix; of a
+    SolvedPlan only its policy is stored."""
+    prior = policy.prior
+    np.savez_compressed(
+        path, beta=np.array(policy.beta), gamma=np.array(policy.gamma), rbar=policy.rbar,
+        prior_u_bar=prior.u_bar, prior_v_bar=prior.v_bar, prior_sigma_p=prior.sigma_p,
+        u_tilde=policy.u_tilde, v_tilde=policy.v_tilde, chol_tilde=policy.chol_tilde,
+        logdet_tilde=policy.logdet_tilde,
+    )
+
+
+def read_plan_npz(path: Path) -> GaussianPolicy:
+    """The policy ``write_plan_npz`` stored; a missing or misshapen member is
+    a ShapeError naming it."""
+    try:
+        with np.load(path) as npz:
+            # each NpzFile lookup decompresses the whole member: load every one once
+            data = {name: npz[name] for name in npz.files}
+    except (ValueError, EOFError, TypeError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ShapeError(f"'{path}' is not a readable NPZ archive") from exc
+    extent: dict[str, int] = {}
+    for name, axes in _PLAN_MEMBERS.items():
+        if name not in data:
+            raise ShapeError(f"'{path}' has no member '{name}'")
+        shape = data[name].shape
+        if len(shape) != len(axes) or any(extent.setdefault(a, k) != k
+                                          for a, k in zip(axes, shape)):
+            raise ShapeError(f"'{path}': member '{name}' has shape {shape}, "
+                             f"inconsistent with axes ({', '.join(axes)}) of the others")
+    prior = PolicyPrior(
+        u_bar=data["prior_u_bar"], v_bar=data["prior_v_bar"], sigma_p=data["prior_sigma_p"],
+    )
+    return GaussianPolicy(
+        beta=float(data["beta"]), gamma=float(data["gamma"]), rbar=data["rbar"], prior=prior,
+        u_tilde=data["u_tilde"], v_tilde=data["v_tilde"], chol_tilde=data["chol_tilde"],
+        logdet_tilde=data["logdet_tilde"],
+    )

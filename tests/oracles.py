@@ -201,13 +201,18 @@ def mc_log_partition(g_batch_fn, beta, mean0, cov0, n_draws, rng):
 # direct likelihood: per trajectory and step (the package pools moments)
 # ---------------------------------------------------------------------------
 
+def sigma_tilde(policy, t):
+    """Posterior covariance at step t, from its stored Cholesky factor."""
+    return policy.chol_tilde[t] @ policy.chol_tilde[t].T
+
+
 def action_log_prob(plan, t, x, u, beta):
     """Log probability of an action: log pi0(u|x) + beta * (G(x,u) - F(x)).
 
     F here is the soft log-partition at step t, which makes this exactly the
     log-density of the posterior Gaussian policy.
     """
-    prior = plan.policy.prior
+    prior = plan.prior
     x = np.asarray(x, float)
     u = np.asarray(u, float)
     n = u.shape[0]
@@ -216,8 +221,9 @@ def action_log_prob(plan, t, x, u, beta):
     w = np.linalg.solve(chol, u - mean0)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     log_pi0 = -0.5 * (n * LOG_2PI + logdet + float(w @ w))
-    f = plan.f_soft[t]
-    f_val = float(x @ f.f_xx @ x + x @ f.f_x + f.f_0)
+    f_xx, f_x, f_0 = (plan.f_soft_last if t == plan.horizon - 1
+                      else (plan.f_xx[t], plan.f_x[t], plan.f_0[t]))
+    f_val = float(x @ f_xx @ x + x @ f_x + f_0)
     return log_pi0 + beta * (g_value(plan, t, x, u) - f_val)
 
 
@@ -257,7 +263,7 @@ def rollout_loop(plan, paths, x0, rng):
         x[0] = x0
         for t in range(t_len):
             u[t] = sample_action(plan, t, x[t], stream)
-            gross = np.concatenate([[plan.a[t, 0]], 1.0 + paths.realized[p, t]])
+            gross = np.concatenate([[1.0 + plan.rbar[t, 0]], 1.0 + paths.realized[p, t]])
             x[t + 1] = gross * (x[t] + u[t])
         cash = np.array([cash_installment(u[t]) for t in range(t_len)])
         out.append(Trajectory(x=x, u=u, cash=cash))

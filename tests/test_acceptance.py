@@ -39,7 +39,9 @@ from gwealth.rewards import (
 )
 
 from conftest import random_problem, random_spd
-from oracles import action_log_prob, dp_solve, expected_reward, mc_log_partition, mvn_logpdf
+from oracles import (
+    action_log_prob, dp_solve, expected_reward, mc_log_partition, mvn_logpdf, sigma_tilde,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -220,12 +222,11 @@ class TestCriterion6:
             )
             plan = solve_plan(params, rbar_path, sigma_r, benchmark, prior, cfg)
             x = rng.normal(0.0, 5.0, size=2)
-            q = plan.q[0]
 
-            def g_batch(u_draws, q=q, x=x):
-                lin = u_draws @ (q.q_ux @ x + q.q_u)
-                quad = np.einsum("si,ij,sj->s", u_draws, q.q_uu, u_draws)
-                return float(x @ q.q_xx @ x + x @ q.q_x + q.q_0) + lin + quad
+            def g_batch(u_draws, plan=plan, x=x):
+                lin = u_draws @ (plan.q_ux[0] @ x + plan.q_u[0])
+                quad = np.einsum("si,ij,sj->s", u_draws, plan.q_uu[0], u_draws)
+                return float(x @ plan.q_xx[0] @ x + x @ plan.q_x[0] + plan.q_0[0]) + lin + quad
 
             mean0 = prior.u_bar + prior.v_bar @ x
             # the 3-sigma bound is only meaningful when the importance sampler
@@ -257,11 +258,10 @@ class TestCriterion6:
             x = rng.normal(0.0, 20.0, size=n)
             u = rng.normal(0.0, 5.0, size=n)
             rc = build_coeffs(params, rbar_path[t], sigma_r, float(benchmark.b[t]))
-            f_next = plan.f[t + 1]
             from oracles import expected_next_value
 
             ev = expected_next_value(
-                (f_next.f_xx, f_next.f_x, f_next.f_0),
+                (plan.f_xx[t + 1], plan.f_x[t + 1], plan.f_0[t + 1]),
                 1.0 + rbar_path[t], pad_covariance(sigma_r.sigma_r), x + u,
             )
             want = reward_value(rc, x, u) + cfg.gamma * ev
@@ -306,9 +306,9 @@ class TestCriterion6:
         for t in range(3):
             worst = max(
                 worst,
-                float(np.abs(plan.policy.u_tilde[t] - prior.u_bar).max()),
-                float(np.abs(plan.policy.v_tilde[t] - prior.v_bar).max()),
-                float(np.abs(plan.policy.sigma_tilde[t] - prior.sigma_p).max()),
+                float(np.abs(plan.u_tilde[t] - prior.u_bar).max()),
+                float(np.abs(plan.v_tilde[t] - prior.v_bar).max()),
+                float(np.abs(sigma_tilde(plan, t) - prior.sigma_p).max()),
             )
         ok = worst < 1e-8
         assert _report(6, "oracle e: vanishing-beta limit", ok, f"worst gap {worst:.2e}")
@@ -327,7 +327,7 @@ class TestCriterion6:
                 x = rng.normal(0.0, 10.0, size=2)
                 u = rng.normal(0.0, 3.0, size=2)
                 got = action_log_prob(plan, t, x, u, beta=cfg.beta)
-                want = mvn_logpdf(u, policy_mean(plan, t, x), plan.policy.sigma_tilde[t])
+                want = mvn_logpdf(u, policy_mean(plan, t, x), sigma_tilde(plan, t))
                 worst = max(worst, abs(got - want))
                 count += 1
         ok = worst < 1e-8 and count == 100

@@ -11,7 +11,7 @@ from gwealth.cli import main
 from gwealth.config import GirlSection, config_from_dict, load_config
 from gwealth.errors import ConfigError
 from gwealth.girl import FitConfig
-from gwealth.glearner import Trajectory, solve_plan
+from gwealth.glearner import GaussianPolicy, Trajectory, rollout, solve_plan
 from gwealth.storage import (
     read_matrix_csv,
     read_returns_csv,
@@ -24,6 +24,7 @@ from gwealth.storage import (
 )
 
 from conftest import random_problem
+from test_glearner import market_plan
 
 
 def tiny_config(outdir: Path, **girl_overrides) -> dict:
@@ -103,6 +104,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{section}.{key}"):
             config_from_dict({section: {key: value}})
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "sigma_p_scale", -3.0), ("solver", "sigma_p_scale", 0.0),
+        ("girl", "theta0_scale", -1.0), ("girl", "theta0_scale", 0.0),
+        ("girl", "theta0_scale", 1.0), ("reward", "initial_wealth", 0.0),
+        ("reward", "initial_wealth", -100.0),
+    ])
+    def test_out_of_range_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({section: {key: value}})
+
     def test_int_accepted_for_float(self):
         cfg = config_from_dict({"solver": {"beta": 10}, "market": {"price_range": [20, 120]}})
         assert cfg.solver.beta == 10.0 and type(cfg.solver.beta) is float
@@ -149,22 +160,54 @@ class TestStorageRoundTrip:
         plan = solve_plan(*random_problem(rng, n=3, t_len=4))
         path = tmp_path / "plan.npz"
         write_plan_npz(path, plan)
-        assert_same_arrays(read_plan_npz(path), plan, "plan")
+        back = read_plan_npz(path)
+        assert type(back) is GaussianPolicy
+        policy = GaussianPolicy(**{f.name: getattr(plan, f.name)
+                                   for f in dataclasses.fields(GaussianPolicy)})
+        assert_same_arrays(back, policy, "plan")
+        with np.load(path) as npz:
+            assert sorted(npz.files) == sorted([
+                "beta", "gamma", "rbar", "prior_u_bar", "prior_v_bar", "prior_sigma_p",
+                "u_tilde", "v_tilde", "chol_tilde", "logdet_tilde",
+            ])
+
+    @pytest.mark.parametrize("n_risky", [2, 19])
+    def test_rollout_of_stored_plan_is_bit_identical(self, tmp_path, n_risky):
+        plan, paths = market_plan(n_risky, n_paths=30)
+        path = tmp_path / "plan.npz"
+        write_plan_npz(path, plan)
+        x0 = np.full(n_risky + 1, 1000.0 / (n_risky + 1))
+        want = rollout(plan, paths, x0, np.random.default_rng(5))
+        got = rollout(read_plan_npz(path), paths, x0, np.random.default_rng(5))
+        for g, w in zip(got, want, strict=True):
+            for field in ("x", "u", "cash"):
+                assert np.array_equal(getattr(g, field), getattr(w, field)), field
 
 
 def assert_same_arrays(got, want, where: str) -> None:
-    """Every array and number reachable through dataclass fields and lists
-    of ``want`` equals the one at the same place in ``got``, bit for bit."""
+    """Every array and number reachable through the dataclass fields of
+    ``want`` equals the one at the same place in ``got``, bit for bit."""
     if dataclasses.is_dataclass(want):
         for f in dataclasses.fields(want):
             assert_same_arrays(getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}")
-    elif isinstance(want, list):
-        assert len(got) == len(want), where
-        for t, (g, w) in enumerate(zip(got, want)):
-            assert_same_arrays(g, w, f"{where}[{t}]")
     else:
         assert np.shape(got) == np.shape(want), where
         assert np.array_equal(got, want), where
+
+
+def edit_plan(change):
+    """A corruption that rewrites an NPZ file after ``change`` edited its
+    {name: array} members in place."""
+    def corrupt(path: Path) -> None:
+        with np.load(path) as npz:
+            members = {name: npz[name] for name in npz.files}
+        change(members)
+        np.savez_compressed(path, **members)
+    return corrupt
+
+
+def overwrite(content: bytes):
+    return lambda path: path.write_bytes(content)
 
 
 class TestCliStages:
@@ -238,8 +281,30 @@ class TestCliStages:
         assert main(["simulate", "--config", str(cfg_path)]) == 0
         assert main(["solve", "--config", str(cfg_path)]) == 0
         plan = read_plan_npz(tmp_path / "out" / "plan.npz")
-        assert np.isfinite(plan.policy.u_tilde).all()
-        assert len(plan.q) == plan.horizon == 4
+        assert np.isfinite(plan.u_tilde).all()
+        assert len(plan.u_tilde) == plan.horizon == 4
+
+    @pytest.mark.parametrize("command, name, corrupt, needle", [
+        ("rollout", "plan.npz", edit_plan(lambda m: m.pop("u_tilde")), "u_tilde"),
+        ("rollout", "plan.npz", overwrite(b"not an archive\n"), "plan.npz"),
+        ("solve", "sigma_r.csv", overwrite(b"row,col,value\nabc\n"), "sigma_r.csv"),
+        ("rollout", "plan.npz", edit_plan(lambda m: m.update(v_tilde=m["v_tilde"][:, :2])),
+         "v_tilde"),
+        ("solve", "sigma_r.csv", overwrite(b"row,col,value\n0,0\n"), "sigma_r.csv"),
+    ], ids=["plan_without_u_tilde", "plan_not_a_zip", "sigma_r_not_numeric",
+            "plan_member_shape", "sigma_r_two_columns"])
+    def test_malformed_artifact_is_a_clean_error(self, tmp_path, capsys,
+                                                 command, name, corrupt, needle):
+        cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        assert main(["solve", "--config", str(cfg_path)]) == 0
+        corrupt(tmp_path / "out" / name)
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gwealth: error:")
+        assert "Traceback" not in err
+        assert needle in err and name in err
 
 
 class TestRepro:
@@ -259,6 +324,13 @@ class TestRepro:
             a = (out_a / name).read_bytes()
             b = (out_b / name).read_bytes()
             assert a == b, f"{name} differs between identical repro runs"
+
+    def test_repro_out_of_range_config_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, tiny_config(out, theta0_scale=-1))
+        assert main(["repro", "--config", str(cfg)]) == 2
+        assert "theta0_scale" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repro_seed_flag_changes_outputs(self, tmp_path):
         out_a = tmp_path / "a"

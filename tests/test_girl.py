@@ -28,7 +28,7 @@ from gwealth.market import ReturnCovariance, ReturnPaths
 from gwealth.rewards import RewardParams
 
 from conftest import random_problem, random_spd
-from oracles import action_log_prob, mvn_logpdf, trajectory_nll
+from oracles import action_log_prob, mvn_logpdf, sigma_tilde, trajectory_nll
 
 
 def make_setup(rng, n=3, t_len=3, n_paths=40, beta=50.0, gamma=0.95, lam=None):
@@ -131,7 +131,7 @@ class TestActionLogProb:
             x = rng.normal(20.0, 10.0, size=3)
             u = rng.normal(0.0, 2.0, size=3)
             got = action_log_prob(plan, t, x, u, beta=theta.beta)
-            want = mvn_logpdf(u, policy_mean(plan, t, x), plan.policy.sigma_tilde[t])
+            want = mvn_logpdf(u, policy_mean(plan, t, x), sigma_tilde(plan, t))
             assert got == pytest.approx(want, abs=1e-8)
 
     def test_value_at_posterior_mean(self, rng):
@@ -141,7 +141,7 @@ class TestActionLogProb:
         mean = policy_mean(plan, t, x)
         got = action_log_prob(plan, t, x, mean, beta=theta.beta)
         want = -0.5 * np.log(
-            (2.0 * np.pi) ** 3 * np.linalg.det(plan.policy.sigma_tilde[t])
+            (2.0 * np.pi) ** 3 * np.linalg.det(sigma_tilde(plan, t))
         )
         assert got == pytest.approx(float(want), rel=1e-10)
 

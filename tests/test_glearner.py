@@ -1,6 +1,8 @@
 """Solver tests: terminal step, backward recursion, Gaussian integration,
 Bayesian policy update, limits in the inverse temperature, and rollouts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,7 @@ from oracles import (
     mc_log_partition,
     quad_fit,
     rollout_loop,
+    sigma_tilde,
 )
 
 
@@ -135,9 +138,9 @@ class TestBackwardPass:
             + rc.r_u @ sti.T @ rc.r_u / (2.0 * lam)
             + rc.r_u @ sti.T @ rc.r_uu @ sti @ rc.r_u / (4.0 * lam**2)
         )
-        assert np.allclose(plan.f[0].f_xx, 0.5 * (f_xx + f_xx.T), rtol=1e-10, atol=1e-12)
-        assert np.allclose(plan.f[0].f_x, f_x, rtol=1e-10, atol=1e-12)
-        assert plan.f[0].f_0 == pytest.approx(f_0, rel=1e-10)
+        assert np.allclose(plan.f_xx[0], 0.5 * (f_xx + f_xx.T), rtol=1e-10, atol=1e-12)
+        assert np.allclose(plan.f_x[0], f_x, rtol=1e-10, atol=1e-12)
+        assert plan.f_0[0] == pytest.approx(f_0, rel=1e-10)
 
     def test_terminal_value_is_plugged_in_argmax(self, rng):
         plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(rng, n=3, t_len=2)
@@ -175,9 +178,9 @@ class TestBackwardPass:
         cfg = SolverConfig(beta=1e-12, gamma=0.95)
         plan = solve_plan(params, rbar_path, sigma_r, benchmark, prior, cfg)
         for t in range(3):
-            assert np.abs(plan.policy.u_tilde[t] - prior.u_bar).max() < 1e-8
-            assert np.abs(plan.policy.v_tilde[t] - prior.v_bar).max() < 1e-8
-            assert np.abs(plan.policy.sigma_tilde[t] - prior.sigma_p).max() < 1e-8
+            assert np.abs(plan.u_tilde[t] - prior.u_bar).max() < 1e-8
+            assert np.abs(plan.v_tilde[t] - prior.v_bar).max() < 1e-8
+            assert np.abs(sigma_tilde(plan, t) - prior.sigma_p).max() < 1e-8
 
     def test_monotone_convergence_to_dp_in_beta(self, rng):
         params, rbar_path, sigma_r, benchmark, prior, cfg0 = random_problem(
@@ -226,12 +229,11 @@ class TestFreeEnergy:
                 rng, n=2, t_len=2, beta=float(rng.uniform(0.5, 2.0))
             )
             x = rng.normal(0.0, 5.0, size=2)
-            q = plan.q[0]
 
-            def g_batch(u_draws, q=q, x=x):
-                lin = u_draws @ (q.q_ux @ x + q.q_u)
-                quad = np.einsum("si,ij,sj->s", u_draws, q.q_uu, u_draws)
-                return float(x @ q.q_xx @ x + x @ q.q_x + q.q_0) + lin + quad
+            def g_batch(u_draws, plan=plan, x=x):
+                lin = u_draws @ (plan.q_ux[0] @ x + plan.q_u[0])
+                quad = np.einsum("si,ij,sj->s", u_draws, plan.q_uu[0], u_draws)
+                return float(x @ plan.q_xx[0] @ x + x @ plan.q_x[0] + plan.q_0[0]) + lin + quad
 
             mean0 = prior.u_bar + prior.v_bar @ x
             # keep the importance sampler healthy so 3 sigma means 3 sigma
@@ -246,7 +248,7 @@ class TestFreeEnergy:
 
     def test_state_zero_gives_constant(self, rng):
         plan, *_ = build_plan(rng, n=3, t_len=2)
-        assert free_energy(plan, 0, np.zeros(3)) == plan.f[0].f_0
+        assert free_energy(plan, 0, np.zeros(3)) == plan.f_0[0]
 
     def test_large_beta_terminal_equals_max_reward(self, rng):
         params, rbar_path, sigma_r, benchmark, prior, _ = random_problem(rng, n=2, t_len=2)
@@ -284,9 +286,9 @@ class TestGValue:
             x = rng.normal(0.0, 20.0, size=2)
             u = rng.normal(0.0, 5.0, size=2)
             rc = build_coeffs(params, rbar_path[t], sigma_r, float(benchmark.b[t]))
-            f_next = plan.f[t + 1]
             ev = expected_next_value(
-                (f_next.f_xx, f_next.f_x, f_next.f_0), 1.0 + rbar_path[t], sig_pad, x + u
+                (plan.f_xx[t + 1], plan.f_x[t + 1], plan.f_0[t + 1]), 1.0 + rbar_path[t],
+                sig_pad, x + u
             )
             want = reward_value(rc, x, u) + cfg.gamma * ev
             got = g_value(plan, t, x, u)
@@ -303,10 +305,9 @@ class TestGValue:
         x_next = np.empty((n_draws, 2))
         x_next[:, 0] = (1.0 + rbar_path[0, 0]) * z[0]
         x_next[:, 1] = (1.0 + rbar_path[0, 1]) * z[1] + z[1] * eps[:, 0]
-        f1 = plan.f[1]
         vals = (
-            np.einsum("si,ij,sj->s", x_next, f1.f_xx, x_next)
-            + x_next @ f1.f_x + f1.f_0
+            np.einsum("si,ij,sj->s", x_next, plan.f_xx[1], x_next)
+            + x_next @ plan.f_x[1] + plan.f_0[1]
         )
         est = reward_value(rc, x, u) + cfg.gamma * vals.mean()
         se = cfg.gamma * vals.std(ddof=1) / np.sqrt(n_draws)
@@ -333,20 +334,20 @@ class TestPosterior:
             c_mat, b_vec, _ = quad_fit(log_joint, 2)
             cov = np.linalg.inv(-2.0 * c_mat)
             mean = cov @ b_vec
-            assert np.allclose(cov, plan.policy.sigma_tilde[t], rtol=1e-9, atol=1e-12)
+            assert np.allclose(cov, sigma_tilde(plan, t), rtol=1e-9, atol=1e-12)
             assert np.allclose(mean, policy_mean(plan, t, x), rtol=1e-9, atol=1e-10)
 
     def test_posterior_covariance_never_wider_than_prior(self, rng):
         plan, *_, prior, _ = build_plan(rng, n=3, t_len=3, beta=50.0)
         for t in range(3):
-            gap = prior.sigma_p - plan.policy.sigma_tilde[t]
+            gap = prior.sigma_p - sigma_tilde(plan, t)
             assert np.linalg.eigvalsh(0.5 * (gap + gap.T))[0] > -1e-10
 
     def test_contraction_spectral_radius(self, rng):
         plan, *_, prior, _ = build_plan(rng, n=3, t_len=4, beta=100.0)
         p_inv = np.linalg.inv(prior.sigma_p)
         for t in range(4):
-            rad = np.max(np.abs(np.linalg.eigvals(plan.policy.sigma_tilde[t] @ p_inv)))
+            rad = np.max(np.abs(np.linalg.eigvals(sigma_tilde(plan, t) @ p_inv)))
             assert rad < 1.0
 
     def test_factor_inverse_and_logdet_consistent(self, rng):
@@ -354,39 +355,29 @@ class TestPosterior:
         # describe the same posterior covariance at every step
         for beta in (0.5, 50.0, 1000.0):
             plan, *_ = build_plan(rng, n=4, t_len=4, beta=beta)
-            pol = plan.policy
             for t in range(4):
-                sig = pol.sigma_tilde[t]
-                chol = pol.chol_tilde[t]
+                chol = plan.chol_tilde[t]
+                sig = chol @ chol.T
                 assert np.allclose(chol, np.tril(chol))
-                assert np.allclose(chol @ chol.T, sig, rtol=1e-12, atol=1e-14 * np.abs(sig).max())
-                assert np.allclose(plan.q[t].sigma_bar @ sig, np.eye(4), rtol=0.0, atol=1e-10)
+                assert np.allclose(plan.sigma_bar[t] @ sig, np.eye(4), rtol=0.0, atol=1e-10)
                 sign, logdet = np.linalg.slogdet(sig)
                 assert sign == 1.0
-                assert pol.logdet_tilde[t] == pytest.approx(logdet, rel=1e-12, abs=1e-12)
+                assert plan.logdet_tilde[t] == pytest.approx(logdet, rel=1e-12, abs=1e-12)
 
     def test_stored_matrices_symmetric(self, rng):
         plan, *_ = build_plan(rng, n=3, t_len=3)
         for t in range(3):
-            for m in (plan.q[t].q_xx, plan.q[t].q_uu, plan.f[t].f_xx,
-                      plan.policy.sigma_tilde[t]):
+            for m in (plan.q_xx[t], plan.q_uu[t], plan.f_xx[t], sigma_tilde(plan, t)):
                 assert np.abs(m - m.T).max() < 1e-12
 
 
 class TestSampleAction:
     def test_degenerate_covariance_returns_mean(self, rng):
         plan, *_ = build_plan(rng, n=2, t_len=2)
-        pol = plan.policy
-        tiny = type(pol)(
-            prior=pol.prior,
-            u_tilde=pol.u_tilde, v_tilde=pol.v_tilde,
-            sigma_tilde=np.tile(1e-20 * np.eye(2), (2, 1, 1)),
+        plan_tiny = replace(
+            plan,
             chol_tilde=np.tile(1e-10 * np.eye(2), (2, 1, 1)),
             logdet_tilde=np.full(2, 2 * np.log(1e-20)),
-        )
-        plan_tiny = type(plan)(
-            beta=plan.beta, gamma=plan.gamma, rbar=plan.rbar, a=plan.a,
-            q=plan.q, f=plan.f, f_soft=plan.f_soft, policy=tiny,
         )
         x = rng.normal(size=2)
         u = sample_action(plan_tiny, 0, x, np.random.default_rng(0))
@@ -399,7 +390,7 @@ class TestSampleAction:
         draws_rng = np.random.default_rng(7)
         draws = np.array([sample_action(plan, 0, x, draws_rng) for _ in range(n_draws)])
         mean = policy_mean(plan, 0, x)
-        sig = np.sqrt(np.diag(plan.policy.sigma_tilde[0]))
+        sig = np.sqrt(np.diag(sigma_tilde(plan, 0)))
         bound = 4.0 * sig / np.sqrt(n_draws)
         assert (np.abs(draws.mean(axis=0) - mean) < bound).all()
 
@@ -409,26 +400,20 @@ class TestSampleAction:
         draws_rng = np.random.default_rng(13)
         draws = np.array([sample_action(plan, 0, x, draws_rng) for _ in range(100_000)])
         cov = np.cov(draws, rowvar=False)
-        target = plan.policy.sigma_tilde[0]
+        target = sigma_tilde(plan, 0)
         rel = np.linalg.norm(cov - target) / np.linalg.norm(target)
         assert rel < 0.05
 
 
 class TestRollout:
     def _zero_policy_plan(self, plan):
-        pol = plan.policy
-        t_len, n = pol.u_tilde.shape
-        frozen = type(pol)(
-            prior=pol.prior,
+        t_len, n = plan.u_tilde.shape
+        return replace(
+            plan,
             u_tilde=np.zeros((t_len, n)),
             v_tilde=np.zeros((t_len, n, n)),
-            sigma_tilde=np.tile(1e-30 * np.eye(n), (t_len, 1, 1)),
             chol_tilde=np.tile(1e-15 * np.eye(n), (t_len, 1, 1)),
             logdet_tilde=np.full(t_len, n * np.log(1e-30)),
-        )
-        return type(plan)(
-            beta=plan.beta, gamma=plan.gamma, rbar=plan.rbar, a=plan.a,
-            q=plan.q, f=plan.f, f_soft=plan.f_soft, policy=frozen,
         )
 
     def _flat_paths(self, n_paths, horizon, n_risky):
@@ -442,11 +427,7 @@ class TestRollout:
         plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(rng, n=3, t_len=4)
         frozen = self._zero_policy_plan(plan)
         # force zero expected returns so the bond earns nothing
-        frozen = type(frozen)(
-            beta=frozen.beta, gamma=frozen.gamma,
-            rbar=np.zeros_like(frozen.rbar), a=np.ones_like(frozen.a),
-            q=frozen.q, f=frozen.f, f_soft=frozen.f_soft, policy=frozen.policy,
-        )
+        frozen = replace(frozen, rbar=np.zeros_like(frozen.rbar))
         paths = self._flat_paths(5, 4, 2)
         x0 = np.array([100.0, 50.0, 25.0])
         trajs = rollout(frozen, paths, x0, np.random.default_rng(0))
@@ -459,10 +440,7 @@ class TestRollout:
         frozen = self._zero_policy_plan(plan)
         rbar = np.zeros_like(frozen.rbar)
         rbar[:, 0] = 0.02 * 0.25  # annual rate at quarterly periods
-        frozen = type(frozen)(
-            beta=frozen.beta, gamma=frozen.gamma, rbar=rbar, a=1.0 + rbar,
-            q=frozen.q, f=frozen.f, f_soft=frozen.f_soft, policy=frozen.policy,
-        )
+        frozen = replace(frozen, rbar=rbar)
         paths = self._flat_paths(3, 4, 2)
         x0 = np.array([1000.0, 0.0, 0.0])
         trajs = rollout(frozen, paths, x0, np.random.default_rng(0))
