@@ -181,6 +181,8 @@ def cmd_fit(cfg: ExperimentConfig, written: list) -> None:
                           rbar_path.shape[0])
     logger.info("fitting reward parameters from %d trajectories", len(trajs))
     report = fit(trajs, rbar_path, theta0, cfg.girl.fit_config())
+    logger.info("fit stopped (%s) after %d iterations, Newton decrement %.3g nats",
+                report.stop_reason, report.iterations, report.decrement)
     fitted = report.params.reward
     payload = {
         "theta": {
@@ -190,6 +192,8 @@ def cmd_fit(cfg: ExperimentConfig, written: list) -> None:
         "loss_path": [float(v) for v in report.loss_path],
         "iterations": report.iterations,
         "converged": report.converged,
+        "stop_reason": report.stop_reason,
+        "newton_decrement": report.decrement,
     }
     path = _track(written, outdir / F_GIRL_REPORT)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -321,11 +325,7 @@ def main(argv=None) -> int:
         _cleanup(written)
         print(f"gwealth: error: {exc}", file=sys.stderr)
         return 2
-    except GWealthError as exc:
-        _cleanup(written)
-        print(f"gwealth: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GWealthError, OSError) as exc:
         _cleanup(written)
         print(f"gwealth: error: {exc}", file=sys.stderr)
         return 1

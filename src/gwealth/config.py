@@ -53,13 +53,9 @@ class SolverSection:
 
 @dataclass(frozen=True)
 class GirlSection:
-    learning_rate: float = 0.1
-    stop_tol: float = 1e-8
+    stop_tol: float = 1e-4
     max_iters: int = 1000
     fd_step: float = 1e-5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     theta0_scale: float = 2.0
 
     def __post_init__(self):
@@ -68,12 +64,8 @@ class GirlSection:
             raise ValueError(f"theta0_scale must be > 0 and not 1, got {self.theta0_scale}")
 
     def fit_config(self) -> FitConfig:
-        return FitConfig(
-            learning_rate=self.learning_rate, stop_tol=self.stop_tol,
-            max_iters=self.max_iters, fd_step=self.fd_step,
-            adam_beta1=self.adam_beta1, adam_beta2=self.adam_beta2,
-            adam_eps=self.adam_eps,
-        )
+        return FitConfig(stop_tol=self.stop_tol, max_iters=self.max_iters,
+                         fd_step=self.fd_step)
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,6 @@ class InfeasibleError(GWealthError, RuntimeError):
     """A matrix that must be positive definite is not (names the step)."""
 
 
-class DivergenceError(GWealthError, RuntimeError):
-    """The optimizer loss increased persistently instead of decreasing."""
-
-
 class DegenerateTransitionError(GWealthError, ValueError):
     """All risky positions are too small to define a transition density."""
 

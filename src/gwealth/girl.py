@@ -4,9 +4,9 @@ Observed state-action histories of a planner with a linear-Gaussian policy
 define a trajectory likelihood: per step, the log-density of the action under
 the posterior policy (written as log pi0 + beta * (G - F), which is the same
 thing) plus the log-density of the state transition.  The reward parameters
-theta = (lam, eta, rho, omega) are recovered by running an adaptive-moment
-gradient method on the negative log-likelihood in unconstrained coordinates;
-the solver is re-run inside every likelihood evaluation.
+theta = (lam, eta, rho, omega) are recovered by running BFGS with a
+backtracking line search on the negative log-likelihood in unconstrained
+coordinates; the solver is re-run inside every likelihood evaluation.
 
 Sigma_r, the policy prior, beta and gamma are held fixed: only the reward is
 learned.
@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     DegenerateTransitionError,
-    DivergenceError,
     GradientError,
     InfeasibleError,
     ParameterError,
@@ -42,6 +41,9 @@ EPS_POSITION = 1e-8  # risky positions below this are excluded from transitions
 LOG_2PI = math.log(2.0 * math.pi)
 
 PARAM_NAMES = ("lam", "eta", "rho", "omega")
+
+ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the line search
+LINE_SEARCH_TRIALS = 30  # trial steps, each half the last, before the line search gives up
 
 
 @dataclass(frozen=True)
@@ -83,31 +85,36 @@ class GirlParams:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer settings for the likelihood fit."""
+    """Optimizer settings for the likelihood fit: the tolerance on the Newton
+    decrement (nats), the budget of accepted steps, and the relative step of
+    the finite-difference gradient."""
 
-    learning_rate: float = 0.1
-    stop_tol: float = 1e-8
+    stop_tol: float = 1e-4
     max_iters: int = 1000
     fd_step: float = 1e-5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def validate(self) -> None:
-        vals = (self.learning_rate, self.stop_tol, self.max_iters, self.fd_step,
-                self.adam_beta1, self.adam_beta2, self.adam_eps)
-        if not all(v > 0 for v in vals):
+        if not all(v > 0 for v in (self.stop_tol, self.max_iters, self.fd_step)):
             raise ParameterError("all fit configuration values must be positive")
 
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of a likelihood fit: best parameters, loss path, iteration count."""
+    """Outcome of a likelihood fit.  ``loss_path`` holds the starting loss,
+    then one accepted (lower) loss per iteration, ending at the loss of
+    ``params``; ``stop_reason`` is ``converged``, ``budget`` or
+    ``line_search``; ``decrement`` is the Newton decrement (nats) at the last
+    gradient evaluated, which is at ``params`` unless the budget ran out."""
 
     params: GirlParams
     loss_path: np.ndarray
     iterations: int
-    converged: bool
+    stop_reason: str
+    decrement: float
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
 def scaled_start(reward: RewardParams, scale: float = 2.0) -> RewardParams:
@@ -329,6 +336,15 @@ def _grad_from_fn(nll_fn, vec: np.ndarray, fd_step: float) -> np.ndarray:
     return grad
 
 
+def _coordinate_nll(theta: GirlParams, trajs: list[Trajectory], rbar_path: np.ndarray):
+    """The negative log-likelihood as a function of the unconstrained reward
+    coordinates, every other field of ``theta`` held fixed."""
+    stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
+    prior = theta.prior()
+    return lambda vec: nll_from_stats(theta.with_reward(unpack_reward(vec)), stats,
+                                      rbar_path, prior=prior)
+
+
 def nll_gradient(
     theta: GirlParams,
     trajs: list[Trajectory],
@@ -337,14 +353,8 @@ def nll_gradient(
 ) -> np.ndarray:
     """Central finite-difference gradient of the negative log-likelihood in
     the unconstrained coordinates of (lam, eta, rho, omega)."""
-    stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
-    prior = theta.prior()
-
-    def nll_fn(vec):
-        return nll_from_stats(theta.with_reward(unpack_reward(vec)), stats, rbar_path,
-                              prior=prior)
-
-    return _grad_from_fn(nll_fn, pack_reward(theta.reward), cfg.fd_step)
+    return _grad_from_fn(_coordinate_nll(theta, trajs, rbar_path),
+                         pack_reward(theta.reward), cfg.fd_step)
 
 
 def fit(
@@ -353,70 +363,68 @@ def fit(
     theta0: GirlParams,
     cfg: FitConfig | None = None,
 ) -> FitReport:
-    """Recover the reward parameters by adaptive-moment gradient descent.
+    """Recover the reward parameters by BFGS on the negative log-likelihood.
 
-    Runs Adam in the unconstrained coordinates with central finite-difference
-    gradients, stops when the parameter step norm drops below ``stop_tol`` or
-    the iteration budget is exhausted, and returns the best parameters seen.
-    Raises DivergenceError if the loss increases 50 iterations in a row.
+    Works in the unconstrained coordinates of ``pack_reward`` with central
+    finite-difference gradients and a backtracking Armijo line search
+    (Nocedal & Wright, ch. 3 and 6), in which an infeasible solve or a
+    non-finite loss rejects a trial point.  Stops ``converged`` when the
+    Newton decrement g'Hg / 2 (H the inverse-Hessian estimate) falls below
+    ``stop_tol`` nats, after ``max_iters`` accepted steps (``budget``), or
+    when no trial decreases the loss (``line_search``).
     """
     cfg = cfg if cfg is not None else FitConfig()
     cfg.validate()
     theta0.validate()
-    if len(trajs) == 0:
-        raise ParameterError("cannot fit an empty trajectory list")
-    stats = prepare_stats(trajs, rbar_path, theta0.sigma_r)
-    prior = theta0.prior()
-
-    def nll_fn(vec):
-        return nll_from_stats(theta0.with_reward(unpack_reward(vec)), stats, rbar_path,
-                              prior=prior)
-
+    nll_fn = _coordinate_nll(theta0, trajs, rbar_path)
     vec = pack_reward(theta0.reward)
-    m = np.zeros_like(vec)
-    s = np.zeros_like(vec)
-    loss_path = []
-    best_loss = np.inf
-    best_vec = vec.copy()
-    increase_streak = 0
-    converged = False
-    iterations = 0
-
-    for it in range(1, cfg.max_iters + 1):
-        iterations = it
-        loss = nll_fn(vec)
-        if not np.isfinite(loss):
-            raise GradientError("non-finite objective at the current parameters")
-        loss_path.append(loss)
-        if loss < best_loss:
-            best_loss = loss
-            best_vec = vec.copy()
-        if len(loss_path) >= 2 and loss > loss_path[-2]:
-            increase_streak += 1
-            if increase_streak >= 50:
-                raise DivergenceError(
-                    f"loss increased for {increase_streak} consecutive iterations "
-                    f"(last {loss:.6g}); loss path: {np.array2string(np.array(loss_path[-5:]))}"
-                )
-        else:
-            increase_streak = 0
-
-        grad = _grad_from_fn(nll_fn, vec, cfg.fd_step)
-        m = cfg.adam_beta1 * m + (1.0 - cfg.adam_beta1) * grad
-        s = cfg.adam_beta2 * s + (1.0 - cfg.adam_beta2) * grad**2
-        m_hat = m / (1.0 - cfg.adam_beta1**it)
-        s_hat = s / (1.0 - cfg.adam_beta2**it)
-        step = cfg.learning_rate * m_hat / (np.sqrt(s_hat) + cfg.adam_eps)
-        vec = vec - step
-        if float(np.linalg.norm(step)) < cfg.stop_tol:
-            converged = True
+    loss = nll_fn(vec)
+    if not np.isfinite(loss):
+        raise GradientError("non-finite objective at the starting parameters")
+    loss_path = [loss]
+    hess_inv = None  # until the first curvature pair, steps have unit length
+    grad = step = None
+    stop_reason = "budget"
+    decrement = math.inf
+    for _ in range(cfg.max_iters):
+        new_grad = _grad_from_fn(nll_fn, vec, cfg.fd_step)
+        if grad is not None:
+            y = new_grad - grad
+            sy = float(step @ y)
+            if sy > 0.0:  # otherwise the update would lose positive definiteness
+                if hess_inv is None:
+                    hess_inv = sy / float(y @ y) * np.eye(vec.shape[0])  # N&W (6.20)
+                v = np.eye(vec.shape[0]) - np.outer(step, y) / sy
+                hess_inv = v @ hess_inv @ v.T + np.outer(step, step) / sy
+        grad = new_grad
+        step = -(grad / np.linalg.norm(grad) if hess_inv is None else hess_inv @ grad)
+        slope = float(grad @ step)
+        decrement = -0.5 * slope
+        if decrement < cfg.stop_tol:
+            stop_reason = "converged"
             break
+        for _ in range(LINE_SEARCH_TRIALS):
+            try:
+                trial_loss = nll_fn(vec + step)
+            except InfeasibleError:
+                trial_loss = math.nan
+            if trial_loss <= loss + ARMIJO_C1 * slope:  # False for NaN
+                break
+            step = 0.5 * step
+            slope *= 0.5
+        else:
+            stop_reason = "line_search"
+            break
+        vec = vec + step
+        loss = trial_loss
+        loss_path.append(loss)
 
     return FitReport(
-        params=theta0.with_reward(unpack_reward(best_vec)),
+        params=theta0.with_reward(unpack_reward(vec)),
         loss_path=np.asarray(loss_path),
-        iterations=iterations,
-        converged=converged,
+        iterations=len(loss_path) - 1,
+        stop_reason=stop_reason,
+        decrement=decrement,
     )
 
 

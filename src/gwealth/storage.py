@@ -9,6 +9,8 @@ Readers raise ShapeError, naming the file, on content they cannot parse.
 
 from __future__ import annotations
 
+import math
+import warnings
 import zipfile
 import zlib
 from pathlib import Path
@@ -26,7 +28,10 @@ def _fmt(value: float) -> str:
 def _read_table(path: Path, n_cols: int) -> np.ndarray:
     """The numeric rows below a CSV file's header, ``n_cols`` values each."""
     try:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # a header-only file: reported below as a ShapeError instead
+            warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ShapeError(f"'{path}' is not a numeric CSV table: {exc}") from exc
     if raw.size == 0:
@@ -34,6 +39,23 @@ def _read_table(path: Path, n_cols: int) -> np.ndarray:
     if raw.shape[1] != n_cols:
         raise ShapeError(f"'{path}' has {raw.shape[1]} columns, expected {n_cols}")
     return raw
+
+
+def _dense(path: Path, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values`` (..., rows) scattered into the array that the index columns
+    ``idx`` (rows, k) name, of shape values.shape[:-1] + (k index extents).
+    Every index must be a non-negative integer naming one cell, once."""
+    if not (np.isfinite(idx) & (idx >= 0) & (idx == np.floor(idx))).all():
+        raise ShapeError(f"'{path}' has an index that is not a non-negative integer")
+    idx = idx.astype(np.int64)
+    shape = tuple(int(k) + 1 for k in idx.max(axis=0))
+    if idx.shape[0] != math.prod(shape):
+        raise ShapeError(f"'{path}' has {idx.shape[0]} rows for {math.prod(shape)} cells")
+    out = np.full(values.shape[:-1] + shape, np.nan)
+    out[(..., *idx.T)] = values
+    if np.isnan(out).any():
+        raise ShapeError(f"'{path}' does not cover a full {' x '.join(map(str, shape))} table")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -56,14 +78,7 @@ def write_returns_csv(path: Path, panel: np.ndarray) -> None:
 
 def read_returns_csv(path: Path) -> np.ndarray:
     raw = _read_table(path, 4)
-    p_idx = raw[:, 0].astype(int)
-    t_idx = raw[:, 1].astype(int)
-    a_idx = raw[:, 2].astype(int) - 1
-    panel = np.full((p_idx.max() + 1, t_idx.max() + 1, a_idx.max() + 1), np.nan)
-    panel[p_idx, t_idx, a_idx] = raw[:, 3]
-    if np.isnan(panel).any():
-        raise ShapeError(f"'{path}' does not cover a full paths x periods x assets panel")
-    return panel
+    return _dense(path, raw[:, :3] - [0, 0, 1], raw[:, 3])  # assets count from 1
 
 
 def write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
@@ -78,13 +93,7 @@ def write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
 
 def read_matrix_csv(path: Path) -> np.ndarray:
     raw = _read_table(path, 3)
-    i_idx = raw[:, 0].astype(int)
-    j_idx = raw[:, 1].astype(int)
-    out = np.full((i_idx.max() + 1, j_idx.max() + 1), np.nan)
-    out[i_idx, j_idx] = raw[:, 2]
-    if np.isnan(out).any():
-        raise ShapeError(f"'{path}' does not cover a full matrix")
-    return out
+    return _dense(path, raw[:, :2], raw[:, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -106,21 +115,10 @@ def write_trajectories_csv(path: Path, trajs: list[Trajectory]) -> None:
 
 def read_trajectories_csv(path: Path) -> list[Trajectory]:
     raw = _read_table(path, 5)
-    p_idx = raw[:, 0].astype(int)
-    t_idx = raw[:, 1].astype(int)
-    a_idx = raw[:, 2].astype(int)
-    n_paths = p_idx.max() + 1
-    t_len = t_idx.max()  # last period row holds terminal positions only
-    n = a_idx.max() + 1
-    x_all = np.full((n_paths, t_len + 1, n), np.nan)
-    u_all = np.full((n_paths, t_len + 1, n), np.nan)
-    x_all[p_idx, t_idx, a_idx] = raw[:, 3]
-    u_all[p_idx, t_idx, a_idx] = raw[:, 4]
-    if np.isnan(x_all).any():
-        raise ShapeError(f"'{path}' does not cover a full trajectory panel")
-    u = u_all[:, :t_len]
+    x_all, u_all = _dense(path, raw[:, :3], raw[:, 3:].T)
+    u = u_all[:, :-1]  # the last period row holds terminal positions only
     cash = cash_installment(u)
-    return [Trajectory(x=x_all[p], u=u[p], cash=cash[p]) for p in range(n_paths)]
+    return [Trajectory(x=x_all[p], u=u[p], cash=cash[p]) for p in range(x_all.shape[0])]
 
 
 def write_cash_csv(path: Path, trajs: list[Trajectory]) -> None:

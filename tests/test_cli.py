@@ -2,14 +2,18 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gwealth
 from gwealth.cli import main
 from gwealth.config import GirlSection, config_from_dict, load_config
-from gwealth.errors import ConfigError
+from gwealth.errors import ConfigError, ShapeError
 from gwealth.girl import FitConfig
 from gwealth.glearner import GaussianPolicy, Trajectory, rollout, solve_plan
 from gwealth.storage import (
@@ -28,7 +32,7 @@ from test_glearner import market_plan
 
 
 def tiny_config(outdir: Path, **girl_overrides) -> dict:
-    girl = {"max_iters": 3, "learning_rate": 0.05}
+    girl = {"max_iters": 3}
     girl.update(girl_overrides)
     return {
         "market": {
@@ -56,7 +60,7 @@ class TestConfig:
         assert cfg.market.n_paths == 1000
         assert cfg.solver.beta == 1000.0
         assert cfg.reward.lam == 0.001
-        assert cfg.girl.learning_rate == 0.1
+        assert cfg.girl.stop_tol == 1e-4
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
@@ -88,6 +92,14 @@ class TestConfig:
     def test_removed_solver_keys_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             config_from_dict({"solver": {key: value}})
+
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", 0.1), ("adam_beta1", 0.9), ("adam_beta2", 0.999),
+        ("adam_eps", 1e-8),
+    ])
+    def test_removed_girl_keys_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({"girl": {key: value}})
 
     def test_girl_section_defaults_match_fit_config(self):
         assert GirlSection().fit_config() == FitConfig()
@@ -184,6 +196,65 @@ class TestStorageRoundTrip:
                 assert np.array_equal(getattr(g, field), getattr(w, field)), field
 
 
+READERS = {
+    "returns": (read_returns_csv, "path,period,asset,value", ["0,0,1,0.5", "0,0,2,0.25"]),
+    "matrix": (read_matrix_csv, "row,col,value", ["0,0,1.0", "0,1,0.5", "1,0,0.5", "1,1,2.0"]),
+    "trajectories": (read_trajectories_csv, "path,period,asset,x,u",
+                     ["0,0,0,10.0,1.0", "0,0,1,5.0,-1.0", "0,1,0,11.0,0.0", "0,1,1,4.0,0.0"]),
+}
+
+
+class TestCsvIndexValidation:
+    """Index columns must name each cell of the table exactly once."""
+
+    @staticmethod
+    def write(path: Path, reader: str, last_row=None, extra_row=None) -> Path:
+        _, header, rows = READERS[reader]
+        rows = list(rows)
+        if last_row is not None:
+            rows[-1] = last_row
+        if extra_row is not None:
+            rows.append(extra_row)
+        path.write_text("\n".join([header, *rows]) + "\n")
+        return path
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_valid_table_reads(self, tmp_path, reader):
+        READERS[reader][0](self.write(tmp_path / "t.csv", reader))
+
+    @pytest.mark.parametrize("reader, row", [
+        ("returns", "0,-1,2,0.25"), ("returns", "0,0,0,0.25"),
+        ("matrix", "-1,-1,5.0"), ("trajectories", "0,1,-1,4.0,0.0"),
+    ])
+    def test_negative_index_rejected(self, tmp_path, reader, row):
+        path = self.write(tmp_path / "t.csv", reader, last_row=row)
+        with pytest.raises(ShapeError, match="t.csv.*non-negative integer"):
+            READERS[reader][0](path)
+
+    @pytest.mark.parametrize("reader, row", [
+        ("returns", "0,0,1.5,0.25"), ("matrix", "1,0.7,2.0"),
+        ("trajectories", "0,1,0.5,4.0,0.0"),
+    ])
+    def test_fractional_index_rejected(self, tmp_path, reader, row):
+        path = self.write(tmp_path / "t.csv", reader, last_row=row)
+        with pytest.raises(ShapeError, match="t.csv.*non-negative integer"):
+            READERS[reader][0](path)
+
+    @pytest.mark.parametrize("reader, row", [
+        ("returns", "0,0,2,9.0"), ("matrix", "1,1,5.0"), ("trajectories", "0,1,1,9.0,0.0"),
+    ])
+    def test_duplicate_row_rejected(self, tmp_path, reader, row):
+        path = self.write(tmp_path / "t.csv", reader, extra_row=row)
+        with pytest.raises(ShapeError, match="t.csv.*rows for"):
+            READERS[reader][0](path)
+
+    def test_negative_index_no_longer_wraps(self, tmp_path):
+        # a 2 x 2 matrix plus a row at (-1, -1) used to overwrite entry [1, 1]
+        path = self.write(tmp_path / "sigma_r.csv", "matrix", extra_row="-1,-1,5.0")
+        with pytest.raises(ShapeError, match="sigma_r.csv"):
+            read_matrix_csv(path)
+
+
 def assert_same_arrays(got, want, where: str) -> None:
     """Every array and number reachable through the dataclass fields of
     ``want`` equals the one at the same place in ``got``, bit for bit."""
@@ -229,6 +300,8 @@ class TestCliStages:
         report = json.loads((out / "girl_report.json").read_text())
         assert set(report["theta"]) == {"lam", "eta", "rho", "omega"}
         assert report["iterations"] <= 3
+        assert report["stop_reason"] in ("converged", "budget", "line_search")
+        assert report["newton_decrement"] > 0.0
         slices = (out / "loss_slices.csv").read_text().splitlines()
         assert slices[0] == "parameter,value,nll"
         assert len(slices) == 1 + 4 * 21
@@ -305,6 +378,23 @@ class TestCliStages:
         assert err.startswith("gwealth: error:")
         assert "Traceback" not in err
         assert needle in err and name in err
+
+
+    def test_header_only_csv_is_a_clean_error(self, tmp_path):
+        # a child process: stderr as a user sees it, without pytest's warning capture
+        cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        assert main(["solve", "--config", str(cfg_path)]) == 0
+        (tmp_path / "out" / "returns_realized.csv").write_text("path,period,asset,value\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(gwealth.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gwealth.cli", "rollout", "--config", str(cfg_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("gwealth: error:")
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert "returns_realized.csv" in proc.stderr
 
 
 class TestRepro:

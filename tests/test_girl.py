@@ -6,12 +6,14 @@ import pytest
 import gwealth.girl as girl_mod
 from gwealth.errors import (
     DegenerateTransitionError,
-    DivergenceError,
+    InfeasibleError,
     ParameterError,
 )
 from gwealth.girl import (
+    LINE_SEARCH_TRIALS,
     FitConfig,
     GirlParams,
+    _grad_from_fn,
     default_slice_grids,
     fit,
     loss_slices,
@@ -287,23 +289,23 @@ class TestGradient:
 
 
 class TestFit:
-    def test_start_at_truth_stays_at_truth(self, rng):
-        theta, _, trajs, rbar_path = make_setup(rng, n_paths=40, beta=50.0)
-        cfg = FitConfig(learning_rate=1e-4, max_iters=10)
-        report = fit(trajs, rbar_path, theta, cfg)
-        assert report.iterations <= 10
-        got = report.params.reward
-        assert got.lam == pytest.approx(theta.reward.lam, rel=1e-3)
-        assert got.eta == pytest.approx(theta.reward.eta, rel=1e-3)
-        assert got.rho == pytest.approx(theta.reward.rho, rel=1e-3)
-        assert float(got.omega) == pytest.approx(float(theta.reward.omega), rel=1e-3)
+    def test_restart_at_fit_stays_there(self, rng):
+        theta, _, trajs, rbar_path = make_setup(rng, n_paths=80, beta=200.0)
+        start = theta.with_reward(scaled_start(theta.reward, 2.0))
+        first = fit(trajs, rbar_path, start, FitConfig(max_iters=400))
+        assert first.converged
+        again = fit(trajs, rbar_path, first.params, FitConfig(max_iters=400))
+        assert again.stop_reason == "converged"
+        assert again.iterations <= 2
+        moved = pack_reward(again.params.reward) - pack_reward(first.params.reward)
+        assert np.max(np.abs(moved)) < 1e-4
 
     def test_empty_trajectories_rejected(self, rng):
         theta, _, _, rbar_path = make_setup(rng)
         with pytest.raises(ParameterError):
             fit([], rbar_path, theta, FitConfig())
 
-    def test_divergence_detector(self, rng, monkeypatch):
+    def test_rising_loss_ends_in_line_search(self, rng, monkeypatch):
         theta, _, trajs, rbar_path = make_setup(rng, n_paths=5)
         calls = {"n": 0}
 
@@ -312,8 +314,35 @@ class TestFit:
             return float(calls["n"])
 
         monkeypatch.setattr(girl_mod, "nll_from_stats", increasing_nll)
-        with pytest.raises(DivergenceError):
-            fit(trajs, rbar_path, theta, FitConfig(max_iters=200))
+        report = fit(trajs, rbar_path, theta, FitConfig(max_iters=200))
+        assert report.stop_reason == "line_search" and not report.converged
+        assert report.iterations == 0
+        assert np.array_equal(report.loss_path, [1.0])
+        np.testing.assert_allclose(pack_reward(report.params.reward),
+                                   pack_reward(theta.reward), rtol=1e-12)
+        # the start, one gradient, then every trial of one line search
+        assert calls["n"] == 1 + 2 * 4 + LINE_SEARCH_TRIALS
+
+    def test_infeasible_trials_are_backtracked(self, rng, monkeypatch):
+        theta, _, trajs, rbar_path = make_setup(rng, n_paths=40, beta=50.0)
+        start = theta.with_reward(scaled_start(theta.reward, 2.0))
+        vec0 = pack_reward(start.reward)
+        nll = girl_mod.nll_from_stats
+        rejected = {"n": 0}
+
+        def walled_nll(at, *args, **kwargs):
+            if np.linalg.norm(pack_reward(at.reward) - vec0) > 0.3:
+                rejected["n"] += 1
+                raise InfeasibleError("trial beyond the wall")
+            return nll(at, *args, **kwargs)
+
+        monkeypatch.setattr(girl_mod, "nll_from_stats", walled_nll)
+        report = fit(trajs, rbar_path, start, FitConfig(max_iters=1))
+        # the unit-length first trial and its first halving hit the wall
+        assert rejected["n"] == 2
+        assert report.stop_reason == "budget" and report.iterations == 1
+        assert report.loss_path[1] < report.loss_path[0]
+        assert np.linalg.norm(pack_reward(report.params.reward) - vec0) <= 0.3
 
     def test_uninformative_data_flat_lambda_slice(self, rng):
         # with beta -> 0 the agent ignores the reward, so the likelihood
@@ -328,8 +357,28 @@ class TestFit:
         theta, _, trajs, rbar_path = make_setup(rng, n_paths=80, beta=200.0)
         start = theta.with_reward(scaled_start(theta.reward, 2.0))
         report = fit(trajs, rbar_path, start, FitConfig(max_iters=400))
+        assert report.converged
+        assert np.all(np.diff(report.loss_path) < 0.0)
         got = report.params.reward
         assert got.rho == pytest.approx(theta.reward.rho, abs=0.08)
         assert got.lam == pytest.approx(theta.reward.lam, rel=0.35)
         assert got.eta == pytest.approx(theta.reward.eta, abs=0.05)
         assert float(got.omega) == pytest.approx(float(theta.reward.omega), rel=0.15)
+
+    def test_fit_matches_scipy_bfgs(self, rng):
+        from scipy.optimize import minimize
+
+        theta, _, trajs, rbar_path = make_setup(rng, n_paths=80, beta=200.0)
+        start = theta.with_reward(scaled_start(theta.reward, 2.0))
+        cfg = FitConfig(max_iters=400)
+        report = fit(trajs, rbar_path, start, cfg)
+        stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
+
+        def nll_fn(vec):
+            return nll_from_stats(start.with_reward(unpack_reward(vec)), stats, rbar_path)
+
+        ref = minimize(nll_fn, pack_reward(start.reward), method="BFGS",
+                       jac=lambda vec: _grad_from_fn(nll_fn, vec, cfg.fd_step))
+        assert report.converged
+        assert abs(report.loss_path[-1] - ref.fun) <= 2.0 * cfg.stop_tol
+        np.testing.assert_allclose(pack_reward(report.params.reward), ref.x, atol=1e-3)
