@@ -1,9 +1,11 @@
 """Command-line pipeline: simulate | solve | rollout | fit | report | repro.
 
-Every stage reads a JSON config (defaults match the reference experiment) and
-exchanges artifacts through CSV/NPZ files in the configured output directory,
-so stages can be re-run independently.  ``repro`` chains all stages from one
-seed.  Set GWEALTH_LOG=debug|info|warning for log verbosity.
+Every stage reads a JSON config (defaults match the reference experiment)
+and writes its artifacts as CSV/NPZ/JSON files in the configured output
+directory.  Run on its own, a stage reads its inputs from the files of earlier
+commands, so stages can be re-run independently; ``repro`` chains all stages
+from one seed and passes each artifact to the next stage in memory.
+Set GWEALTH_LOG=debug|info|warning for log verbosity.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .girl import (
 from .glearner import default_prior, rollout, solve_plan
 from .market import ReturnCovariance, ReturnPaths, residual_covariance, simulate
 from .metrics import equal_weight_baseline, performance_summary
-from .rewards import RewardParams, exponential_benchmark
+from .rewards import BenchmarkPath, RewardParams, exponential_benchmark
 from . import storage
 
 logger = logging.getLogger("gwealth")
@@ -63,41 +65,90 @@ def _setup_logging() -> None:
     )
 
 
-def _require(outdir: Path, name: str, hint: str) -> Path:
-    path = outdir / name
-    if not path.exists():
+SIMULATE_FIRST = "run `gwealth simulate` first"
+
+
+class _Run:
+    """The artifacts of one command.  ``save`` writes a file, records it for
+    removal if the command fails, and keeps the object in ``saved``;
+    ``load`` returns the object an earlier stage of the same command saved,
+    or else reads the file from ``io.outdir``.  Under ``repro`` every
+    artifact is thus written once and parsed never, while a stage run on its
+    own reads its inputs from the files of earlier commands."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.written: list[Path] = []
+        self.saved: dict[str, object] = {}
+
+    def save(self, name: str, writer, obj) -> None:
+        path = self.cfg.outdir / name
+        self.written.append(path)
+        writer(path, obj)
+        self.saved[name] = obj
+
+    def load(self, name: str, reader, hint: str | None):
+        """The artifact ``name``; a missing file is an error naming ``hint``,
+        or None when ``hint`` is None (an optional input)."""
+        if name in self.saved:
+            return self.saved[name]
+        path = self.cfg.outdir / name
+        if path.exists():
+            return reader(path)
+        if hint is None:
+            return None
         raise ConfigError(f"missing input: '{path}' ({hint})")
-    return path
 
 
-def _track(written: list, path: Path):
-    written.append(path)
-    return path
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _rollout_rng(cfg: ExperimentConfig, stream: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.io.seed, spawn_key=(stream,))
+def _write_slices(path: Path, slices: dict) -> None:
+    with open(path, "w") as fh:
+        fh.write("parameter,value,nll\n")
+        for name in ("lam", "eta", "rho", "omega"):
+            grid, vals = slices[name]
+            for g, v in zip(grid, vals):
+                fh.write(f"{name},{storage._fmt(g)},{storage._fmt(v)}\n")
+
+
+def _write_performance(path: Path, summaries: dict) -> None:
+    with open(path, "w") as fh:
+        fh.write("strategy,period,mean_return\n")
+        for name in sorted(summaries):
+            for t, val in enumerate(summaries[name].mean_returns):
+                fh.write(f"{name},{t},{storage._fmt(val)}\n")
+
+
+def _rollout_rng(cfg: ExperimentConfig) -> np.random.Generator:
+    # both rollouts draw the same stream: common random numbers make the
+    # imitation comparison sharper
+    return np.random.default_rng(np.random.SeedSequence(entropy=cfg.io.seed, spawn_key=(1,)))
+
+
+def _benchmark(cfg: ExperimentConfig, horizon: int) -> BenchmarkPath:
+    return exponential_benchmark(
+        cfg.reward.initial_wealth, cfg.reward.benchmark_rate, horizon, cfg.market.dt
     )
 
 
-def _bond_column(cfg: ExperimentConfig, horizon: int) -> np.ndarray:
-    return np.full((horizon, 1), cfg.rf_period)
-
-
-def _load_market_inputs(cfg: ExperimentConfig, outdir: Path):
-    expected = storage.read_returns_csv(
-        _require(outdir, F_EXPECTED, "run `gwealth simulate` first")
-    )
+def _market_inputs(run: _Run) -> tuple[ReturnCovariance, np.ndarray]:
+    """Sigma_r and the (T, N) expected-return path of the solver and the
+    likelihood: the bond's period rate, then the cross-path mean of the
+    expected-return panel."""
+    expected = run.load(F_EXPECTED, storage.read_returns_csv, SIMULATE_FIRST)
     sigma = ReturnCovariance(
-        sigma_r=storage.read_matrix_csv(
-            _require(outdir, F_SIGMA, "run `gwealth simulate` first")
-        )
+        sigma_r=run.load(F_SIGMA, storage.read_matrix_csv, SIMULATE_FIRST)
     )
-    rbar_path = np.concatenate(
-        [_bond_column(cfg, expected.shape[1]), expected.mean(axis=0)], axis=1
-    )
-    return expected, sigma, rbar_path
+    bond = np.full((expected.shape[1], 1), run.cfg.rf_period)
+    return sigma, np.concatenate([bond, expected.mean(axis=0)], axis=1)
+
+
+def _realized_paths(run: _Run) -> ReturnPaths:
+    realized = run.load(F_REALIZED, storage.read_returns_csv, SIMULATE_FIRST)
+    return ReturnPaths(expected=realized, realized=realized,
+                       market=np.zeros(realized.shape[:2]))
 
 
 def _girl_params(cfg: ExperimentConfig, sigma: ReturnCovariance,
@@ -110,9 +161,7 @@ def _girl_params(cfg: ExperimentConfig, sigma: ReturnCovariance,
         u_bar=np.zeros(n),
         beta=cfg.solver.beta,
         gamma=cfg.solver.gamma,
-        benchmark=exponential_benchmark(
-            cfg.reward.initial_wealth, cfg.reward.benchmark_rate, horizon, cfg.market.dt
-        ),
+        benchmark=_benchmark(cfg, horizon),
     )
 
 
@@ -125,62 +174,52 @@ def _x0(cfg: ExperimentConfig) -> np.ndarray:
 # stages
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(cfg: ExperimentConfig, written: list) -> None:
-    outdir = cfg.outdir
-    outdir.mkdir(parents=True, exist_ok=True)
+def cmd_simulate(run: _Run) -> None:
+    market = run.cfg.market
     logger.info("simulating %d paths x %d periods x %d assets",
-                cfg.market.n_paths, cfg.market.horizon, cfg.market.n_risky)
-    paths = simulate(cfg.market)
-    storage.write_returns_csv(_track(written, outdir / F_EXPECTED), paths.expected)
-    storage.write_returns_csv(_track(written, outdir / F_REALIZED), paths.realized)
+                market.n_paths, market.horizon, market.n_risky)
+    paths = simulate(market)
+    run.save(F_EXPECTED, storage.write_returns_csv, paths.expected)
+    run.save(F_REALIZED, storage.write_returns_csv, paths.realized)
     # may fail on short samples; the partially written panels are then removed
     sigma = residual_covariance(paths)
-    storage.write_matrix_csv(_track(written, outdir / F_SIGMA), sigma.sigma_r)
+    run.save(F_SIGMA, storage.write_matrix_csv, sigma.sigma_r)
 
 
-def cmd_solve(cfg: ExperimentConfig, written: list) -> None:
-    outdir = cfg.outdir
-    _, sigma, rbar_path = _load_market_inputs(cfg, outdir)
-    horizon = rbar_path.shape[0]
-    reward = cfg.reward.params()
-    bench = exponential_benchmark(
-        cfg.reward.initial_wealth, cfg.reward.benchmark_rate, horizon, cfg.market.dt
-    )
-    prior = default_prior(rbar_path.shape[1], cfg.solver.sigma_p_scale)
-    logger.info("solving plan for %d periods, %d assets", horizon, rbar_path.shape[1])
-    plan = solve_plan(reward, rbar_path, sigma, bench, prior, cfg.solver.config())
-    storage.write_plan_npz(_track(written, outdir / F_PLAN), plan)
+def _solve_stage(run: _Run, reward: RewardParams, plan_file: str) -> None:
+    cfg = run.cfg
+    sigma, rbar_path = _market_inputs(run)
+    horizon, n = rbar_path.shape
+    prior = default_prior(n, cfg.solver.sigma_p_scale)
+    logger.info("solving plan for %d periods, %d assets", horizon, n)
+    plan = solve_plan(reward, rbar_path, sigma, _benchmark(cfg, horizon), prior, cfg.solver)
+    run.save(plan_file, storage.write_plan_npz, plan)
 
 
-def _rollout_stage(cfg: ExperimentConfig, written: list, plan_file: str,
-                   traj_file: str, cash_file: str, stream: int) -> None:
-    outdir = cfg.outdir
-    policy = storage.read_plan_npz(_require(outdir, plan_file, "run `gwealth solve` first"))
-    realized = storage.read_returns_csv(
-        _require(outdir, F_REALIZED, "run `gwealth simulate` first")
-    )
-    paths = ReturnPaths(expected=realized, realized=realized,
-                        market=np.zeros(realized.shape[:2]))
-    trajs = rollout(policy, paths, _x0(cfg), _rollout_rng(cfg, stream))
-    storage.write_trajectories_csv(_track(written, outdir / traj_file), trajs)
-    storage.write_cash_csv(_track(written, outdir / cash_file), trajs)
+def cmd_solve(run: _Run) -> None:
+    _solve_stage(run, run.cfg.reward.params(), F_PLAN)
 
 
-def cmd_rollout(cfg: ExperimentConfig, written: list) -> None:
-    _rollout_stage(cfg, written, F_PLAN, F_TRAJ, F_CASH, stream=1)
+def _rollout_stage(run: _Run, plan_file: str, traj_file: str, cash_file: str) -> None:
+    policy = run.load(plan_file, storage.read_plan_npz, "run `gwealth solve` first")
+    trajs = rollout(policy, _realized_paths(run), _x0(run.cfg), _rollout_rng(run.cfg))
+    run.save(traj_file, storage.write_trajectories_csv, trajs)
+    run.save(cash_file, storage.write_cash_csv, trajs)
 
 
-def cmd_fit(cfg: ExperimentConfig, written: list) -> None:
-    outdir = cfg.outdir
-    trajs = storage.read_trajectories_csv(
-        _require(outdir, F_TRAJ, "run `gwealth rollout` first")
-    )
-    _, sigma, rbar_path = _load_market_inputs(cfg, outdir)
+def cmd_rollout(run: _Run) -> None:
+    _rollout_stage(run, F_PLAN, F_TRAJ, F_CASH)
+
+
+def cmd_fit(run: _Run) -> None:
+    cfg = run.cfg
+    trajs = run.load(F_TRAJ, storage.read_trajectories_csv, "run `gwealth rollout` first")
+    sigma, rbar_path = _market_inputs(run)
     truth = cfg.reward.params()
     theta0 = _girl_params(cfg, sigma, scaled_start(truth, cfg.girl.theta0_scale),
                           rbar_path.shape[0])
     logger.info("fitting reward parameters from %d trajectories", len(trajs))
-    report = fit(trajs, rbar_path, theta0, cfg.girl.fit_config())
+    report = fit(trajs, rbar_path, theta0, cfg.girl)
     logger.info("fit stopped (%s) after %d iterations, Newton decrement %.3g nats",
                 report.stop_reason, report.iterations, report.decrement)
     fitted = report.params.reward
@@ -195,94 +234,55 @@ def cmd_fit(cfg: ExperimentConfig, written: list) -> None:
         "stop_reason": report.stop_reason,
         "newton_decrement": report.decrement,
     }
-    path = _track(written, outdir / F_GIRL_REPORT)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
+    run.save(F_GIRL_REPORT, _write_json, payload)
     slices = loss_slices(report.params.with_reward(truth), trajs, rbar_path,
                          default_slice_grids(truth))
-    with open(_track(written, outdir / F_SLICES), "w") as fh:
-        fh.write("parameter,value,nll\n")
-        for name in ("lam", "eta", "rho", "omega"):
-            grid, vals = slices[name]
-            for g, v in zip(grid, vals):
-                fh.write(f"{name},{storage._fmt(g)},{storage._fmt(v)}\n")
+    run.save(F_SLICES, _write_slices, slices)
 
 
-def cmd_report(cfg: ExperimentConfig, written: list) -> None:
-    outdir = cfg.outdir
-    realized = storage.read_returns_csv(
-        _require(outdir, F_REALIZED, "run `gwealth simulate` first")
-    )
-    paths = ReturnPaths(expected=realized, realized=realized,
-                        market=np.zeros(realized.shape[:2]))
-    horizon = realized.shape[1]
-    reward = cfg.reward.params()
-    bench = exponential_benchmark(
-        cfg.reward.initial_wealth, cfg.reward.benchmark_rate, horizon, cfg.market.dt
-    )
+def cmd_report(run: _Run) -> None:
+    cfg = run.cfg
+    paths = _realized_paths(run)
     strategies = {
+        "glearner": run.load(F_TRAJ, storage.read_trajectories_csv,
+                             "run `gwealth rollout` first"),
         "equal_weight": equal_weight_baseline(
             paths, _x0(cfg), cfg.market.r_f, cfg.market.dt
         ),
     }
-    traj_path = outdir / F_TRAJ
-    if traj_path.exists():
-        strategies["glearner"] = storage.read_trajectories_csv(traj_path)
-    girl_path = outdir / F_TRAJ_GIRL
-    if girl_path.exists():
-        strategies["girl"] = storage.read_trajectories_csv(girl_path)
-    if "glearner" not in strategies:
-        raise ConfigError(f"missing input: '{traj_path}' (run `gwealth rollout` first)")
+    girl = run.load(F_TRAJ_GIRL, storage.read_trajectories_csv, None)
+    if girl is not None:
+        strategies["girl"] = girl
 
+    reward = cfg.reward.params()
+    bench = _benchmark(cfg, paths.horizon)
     summaries = {
         name: performance_summary(trajs, cfg.market.r_f, cfg.market.dt,
                                   params=reward, benchmark=bench)
         for name, trajs in strategies.items()
     }
-    with open(_track(written, outdir / F_PERF), "w") as fh:
-        fh.write("strategy,period,mean_return\n")
-        for name in sorted(summaries):
-            for t, val in enumerate(summaries[name].mean_returns):
-                fh.write(f"{name},{t},{storage._fmt(val)}\n")
-    payload = {
+    run.save(F_PERF, _write_performance, summaries)
+    run.save(F_SUMMARY, _write_json, {
         "sharpe": {name: s.sharpe for name, s in sorted(summaries.items())},
         "terminal_wealth": {
             name: s.terminal_wealth_stats for name, s in sorted(summaries.items())
         },
-    }
-    path = _track(written, outdir / F_SUMMARY)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    })
 
 
-def cmd_repro(cfg: ExperimentConfig, written: list) -> None:
-    """Full chain: simulate -> solve -> rollout -> fit -> imitation rollout
-    -> report, all from the configured seed."""
-    cmd_simulate(cfg, written)
-    cmd_solve(cfg, written)
-    cmd_rollout(cfg, written)
-    cmd_fit(cfg, written)
-
+def cmd_repro(run: _Run) -> None:
+    """Full chain: simulate -> solve -> rollout -> fit -> imitation solve and
+    rollout -> report, all from the configured seed.  Each stage writes its
+    artifacts once and hands them to the next stage in memory."""
+    cmd_simulate(run)
+    cmd_solve(run)
+    cmd_rollout(run)
+    cmd_fit(run)
     # solve and roll out under the fitted parameters for imitation comparison
-    outdir = cfg.outdir
-    report = json.loads((outdir / F_GIRL_REPORT).read_text())
-    theta_hat = report["theta"]
-    fitted = RewardParams(
-        lam=theta_hat["lam"], eta=theta_hat["eta"],
-        rho=theta_hat["rho"], omega=theta_hat["omega"],
-    )
-    _, sigma, rbar_path = _load_market_inputs(cfg, outdir)
-    bench = exponential_benchmark(
-        cfg.reward.initial_wealth, cfg.reward.benchmark_rate,
-        rbar_path.shape[0], cfg.market.dt,
-    )
-    prior = default_prior(rbar_path.shape[1], cfg.solver.sigma_p_scale)
-    plan_hat = solve_plan(fitted, rbar_path, sigma, bench, prior, cfg.solver.config())
-    storage.write_plan_npz(_track(written, outdir / F_PLAN_GIRL), plan_hat)
-    # same RNG stream as the reference rollout: common random numbers make the
-    # imitation comparison sharper
-    _rollout_stage(cfg, written, F_PLAN_GIRL, F_TRAJ_GIRL, F_CASH_GIRL, stream=1)
-
-    cmd_report(cfg, written)
+    fitted = RewardParams(**run.saved[F_GIRL_REPORT]["theta"])
+    _solve_stage(run, fitted, F_PLAN_GIRL)
+    _rollout_stage(run, F_PLAN_GIRL, F_TRAJ_GIRL, F_CASH_GIRL)
+    cmd_report(run)
 
 
 # ---------------------------------------------------------------------------
@@ -315,20 +315,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    written: list[Path] = []
+    run = None
     try:
         cfg = load_config(args.config, seed=args.seed, outdir=args.outdir)
         cfg.outdir.mkdir(parents=True, exist_ok=True)
-        args.func(cfg, written)
+        run = _Run(cfg)
+        args.func(run)
         return 0
-    except ConfigError as exc:
-        _cleanup(written)
-        print(f"gwealth: error: {exc}", file=sys.stderr)
-        return 2
     except (GWealthError, OSError) as exc:
-        _cleanup(written)
+        if run is not None:
+            _cleanup(run.written)
         print(f"gwealth: error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 def _cleanup(written: list[Path]) -> None:

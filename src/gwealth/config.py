@@ -38,34 +38,25 @@ class RewardSection:
 
 
 @dataclass(frozen=True)
-class SolverSection:
-    beta: float = 1000.0
-    gamma: float = 0.95
+class SolverSection(SolverConfig):
+    """SolverConfig plus the scale of the policy prior."""
+
     sigma_p_scale: float = 10.0
 
     def __post_init__(self):
         if not self.sigma_p_scale > 0.0:
             raise ValueError(f"sigma_p_scale must be > 0, got {self.sigma_p_scale}")
 
-    def config(self) -> SolverConfig:
-        return SolverConfig(beta=self.beta, gamma=self.gamma)
-
 
 @dataclass(frozen=True)
-class GirlSection:
-    stop_tol: float = 1e-4
-    max_iters: int = 1000
-    fd_step: float = 1e-5
+class GirlSection(FitConfig):
+    """FitConfig plus the factor that moves the fit's start off the reward."""
+
     theta0_scale: float = 2.0
 
     def __post_init__(self):
-        # the fit starts at the configured reward moved by this factor
         if not (self.theta0_scale > 0.0 and self.theta0_scale != 1.0):
             raise ValueError(f"theta0_scale must be > 0 and not 1, got {self.theta0_scale}")
-
-    def fit_config(self) -> FitConfig:
-        return FitConfig(stop_tol=self.stop_tol, max_iters=self.max_iters,
-                         fd_step=self.fd_step)
 
 
 @dataclass(frozen=True)
@@ -163,8 +154,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     try:
         cfg.market.validate()
         cfg.reward.params().validate()
-        cfg.solver.config().validate()
-        cfg.girl.fit_config().validate()
+        cfg.solver.validate()
+        cfg.girl.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

@@ -239,6 +239,11 @@ def prepare_stats(
     for traj in trajs:
         if traj.horizon != t_len or traj.n_assets != n:
             raise ShapeError("all trajectories must share horizon and asset count")
+    if rbar_path.shape != (t_len, n) or sigma_r.n_risky != n - 1:
+        raise ShapeError(
+            f"trajectories of {t_len} periods x {n} assets do not match the return "
+            f"path {rbar_path.shape} and Sigma_r of {sigma_r.n_risky} risky assets"
+        )
 
     x_all = np.stack([traj.x for traj in trajs])  # (M, T+1, N)
     u_all = np.stack([traj.u for traj in trajs])  # (M, T, N)

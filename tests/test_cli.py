@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import gwealth
 from gwealth.cli import main
-from gwealth.config import GirlSection, config_from_dict, load_config
+from gwealth.config import config_from_dict, load_config
 from gwealth.errors import ConfigError, ShapeError
 from gwealth.girl import FitConfig
 from gwealth.glearner import GaussianPolicy, Trajectory, rollout, solve_plan
@@ -102,7 +103,10 @@ class TestConfig:
             config_from_dict({"girl": {key: value}})
 
     def test_girl_section_defaults_match_fit_config(self):
-        assert GirlSection().fit_config() == FitConfig()
+        girl = config_from_dict({}).girl
+        assert isinstance(girl, FitConfig)
+        for f in dataclasses.fields(FitConfig):
+            assert getattr(girl, f.name) == getattr(FitConfig(), f.name), f.name
 
     @pytest.mark.parametrize("section, key, value", [
         ("solver", "beta", "x"), ("reward", "lam", True), ("reward", "rho", None),
@@ -379,6 +383,21 @@ class TestCliStages:
         assert "Traceback" not in err
         assert needle in err and name in err
 
+    @pytest.mark.parametrize("key, value", [("horizon", 3), ("n_risky", 2)])
+    def test_fit_on_mismatched_inputs_is_a_clean_error(self, tmp_path, capsys, key, value):
+        # trajectories of one market shape, return panels of another
+        data = tiny_config(tmp_path / "out")
+        cfg_path = write_config(tmp_path, data)
+        for cmd in ("simulate", "solve", "rollout"):
+            assert main([cmd, "--config", str(cfg_path)]) == 0, cmd
+        data["market"][key] = value
+        write_config(tmp_path, data)
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gwealth: error:")
+        assert "Traceback" not in err
 
     def test_header_only_csv_is_a_clean_error(self, tmp_path):
         # a child process: stderr as a user sees it, without pytest's warning capture
@@ -406,14 +425,31 @@ class TestRepro:
         assert main(["repro", "--config", str(cfg_a), "--outdir", str(out_b)]) == 0
         names = [
             "returns_expected.csv", "returns_realized.csv", "sigma_r.csv",
-            "trajectories.csv", "cash.csv", "trajectories_girl.csv",
-            "cash_girl.csv", "girl_report.json", "loss_slices.csv",
-            "performance.csv", "summary.json",
+            "plan.npz", "plan_girl.npz", "trajectories.csv", "cash.csv",
+            "trajectories_girl.csv", "cash_girl.csv", "girl_report.json",
+            "loss_slices.csv", "performance.csv", "summary.json",
         ]
+        assert sorted(p.name for p in out_a.iterdir()) == sorted(names)
         for name in names:
             a = (out_a / name).read_bytes()
             b = (out_b / name).read_bytes()
             assert a == b, f"{name} differs between identical repro runs"
+
+    def test_repro_in_memory_equals_stage_by_stage(self, tmp_path):
+        # repro hands each artifact to the next stage in memory; the same
+        # stages run one at a time read them back from the files
+        out_a = tmp_path / "a"
+        out_b = tmp_path / "b"
+        cfg = write_config(tmp_path, tiny_config(out_a))
+        assert main(["repro", "--config", str(cfg)]) == 0
+        for cmd in ("simulate", "solve", "rollout", "fit"):
+            assert main([cmd, "--config", str(cfg), "--outdir", str(out_b)]) == 0, cmd
+        shutil.copy(out_a / "trajectories_girl.csv", out_b)
+        assert main(["report", "--config", str(cfg), "--outdir", str(out_b)]) == 0
+        names = sorted(p.name for p in out_b.iterdir())
+        assert len(names) == 11 and "summary.json" in names and "performance.csv" in names
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_repro_out_of_range_config_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "out"
