@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, GWealthError
+from .errors import ConfigError, GWealthError, ShapeError
 from .girl import (
     GirlParams,
     default_slice_grids,
@@ -28,7 +28,7 @@ from .girl import (
     loss_slices,
     scaled_start,
 )
-from .glearner import default_prior, rollout, solve_plan
+from .glearner import PolicyPrior, default_prior, rollout, solve_plan
 from .market import ReturnCovariance, ReturnPaths, residual_covariance, simulate
 from .metrics import equal_weight_baseline, performance_summary
 from .rewards import BenchmarkPath, RewardParams, exponential_benchmark
@@ -133,32 +133,50 @@ def _benchmark(cfg: ExperimentConfig, horizon: int) -> BenchmarkPath:
     )
 
 
+def _check_width(cfg: ExperimentConfig, name: str, n_risky: int) -> None:
+    """Every stage sizes the problem from ``market.n_risky``; an input panel
+    of another width is an error, not a silently different problem."""
+    if n_risky != cfg.market.n_risky:
+        raise ShapeError(
+            f"'{cfg.outdir / name}' covers {n_risky} risky assets but the config has "
+            f"market.n_risky = {cfg.market.n_risky}; re-run `gwealth simulate`"
+        )
+
+
 def _market_inputs(run: _Run) -> tuple[ReturnCovariance, np.ndarray]:
     """Sigma_r and the (T, N) expected-return path of the solver and the
     likelihood: the bond's period rate, then the cross-path mean of the
     expected-return panel."""
     expected = run.load(F_EXPECTED, storage.read_returns_csv, SIMULATE_FIRST)
+    _check_width(run.cfg, F_EXPECTED, expected.shape[2])
     sigma = ReturnCovariance(
         sigma_r=run.load(F_SIGMA, storage.read_matrix_csv, SIMULATE_FIRST)
     )
+    _check_width(run.cfg, F_SIGMA, sigma.n_risky)
     bond = np.full((expected.shape[1], 1), run.cfg.rf_period)
     return sigma, np.concatenate([bond, expected.mean(axis=0)], axis=1)
 
 
 def _realized_paths(run: _Run) -> ReturnPaths:
     realized = run.load(F_REALIZED, storage.read_returns_csv, SIMULATE_FIRST)
+    _check_width(run.cfg, F_REALIZED, realized.shape[2])
     return ReturnPaths(expected=realized, realized=realized,
                        market=np.zeros(realized.shape[:2]))
 
 
+def _prior(cfg: ExperimentConfig) -> PolicyPrior:
+    """The policy prior of the solve stages and of the likelihood."""
+    return default_prior(cfg.market.n_risky + 1, cfg.solver.sigma_p_scale)
+
+
 def _girl_params(cfg: ExperimentConfig, sigma: ReturnCovariance,
                  reward: RewardParams, horizon: int) -> GirlParams:
-    n = cfg.market.n_risky + 1
+    prior = _prior(cfg)
     return GirlParams(
         reward=reward,
         sigma_r=sigma,
-        sigma_p=cfg.solver.sigma_p_scale**2 * np.eye(n),
-        u_bar=np.zeros(n),
+        sigma_p=prior.sigma_p,
+        u_bar=prior.u_bar,
         beta=cfg.solver.beta,
         gamma=cfg.solver.gamma,
         benchmark=_benchmark(cfg, horizon),
@@ -190,9 +208,9 @@ def _solve_stage(run: _Run, reward: RewardParams, plan_file: str) -> None:
     cfg = run.cfg
     sigma, rbar_path = _market_inputs(run)
     horizon, n = rbar_path.shape
-    prior = default_prior(n, cfg.solver.sigma_p_scale)
     logger.info("solving plan for %d periods, %d assets", horizon, n)
-    plan = solve_plan(reward, rbar_path, sigma, _benchmark(cfg, horizon), prior, cfg.solver)
+    plan = solve_plan(reward, rbar_path, sigma, _benchmark(cfg, horizon), _prior(cfg),
+                      cfg.solver)
     run.save(plan_file, storage.write_plan_npz, plan)
 
 
@@ -220,8 +238,9 @@ def cmd_fit(run: _Run) -> None:
                           rbar_path.shape[0])
     logger.info("fitting reward parameters from %d trajectories", len(trajs))
     report = fit(trajs, rbar_path, theta0, cfg.girl)
-    logger.info("fit stopped (%s) after %d iterations, Newton decrement %.3g nats",
-                report.stop_reason, report.iterations, report.decrement)
+    logger.info("fit stopped (%s) after %d iterations and %d solves, Newton decrement "
+                "%.3g nats", report.stop_reason, report.iterations, report.solves,
+                report.decrement)
     fitted = report.params.reward
     payload = {
         "theta": {
@@ -230,6 +249,7 @@ def cmd_fit(run: _Run) -> None:
         },
         "loss_path": [float(v) for v in report.loss_path],
         "iterations": report.iterations,
+        "solves": report.solves,
         "converged": report.converged,
         "stop_reason": report.stop_reason,
         "newton_decrement": report.decrement,

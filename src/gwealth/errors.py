@@ -38,4 +38,4 @@ class UndefinedSharpeError(GWealthError, ValueError):
 
 
 class GradientError(GWealthError, RuntimeError):
-    """A finite-difference probe produced a non-finite objective value."""
+    """The likelihood or its gradient came out non-finite."""

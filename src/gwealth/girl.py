@@ -6,7 +6,11 @@ the posterior policy (written as log pi0 + beta * (G - F), which is the same
 thing) plus the log-density of the state transition.  The reward parameters
 theta = (lam, eta, rho, omega) are recovered by running BFGS with a
 backtracking line search on the negative log-likelihood in unconstrained
-coordinates; the solver is re-run inside every likelihood evaluation.
+coordinates.  Every likelihood evaluation solves the plan once; the exact
+gradient at an accepted point is one tangent pass over that plan
+(``glearner.tangent_pass``), taken against the pooled moments of the data:
+the observed minus the policy's expected trade moments.  The
+finite-difference ``nll_gradient`` is kept as its test oracle.
 
 Sigma_r, the policy prior, beta and gamma are held fixed: only the reward is
 learned.
@@ -32,9 +36,10 @@ from .glearner import (
     SolverConfig,
     Trajectory,
     solve_plan,
+    tangent_pass,
 )
 from .market import ReturnCovariance
-from .rewards import BenchmarkPath, RewardParams
+from .rewards import BenchmarkPath, RewardParams, reward_tangents
 
 EPS_POSITION = 1e-8  # risky positions below this are excluded from transitions
 
@@ -86,8 +91,9 @@ class GirlParams:
 @dataclass(frozen=True)
 class FitConfig:
     """Optimizer settings for the likelihood fit: the tolerance on the Newton
-    decrement (nats), the budget of accepted steps, and the relative step of
-    the finite-difference gradient."""
+    decrement (nats) and the budget of accepted steps.  ``fd_step`` is the
+    relative step of the finite-difference ``nll_gradient``, the oracle of
+    the exact gradient; the fit itself does not use it."""
 
     stop_tol: float = 1e-4
     max_iters: int = 1000
@@ -104,13 +110,16 @@ class FitReport:
     then one accepted (lower) loss per iteration, ending at the loss of
     ``params``; ``stop_reason`` is ``converged``, ``budget`` or
     ``line_search``; ``decrement`` is the Newton decrement (nats) at the last
-    gradient evaluated, which is at ``params`` unless the budget ran out."""
+    gradient evaluated, which is at ``params`` unless the budget ran out;
+    ``solves`` counts the backward passes the fit ran, rejected trials
+    included."""
 
     params: GirlParams
     loss_path: np.ndarray
     iterations: int
     stop_reason: str
     decrement: float
+    solves: int
 
     @property
     def converged(self) -> bool:
@@ -296,7 +305,10 @@ def nll_from_stats(
     second moments, which costs a handful of N x N products per step instead
     of a pass over every trajectory.
     """
-    plan = _solve_for(theta, rbar_path, prior=prior)
+    return _nll_on_plan(_solve_for(theta, rbar_path, prior=prior), stats)
+
+
+def _nll_on_plan(plan: SolvedPlan, stats: _DataStats) -> float:
     if plan.horizon != stats.horizon or plan.n_assets != stats.n_assets:
         raise ShapeError("data statistics do not match the solved plan")
     m = stats.count
@@ -322,6 +334,41 @@ def nll_from_stats(
 # ---------------------------------------------------------------------------
 # gradient and optimizer
 # ---------------------------------------------------------------------------
+
+def _plan_gradient(theta: GirlParams, plan: SolvedPlan, stats: _DataStats) -> np.ndarray:
+    """Exact gradient of the negative log-likelihood in the ``pack_reward``
+    coordinates at ``theta``, from one tangent pass over ``plan``, the plan
+    solved at ``theta``.
+
+    With dq the derivatives of G's coefficients, the action log-density
+    log pi0 + beta (G - F) changes at step t by beta times the observed minus
+    the policy's expected trade moments, summed over the data:
+    <dq_uu, suu - E[sum u u']> + <dq_ux, sux - E[sum u x']> + dq_u . (su - E[sum u]).
+    The state-only parts of G and F cancel.
+    """
+    reward = theta.reward
+    m = stats.count
+    grad = np.zeros(len(PARAM_NAMES))
+    steps = tangent_pass(plan, lambda t: reward_tangents(
+        reward, plan.rbar[t], theta.sigma_r, float(theta.benchmark.b[t])))
+    for t, (_, dq_ux, dq_uu, _, dq_u, _) in steps:
+        v_t, u_t, chol = plan.v_tilde[t], plan.u_tilde[t], plan.chol_tilde[t]
+        v_sxx = v_t @ stats.sxx[t]
+        v_sx = v_t @ stats.sx[t]
+        mean_sum = m * u_t + v_sx  # sum of the policy means
+        w_uu = (stats.suu[t] - np.outer(u_t, mean_sum) - np.outer(v_sx, u_t)
+                - v_sxx @ v_t.T - m * (chol @ chol.T))
+        w_ux = stats.sux[t] - np.outer(u_t, stats.sx[t]) - v_sxx
+        w_u = stats.su[t] - mean_sum
+        grad -= plan.beta * (dq_uu.reshape(len(grad), -1) @ w_uu.ravel()
+                             + dq_ux.reshape(len(grad), -1) @ w_ux.ravel() + dq_u @ w_u)
+    # chain rule from (lam, eta, rho, omega) to the coordinates of pack_reward
+    rho = reward.rho
+    grad *= (reward.lam, reward.eta, rho * (1.0 - rho), float(reward.omega))
+    if not np.all(np.isfinite(grad)):
+        raise GradientError("non-finite likelihood gradient")
+    return grad
+
 
 def _grad_from_fn(nll_fn, vec: np.ndarray, fd_step: float) -> np.ndarray:
     grad = np.empty(vec.shape[0])
@@ -357,7 +404,9 @@ def nll_gradient(
     cfg: FitConfig,
 ) -> np.ndarray:
     """Central finite-difference gradient of the negative log-likelihood in
-    the unconstrained coordinates of (lam, eta, rho, omega)."""
+    the unconstrained coordinates of (lam, eta, rho, omega), with relative
+    step ``cfg.fd_step``: eight solves, the test oracle of the exact
+    gradient that ``fit`` uses."""
     return _grad_from_fn(_coordinate_nll(theta, trajs, rbar_path),
                          pack_reward(theta.reward), cfg.fd_step)
 
@@ -370,20 +419,32 @@ def fit(
 ) -> FitReport:
     """Recover the reward parameters by BFGS on the negative log-likelihood.
 
-    Works in the unconstrained coordinates of ``pack_reward`` with central
-    finite-difference gradients and a backtracking Armijo line search
-    (Nocedal & Wright, ch. 3 and 6), in which an infeasible solve or a
-    non-finite loss rejects a trial point.  Stops ``converged`` when the
-    Newton decrement g'Hg / 2 (H the inverse-Hessian estimate) falls below
-    ``stop_tol`` nats, after ``max_iters`` accepted steps (``budget``), or
-    when no trial decreases the loss (``line_search``).
+    Works in the unconstrained coordinates of ``pack_reward`` with a
+    backtracking Armijo line search (Nocedal & Wright, ch. 3 and 6), in which
+    an infeasible solve or a non-finite loss rejects a trial point.  Each
+    trial solves the plan once and keeps it; the exact gradient at an
+    accepted point is one tangent pass over its plan, which costs about
+    as much as a solve.  Stops ``converged`` when the Newton decrement g'Hg / 2
+    (H the inverse-Hessian estimate) falls below ``stop_tol`` nats, after
+    ``max_iters`` accepted steps (``budget``), or when no trial decreases the
+    loss (``line_search``).
     """
     cfg = cfg if cfg is not None else FitConfig()
     cfg.validate()
     theta0.validate()
-    nll_fn = _coordinate_nll(theta0, trajs, rbar_path)
+    stats = prepare_stats(trajs, rbar_path, theta0.sigma_r)
+    prior = theta0.prior()
+    solves = 0
+
+    def evaluate(vec):
+        nonlocal solves
+        solves += 1
+        theta = theta0.with_reward(unpack_reward(vec))
+        plan = _solve_for(theta, rbar_path, prior=prior)
+        return _nll_on_plan(plan, stats), theta, plan
+
     vec = pack_reward(theta0.reward)
-    loss = nll_fn(vec)
+    loss, theta, plan = evaluate(vec)
     if not np.isfinite(loss):
         raise GradientError("non-finite objective at the starting parameters")
     loss_path = [loss]
@@ -392,7 +453,8 @@ def fit(
     stop_reason = "budget"
     decrement = math.inf
     for _ in range(cfg.max_iters):
-        new_grad = _grad_from_fn(nll_fn, vec, cfg.fd_step)
+        new_grad = _plan_gradient(theta, plan, stats)
+        del plan  # one plan in memory at a time: the next is the line search's
         if grad is not None:
             y = new_grad - grad
             sy = float(step @ y)
@@ -409,11 +471,12 @@ def fit(
             stop_reason = "converged"
             break
         for _ in range(LINE_SEARCH_TRIALS):
+            trial = None  # drop a rejected trial's plan before the next solve
             try:
-                trial_loss = nll_fn(vec + step)
+                trial = evaluate(vec + step)
             except InfeasibleError:
-                trial_loss = math.nan
-            if trial_loss <= loss + ARMIJO_C1 * slope:  # False for NaN
+                trial = (math.nan,)
+            if trial[0] <= loss + ARMIJO_C1 * slope:  # False for NaN
                 break
             step = 0.5 * step
             slope *= 0.5
@@ -421,15 +484,16 @@ def fit(
             stop_reason = "line_search"
             break
         vec = vec + step
-        loss = trial_loss
+        loss, theta, plan = trial
         loss_path.append(loss)
 
     return FitReport(
-        params=theta0.with_reward(unpack_reward(vec)),
+        params=theta,
         loss_path=np.asarray(loss_path),
         iterations=len(loss_path) - 1,
         stop_reason=stop_reason,
         decrement=decrement,
+        solves=solves,
     )
 
 

@@ -13,10 +13,15 @@ of the last-period reward (the analytic argmax plugged back in), while the
 policy normalizer at every step, terminal included, is the soft
 log-partition so that the posterior density identity
 pi = pi0 * exp(beta * (G - F_soft)) holds exactly.
+
+The tangent pass runs the same recursion's derivatives in the reward
+parameters over a solved plan, step by step, without a new factorization;
+the likelihood gradient of the inverse problem is built on it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,6 +262,33 @@ def _bayes_and_f(q_xx, q_ux, q_uu, q_x, q_u, q_0, prior: PolicyPrior, beta: floa
     return sigma_bar, u_til, v_til, chol_tilde, logdet_tilde, f
 
 
+def _step_q(r: RewardCoeffs, f_next, a_t: np.ndarray, gamma: float):
+    """G's coefficients at a step before the last: the reward plus the
+    discounted expectation of the next step's F = (f_xx, f_x, f_0) over the
+    gross returns, whose mean is a_t.  Linear in (r, f_next), so stacks of
+    tangents along a leading axis go through it as well."""
+    f_xx, f_x, f_0 = f_next
+    growth = f_xx * np.outer(a_t, a_t) + r.sigma_r_padded * f_xx
+    lin = gamma * (a_t * f_x)
+    return (r.r_xx + gamma * growth, r.r_ux + 2.0 * gamma * growth, r.r_uu + gamma * growth,
+            r.r_x + lin, r.r_u + lin, r.r_0 + gamma * f_0)
+
+
+def _expected_g(q, gain: np.ndarray, offset: np.ndarray, cov: np.ndarray | None = None):
+    """(f_xx, f_x, f_0) of x -> E[G(x, u)] for u ~ N(offset + gain x, cov)
+    (u = offset + gain x when ``cov`` is None), for G coefficients
+    q = (q_xx, q_ux, q_uu, q_x, q_u, q_0) stacked on a leading axis."""
+    q_xx, q_ux, q_uu, q_x, q_u, q_0 = q
+    quu_k = q_uu @ offset                       # (K, N)
+    gt_qux = gain.T @ q_ux
+    f_xx = q_xx + 0.5 * (gt_qux + np.swapaxes(gt_qux, -1, -2)) + gain.T @ q_uu @ gain
+    f_x = q_x + offset @ q_ux + 2.0 * quu_k @ gain + q_u @ gain
+    f_0 = q_0 + q_u @ offset + quu_k @ offset
+    if cov is not None:
+        f_0 = f_0 + np.sum(q_uu * cov, axis=(-2, -1))
+    return f_xx, f_x, f_0
+
+
 def backward_pass(
     rc: list[RewardCoeffs],
     prior: PolicyPrior,
@@ -290,15 +322,8 @@ def backward_pass(
         if t == t_len - 1:
             qxx, qux, quu, qx, qu, q0 = r.r_xx, r.r_ux, r.r_uu, r.r_x, r.r_u, r.r_0
         else:
-            a_t = 1.0 + rbar[t]
-            growth = f_xx[t + 1] * np.outer(a_t, a_t) + r.sigma_r_padded * f_xx[t + 1]
-            lin = cfg.gamma * (a_t * f_x[t + 1])
-            qxx = r.r_xx + cfg.gamma * growth
-            qux = r.r_ux + 2.0 * cfg.gamma * growth
-            quu = r.r_uu + cfg.gamma * growth
-            qx = r.r_x + lin
-            qu = r.r_u + lin
-            q0 = r.r_0 + cfg.gamma * f_0[t + 1]
+            qxx, qux, quu, qx, qu, q0 = _step_q(
+                r, (f_xx[t + 1], f_x[t + 1], f_0[t + 1]), 1.0 + rbar[t], cfg.gamma)
 
         sigma_bar[t], u_tilde[t], v_tilde[t], chol_tilde[t], logdet_tilde[t], f_t = _bayes_and_f(
             qxx, qux, quu, qx, qu, q0, prior, cfg.beta, t,
@@ -315,6 +340,45 @@ def backward_pass(
         q_xx=q_xx, q_ux=q_ux, q_uu=q_uu, q_x=q_x, q_u=q_u, q_0=q_0,
         f_xx=f_xx, f_x=f_x, f_0=f_0, f_soft_last=f_soft_last, sigma_bar=sigma_bar,
     )
+
+
+def tangent_pass(
+    plan: SolvedPlan, reward_tangent: Callable[[int], RewardCoeffs]
+) -> Iterator[tuple[int, tuple]]:
+    """Derivatives of G's coefficients along K directions of the reward
+    parameters, one step at a time from T-1 down to 0.
+
+    ``reward_tangent(t)`` gives the derivatives of step t's reward
+    coefficients as a stack of K (``rewards.reward_tangents``).  Yields
+    (t, (dq_xx, dq_ux, dq_uu, dq_x, dq_u, dq_0)), each with a leading axis
+    of length K, and holds only the current step's tangents.
+
+    The derivative of F is the expectation of the derivative of G: under the
+    posterior policy for t < T-1, since F is the log-partition of
+    pi0 exp(beta G) (an envelope identity), and at the argmax of the hard max
+    at T-1, whose gain comes from one solve against -r_uu.  With the plan's
+    own sigma_tilde_t the step needs no factorization: the policy's tangents
+    d v_tilde = sigma_tilde (beta dq_ux + 2 beta dq_uu v_tilde), the same for
+    d u_tilde, and d log|sigma_tilde| = 2 beta tr(sigma_tilde dq_uu) sum to
+    exactly that expectation.
+    """
+    t_last = plan.horizon - 1
+    n = plan.n_assets
+    # at T-1 G is the reward, and the hard max takes u = (-r_uu)^{-1}(r_ux x + r_u) / 2
+    argmax = 0.5 * np.linalg.solve(
+        -plan.q_uu[t_last], np.column_stack([plan.q_ux[t_last], plan.q_u[t_last]]))
+    df = None
+    for t in range(t_last, -1, -1):
+        dr = reward_tangent(t)
+        if t == t_last:
+            dq = (dr.r_xx, dr.r_ux, dr.r_uu, dr.r_x, dr.r_u, dr.r_0)
+            df = _expected_g(dq, argmax[:, :n], argmax[:, n])
+        else:
+            dq = _step_q(dr, df, 1.0 + plan.rbar[t], plan.gamma)
+            if t > 0:
+                chol = plan.chol_tilde[t]
+                df = _expected_g(dq, plan.v_tilde[t], plan.u_tilde[t], chol @ chol.T)
+        yield t, dq
 
 
 def solve_plan(

@@ -4,8 +4,10 @@ The investor is penalized for the expected squared shortfall of next-period
 portfolio value against a target, pays quadratic transaction costs, and books
 the period's cash installment (which the budget constraint ties to the sum of
 trades).  Expanding the expectation over returns turns the reward into a
-quadratic form in positions x and trades u whose coefficient matrices are
-assembled here.
+quadratic form in positions x and trades u.  Each coefficient is written
+once, as scalar weights (products of the parameters) times terms that do not
+depend on them, so the same formula gives the reward and its derivatives in
+the parameters.
 
 Conventions: asset 0 is the risk-free bond, assets 1..N-1 are risky.  The
 cross-coefficient ``r_ux`` is stored so that the reward term reads
@@ -102,9 +104,10 @@ class RewardCoeffs:
 
     The reward value is
         x^T r_xx x + u^T r_ux x + u^T r_uu u + x^T r_x + u^T r_u + r_0.
-    ``sigma_hat`` is the second-moment matrix of gross returns and
-    ``sigma_r_padded`` the return covariance padded with a zero row/column
-    for the bond.
+    A stack of K coefficient sets (the reward's derivatives) has a leading
+    axis of length K on every coefficient.  ``sigma_hat`` is the
+    second-moment matrix of gross returns and ``sigma_r_padded`` the return
+    covariance padded with a zero row/column for the bond.
     """
 
     r_xx: np.ndarray
@@ -112,7 +115,7 @@ class RewardCoeffs:
     r_uu: np.ndarray
     r_x: np.ndarray
     r_u: np.ndarray
-    r_0: float
+    r_0: float | np.ndarray
     sigma_hat: np.ndarray
     sigma_r_padded: np.ndarray
 
@@ -134,18 +137,43 @@ def pad_covariance(sigma_r: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_coeffs(
-    params: RewardParams,
-    rbar_t: np.ndarray,
-    sigma_r: ReturnCovariance,
-    b_t: float,
-) -> RewardCoeffs:
-    """Assemble the quadratic reward coefficients for one period.
+def _reward_weights(params: RewardParams) -> tuple[np.ndarray, np.ndarray]:
+    """The scalar weights of the reward's theta-free terms and their
+    derivatives in (lam, eta, rho, omega).
 
-    ``rbar_t`` is the N-vector of expected per-period returns whose entry 0
-    is the per-period risk-free rate.  The assembled quadratic form equals
-    the closed-form expectation of the squared-shortfall reward over the
-    return distribution N(rbar_t, padded sigma_r).
+    The weights, in the order ``_assemble`` reads them, multiply
+    [1, 11', g1', sigma_hat, omega's shape, b 1, b g, b^2]:
+    1, lam eta^2 rho^2, lam eta rho, lam, omega, lam eta rho (1-rho),
+    lam (1-rho) and lam (1-rho)^2.  A matrix omega is its own shape with
+    weight one; the derivative in omega assumes a scalar omega (cost matrix
+    omega * I).  Returns the (8,) weights and their (4, 8) Jacobian.
+    """
+    lam, eta, rho = params.lam, params.eta, params.rho
+    om = float(params.omega) if np.ndim(params.omega) == 0 else 1.0
+    s = 1.0 - rho
+    weights = np.array([1.0, lam * eta**2 * rho**2, lam * eta * rho, lam, om,
+                        lam * eta * rho * s, lam * s, lam * s**2])
+    jacobian = np.array([
+        [0.0, eta**2 * rho**2, eta * rho, 1.0, 0.0, eta * rho * s, s, s**2],
+        [0.0, 2.0 * lam * eta * rho**2, lam * rho, 0.0, 0.0, lam * rho * s, 0.0, 0.0],
+        [0.0, 2.0 * lam * eta**2 * rho, lam * eta, 0.0, 0.0, lam * eta * (s - rho),
+         -lam, -2.0 * lam * s],
+        [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+    ])
+    return weights, jacobian
+
+
+def _assemble(w: np.ndarray, params: RewardParams, rbar_t: np.ndarray,
+              sigma_r: ReturnCovariance, b_t: float) -> RewardCoeffs:
+    """The reward's one formula: each coefficient is a weighted sum of
+    theta-free terms, with the weights ``w`` of ``_reward_weights`` (shape
+    (8,)) or a stack of weight vectors (shape (K, 8)), which gives a stack of
+    K coefficient sets.  Being linear in ``w``, it maps the weights'
+    Jacobian to the reward's derivatives.
+
+    The assembled quadratic form equals the closed-form expectation of the
+    squared-shortfall reward over the return distribution
+    N(rbar_t, padded sigma_r).
     """
     rbar_t = np.asarray(rbar_t, dtype=float)
     if rbar_t.ndim != 1:
@@ -157,31 +185,58 @@ def build_coeffs(
             "(bond plus risky)"
         )
     params.validate(n)
-
-    lam, eta, rho = params.lam, params.eta, params.rho
-    omega = params.omega_matrix(n)
+    shape = np.eye(n) if np.ndim(params.omega) == 0 else params.omega_matrix(n)
+    shape = 0.5 * (shape + shape.T)
     ones = np.ones(n)
     g = 1.0 + rbar_t  # expected gross returns
 
     sig_pad = pad_covariance(sigma_r.sigma_r)
     sigma_hat = sig_pad + np.outer(g, g)
     sigma_hat = 0.5 * (sigma_hat + sigma_hat.T)
-
     cross = np.outer(g, ones)  # (1 + rbar) 1^T
-    r_xx = -lam * eta**2 * rho**2 * np.outer(ones, ones) + lam * eta * rho * (cross + cross.T) \
-        - lam * sigma_hat
-    r_ux = 2.0 * lam * eta * rho * cross - 2.0 * lam * sigma_hat
-    r_uu = -lam * sigma_hat - omega
-    r_uu = 0.5 * (r_uu + r_uu.T)
-    r_x = -2.0 * lam * eta * rho * (1.0 - rho) * b_t * ones + 2.0 * lam * (1.0 - rho) * b_t * g
-    r_u = -ones + 2.0 * lam * (1.0 - rho) * b_t * g
-    r_0 = -((1.0 - rho) ** 2) * lam * b_t**2
 
+    # each weight with two trailing axes scales an N x N term; [..., 0] a vector
+    unit, w_11, w_g1, w_s, w_om, w_b1, w_bg, w_bb = np.moveaxis(
+        np.asarray(w, dtype=float)[..., None, None], -3, 0)
+    r_xx = w_g1 * (cross + cross.T) - w_11 * np.ones((n, n)) - w_s * sigma_hat
+    r_ux = 2.0 * w_g1 * cross - 2.0 * w_s * sigma_hat
+    r_uu = -w_s * sigma_hat - w_om * shape
+    r_x = (2.0 * b_t * w_bg[..., 0]) * g - (2.0 * b_t * w_b1[..., 0]) * ones
+    r_u = (2.0 * b_t * w_bg[..., 0]) * g - unit[..., 0] * ones
+    r_0 = -w_bb[..., 0, 0] * b_t**2
     return RewardCoeffs(
-        r_xx=0.5 * (r_xx + r_xx.T), r_ux=r_ux, r_uu=r_uu,
-        r_x=r_x, r_u=r_u, r_0=float(r_0),
+        r_xx=r_xx, r_ux=r_ux, r_uu=r_uu, r_x=r_x, r_u=r_u,
+        r_0=float(r_0) if r_0.ndim == 0 else r_0,
         sigma_hat=sigma_hat, sigma_r_padded=sig_pad,
     )
+
+
+def build_coeffs(
+    params: RewardParams,
+    rbar_t: np.ndarray,
+    sigma_r: ReturnCovariance,
+    b_t: float,
+) -> RewardCoeffs:
+    """Assemble the quadratic reward coefficients for one period.
+
+    ``rbar_t`` is the N-vector of expected per-period returns whose entry 0
+    is the per-period risk-free rate.
+    """
+    return _assemble(_reward_weights(params)[0], params, rbar_t, sigma_r, b_t)
+
+
+def reward_tangents(
+    params: RewardParams,
+    rbar_t: np.ndarray,
+    sigma_r: ReturnCovariance,
+    b_t: float,
+) -> RewardCoeffs:
+    """Derivatives of one period's reward coefficients in (lam, eta, rho,
+    omega), stacked on a leading axis of length 4: (4, N, N) matrices,
+    (4, N) vectors and a (4,) constant.  ``params.omega`` must be a scalar."""
+    if np.ndim(params.omega) != 0:
+        raise ParameterError("reward derivatives need a scalar omega (cost matrix omega * I)")
+    return _assemble(_reward_weights(params)[1], params, rbar_t, sigma_r, b_t)
 
 
 def reward_value(coeffs: RewardCoeffs, x: np.ndarray, u: np.ndarray) -> float:

@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 import gwealth
+from gwealth import cli
 from gwealth.cli import main
 from gwealth.config import config_from_dict, load_config
 from gwealth.errors import ConfigError, ShapeError
 from gwealth.girl import FitConfig
 from gwealth.glearner import GaussianPolicy, Trajectory, rollout, solve_plan
+from gwealth.market import ReturnCovariance
 from gwealth.storage import (
     read_matrix_csv,
     read_returns_csv,
@@ -304,6 +306,7 @@ class TestCliStages:
         report = json.loads((out / "girl_report.json").read_text())
         assert set(report["theta"]) == {"lam", "eta", "rho", "omega"}
         assert report["iterations"] <= 3
+        assert report["solves"] >= report["iterations"] + 1
         assert report["stop_reason"] in ("converged", "budget", "line_search")
         assert report["newton_decrement"] > 0.0
         slices = (out / "loss_slices.csv").read_text().splitlines()
@@ -398,6 +401,37 @@ class TestCliStages:
         err = capsys.readouterr().err
         assert err.startswith("gwealth: error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n_risky", [2, 4])
+    @pytest.mark.parametrize("command", ["solve", "rollout", "fit", "report"])
+    def test_stage_on_panels_of_another_width_is_a_clean_error(self, tmp_path, capsys,
+                                                               command, n_risky):
+        # every stage sizes the problem from market.n_risky and checks the
+        # panels it reads against it
+        data = tiny_config(tmp_path / "out")
+        cfg_path = write_config(tmp_path, data)
+        for cmd in ("simulate", "solve", "rollout"):
+            assert main([cmd, "--config", str(cfg_path)]) == 0, cmd
+        data["market"]["n_risky"] = n_risky
+        write_config(tmp_path, data)
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gwealth: error:")
+        assert "Traceback" not in err
+        assert "covers 3 risky assets" in err and f"market.n_risky = {n_risky}" in err
+
+    def test_likelihood_prior_is_the_solve_prior(self, tmp_path):
+        cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        for cmd in ("simulate", "solve"):
+            assert main([cmd, "--config", str(cfg_path)]) == 0, cmd
+        cfg = load_config(cfg_path)
+        solved = read_plan_npz(cfg.outdir / "plan.npz").prior
+        sigma = ReturnCovariance(sigma_r=read_matrix_csv(cfg.outdir / "sigma_r.csv"))
+        fitted = cli._girl_params(cfg, sigma, cfg.reward.params(), 4).prior()
+        for name in ("u_bar", "v_bar", "sigma_p", "sigma_p_inv"):
+            assert np.array_equal(getattr(fitted, name), getattr(solved, name)), name
+        assert fitted.logdet_sigma_p == solved.logdet_sigma_p
 
     def test_header_only_csv_is_a_clean_error(self, tmp_path):
         # a child process: stderr as a user sees it, without pytest's warning capture

@@ -25,17 +25,26 @@ from gwealth.girl import (
     transition_log_prob,
     unpack_reward,
 )
-from gwealth.glearner import policy_mean, rollout, solve_plan
-from gwealth.market import ReturnCovariance, ReturnPaths
-from gwealth.rewards import RewardParams
+from gwealth.glearner import default_prior, policy_mean, rollout, solve_plan
+from gwealth.market import (
+    MarketSpec,
+    ReturnCovariance,
+    ReturnPaths,
+    mean_expected_returns,
+    residual_covariance,
+    simulate,
+)
+from gwealth.rewards import RewardParams, exponential_benchmark
 
 from conftest import random_problem, random_spd
 from oracles import action_log_prob, mvn_logpdf, sigma_tilde, trajectory_nll
 
 
-def make_setup(rng, n=3, t_len=3, n_paths=40, beta=50.0, gamma=0.95, lam=None):
+def make_setup(rng, n=3, t_len=3, n_paths=40, beta=50.0, gamma=0.95, lam=None,
+               u_bar=None):
     """Ground-truth parameters, a solved plan, and synthetic trajectories whose
-    transition residuals follow the plan's return covariance exactly."""
+    transition residuals follow the plan's return covariance exactly.  The
+    prior mean is ``u_bar`` (zero by default)."""
     params, rbar_path, sigma_r, benchmark, prior0, _ = random_problem(
         rng, n, t_len, zero_prior_mean=True
     )
@@ -43,7 +52,8 @@ def make_setup(rng, n=3, t_len=3, n_paths=40, beta=50.0, gamma=0.95, lam=None):
         params = RewardParams(lam=lam, eta=params.eta, rho=params.rho, omega=params.omega)
     theta = GirlParams(
         reward=params, sigma_r=sigma_r, sigma_p=prior0.sigma_p,
-        u_bar=np.zeros(n), beta=beta, gamma=gamma, benchmark=benchmark,
+        u_bar=np.zeros(n) if u_bar is None else u_bar, beta=beta, gamma=gamma,
+        benchmark=benchmark,
     )
     plan = solve_plan(params, rbar_path, sigma_r, benchmark, theta.prior(),
                       theta.solver_config())
@@ -288,6 +298,67 @@ class TestGradient:
         assert abs(grad_lam) <= 1.5 * curvature * cell
 
 
+def exact_gradient(theta, trajs, rbar_path):
+    """The fit's gradient: one tangent pass over the plan solved at theta."""
+    stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
+    return girl_mod._plan_gradient(theta, girl_mod._solve_for(theta, rbar_path), stats)
+
+
+def richardson_gradient(theta, trajs, rbar_path):
+    """The finite-difference oracle at relative steps 1e-4 and 5e-5,
+    Richardson-extrapolated to fourth order."""
+    coarse = nll_gradient(theta, trajs, rbar_path, FitConfig(fd_step=1e-4))
+    fine = nll_gradient(theta, trajs, rbar_path, FitConfig(fd_step=5e-5))
+    return (4.0 * fine - coarse) / 3.0
+
+
+def gradient_error(got, want):
+    """Per-component relative error, floored at 1e-8 of the largest component."""
+    floor = 1e-8 * np.max(np.abs(want))
+    return np.abs(got - want) / np.maximum(np.abs(want), floor)
+
+
+class TestExactGradient:
+    def test_matches_richardson_oracle(self, rng):
+        worst = 0.0
+        for case in range(24):
+            n = int(rng.integers(2, 6))
+            u_bar = rng.normal(0.0, 2.0, size=n) if case % 2 else None
+            theta, _, trajs, rbar_path = make_setup(
+                rng, n=n, t_len=int(rng.integers(1, 6)), n_paths=30,
+                beta=float(10.0 ** rng.uniform(0.0, 3.0)), u_bar=u_bar,
+            )
+            if case % 4 >= 2:  # off the generating parameters
+                theta = theta.with_reward(scaled_start(theta.reward, 1.3))
+            err = gradient_error(exact_gradient(theta, trajs, rbar_path),
+                                 richardson_gradient(theta, trajs, rbar_path))
+            worst = max(worst, float(err.max()))
+        assert worst <= 1e-5
+
+    @pytest.mark.slow
+    def test_matches_richardson_oracle_on_reference_market(self):
+        # the acceptance market (seed 7, 100 assets, 30 periods, 1000 paths) at the truth
+        spec = MarketSpec(seed=7)
+        paths = simulate(spec)
+        sigma_r = residual_covariance(paths)
+        rbar_path = np.concatenate(
+            [np.full((spec.horizon, 1), spec.r_f * spec.dt), mean_expected_returns(paths)],
+            axis=1)
+        prior = default_prior(spec.n_risky + 1, sigma_p_scale=10.0)
+        theta = GirlParams(
+            reward=RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15), sigma_r=sigma_r,
+            sigma_p=prior.sigma_p, u_bar=prior.u_bar, beta=1000.0, gamma=0.95,
+            benchmark=exponential_benchmark(1000.0, 0.5, spec.horizon, spec.dt),
+        )
+        plan = girl_mod._solve_for(theta, rbar_path)
+        x0 = np.full(spec.n_risky + 1, 1000.0 / (spec.n_risky + 1))
+        trajs = rollout(plan, paths, x0, np.random.default_rng(
+            np.random.SeedSequence(entropy=7, spawn_key=(1,))))
+        err = gradient_error(exact_gradient(theta, trajs, rbar_path),
+                             richardson_gradient(theta, trajs, rbar_path))
+        assert err.max() <= 1e-5
+
+
 class TestFit:
     def test_restart_at_fit_stays_there(self, rng):
         theta, _, trajs, rbar_path = make_setup(rng, n_paths=80, beta=200.0)
@@ -299,6 +370,16 @@ class TestFit:
         assert again.iterations <= 2
         moved = pack_reward(again.params.reward) - pack_reward(first.params.reward)
         assert np.max(np.abs(moved)) < 1e-4
+
+    def test_final_loss_is_the_likelihood_of_the_fit(self, rng):
+        theta, _, trajs, rbar_path = make_setup(rng, n_paths=60, beta=100.0)
+        start = theta.with_reward(scaled_start(theta.reward, 2.0))
+        report = fit(trajs, rbar_path, start, FitConfig(max_iters=400))
+        assert report.converged and report.iterations > 0
+        stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
+        assert report.loss_path[-1] == nll_from_stats(report.params, stats, rbar_path)
+        # one solve per trial, no solve for a gradient
+        assert report.iterations + 1 <= report.solves <= 2 * report.iterations + 1
 
     def test_empty_trajectories_rejected(self, rng):
         theta, _, _, rbar_path = make_setup(rng)
@@ -313,33 +394,46 @@ class TestFit:
             calls["n"] += 1
             return float(calls["n"])
 
-        monkeypatch.setattr(girl_mod, "nll_from_stats", increasing_nll)
+        monkeypatch.setattr(girl_mod, "_nll_on_plan", increasing_nll)
         report = fit(trajs, rbar_path, theta, FitConfig(max_iters=200))
         assert report.stop_reason == "line_search" and not report.converged
         assert report.iterations == 0
         assert np.array_equal(report.loss_path, [1.0])
         np.testing.assert_allclose(pack_reward(report.params.reward),
                                    pack_reward(theta.reward), rtol=1e-12)
-        # the start, one gradient, then every trial of one line search
-        assert calls["n"] == 1 + 2 * 4 + LINE_SEARCH_TRIALS
+        # the start, then every trial of one line search; the exact gradient
+        # evaluates no loss
+        assert calls["n"] == 1 + LINE_SEARCH_TRIALS
+        assert report.solves == calls["n"]
 
     def test_infeasible_trials_are_backtracked(self, rng, monkeypatch):
         theta, _, trajs, rbar_path = make_setup(rng, n_paths=40, beta=50.0)
         start = theta.with_reward(scaled_start(theta.reward, 2.0))
         vec0 = pack_reward(start.reward)
-        nll = girl_mod.nll_from_stats
+        solve = girl_mod._solve_for
+        tangent_pass = girl_mod.tangent_pass
         rejected = {"n": 0}
+        tangent_passes = {"n": 0}
 
-        def walled_nll(at, *args, **kwargs):
+        def walled_solve(at, *args, **kwargs):
             if np.linalg.norm(pack_reward(at.reward) - vec0) > 0.3:
                 rejected["n"] += 1
                 raise InfeasibleError("trial beyond the wall")
-            return nll(at, *args, **kwargs)
+            return solve(at, *args, **kwargs)
 
-        monkeypatch.setattr(girl_mod, "nll_from_stats", walled_nll)
+        def counted_tangent_pass(*args, **kwargs):
+            tangent_passes["n"] += 1
+            return tangent_pass(*args, **kwargs)
+
+        monkeypatch.setattr(girl_mod, "_solve_for", walled_solve)
+        monkeypatch.setattr(girl_mod, "tangent_pass", counted_tangent_pass)
         report = fit(trajs, rbar_path, start, FitConfig(max_iters=1))
         # the unit-length first trial and its first halving hit the wall
         assert rejected["n"] == 2
+        # the start and the accepted trial solve as well; only the start,
+        # where the one iteration began, gets a tangent pass
+        assert report.solves == 2 + rejected["n"]
+        assert tangent_passes["n"] == 1
         assert report.stop_reason == "budget" and report.iterations == 1
         assert report.loss_path[1] < report.loss_path[0]
         assert np.linalg.norm(pack_reward(report.params.reward) - vec0) <= 0.3

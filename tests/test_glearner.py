@@ -19,6 +19,7 @@ from gwealth.glearner import (
     rollout,
     sample_action,
     solve_plan,
+    tangent_pass,
     terminal_action,
 )
 from gwealth.market import (
@@ -34,6 +35,7 @@ from gwealth.rewards import (
     build_coeffs,
     exponential_benchmark,
     pad_covariance,
+    reward_tangents,
     reward_value,
 )
 
@@ -216,6 +218,32 @@ class TestBackwardPass:
         with pytest.raises(InfeasibleError, match="t=0"):
             backward_pass([convex], prior, SolverConfig(beta=10.0, gamma=0.95),
                           np.zeros((1, n)))
+
+
+class TestTangentPass:
+    def test_matches_central_differences_of_the_solve(self, rng):
+        # a prior with non-zero u_bar and v_bar, every step's G coefficients
+        names = ("lam", "eta", "rho", "omega")
+        fields = ("q_xx", "q_ux", "q_uu", "q_x", "q_u", "q_0")
+        for beta in (0.5, 5.0):
+            plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(
+                rng, n=3, t_len=4, beta=beta)
+            steps = dict(tangent_pass(plan, lambda t: reward_tangents(
+                params, rbar_path[t], sigma_r, float(benchmark.b[t]))))
+            assert sorted(steps) == list(range(plan.horizon))
+            for i, name in enumerate(names):
+                h = 1e-6 * float(getattr(params, name))
+                up, down = (
+                    solve_plan(replace(params, **{name: float(getattr(params, name)) + d}),
+                               rbar_path, sigma_r, benchmark, prior, cfg)
+                    for d in (h, -h)
+                )
+                for k, field in enumerate(fields):
+                    want = (getattr(up, field) - getattr(down, field)) / (2.0 * h)
+                    got = np.stack([steps[t][k][i] for t in range(plan.horizon)])
+                    scale = np.max(np.abs(want), axis=tuple(range(1, want.ndim)))
+                    err = np.abs(got - want).reshape(plan.horizon, -1).max(axis=1)
+                    assert np.all(err <= 1e-6 * np.maximum(scale, 1e-9)), (name, field)
 
 
 class TestFreeEnergy:

@@ -1,5 +1,7 @@
 """Reward-assembly tests against independent closed-form and MC oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from gwealth.rewards import (
     build_coeffs,
     exponential_benchmark,
     pad_covariance,
+    reward_tangents,
     reward_value,
     target_portfolio,
 )
@@ -177,6 +180,44 @@ class TestInvariantsAndProperties:
         assert np.allclose(rc_p.r_x, pi @ rc.r_x, atol=1e-12)
         assert np.allclose(rc_p.r_u, pi @ rc.r_u, atol=1e-12)
         assert rc_p.r_0 == pytest.approx(rc.r_0, rel=1e-14)
+
+
+class TestRewardTangents:
+    FIELDS = ("r_xx", "r_ux", "r_uu", "r_x", "r_u", "r_0")
+
+    def test_match_central_differences(self, rng):
+        for _ in range(10):
+            params, rbar, sigma_r, b_t = random_reward_inputs(rng)
+            params = RewardParams(lam=params.lam, eta=params.eta, rho=params.rho,
+                                  omega=float(rng.uniform(0.05, 0.5)))
+            tangents = reward_tangents(params, rbar, sigma_r, b_t)
+            for i, name in enumerate(("lam", "eta", "rho", "omega")):
+                h = 1e-6 * float(getattr(params, name))
+                up, down = (
+                    build_coeffs(dataclasses.replace(params, **{name: getattr(params, name) + d}),
+                                 rbar, sigma_r, b_t)
+                    for d in (h, -h)
+                )
+                for field in self.FIELDS:
+                    want = (np.asarray(getattr(up, field)) - getattr(down, field)) / (2.0 * h)
+                    got = np.asarray(getattr(tangents, field))[i]
+                    scale = max(np.max(np.abs(want)), 1e-12)
+                    assert np.max(np.abs(got - want)) <= 1e-7 * scale, (name, field)
+
+    def test_stacked_on_a_leading_axis(self, rng):
+        params, rbar, sigma_r, b_t = random_reward_inputs(rng)
+        params = RewardParams(lam=params.lam, eta=params.eta, rho=params.rho, omega=0.2)
+        tangents = reward_tangents(params, rbar, sigma_r, b_t)
+        assert tangents.r_xx.shape == tangents.r_uu.shape == (4, 4, 4)
+        assert tangents.r_u.shape == (4, 4) and tangents.r_0.shape == (4,)
+        # only the shortfall weight carries sigma_hat, only omega the identity
+        assert np.array_equal(tangents.r_uu[3], -np.eye(4))
+        assert np.array_equal(tangents.r_uu[0], -tangents.sigma_hat)
+
+    def test_matrix_omega_rejected(self, rng):
+        params, rbar, sigma_r, b_t = random_reward_inputs(rng)
+        with pytest.raises(ParameterError):
+            reward_tangents(params, rbar, sigma_r, b_t)
 
 
 class TestTypes:
