@@ -46,7 +46,6 @@ from .girl import (
     GirlParams,
     fit,
     loss_slices,
-    nll_gradient,
     transition_log_prob,
 )
 from .metrics import (
@@ -67,7 +66,7 @@ __all__ = [
     "backward_pass", "solve_plan", "terminal_action", "free_energy", "g_value",
     "policy_mean", "sample_action", "rollout", "cash_installment", "default_prior",
     "GirlParams", "FitConfig", "FitReport",
-    "transition_log_prob", "nll_gradient", "fit", "loss_slices",
+    "transition_log_prob", "fit", "loss_slices",
     "PerformanceSummary", "equal_weight_baseline", "investment_returns",
     "mean_wealth", "performance_summary", "sharpe",
 ]

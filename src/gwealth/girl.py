@@ -6,11 +6,13 @@ the posterior policy (written as log pi0 + beta * (G - F), which is the same
 thing) plus the log-density of the state transition.  The reward parameters
 theta = (lam, eta, rho, omega) are recovered by running BFGS with a
 backtracking line search on the negative log-likelihood in unconstrained
-coordinates.  Every likelihood evaluation solves the plan once; the exact
-gradient at an accepted point is one tangent pass over that plan
-(``glearner.tangent_pass``), taken against the pooled moments of the data:
-the observed minus the policy's expected trade moments.  The
-finite-difference ``nll_gradient`` is kept as its test oracle.
+coordinates.  The reward's theta-free terms are built once per fit
+(``rewards.reward_basis``); every likelihood evaluation solves the plan once
+on them, and the exact gradient at an accepted point is one tangent pass over
+that plan (``glearner.tangent_pass``), taken against the pooled moments of
+the data: the observed minus the policy's expected trade moments.  A
+central finite-difference gradient in ``tests/oracles.py`` is its test
+oracle.
 
 Sigma_r, the policy prior, beta and gamma are held fixed: only the reward is
 learned.
@@ -35,11 +37,11 @@ from .glearner import (
     SolvedPlan,
     SolverConfig,
     Trajectory,
-    solve_plan,
+    backward_pass,
     tangent_pass,
 )
 from .market import ReturnCovariance
-from .rewards import BenchmarkPath, RewardParams, reward_tangents
+from .rewards import BenchmarkPath, RewardBasis, RewardParams, reward_basis
 
 EPS_POSITION = 1e-8  # risky positions below this are excluded from transitions
 
@@ -91,16 +93,13 @@ class GirlParams:
 @dataclass(frozen=True)
 class FitConfig:
     """Optimizer settings for the likelihood fit: the tolerance on the Newton
-    decrement (nats) and the budget of accepted steps.  ``fd_step`` is the
-    relative step of the finite-difference ``nll_gradient``, the oracle of
-    the exact gradient; the fit itself does not use it."""
+    decrement (nats) and the budget of accepted steps."""
 
     stop_tol: float = 1e-4
     max_iters: int = 1000
-    fd_step: float = 1e-5
 
     def validate(self) -> None:
-        if not all(v > 0 for v in (self.stop_tol, self.max_iters, self.fd_step)):
+        if not all(v > 0 for v in (self.stop_tol, self.max_iters)):
             raise ParameterError("all fit configuration values must be positive")
 
 
@@ -203,13 +202,12 @@ def transition_log_prob(
     return -0.5 * logdet - 0.5 * float(w @ w)
 
 
-def _solve_for(theta: GirlParams, rbar_path: np.ndarray,
-               prior: PolicyPrior | None = None) -> SolvedPlan:
-    if prior is None:
-        prior = theta.prior()
+def _solve_for(theta: GirlParams, basis: RewardBasis, prior: PolicyPrior) -> SolvedPlan:
+    """The plan under theta's reward on the market terms of ``basis`` (built
+    from theta's sigma_r and benchmark) with theta's ``prior``."""
     try:
-        return solve_plan(theta.reward, rbar_path, theta.sigma_r, theta.benchmark,
-                          prior, theta.solver_config())
+        return backward_pass(basis.coeffs(theta.reward), prior, theta.solver_config(),
+                             basis.rbar)
     except InfeasibleError as exc:
         raise InfeasibleError(
             f"{exc} (under reward parameters lam={theta.reward.lam:g}, "
@@ -290,12 +288,7 @@ def prepare_stats(
     )
 
 
-def nll_from_stats(
-    theta: GirlParams,
-    stats: _DataStats,
-    rbar_path: np.ndarray,
-    prior: PolicyPrior | None = None,
-) -> float:
+def nll_from_stats(theta: GirlParams, stats: _DataStats, rbar_path: np.ndarray) -> float:
     """Negative log-likelihood of the pooled trajectories under theta.
 
     Equals the per-step sum of action and transition log-densities over
@@ -305,7 +298,8 @@ def nll_from_stats(
     second moments, which costs a handful of N x N products per step instead
     of a pass over every trajectory.
     """
-    return _nll_on_plan(_solve_for(theta, rbar_path, prior=prior), stats)
+    basis = reward_basis(rbar_path, theta.sigma_r, theta.benchmark)
+    return _nll_on_plan(_solve_for(theta, basis, theta.prior()), stats)
 
 
 def _nll_on_plan(plan: SolvedPlan, stats: _DataStats) -> float:
@@ -335,10 +329,11 @@ def _nll_on_plan(plan: SolvedPlan, stats: _DataStats) -> float:
 # gradient and optimizer
 # ---------------------------------------------------------------------------
 
-def _plan_gradient(theta: GirlParams, plan: SolvedPlan, stats: _DataStats) -> np.ndarray:
+def _plan_gradient(theta: GirlParams, basis: RewardBasis, plan: SolvedPlan,
+                   stats: _DataStats) -> np.ndarray:
     """Exact gradient of the negative log-likelihood in the ``pack_reward``
     coordinates at ``theta``, from one tangent pass over ``plan``, the plan
-    solved at ``theta``.
+    solved at ``theta`` on ``basis``.
 
     With dq the derivatives of G's coefficients, the action log-density
     log pi0 + beta (G - F) changes at step t by beta times the observed minus
@@ -349,8 +344,7 @@ def _plan_gradient(theta: GirlParams, plan: SolvedPlan, stats: _DataStats) -> np
     reward = theta.reward
     m = stats.count
     grad = np.zeros(len(PARAM_NAMES))
-    steps = tangent_pass(plan, lambda t: reward_tangents(
-        reward, plan.rbar[t], theta.sigma_r, float(theta.benchmark.b[t])))
+    steps = tangent_pass(plan, basis.tangents(reward))
     for t, (_, dq_ux, dq_uu, _, dq_u, _) in steps:
         v_t, u_t, chol = plan.v_tilde[t], plan.u_tilde[t], plan.chol_tilde[t]
         v_sxx = v_t @ stats.sxx[t]
@@ -368,47 +362,6 @@ def _plan_gradient(theta: GirlParams, plan: SolvedPlan, stats: _DataStats) -> np
     if not np.all(np.isfinite(grad)):
         raise GradientError("non-finite likelihood gradient")
     return grad
-
-
-def _grad_from_fn(nll_fn, vec: np.ndarray, fd_step: float) -> np.ndarray:
-    grad = np.empty(vec.shape[0])
-    for i in range(vec.shape[0]):
-        h = fd_step * max(abs(float(vec[i])), 1.0)
-        up = vec.copy()
-        up[i] += h
-        down = vec.copy()
-        down[i] -= h
-        f_up = nll_fn(up)
-        f_down = nll_fn(down)
-        if not (np.isfinite(f_up) and np.isfinite(f_down)):
-            raise GradientError(
-                f"non-finite objective probing coordinate '{PARAM_NAMES[i]}'"
-            )
-        grad[i] = (f_up - f_down) / (2.0 * h)
-    return grad
-
-
-def _coordinate_nll(theta: GirlParams, trajs: list[Trajectory], rbar_path: np.ndarray):
-    """The negative log-likelihood as a function of the unconstrained reward
-    coordinates, every other field of ``theta`` held fixed."""
-    stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
-    prior = theta.prior()
-    return lambda vec: nll_from_stats(theta.with_reward(unpack_reward(vec)), stats,
-                                      rbar_path, prior=prior)
-
-
-def nll_gradient(
-    theta: GirlParams,
-    trajs: list[Trajectory],
-    rbar_path: np.ndarray,
-    cfg: FitConfig,
-) -> np.ndarray:
-    """Central finite-difference gradient of the negative log-likelihood in
-    the unconstrained coordinates of (lam, eta, rho, omega), with relative
-    step ``cfg.fd_step``: eight solves, the test oracle of the exact
-    gradient that ``fit`` uses."""
-    return _grad_from_fn(_coordinate_nll(theta, trajs, rbar_path),
-                         pack_reward(theta.reward), cfg.fd_step)
 
 
 def fit(
@@ -433,6 +386,7 @@ def fit(
     cfg.validate()
     theta0.validate()
     stats = prepare_stats(trajs, rbar_path, theta0.sigma_r)
+    basis = reward_basis(rbar_path, theta0.sigma_r, theta0.benchmark)
     prior = theta0.prior()
     solves = 0
 
@@ -440,7 +394,7 @@ def fit(
         nonlocal solves
         solves += 1
         theta = theta0.with_reward(unpack_reward(vec))
-        plan = _solve_for(theta, rbar_path, prior=prior)
+        plan = _solve_for(theta, basis, prior)
         return _nll_on_plan(plan, stats), theta, plan
 
     vec = pack_reward(theta0.reward)
@@ -453,7 +407,7 @@ def fit(
     stop_reason = "budget"
     decrement = math.inf
     for _ in range(cfg.max_iters):
-        new_grad = _plan_gradient(theta, plan, stats)
+        new_grad = _plan_gradient(theta, basis, plan, stats)
         del plan  # one plan in memory at a time: the next is the line search's
         if grad is not None:
             y = new_grad - grad
@@ -511,6 +465,7 @@ def loss_slices(
     if grids is None:
         grids = default_slice_grids(theta.reward)
     stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
+    basis = reward_basis(rbar_path, theta.sigma_r, theta.benchmark)
     prior = theta.prior()
     out = {}
     base = theta.reward
@@ -518,8 +473,7 @@ def loss_slices(
         vals = np.empty(grid.shape[0])
         for i, g in enumerate(grid):
             reward = replace(base, **{name: float(g)})
-            vals[i] = nll_from_stats(theta.with_reward(reward), stats, rbar_path,
-                                     prior=prior)
+            vals[i] = _nll_on_plan(_solve_for(theta.with_reward(reward), basis, prior), stats)
         out[name] = (np.asarray(grid, dtype=float), vals)
     return out
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InfeasibleError, ParameterError, ShapeError
 from .market import ReturnCovariance, ReturnPaths
-from .rewards import BenchmarkPath, RewardCoeffs, RewardParams, build_coeffs
+from .rewards import BenchmarkPath, RewardCoeffs, RewardParams, reward_basis
 
 
 @dataclass(frozen=True)
@@ -189,18 +189,22 @@ def _chol_logdet(m: np.ndarray, context: str) -> tuple[np.ndarray, float]:
     return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
-def terminal_action(coeffs: RewardCoeffs, params: RewardParams, x: np.ndarray) -> np.ndarray:
-    """Analytic maximizer of the final-period reward in the trades u.
+def _terminal_solve(r_uu: np.ndarray, r_ux: np.ndarray, r_u: np.ndarray) -> np.ndarray:
+    """(-r_uu)^{-1} [r_ux | r_u], an N x (N + 1) array: the one solve against
+    the final period's curvature lam * sigma_hat + omega.  The reward's
+    maximizer is u = (-r_uu)^{-1} (r_ux x + r_u) / 2."""
+    return np.linalg.solve(-r_uu, np.column_stack([r_ux, r_u]))
 
-    Solves (lam * sigma_hat + omega) u = (r_u + r_ux x) / 2, the stationarity
-    condition of the concave quadratic.
-    """
+
+def terminal_action(coeffs: RewardCoeffs, x: np.ndarray) -> np.ndarray:
+    """Analytic maximizer of the final-period reward in the trades u, the
+    stationary point of the concave quadratic."""
     n = coeffs.n_assets
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ShapeError(f"x must have shape ({n},)")
-    curvature = params.lam * coeffs.sigma_hat + params.omega_matrix(n)
-    return np.linalg.solve(curvature, 0.5 * (coeffs.r_ux @ x + coeffs.r_u))
+    sol = _terminal_solve(coeffs.r_uu, coeffs.r_ux, coeffs.r_u)
+    return 0.5 * (sol[:, :n] @ x + sol[:, n])
 
 
 def _terminal_f(rc: RewardCoeffs) -> tuple[np.ndarray, np.ndarray, float]:
@@ -210,8 +214,7 @@ def _terminal_f(rc: RewardCoeffs) -> tuple[np.ndarray, np.ndarray, float]:
     b = r_ux x + r_u, expanded into the (f_xx, f_x, f_0) coefficients of x.
     """
     n = rc.n_assets
-    # (lam * sigma_hat + omega)^{-1} [r_ux | r_u] in one solve
-    sol = np.linalg.solve(-rc.r_uu, np.column_stack([rc.r_ux, rc.r_u]))
+    sol = _terminal_solve(rc.r_uu, rc.r_ux, rc.r_u)
     s_inv_rux, s_inv_ru = sol[:, :n], sol[:, n]
     f_xx = rc.r_xx + 0.25 * rc.r_ux.T @ s_inv_rux
     f_x = rc.r_x + 0.5 * rc.r_ux.T @ s_inv_ru
@@ -290,27 +293,24 @@ def _expected_g(q, gain: np.ndarray, offset: np.ndarray, cov: np.ndarray | None 
 
 
 def backward_pass(
-    rc: list[RewardCoeffs],
+    reward: Callable[[int], RewardCoeffs],
     prior: PolicyPrior,
     cfg: SolverConfig,
     rbar: np.ndarray,
 ) -> SolvedPlan:
     """Solve the finite-horizon problem by backward recursion.
 
-    ``rc`` holds the per-period reward coefficients, ``rbar`` the matching
-    (T, N) expected-return path.  Every step writes its results into row t
-    of the plan's stacked arrays.
+    ``rbar`` is the (T, N) expected-return path and ``reward(t)`` gives
+    period t's reward coefficients (``RewardBasis.coeffs``), read once each.
+    Every step writes its results into row t of the plan's stacked arrays.
     """
     cfg.validate()
-    t_len = len(rc)
-    if t_len == 0:
-        raise ShapeError("need at least one period of reward coefficients")
-    n = rc[0].n_assets
     rbar = np.asarray(rbar, dtype=float)
-    if rbar.shape != (t_len, n):
-        raise ShapeError(f"rbar must have shape ({t_len}, {n}), got {rbar.shape}")
+    if rbar.ndim != 2 or rbar.shape[0] == 0:
+        raise ShapeError(f"rbar must be a (T, N) path of at least one period, got {rbar.shape}")
+    t_len, n = rbar.shape
     if prior.n_assets != n:
-        raise ShapeError("prior dimension does not match reward coefficients")
+        raise ShapeError("prior dimension does not match the return path")
 
     q_xx, q_ux, q_uu, f_xx, sigma_bar, v_tilde, chol_tilde = (
         np.empty((t_len, n, n)) for _ in range(7))
@@ -318,7 +318,9 @@ def backward_pass(
     q_0, f_0, logdet_tilde = (np.empty(t_len) for _ in range(3))
 
     for t in range(t_len - 1, -1, -1):
-        r = rc[t]
+        r = reward(t)
+        if r.n_assets != n:
+            raise ShapeError(f"reward coefficients of step t={t} are not {n} x {n}")
         if t == t_len - 1:
             qxx, qux, quu, qx, qu, q0 = r.r_xx, r.r_ux, r.r_uu, r.r_x, r.r_u, r.r_0
         else:
@@ -349,7 +351,7 @@ def tangent_pass(
     parameters, one step at a time from T-1 down to 0.
 
     ``reward_tangent(t)`` gives the derivatives of step t's reward
-    coefficients as a stack of K (``rewards.reward_tangents``).  Yields
+    coefficients as a stack of K (``RewardBasis.tangents``).  Yields
     (t, (dq_xx, dq_ux, dq_uu, dq_x, dq_u, dq_0)), each with a leading axis
     of length K, and holds only the current step's tangents.
 
@@ -365,8 +367,7 @@ def tangent_pass(
     t_last = plan.horizon - 1
     n = plan.n_assets
     # at T-1 G is the reward, and the hard max takes u = (-r_uu)^{-1}(r_ux x + r_u) / 2
-    argmax = 0.5 * np.linalg.solve(
-        -plan.q_uu[t_last], np.column_stack([plan.q_ux[t_last], plan.q_u[t_last]]))
+    argmax = 0.5 * _terminal_solve(plan.q_uu[t_last], plan.q_ux[t_last], plan.q_u[t_last])
     df = None
     for t in range(t_last, -1, -1):
         dr = reward_tangent(t)
@@ -390,18 +391,8 @@ def solve_plan(
     cfg: SolverConfig,
 ) -> SolvedPlan:
     """Assemble per-period reward coefficients and run the backward pass."""
-    rbar_path = np.asarray(rbar_path, dtype=float)
-    if rbar_path.ndim != 2:
-        raise ShapeError("rbar_path must be (T, N)")
-    if benchmark.horizon != rbar_path.shape[0]:
-        raise ShapeError(
-            f"benchmark horizon {benchmark.horizon} != return path horizon {rbar_path.shape[0]}"
-        )
-    rc = [
-        build_coeffs(params, rbar_path[t], sigma_r, float(benchmark.b[t]))
-        for t in range(rbar_path.shape[0])
-    ]
-    return backward_pass(rc, prior, cfg, rbar_path)
+    basis = reward_basis(rbar_path, sigma_r, benchmark)
+    return backward_pass(basis.coeffs(params), prior, cfg, basis.rbar)
 
 
 def free_energy(plan: SolvedPlan, t: int, x: np.ndarray) -> float:

@@ -7,7 +7,10 @@ trades).  Expanding the expectation over returns turns the reward into a
 quadratic form in positions x and trades u.  Each coefficient is written
 once, as scalar weights (products of the parameters) times terms that do not
 depend on them, so the same formula gives the reward and its derivatives in
-the parameters.
+the parameters.  The parameter-free terms of a market (expected returns,
+the return second moments, the padded covariance, the benchmark) are built
+and checked once, by ``reward_basis``; a solve or a whole fit assembles
+every period's coefficients from that one ``RewardBasis``.
 
 Conventions: asset 0 is the risk-free bond, assets 1..N-1 are risky.  The
 cross-coefficient ``r_ux`` is stored so that the reward term reads
@@ -17,6 +20,7 @@ construction.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,25 +133,20 @@ def target_portfolio(params: RewardParams, b_t: float, x_t: np.ndarray) -> float
     return (1.0 - params.rho) * b_t + params.rho * params.eta * float(np.sum(x_t))
 
 
-def pad_covariance(sigma_r: np.ndarray) -> np.ndarray:
-    """Insert the bond's zero row/column in front of the risky covariance."""
-    n = sigma_r.shape[0] + 1
-    out = np.zeros((n, n))
-    out[1:, 1:] = sigma_r
-    return out
-
-
-def _reward_weights(params: RewardParams) -> tuple[np.ndarray, np.ndarray]:
-    """The scalar weights of the reward's theta-free terms and their
-    derivatives in (lam, eta, rho, omega).
+def _reward_weights(params: RewardParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scalar weights of the reward's theta-free terms, their derivatives
+    in (lam, eta, rho, omega), and omega's shape, with ``params`` validated
+    for ``n`` assets.
 
     The weights, in the order ``_assemble`` reads them, multiply
     [1, 11', g1', sigma_hat, omega's shape, b 1, b g, b^2]:
     1, lam eta^2 rho^2, lam eta rho, lam, omega, lam eta rho (1-rho),
-    lam (1-rho) and lam (1-rho)^2.  A matrix omega is its own shape with
-    weight one; the derivative in omega assumes a scalar omega (cost matrix
-    omega * I).  Returns the (8,) weights and their (4, 8) Jacobian.
+    lam (1-rho) and lam (1-rho)^2.  A scalar omega has the identity as its
+    shape; a matrix omega is its own shape with weight one, and the
+    derivative in omega assumes a scalar omega (cost matrix omega * I).
+    Returns the (8,) weights, their (4, 8) Jacobian and the (N, N) shape.
     """
+    params.validate(n)
     lam, eta, rho = params.lam, params.eta, params.rho
     om = float(params.omega) if np.ndim(params.omega) == 0 else 1.0
     s = 1.0 - rho
@@ -160,44 +159,93 @@ def _reward_weights(params: RewardParams) -> tuple[np.ndarray, np.ndarray]:
          -lam, -2.0 * lam * s],
         [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
     ])
-    return weights, jacobian
+    shape = np.eye(n) if np.ndim(params.omega) == 0 else params.omega_matrix(n)
+    return weights, jacobian, 0.5 * (shape + shape.T)
 
 
-def _assemble(w: np.ndarray, params: RewardParams, rbar_t: np.ndarray,
-              sigma_r: ReturnCovariance, b_t: float) -> RewardCoeffs:
-    """The reward's one formula: each coefficient is a weighted sum of
-    theta-free terms, with the weights ``w`` of ``_reward_weights`` (shape
-    (8,)) or a stack of weight vectors (shape (K, 8)), which gives a stack of
-    K coefficient sets.  Being linear in ``w``, it maps the weights'
-    Jacobian to the reward's derivatives.
+@dataclass(frozen=True)
+class RewardBasis:
+    """The theta-free terms of the reward over a horizon, built once per
+    market by ``reward_basis``: the (T, N) expected per-period returns
+    (entry 0 the bond rate), the (T, N, N) second-moment matrices
+    sigma_hat_t of the gross returns, the (N, N) return covariance padded
+    with a zero row/column for the bond, and the (T,) benchmark values."""
+
+    rbar: np.ndarray
+    sigma_hat: np.ndarray
+    sigma_r_padded: np.ndarray
+    b: np.ndarray
+
+    @property
+    def n_assets(self) -> int:
+        return self.rbar.shape[1]
+
+    def coeffs(self, params: RewardParams) -> Callable[[int], RewardCoeffs]:
+        """Period t's reward coefficients under ``params``, assembled when
+        asked for, so that a pass holds one period's at a time."""
+        weights, _, shape = _reward_weights(params, self.n_assets)
+        return lambda t: _assemble(weights, shape, self, t)
+
+    def tangents(self, params: RewardParams) -> Callable[[int], RewardCoeffs]:
+        """Period t's derivatives of the reward coefficients in (lam, eta,
+        rho, omega), stacked on a leading axis of length 4: (4, N, N)
+        matrices, (4, N) vectors and a (4,) constant.  ``params.omega`` must
+        be a scalar."""
+        if np.ndim(params.omega) != 0:
+            raise ParameterError("reward derivatives need a scalar omega (cost matrix omega * I)")
+        _, jacobian, shape = _reward_weights(params, self.n_assets)
+        return lambda t: _assemble(jacobian, shape, self, t)
+
+
+def reward_basis(
+    rbar_path: np.ndarray, sigma_r: ReturnCovariance, benchmark: BenchmarkPath
+) -> RewardBasis:
+    """The reward's theta-free terms on a market: the (T, N) expected-return
+    path whose column 0 is the per-period risk-free rate, the covariance of
+    the N-1 risky returns and a benchmark path of T values.  Every check of
+    these market inputs is made here."""
+    rbar = np.asarray(rbar_path, dtype=float)
+    if rbar.ndim != 2:
+        raise ShapeError("rbar_path must be (T, N)")
+    if not np.isfinite(rbar).all():
+        raise ParameterError("the expected-return path has non-finite entries")
+    t_len, n = rbar.shape
+    if benchmark.horizon != t_len:
+        raise ShapeError(f"benchmark horizon {benchmark.horizon} != return path horizon {t_len}")
+    if sigma_r.n_risky != n - 1:
+        raise ShapeError(
+            f"sigma_r covers {sigma_r.n_risky} risky assets but the return path has {n} "
+            "columns (bond plus risky)"
+        )
+    sig_pad = np.zeros((n, n))  # the bond's zero row/column in front
+    sig_pad[1:, 1:] = sigma_r.sigma_r
+    sigma_hat = np.empty((t_len, n, n))
+    for t, g in enumerate(1.0 + rbar):  # expected gross returns
+        s = sig_pad + np.outer(g, g)
+        sigma_hat[t] = 0.5 * (s + s.T)
+    return RewardBasis(rbar=rbar, sigma_hat=sigma_hat, sigma_r_padded=sig_pad, b=benchmark.b)
+
+
+def _assemble(w: np.ndarray, shape: np.ndarray, basis: RewardBasis, t: int) -> RewardCoeffs:
+    """The reward's one formula: each of period t's coefficients is a
+    weighted sum of theta-free terms, with the weights ``w`` of
+    ``_reward_weights`` (shape (8,)) or a stack of weight vectors (shape
+    (K, 8)), which gives a stack of K coefficient sets.  Being linear in
+    ``w``, it maps the weights' Jacobian to the reward's derivatives.
 
     The assembled quadratic form equals the closed-form expectation of the
     squared-shortfall reward over the return distribution
     N(rbar_t, padded sigma_r).
     """
-    rbar_t = np.asarray(rbar_t, dtype=float)
-    if rbar_t.ndim != 1:
-        raise ShapeError("rbar_t must be a 1-D vector over assets")
-    n = rbar_t.shape[0]
-    if sigma_r.n_risky != n - 1:
-        raise ShapeError(
-            f"sigma_r covers {sigma_r.n_risky} risky assets but rbar_t has {n} entries "
-            "(bond plus risky)"
-        )
-    params.validate(n)
-    shape = np.eye(n) if np.ndim(params.omega) == 0 else params.omega_matrix(n)
-    shape = 0.5 * (shape + shape.T)
+    n = basis.n_assets
     ones = np.ones(n)
-    g = 1.0 + rbar_t  # expected gross returns
-
-    sig_pad = pad_covariance(sigma_r.sigma_r)
-    sigma_hat = sig_pad + np.outer(g, g)
-    sigma_hat = 0.5 * (sigma_hat + sigma_hat.T)
+    g = 1.0 + basis.rbar[t]  # expected gross returns
+    sigma_hat = basis.sigma_hat[t]
+    b_t = float(basis.b[t])
     cross = np.outer(g, ones)  # (1 + rbar) 1^T
 
     # each weight with two trailing axes scales an N x N term; [..., 0] a vector
-    unit, w_11, w_g1, w_s, w_om, w_b1, w_bg, w_bb = np.moveaxis(
-        np.asarray(w, dtype=float)[..., None, None], -3, 0)
+    unit, w_11, w_g1, w_s, w_om, w_b1, w_bg, w_bb = np.moveaxis(w[..., None, None], -3, 0)
     r_xx = w_g1 * (cross + cross.T) - w_11 * np.ones((n, n)) - w_s * sigma_hat
     r_ux = 2.0 * w_g1 * cross - 2.0 * w_s * sigma_hat
     r_uu = -w_s * sigma_hat - w_om * shape
@@ -207,7 +255,7 @@ def _assemble(w: np.ndarray, params: RewardParams, rbar_t: np.ndarray,
     return RewardCoeffs(
         r_xx=r_xx, r_ux=r_ux, r_uu=r_uu, r_x=r_x, r_u=r_u,
         r_0=float(r_0) if r_0.ndim == 0 else r_0,
-        sigma_hat=sigma_hat, sigma_r_padded=sig_pad,
+        sigma_hat=sigma_hat, sigma_r_padded=basis.sigma_r_padded,
     )
 
 
@@ -222,21 +270,9 @@ def build_coeffs(
     ``rbar_t`` is the N-vector of expected per-period returns whose entry 0
     is the per-period risk-free rate.
     """
-    return _assemble(_reward_weights(params)[0], params, rbar_t, sigma_r, b_t)
-
-
-def reward_tangents(
-    params: RewardParams,
-    rbar_t: np.ndarray,
-    sigma_r: ReturnCovariance,
-    b_t: float,
-) -> RewardCoeffs:
-    """Derivatives of one period's reward coefficients in (lam, eta, rho,
-    omega), stacked on a leading axis of length 4: (4, N, N) matrices,
-    (4, N) vectors and a (4,) constant.  ``params.omega`` must be a scalar."""
-    if np.ndim(params.omega) != 0:
-        raise ParameterError("reward derivatives need a scalar omega (cost matrix omega * I)")
-    return _assemble(_reward_weights(params)[1], params, rbar_t, sigma_r, b_t)
+    basis = reward_basis(np.asarray(rbar_t, dtype=float)[None], sigma_r,
+                         BenchmarkPath(b=np.array([b_t], dtype=float)))
+    return basis.coeffs(params)(0)
 
 
 def reward_value(coeffs: RewardCoeffs, x: np.ndarray, u: np.ndarray) -> float:

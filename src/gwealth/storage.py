@@ -4,7 +4,8 @@ CSV files carry a header row, stable column order, and full-precision decimal
 floats (shortest representation that round-trips).  Asset indices are global:
 0 is the bond, 1..n are the risky assets; return panels cover risky assets
 only.  A solved plan is stored as its policy, a compressed NPZ archive.
-Readers raise ShapeError, naming the file, on content they cannot parse.
+Readers raise ShapeError, naming the file, on content they cannot parse and
+on any number that is not finite (nan, inf).
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ def _fmt(value: float) -> str:
 
 
 def _read_table(path: Path, n_cols: int) -> np.ndarray:
-    """The numeric rows below a CSV file's header, ``n_cols`` values each."""
+    """The numeric rows below a CSV file's header, ``n_cols`` finite values
+    each."""
     try:
         with warnings.catch_warnings():
             # a header-only file: reported below as a ShapeError instead
@@ -38,6 +40,8 @@ def _read_table(path: Path, n_cols: int) -> np.ndarray:
         raise ShapeError(f"'{path}' contains no data rows")
     if raw.shape[1] != n_cols:
         raise ShapeError(f"'{path}' has {raw.shape[1]} columns, expected {n_cols}")
+    if not np.isfinite(raw).all():
+        raise ShapeError(f"'{path}' has a cell that is not a finite number")
     return raw
 
 
@@ -45,7 +49,7 @@ def _dense(path: Path, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``values`` (..., rows) scattered into the array that the index columns
     ``idx`` (rows, k) name, of shape values.shape[:-1] + (k index extents).
     Every index must be a non-negative integer naming one cell, once."""
-    if not (np.isfinite(idx) & (idx >= 0) & (idx == np.floor(idx))).all():
+    if not ((idx >= 0) & (idx == np.floor(idx))).all():
         raise ShapeError(f"'{path}' has an index that is not a non-negative integer")
     idx = idx.astype(np.int64)
     shape = tuple(int(k) + 1 for k in idx.max(axis=0))
@@ -154,8 +158,8 @@ def write_plan_npz(path: Path, policy: GaussianPolicy) -> None:
 
 
 def read_plan_npz(path: Path) -> GaussianPolicy:
-    """The policy ``write_plan_npz`` stored; a missing or misshapen member is
-    a ShapeError naming it."""
+    """The policy ``write_plan_npz`` stored; a missing or misshapen member, or
+    one that is not all finite floats, is a ShapeError naming it."""
     try:
         with np.load(path) as npz:
             # each NpzFile lookup decompresses the whole member: load every one once
@@ -166,11 +170,14 @@ def read_plan_npz(path: Path) -> GaussianPolicy:
     for name, axes in _PLAN_MEMBERS.items():
         if name not in data:
             raise ShapeError(f"'{path}' has no member '{name}'")
-        shape = data[name].shape
+        member = data[name]
+        shape = member.shape
         if len(shape) != len(axes) or any(extent.setdefault(a, k) != k
                                           for a, k in zip(axes, shape)):
             raise ShapeError(f"'{path}': member '{name}' has shape {shape}, "
                              f"inconsistent with axes ({', '.join(axes)}) of the others")
+        if member.dtype.kind != "f" or not np.isfinite(member).all():
+            raise ShapeError(f"'{path}': member '{name}' is not all finite floats")
     prior = PolicyPrior(
         u_bar=data["prior_u_bar"], v_bar=data["prior_v_bar"], sigma_p=data["prior_sigma_p"],
     )

@@ -6,7 +6,9 @@ maximization) and deliberately shares no code path with the package
 internals it checks.  The rest are the direct, per-path and per-step forms of
 computations the package batches or pools (the trajectory likelihood, the
 rollout, the equal-weight baseline, the shortfall); they call only the
-package's single-step building blocks.
+package's single-step building blocks.  The finite-difference likelihood
+gradient differences the package's own likelihood, as the check of its exact
+gradient.
 """
 
 from __future__ import annotations
@@ -16,7 +18,10 @@ import math
 import numpy as np
 from scipy import optimize, stats
 
-from gwealth.girl import transition_log_prob
+from gwealth.errors import GradientError
+from gwealth.girl import (
+    PARAM_NAMES, nll_from_stats, pack_reward, prepare_stats, transition_log_prob, unpack_reward,
+)
 from gwealth.glearner import Trajectory, cash_installment, g_value, sample_action, solve_plan
 from gwealth.rewards import target_portfolio
 
@@ -246,6 +251,46 @@ def trajectory_nll(theta, trajs, rbar_path):
                 traj.x[t + 1], traj.x[t], traj.u[t], rbar_path[t], theta.sigma_r
             )
     return -total
+
+
+# ---------------------------------------------------------------------------
+# finite-difference likelihood gradient (the package differentiates exactly)
+# ---------------------------------------------------------------------------
+
+def fd_gradient(nll_fn, vec, fd_step):
+    """Central finite differences of ``nll_fn`` at ``vec``, with step
+    ``fd_step`` relative to each coordinate's magnitude (absolute below one)."""
+    grad = np.empty(vec.shape[0])
+    for i in range(vec.shape[0]):
+        h = fd_step * max(abs(float(vec[i])), 1.0)
+        up = vec.copy()
+        up[i] += h
+        down = vec.copy()
+        down[i] -= h
+        f_up = nll_fn(up)
+        f_down = nll_fn(down)
+        if not (np.isfinite(f_up) and np.isfinite(f_down)):
+            raise GradientError(
+                f"non-finite objective probing coordinate '{PARAM_NAMES[i]}'"
+            )
+        grad[i] = (f_up - f_down) / (2.0 * h)
+    return grad
+
+
+def coordinate_nll(theta, trajs, rbar_path):
+    """The negative log-likelihood as a function of the unconstrained reward
+    coordinates of ``girl.pack_reward``, every other field of ``theta`` held
+    fixed."""
+    stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
+    return lambda vec: nll_from_stats(theta.with_reward(unpack_reward(vec)), stats, rbar_path)
+
+
+def nll_gradient(theta, trajs, rbar_path, fd_step):
+    """Central finite-difference gradient of the negative log-likelihood in
+    the unconstrained coordinates of (lam, eta, rho, omega), with relative
+    step ``fd_step``: eight solves."""
+    return fd_gradient(coordinate_nll(theta, trajs, rbar_path), pack_reward(theta.reward),
+                       fd_step)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from gwealth.girl import (
     default_slice_grids,
     fit,
     loss_slices,
-    nll_gradient,
     scaled_start,
 )
 from gwealth.glearner import (
@@ -34,13 +33,13 @@ from gwealth.rewards import (
     RewardParams,
     build_coeffs,
     exponential_benchmark,
-    pad_covariance,
     reward_value,
 )
 
 from conftest import random_problem, random_spd
 from oracles import (
-    action_log_prob, dp_solve, expected_reward, mc_log_partition, mvn_logpdf, sigma_tilde,
+    action_log_prob, dp_solve, expected_reward, mc_log_partition, mvn_logpdf, nll_gradient, pad,
+    sigma_tilde,
 )
 
 pytestmark = pytest.mark.slow
@@ -179,7 +178,7 @@ class TestCriterion5:
             for t in range(30)
         ]
         t0 = time.perf_counter()
-        backward_pass(rc, ex["prior"], ex["cfg"], ex["rbar_path"])
+        backward_pass(rc.__getitem__, ex["prior"], ex["cfg"], ex["rbar_path"])
         elapsed = time.perf_counter() - t0
         ok = elapsed <= 10.0
         assert _report(5, "solver speed", ok,
@@ -205,7 +204,7 @@ class TestCriterion6:
             x = rng.normal(0.0, 50.0, size=4)
             u = rng.normal(0.0, 20.0, size=4)
             got = reward_value(rc, x, u)
-            want = expected_reward(lam, eta, rho, omega, rbar, pad_covariance(sigma),
+            want = expected_reward(lam, eta, rho, omega, rbar, pad(sigma),
                                    b_t, x, u)
             worst = max(worst, abs(got - want) / max(abs(want), 1.0))
         ok = worst < 1e-10
@@ -263,7 +262,7 @@ class TestCriterion6:
 
             ev = expected_next_value(
                 (plan.f_xx[t + 1], plan.f_x[t + 1], plan.f_0[t + 1]),
-                1.0 + rbar_path[t], pad_covariance(sigma_r.sigma_r), x + u,
+                1.0 + rbar_path[t], pad(sigma_r.sigma_r), x + u,
             )
             want = reward_value(rc, x, u) + cfg.gamma * ev
             from gwealth.glearner import g_value
@@ -278,7 +277,7 @@ class TestCriterion6:
         params, rbar_path, sigma_r, benchmark, prior, cfg0 = random_problem(
             rng, n=2, t_len=3, sigma_p_scale=1.0
         )
-        sig_pad = pad_covariance(sigma_r.sigma_r)
+        sig_pad = pad(sigma_r.sigma_r)
         reward_fns = [
             (lambda x, u, t=t: expected_reward(
                 params.lam, params.eta, params.rho, params.omega_matrix(2),
@@ -342,7 +341,7 @@ class TestCriterion6:
         theta, _, trajs, rbar_path = make_setup(rng, n_paths=20, beta=20.0)
         h = 2e-3
         grads = {
-            mult: nll_gradient(theta, trajs, rbar_path, FitConfig(fd_step=h * mult))
+            mult: nll_gradient(theta, trajs, rbar_path, h * mult)
             for mult in (1.0, 2.0, 4.0)
         }
         ratio = (grads[4.0] - grads[2.0]) / (grads[2.0] - grads[1.0])

@@ -98,7 +98,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("learning_rate", 0.1), ("adam_beta1", 0.9), ("adam_beta2", 0.999),
-        ("adam_eps", 1e-8),
+        ("adam_eps", 1e-8), ("fd_step", 1e-5),
     ])
     def test_removed_girl_keys_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -287,6 +287,17 @@ def overwrite(content: bytes):
     return lambda path: path.write_bytes(content)
 
 
+def set_cell(row: int, col: int, text: str):
+    """A corruption that replaces one field of a CSV file (row 0 the header)."""
+    def corrupt(path: Path) -> None:
+        lines = path.read_text().splitlines()
+        fields = lines[row].split(",")
+        fields[col] = text
+        lines[row] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+    return corrupt
+
+
 class TestCliStages:
     def test_simulate_exit_zero_and_files(self, tmp_path):
         cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
@@ -371,8 +382,10 @@ class TestCliStages:
         ("rollout", "plan.npz", edit_plan(lambda m: m.update(v_tilde=m["v_tilde"][:, :2])),
          "v_tilde"),
         ("solve", "sigma_r.csv", overwrite(b"row,col,value\n0,0\n"), "sigma_r.csv"),
+        ("rollout", "plan.npz", edit_plan(lambda m: m["v_tilde"].__setitem__((1, 2, 0), np.nan)),
+         "v_tilde"),
     ], ids=["plan_without_u_tilde", "plan_not_a_zip", "sigma_r_not_numeric",
-            "plan_member_shape", "sigma_r_two_columns"])
+            "plan_member_shape", "sigma_r_two_columns", "plan_member_nan"])
     def test_malformed_artifact_is_a_clean_error(self, tmp_path, capsys,
                                                  command, name, corrupt, needle):
         cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
@@ -385,6 +398,27 @@ class TestCliStages:
         assert err.startswith("gwealth: error:")
         assert "Traceback" not in err
         assert needle in err and name in err
+
+    @pytest.mark.parametrize("command, name, corrupt", [
+        ("solve", "returns_expected.csv", set_cell(7, 3, "inf")),
+        ("solve", "returns_expected.csv", set_cell(7, 3, "nan")),
+        ("report", "trajectories.csv", set_cell(9, 3, "inf")),
+    ], ids=["expected_return_inf", "expected_return_nan", "trajectory_x_inf"])
+    def test_non_finite_csv_cell_is_a_clean_error(self, tmp_path, capsys, command, name,
+                                                  corrupt):
+        cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        for cmd in ("simulate", "solve", "rollout"):
+            assert main([cmd, "--config", str(cfg_path)]) == 0, cmd
+        (tmp_path / "out" / "plan.npz").unlink()
+        corrupt(tmp_path / "out" / name)
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gwealth: error:")
+        assert "Traceback" not in err
+        assert name in err and "not a finite number" in err
+        assert not (tmp_path / "out" / "plan.npz").exists()
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     @pytest.mark.parametrize("key, value", [("horizon", 3), ("n_risky", 2)])
     def test_fit_on_mismatched_inputs_is_a_clean_error(self, tmp_path, capsys, key, value):

@@ -13,12 +13,10 @@ from gwealth.girl import (
     LINE_SEARCH_TRIALS,
     FitConfig,
     GirlParams,
-    _grad_from_fn,
     default_slice_grids,
     fit,
     loss_slices,
     nll_from_stats,
-    nll_gradient,
     pack_reward,
     prepare_stats,
     scaled_start,
@@ -34,10 +32,12 @@ from gwealth.market import (
     residual_covariance,
     simulate,
 )
-from gwealth.rewards import RewardParams, exponential_benchmark
+from gwealth.rewards import RewardParams, exponential_benchmark, reward_basis
 
 from conftest import random_problem, random_spd
-from oracles import action_log_prob, mvn_logpdf, sigma_tilde, trajectory_nll
+from oracles import (
+    action_log_prob, fd_gradient, mvn_logpdf, nll_gradient, sigma_tilde, trajectory_nll,
+)
 
 
 def make_setup(rng, n=3, t_len=3, n_paths=40, beta=50.0, gamma=0.95, lam=None,
@@ -234,8 +234,7 @@ class TestGradient:
         h = 2e-3
         grads = {}
         for mult in (1.0, 2.0, 4.0):
-            cfg = FitConfig(fd_step=h * mult)
-            grads[mult] = nll_gradient(theta, trajs, rbar_path, cfg)
+            grads[mult] = nll_gradient(theta, trajs, rbar_path, h * mult)
         num = grads[4.0] - grads[2.0]
         den = grads[2.0] - grads[1.0]
         ratio = num / den
@@ -276,8 +275,8 @@ class TestGradient:
         ]
         for reward in probes:
             at = theta.with_reward(reward)
-            g4 = nll_gradient(at, trajs, rbar_path, FitConfig(fd_step=1e-4))
-            g5 = nll_gradient(at, trajs, rbar_path, FitConfig(fd_step=1e-5))
+            g4 = nll_gradient(at, trajs, rbar_path, 1e-4)
+            g5 = nll_gradient(at, trajs, rbar_path, 1e-5)
             assert np.all(np.abs(g4 - g5) <= 0.01 * np.maximum(np.abs(g5), 1e-6))
 
     def test_gradient_small_at_slice_minimum(self, rng):
@@ -292,23 +291,29 @@ class TestGradient:
             RewardParams(lam=float(grid[i]), eta=theta.reward.eta,
                          rho=theta.reward.rho, omega=theta.reward.omega)
         )
-        grad = nll_gradient(at_min, trajs, rbar_path, FitConfig(fd_step=1e-5))
+        grad = nll_gradient(at_min, trajs, rbar_path, 1e-5)
         # d/d(ln lam) = lam * d/d(lam); bound is curvature * one cell
         grad_lam = grad[0] / float(grid[i])
         assert abs(grad_lam) <= 1.5 * curvature * cell
 
 
+def solve_at(theta, rbar_path):
+    """The market terms of theta and rbar_path, and the plan solved on them."""
+    basis = reward_basis(rbar_path, theta.sigma_r, theta.benchmark)
+    return basis, girl_mod._solve_for(theta, basis, theta.prior())
+
+
 def exact_gradient(theta, trajs, rbar_path):
     """The fit's gradient: one tangent pass over the plan solved at theta."""
     stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
-    return girl_mod._plan_gradient(theta, girl_mod._solve_for(theta, rbar_path), stats)
+    return girl_mod._plan_gradient(theta, *solve_at(theta, rbar_path), stats)
 
 
 def richardson_gradient(theta, trajs, rbar_path):
     """The finite-difference oracle at relative steps 1e-4 and 5e-5,
     Richardson-extrapolated to fourth order."""
-    coarse = nll_gradient(theta, trajs, rbar_path, FitConfig(fd_step=1e-4))
-    fine = nll_gradient(theta, trajs, rbar_path, FitConfig(fd_step=5e-5))
+    coarse = nll_gradient(theta, trajs, rbar_path, 1e-4)
+    fine = nll_gradient(theta, trajs, rbar_path, 5e-5)
     return (4.0 * fine - coarse) / 3.0
 
 
@@ -350,7 +355,7 @@ class TestExactGradient:
             sigma_p=prior.sigma_p, u_bar=prior.u_bar, beta=1000.0, gamma=0.95,
             benchmark=exponential_benchmark(1000.0, 0.5, spec.horizon, spec.dt),
         )
-        plan = girl_mod._solve_for(theta, rbar_path)
+        _, plan = solve_at(theta, rbar_path)
         x0 = np.full(spec.n_risky + 1, 1000.0 / (spec.n_risky + 1))
         trajs = rollout(plan, paths, x0, np.random.default_rng(
             np.random.SeedSequence(entropy=7, spawn_key=(1,))))
@@ -380,6 +385,22 @@ class TestFit:
         assert report.loss_path[-1] == nll_from_stats(report.params, stats, rbar_path)
         # one solve per trial, no solve for a gradient
         assert report.iterations + 1 <= report.solves <= 2 * report.iterations + 1
+
+    def test_one_reward_basis_per_fit(self, rng, monkeypatch):
+        # the market terms are built once, and every trial and gradient of
+        # the fit runs on them
+        theta, _, trajs, rbar_path = make_setup(rng, n_paths=40, beta=50.0)
+        start = theta.with_reward(scaled_start(theta.reward, 2.0))
+        built = []
+
+        def counted_basis(*args):
+            built.append(reward_basis(*args))
+            return built[-1]
+
+        monkeypatch.setattr(girl_mod, "reward_basis", counted_basis)
+        report = fit(trajs, rbar_path, start, FitConfig(max_iters=5))
+        assert report.iterations > 0 and report.solves > report.iterations
+        assert len(built) == 1
 
     def test_empty_trajectories_rejected(self, rng):
         theta, _, _, rbar_path = make_setup(rng)
@@ -472,7 +493,7 @@ class TestFit:
             return nll_from_stats(start.with_reward(unpack_reward(vec)), stats, rbar_path)
 
         ref = minimize(nll_fn, pack_reward(start.reward), method="BFGS",
-                       jac=lambda vec: _grad_from_fn(nll_fn, vec, cfg.fd_step))
+                       jac=lambda vec: fd_gradient(nll_fn, vec, 1e-5))
         assert report.converged
         assert abs(report.loss_path[-1] - ref.fun) <= 2.0 * cfg.stop_tol
         np.testing.assert_allclose(pack_reward(report.params.reward), ref.x, atol=1e-3)

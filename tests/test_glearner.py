@@ -34,8 +34,7 @@ from gwealth.rewards import (
     RewardParams,
     build_coeffs,
     exponential_benchmark,
-    pad_covariance,
-    reward_tangents,
+    reward_basis,
     reward_value,
 )
 
@@ -46,6 +45,7 @@ from oracles import (
     expected_next_value,
     expected_reward,
     mc_log_partition,
+    pad,
     quad_fit,
     rollout_loop,
     sigma_tilde,
@@ -75,7 +75,7 @@ def market_plan(n_risky, n_paths, horizon=30, seed=11):
 
 def reward_fn_for(params, rbar_t, sigma_r, b_t, n):
     om = params.omega_matrix(n)
-    sig_pad = pad_covariance(sigma_r.sigma_r)
+    sig_pad = pad(sigma_r.sigma_r)
 
     def fn(x, u):
         return expected_reward(params.lam, params.eta, params.rho, om,
@@ -89,14 +89,14 @@ class TestTerminalAction:
         params, rbar_path, sigma_r, benchmark, _, _ = random_problem(rng, n=3)
         rc = build_coeffs(params, rbar_path[0], sigma_r, float(benchmark.b[0]))
         x_star = -np.linalg.solve(rc.r_ux, rc.r_u)
-        u = terminal_action(rc, params, x_star)
+        u = terminal_action(rc, x_star)
         assert np.abs(u).max() < 1e-8
 
     def test_matches_brute_force_maximizer(self, rng):
         params, rbar_path, sigma_r, benchmark, _, _ = random_problem(rng, n=2)
         rc = build_coeffs(params, rbar_path[0], sigma_r, float(benchmark.b[0]))
         x = rng.normal(0.0, 20.0, size=2)
-        u_star = terminal_action(rc, params, x)
+        u_star = terminal_action(rc, x)
         u_brute = brute_force_argmax(lambda u: reward_value(rc, x, u), dim=2)
         assert np.abs(u_star - u_brute).max() < 1e-8
 
@@ -112,7 +112,7 @@ class TestTerminalAction:
                 omega=kappa * params.omega_matrix(3),
             )
             rc = build_coeffs(scaled, rbar_path[0], sigma_r, float(benchmark.b[0]))
-            norms.append(np.linalg.norm(terminal_action(rc, scaled, x)))
+            norms.append(np.linalg.norm(terminal_action(rc, x)))
         assert norms[0] > norms[1] > norms[2] > norms[3]
 
 
@@ -120,7 +120,7 @@ class TestBackwardPass:
     def test_single_period_matches_terminal_conditions(self, rng):
         params, rbar_path, sigma_r, benchmark, prior, cfg = random_problem(rng, n=3, t_len=1)
         rc = build_coeffs(params, rbar_path[0], sigma_r, float(benchmark.b[0]))
-        plan = backward_pass([rc], prior, cfg, rbar_path)
+        plan = backward_pass(lambda t: rc, prior, cfg, rbar_path)
 
         # published closed form: sigma_tilde = sigma_hat + omega / lam
         lam = params.lam
@@ -149,7 +149,7 @@ class TestBackwardPass:
         rc = build_coeffs(params, rbar_path[-1], sigma_r, float(benchmark.b[-1]))
         for _ in range(5):
             x = rng.normal(0.0, 30.0, size=3)
-            u_star = terminal_action(rc, params, x)
+            u_star = terminal_action(rc, x)
             assert free_energy(plan, 1, x) == pytest.approx(
                 reward_value(rc, x, u_star), rel=1e-10
             )
@@ -161,7 +161,7 @@ class TestBackwardPass:
         cfg = SolverConfig(beta=1e6, gamma=cfg0.gamma)
         plan = solve_plan(params, rbar_path, sigma_r, benchmark, prior, cfg)
 
-        sig_pad = pad_covariance(sigma_r.sigma_r)
+        sig_pad = pad(sigma_r.sigma_r)
         reward_fns = [
             reward_fn_for(params, rbar_path[t], sigma_r, float(benchmark.b[t]), 2)
             for t in range(3)
@@ -188,7 +188,7 @@ class TestBackwardPass:
         params, rbar_path, sigma_r, benchmark, prior, cfg0 = random_problem(
             rng, n=2, t_len=3, sigma_p_scale=1.0
         )
-        sig_pad = pad_covariance(sigma_r.sigma_r)
+        sig_pad = pad(sigma_r.sigma_r)
         reward_fns = [
             reward_fn_for(params, rbar_path[t], sigma_r, float(benchmark.b[t]), 2)
             for t in range(3)
@@ -216,7 +216,7 @@ class TestBackwardPass:
         )
         prior = default_prior(n, sigma_p_scale=10.0)
         with pytest.raises(InfeasibleError, match="t=0"):
-            backward_pass([convex], prior, SolverConfig(beta=10.0, gamma=0.95),
+            backward_pass(lambda t: convex, prior, SolverConfig(beta=10.0, gamma=0.95),
                           np.zeros((1, n)))
 
 
@@ -228,8 +228,8 @@ class TestTangentPass:
         for beta in (0.5, 5.0):
             plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(
                 rng, n=3, t_len=4, beta=beta)
-            steps = dict(tangent_pass(plan, lambda t: reward_tangents(
-                params, rbar_path[t], sigma_r, float(benchmark.b[t]))))
+            steps = dict(tangent_pass(
+                plan, reward_basis(rbar_path, sigma_r, benchmark).tangents(params)))
             assert sorted(steps) == list(range(plan.horizon))
             for i, name in enumerate(names):
                 h = 1e-6 * float(getattr(params, name))
@@ -285,7 +285,7 @@ class TestFreeEnergy:
         rc = build_coeffs(params, rbar_path[-1], sigma_r, float(benchmark.b[-1]))
         x = rng.normal(0.0, 20.0, size=2)
         val = free_energy(plan, 1, x)
-        best = reward_value(rc, x, terminal_action(rc, params, x))
+        best = reward_value(rc, x, terminal_action(rc, x))
         assert val == pytest.approx(best, rel=1e-3)
 
     def test_step_out_of_range(self, rng):
@@ -309,7 +309,7 @@ class TestGValue:
             plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(
                 rng, n=2, t_len=3
             )
-            sig_pad = pad_covariance(sigma_r.sigma_r)
+            sig_pad = pad(sigma_r.sigma_r)
             t = int(rng.integers(0, 2))
             x = rng.normal(0.0, 20.0, size=2)
             u = rng.normal(0.0, 5.0, size=2)
@@ -534,7 +534,7 @@ class TestExpectationIdentity:
         vx = rng.normal(size=n)
         v0 = float(rng.normal())
         a_vec = 1.0 + np.concatenate([[0.005], rng.uniform(-0.02, 0.06, size=n - 1)])
-        sig_pad = pad_covariance(random_spd(rng, n - 1, scale=0.08))
+        sig_pad = pad(random_spd(rng, n - 1, scale=0.08))
         z = rng.normal(0.0, 10.0, size=n)
 
         want = expected_next_value((vxx, vx, v0), a_vec, sig_pad, z)

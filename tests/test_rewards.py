@@ -12,14 +12,13 @@ from gwealth.rewards import (
     RewardParams,
     build_coeffs,
     exponential_benchmark,
-    pad_covariance,
-    reward_tangents,
+    reward_basis,
     reward_value,
     target_portfolio,
 )
 
 from conftest import random_spd
-from oracles import expected_reward, mc_reward
+from oracles import expected_reward, mc_reward, pad
 
 
 def random_reward_inputs(rng, n=4):
@@ -33,6 +32,11 @@ def random_reward_inputs(rng, n=4):
     sigma_r = ReturnCovariance(sigma_r=random_spd(rng, n - 1, scale=0.05))
     b_t = float(rng.uniform(50.0, 200.0))
     return params, rbar, sigma_r, b_t
+
+
+def reward_tangents(params, rbar, sigma_r, b_t):
+    """The reward's derivatives at a one-period market."""
+    return reward_basis(rbar[None], sigma_r, BenchmarkPath(b=np.array([b_t]))).tangents(params)(0)
 
 
 class TestTargetPortfolio:
@@ -76,7 +80,7 @@ class TestBuildCoeffs:
             got = reward_value(rc, x, u)
             want = expected_reward(
                 params.lam, params.eta, params.rho, params.omega_matrix(4),
-                rbar, pad_covariance(sigma_r.sigma_r), b_t, x, u,
+                rbar, pad(sigma_r.sigma_r), b_t, x, u,
             )
             assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -119,7 +123,7 @@ class TestRewardValue:
         got = reward_value(rc, x, u)
         est, se = mc_reward(
             params.lam, params.eta, params.rho, params.omega_matrix(4),
-            rbar, pad_covariance(sigma_r.sigma_r), b_t, x, u,
+            rbar, pad(sigma_r.sigma_r), b_t, x, u,
             n_draws=1_000_000, rng=rng,
         )
         assert abs(got - est) < 3.0 * se
@@ -147,7 +151,7 @@ class TestInvariantsAndProperties:
         u = rng.normal(0.0, 15.0, size=4)
         cashless = expected_reward(
             params.lam, params.eta, params.rho, params.omega_matrix(4),
-            rbar, pad_covariance(sigma_r.sigma_r), b_t, x, u,
+            rbar, pad(sigma_r.sigma_r), b_t, x, u,
         ) + np.sum(u)
         assert reward_value(rc, x, u) - cashless == pytest.approx(-np.sum(u), rel=1e-9)
 
@@ -218,6 +222,29 @@ class TestRewardTangents:
         params, rbar, sigma_r, b_t = random_reward_inputs(rng)
         with pytest.raises(ParameterError):
             reward_tangents(params, rbar, sigma_r, b_t)
+
+
+class TestRewardBasis:
+    def test_periods_are_views_of_one_basis(self, rng):
+        params, rbar, sigma_r, b_t = random_reward_inputs(rng)
+        rbar_path = np.stack([rbar, rbar + 0.01, rbar - 0.02])
+        bench = BenchmarkPath(b=np.array([b_t, 1.1 * b_t, 1.2 * b_t]))
+        basis = reward_basis(rbar_path, sigma_r, bench)
+        for t in range(3):
+            rc = basis.coeffs(params)(t)
+            one = build_coeffs(params, rbar_path[t], sigma_r, float(bench.b[t]))
+            for field in ("r_xx", "r_ux", "r_uu", "r_x", "r_u", "r_0", "sigma_hat"):
+                assert np.array_equal(getattr(rc, field), getattr(one, field)), (t, field)
+            assert np.shares_memory(rc.sigma_hat, basis.sigma_hat)
+            assert rc.sigma_r_padded is basis.sigma_r_padded
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_returns_rejected(self, rng, value):
+        params, rbar, sigma_r, b_t = random_reward_inputs(rng)
+        rbar_path = np.stack([rbar, rbar])
+        rbar_path[1, 2] = value
+        with pytest.raises(ParameterError, match="non-finite"):
+            reward_basis(rbar_path, sigma_r, BenchmarkPath(b=np.array([b_t, b_t])))
 
 
 class TestTypes:
