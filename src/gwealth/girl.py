@@ -222,13 +222,14 @@ def _solve_for(theta: GirlParams, basis: RewardBasis, prior: PolicyPrior) -> Sol
 
 @dataclass(frozen=True)
 class _DataStats:
-    """Per-step pooled moments of the observed states and actions."""
+    """Per-step pooled moments of the observed states and actions, centred so
+    that the likelihood does not cancel their means, which dwarf the noise."""
 
-    sxx: np.ndarray  # (T, N, N) sum of x x'
-    sux: np.ndarray  # (T, N, N) sum of u x'
-    suu: np.ndarray  # (T, N, N) sum of u u'
-    sx: np.ndarray   # (T, N) sum of x
-    su: np.ndarray   # (T, N) sum of u
+    cxx: np.ndarray     # (T, N, N) sum of (x - x_mean)(x - x_mean)'
+    cux: np.ndarray     # (T, N, N) sum of (u - u_mean)(x - x_mean)'
+    cuu: np.ndarray     # (T, N, N) sum of (u - u_mean)(u - u_mean)'
+    x_mean: np.ndarray  # (T, N) mean of x
+    u_mean: np.ndarray  # (T, N) mean of u
     count: int
     horizon: int
     n_assets: int
@@ -254,17 +255,17 @@ def prepare_stats(
 
     x_all = np.stack([traj.x for traj in trajs])  # (M, T+1, N)
     u_all = np.stack([traj.u for traj in trajs])  # (M, T, N)
-    sxx = np.empty((t_len, n, n))
-    sux = np.empty((t_len, n, n))
-    suu = np.empty((t_len, n, n))
+    x_mean = x_all[:, :-1].mean(axis=0)
+    u_mean = u_all.mean(axis=0)
+    cxx = np.empty((t_len, n, n))
+    cux = np.empty((t_len, n, n))
+    cuu = np.empty((t_len, n, n))
     for t in range(t_len):
-        x_t = x_all[:, t, :]
-        u_t = u_all[:, t, :]
-        sxx[t] = x_t.T @ x_t
-        sux[t] = u_t.T @ x_t
-        suu[t] = u_t.T @ u_t
-    sx = x_all[:, :-1].sum(axis=0)
-    su = u_all.sum(axis=0)
+        x_t = x_all[:, t, :] - x_mean[t]
+        u_t = u_all[:, t, :] - u_mean[t]
+        cxx[t] = x_t.T @ x_t
+        cux[t] = u_t.T @ x_t
+        cuu[t] = u_t.T @ u_t
 
     chol = np.linalg.cholesky(sigma_r.sigma_r)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
@@ -283,7 +284,7 @@ def prepare_stats(
                 rbar_path[t], sigma_r,
             )
     return _DataStats(
-        sxx=sxx, sux=sux, suu=suu, sx=sx, su=su,
+        cxx=cxx, cux=cux, cuu=cuu, x_mean=x_mean, u_mean=u_mean,
         count=len(trajs), horizon=t_len, n_assets=n, transition_const=float(trans),
     )
 
@@ -303,24 +304,20 @@ def nll_from_stats(theta: GirlParams, stats: _DataStats, rbar_path: np.ndarray) 
 
 
 def _nll_on_plan(plan: SolvedPlan, stats: _DataStats) -> float:
+    """Per step, the posterior precision P (symmetric) against the summed
+    outer products of the residuals u - u_tilde - v x, with d their mean:
+    <P, cuu> - 2 <P v, cux> + <v' P v, cxx> + m d' P d, two matrix products."""
     if plan.horizon != stats.horizon or plan.n_assets != stats.n_assets:
         raise ShapeError("data statistics do not match the solved plan")
     m = stats.count
     n = stats.n_assets
     total = 0.0
     for t in range(stats.horizon):
-        v_t = plan.v_tilde[t]
-        u_t = plan.u_tilde[t]
-        prec = plan.sigma_bar[t]  # posterior precision
-        see = (
-            stats.suu[t]
-            - stats.sux[t] @ v_t.T
-            - v_t @ stats.sux[t].T
-            + v_t @ stats.sxx[t] @ v_t.T
-        )
-        se = stats.su[t] - v_t @ stats.sx[t]
-        sdd = see - np.outer(se, u_t) - np.outer(u_t, se) + m * np.outer(u_t, u_t)
-        quad = float(np.sum(prec * sdd))
+        v_t, prec = plan.v_tilde[t], plan.sigma_bar[t]
+        w = prec @ v_t
+        d = stats.u_mean[t] - plan.u_tilde[t] - v_t @ stats.x_mean[t]
+        quad = (np.vdot(prec, stats.cuu[t]) - 2.0 * np.vdot(w, stats.cux[t])
+                + np.vdot(v_t.T @ w, stats.cxx[t]) + m * float(d @ prec @ d))
         total += -0.5 * (quad + m * (n * LOG_2PI + plan.logdet_tilde[t]))
     return -(total + stats.transition_const)
 
@@ -338,22 +335,22 @@ def _plan_gradient(theta: GirlParams, basis: RewardBasis, plan: SolvedPlan,
     With dq the derivatives of G's coefficients, the action log-density
     log pi0 + beta (G - F) changes at step t by beta times the observed minus
     the policy's expected trade moments, summed over the data:
-    <dq_uu, suu - E[sum u u']> + <dq_ux, sux - E[sum u x']> + dq_u . (su - E[sum u]).
-    The state-only parts of G and F cancel.
+    <dq_uu, sum u u' - E[sum u u']> + <dq_ux, sum u x' - E[sum u x']> + dq_u . w_u,
+    w_u = sum u - E[sum u], all written in the centred moments.  The
+    state-only parts of G and F cancel.
     """
     reward = theta.reward
     m = stats.count
     grad = np.zeros(len(PARAM_NAMES))
     steps = tangent_pass(plan, basis.tangents(reward))
     for t, (_, dq_ux, dq_uu, _, dq_u, _) in steps:
-        v_t, u_t, chol = plan.v_tilde[t], plan.u_tilde[t], plan.chol_tilde[t]
-        v_sxx = v_t @ stats.sxx[t]
-        v_sx = v_t @ stats.sx[t]
-        mean_sum = m * u_t + v_sx  # sum of the policy means
-        w_uu = (stats.suu[t] - np.outer(u_t, mean_sum) - np.outer(v_sx, u_t)
-                - v_sxx @ v_t.T - m * (chol @ chol.T))
-        w_ux = stats.sux[t] - np.outer(u_t, stats.sx[t]) - v_sxx
-        w_u = stats.su[t] - mean_sum
+        v_t, chol, x_mean = plan.v_tilde[t], plan.chol_tilde[t], stats.x_mean[t]
+        mu = plan.u_tilde[t] + v_t @ x_mean  # the policy mean at the mean state
+        w_u = m * (stats.u_mean[t] - mu)
+        v_cxx = v_t @ stats.cxx[t]
+        w_uu = (stats.cuu[t] - v_cxx @ v_t.T - m * (chol @ chol.T)
+                + np.outer(w_u, stats.u_mean[t]) + np.outer(mu, w_u))
+        w_ux = stats.cux[t] - v_cxx + np.outer(w_u, x_mean)
         grad -= plan.beta * (dq_uu.reshape(len(grad), -1) @ w_uu.ravel()
                              + dq_ux.reshape(len(grad), -1) @ w_ux.ravel() + dq_u @ w_u)
     # chain rule from (lam, eta, rho, omega) to the coordinates of pack_reward

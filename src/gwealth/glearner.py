@@ -5,8 +5,9 @@ soft action-value function G and the free energy F quadratic forms whose
 coefficients satisfy a backward recursion.  Each step performs a Gaussian
 integral of exp(beta * G) against the reference policy to obtain F, and a
 Bayesian update of the reference policy to obtain the posterior
-linear-Gaussian policy.  Forward Monte-Carlo rollouts sample trades from
-the posterior and book the implied cash installments.
+linear-Gaussian policy, both from one inverse of the posterior precision.
+Forward Monte-Carlo rollouts sample trades from the posterior and book the
+implied cash installments.
 
 The terminal step T-1 is special: its value function is the hard maximum
 of the last-period reward (the analytic argmax plugged back in), while the
@@ -40,8 +41,8 @@ class SolverConfig:
     gamma: float = 0.95
 
     def validate(self) -> None:
-        if not self.beta > 0.0:
-            raise ParameterError(f"beta must be > 0, got {self.beta}")
+        if not 0.0 < self.beta < np.inf:
+            raise ParameterError(f"beta must be finite and > 0, got {self.beta}")
         if not 0.0 < self.gamma <= 1.0:
             raise ParameterError(f"gamma must lie in (0, 1], got {self.gamma}")
 
@@ -51,7 +52,9 @@ class PolicyPrior:
     """Reference (prior) policy: u ~ N(u_bar + v_bar x, sigma_p).
 
     ``sigma_p_inv`` and ``logdet_sigma_p`` are derived on construction from
-    the factorization that validates sigma_p.
+    the factorization that validates sigma_p, and so are the constant
+    products of every posterior update: ``pull_u`` = sigma_p^{-1} u_bar,
+    ``pull_v`` = sigma_p^{-1} v_bar, and v_bar' times each (``vt_pull_*``).
     """
 
     u_bar: np.ndarray
@@ -59,8 +62,17 @@ class PolicyPrior:
     sigma_p: np.ndarray
     sigma_p_inv: np.ndarray = field(init=False, repr=False, compare=False)
     logdet_sigma_p: float = field(init=False, repr=False, compare=False)
+    pull_u: np.ndarray = field(init=False, repr=False, compare=False)
+    pull_v: np.ndarray = field(init=False, repr=False, compare=False)
+    vt_pull_u: np.ndarray = field(init=False, repr=False, compare=False)
+    vt_pull_v: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("u_bar", "v_bar", "sigma_p"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ParameterError(f"prior {name} has non-finite entries")
+        if self.u_bar.ndim != 1:
+            raise ShapeError(f"prior u_bar must be 1-D, got shape {self.u_bar.shape}")
         n = self.u_bar.shape[0]
         if self.v_bar.shape != (n, n) or self.sigma_p.shape != (n, n):
             raise ShapeError("prior v_bar and sigma_p must be N x N")
@@ -71,8 +83,13 @@ class PolicyPrior:
         except np.linalg.LinAlgError as exc:
             raise ParameterError("prior covariance must be positive definite") from exc
         inv = np.linalg.solve(self.sigma_p, np.eye(n))
-        object.__setattr__(self, "sigma_p_inv", 0.5 * (inv + inv.T))
-        object.__setattr__(self, "logdet_sigma_p", 2.0 * float(np.sum(np.log(np.diag(chol)))))
+        inv = 0.5 * (inv + inv.T)
+        pull_u, pull_v = inv @ self.u_bar, inv @ self.v_bar
+        for name, value in (("sigma_p_inv", inv), ("pull_u", pull_u), ("pull_v", pull_v),
+                            ("vt_pull_u", self.v_bar.T @ pull_u),
+                            ("vt_pull_v", self.v_bar.T @ pull_v),
+                            ("logdet_sigma_p", 2.0 * float(np.sum(np.log(np.diag(chol)))))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_assets(self) -> int:
@@ -186,7 +203,7 @@ def _chol_logdet(m: np.ndarray, context: str) -> tuple[np.ndarray, float]:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise InfeasibleError(f"{context}: matrix is not positive definite") from exc
-    return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return chol, 2.0 * float(np.log(chol.diagonal()).sum())
 
 
 def _terminal_solve(r_uu: np.ndarray, r_ux: np.ndarray, r_u: np.ndarray) -> np.ndarray:
@@ -222,59 +239,53 @@ def _terminal_f(rc: RewardCoeffs) -> tuple[np.ndarray, np.ndarray, float]:
     return 0.5 * (f_xx + f_xx.T), f_x, float(f_0)
 
 
-def _bayes_and_f(q_xx, q_ux, q_uu, q_x, q_u, q_0, prior: PolicyPrior, beta: float, t: int):
+def _bayes_and_f(q, prior: PolicyPrior, beta: float, t: int, out) -> tuple[float, tuple]:
     """Closed-form Bayesian update of the prior and Gaussian integral at step t.
 
-    The posterior precision is sigma_bar = sigma_p^{-1} - 2 beta q_uu, the
-    posterior gain and offset are sigma_bar^{-1} v_rhs and sigma_bar^{-1} u_rhs,
-    and F is the log-partition of pi0 * exp(beta * G), all from one solve
-    against sigma_bar.  The Cholesky factor of the posterior covariance feeds
-    both the sampler and log|sigma_tilde| = -log|sigma_bar|.
+    The posterior precision is sigma_bar = sigma_p^{-1} - 2 beta q_uu; its
+    one inverse, symmetrized, is the posterior covariance sigma_tilde, whose
+    products with v_rhs and u_rhs are the posterior gain and offset.  F is the
+    log-partition of pi0 * exp(beta * G).  The Cholesky factor of sigma_tilde
+    feeds both the sampler and log|sigma_tilde| = -log|sigma_bar|.
 
-    Returns sigma_bar, u_tilde, v_tilde, chol_tilde, log|sigma_tilde| and the
-    (f_xx, f_x, f_0) coefficients of F.
+    ``q`` is G's (q_xx, q_ux, q_uu, q_x, q_u, q_0); sigma_bar, u_tilde,
+    v_tilde and chol_tilde are written into ``out``, the plan's rows of step
+    t.  Returns log|sigma_tilde| and the (f_xx, f_x, f_0) coefficients of F.
     """
-    n = q_uu.shape[0]
+    q_xx, q_ux, q_uu, q_x, q_u, q_0 = q
+    sigma_bar, u_til, v_til, chol_tilde = out
     # contraction requirement: spectral radius of sigma_tilde sigma_p^{-1} < 1,
     # equivalently q_uu negative definite; sigma_bar is then SPD as well
-    _chol_logdet(
-        -q_uu,
-        f"action curvature at step t={t} (posterior-to-prior covariance ratio "
-        "would have spectral radius >= 1)",
-    )
-    sigma_bar = prior.sigma_p_inv - 2.0 * beta * q_uu
-    sigma_bar = 0.5 * (sigma_bar + sigma_bar.T)
-
-    prior_pull_u = prior.sigma_p_inv @ prior.u_bar
-    prior_pull_v = prior.sigma_p_inv @ prior.v_bar
-    v_rhs = beta * q_ux + prior_pull_v
-    u_rhs = beta * q_u + prior_pull_u
-    # sigma_bar^{-1} [v_rhs | u_rhs | I] in one factorization
-    sol = np.linalg.solve(sigma_bar, np.concatenate([v_rhs, u_rhs[:, None], np.eye(n)], axis=1))
-    v_til = sol[:, :n]
-    u_til = sol[:, n]
-    sigma_tilde = 0.5 * (sol[:, n + 1:] + sol[:, n + 1:].T)
-    chol_tilde, logdet_tilde = _chol_logdet(sigma_tilde, f"posterior covariance at step t={t}")
-
-    f_xx = q_xx + (0.5 / beta) * (v_rhs.T @ v_til - prior.v_bar.T @ prior_pull_v)
-    f_x = q_x + (1.0 / beta) * (v_til.T @ u_rhs - prior.v_bar.T @ prior_pull_u)
+    _chol_logdet(-q_uu, f"action curvature at step t={t} (posterior-to-prior covariance "
+                 "ratio would have spectral radius >= 1)")
+    np.subtract(prior.sigma_p_inv, 2.0 * beta * q_uu, out=sigma_bar)
+    inv = np.linalg.inv(sigma_bar)
+    sigma_tilde = 0.5 * (inv + inv.T)
+    chol_tilde[...], logdet = _chol_logdet(sigma_tilde, f"posterior covariance at step t={t}")
+    v_rhs = beta * q_ux + prior.pull_v
+    u_rhs = beta * q_u + prior.pull_u
+    np.matmul(sigma_tilde, v_rhs, out=v_til)
+    np.matmul(sigma_tilde, u_rhs, out=u_til)
+    f_xx = q_xx + (0.5 / beta) * (v_rhs.T @ v_til - prior.vt_pull_v)
+    f_x = q_x + (1.0 / beta) * (v_til.T @ u_rhs - prior.vt_pull_u)
     f_0 = q_0 + (0.5 / beta) * (
-        float(u_rhs @ u_til) - float(prior.u_bar @ prior_pull_u)
-    ) - (0.5 / beta) * (prior.logdet_sigma_p - logdet_tilde)
-    f = (0.5 * (f_xx + f_xx.T), f_x, float(f_0))
-    return sigma_bar, u_til, v_til, chol_tilde, logdet_tilde, f
+        float(u_rhs @ u_til) - float(prior.u_bar @ prior.pull_u)
+    ) - (0.5 / beta) * (prior.logdet_sigma_p - logdet)
+    return logdet, (0.5 * (f_xx + f_xx.T), f_x, float(f_0))
 
 
-def _step_q(r: RewardCoeffs, f_next, a_t: np.ndarray, gamma: float):
-    """G's coefficients at a step before the last: the reward plus the
-    discounted expectation of the next step's F = (f_xx, f_x, f_0) over the
-    gross returns, whose mean is a_t.  Linear in (r, f_next), so stacks of
-    tangents along a leading axis go through it as well."""
+def _step_q(r: RewardCoeffs, f_next, a_t: np.ndarray, gamma: float, out=(None,) * 5):
+    """G's coefficients at a step: the reward plus the discounted expectation
+    of the next step's F = (f_xx, f_x, f_0) over the gross returns, whose mean
+    is a_t and second moment ``r.sigma_hat``.  Linear in (r, f_next), so
+    stacks of tangents along a leading axis go through it as well.  The array
+    coefficients go into ``out`` if given."""
     f_xx, f_x, f_0 = f_next
-    growth = f_xx * np.outer(a_t, a_t) + r.sigma_r_padded * f_xx
+    growth = gamma * (f_xx * r.sigma_hat)
     lin = gamma * (a_t * f_x)
-    return (r.r_xx + gamma * growth, r.r_ux + 2.0 * gamma * growth, r.r_uu + gamma * growth,
-            r.r_x + lin, r.r_u + lin, r.r_0 + gamma * f_0)
+    return (np.add(r.r_xx, growth, out=out[0]), np.add(r.r_ux, 2.0 * growth, out=out[1]),
+            np.add(r.r_uu, growth, out=out[2]), np.add(r.r_x, lin, out=out[3]),
+            np.add(r.r_u, lin, out=out[4]), r.r_0 + gamma * f_0)
 
 
 def _expected_g(q, gain: np.ndarray, offset: np.ndarray, cov: np.ndarray | None = None):
@@ -302,7 +313,8 @@ def backward_pass(
 
     ``rbar`` is the (T, N) expected-return path and ``reward(t)`` gives
     period t's reward coefficients (``RewardBasis.coeffs``), read once each.
-    Every step writes its results into row t of the plan's stacked arrays.
+    Every step writes its results into row t of the plan's stacked arrays
+    and costs one inverse and two Cholesky factorizations (``_bayes_and_f``).
     """
     cfg.validate()
     rbar = np.asarray(rbar, dtype=float)
@@ -312,26 +324,22 @@ def backward_pass(
     if prior.n_assets != n:
         raise ShapeError("prior dimension does not match the return path")
 
-    q_xx, q_ux, q_uu, f_xx, sigma_bar, v_tilde, chol_tilde = (
-        np.empty((t_len, n, n)) for _ in range(7))
-    q_x, q_u, f_x, u_tilde = (np.empty((t_len, n)) for _ in range(4))
-    q_0, f_0, logdet_tilde = (np.empty(t_len) for _ in range(3))
+    q_xx, q_ux, q_uu, sigma_bar, v_tilde, chol_tilde = (
+        np.empty((t_len, n, n)) for _ in range(6))
+    q_x, q_u, u_tilde = (np.empty((t_len, n)) for _ in range(3))
+    q_0, logdet_tilde = np.empty(t_len), np.empty(t_len)
+    # F is zero past the horizon (row T), so G at T-1 is the reward itself
+    f_xx, f_x, f_0 = np.zeros((t_len + 1, n, n)), np.zeros((t_len + 1, n)), np.zeros(t_len + 1)
 
     for t in range(t_len - 1, -1, -1):
         r = reward(t)
         if r.n_assets != n:
             raise ShapeError(f"reward coefficients of step t={t} are not {n} x {n}")
-        if t == t_len - 1:
-            qxx, qux, quu, qx, qu, q0 = r.r_xx, r.r_ux, r.r_uu, r.r_x, r.r_u, r.r_0
-        else:
-            qxx, qux, quu, qx, qu, q0 = _step_q(
-                r, (f_xx[t + 1], f_x[t + 1], f_0[t + 1]), 1.0 + rbar[t], cfg.gamma)
-
-        sigma_bar[t], u_tilde[t], v_tilde[t], chol_tilde[t], logdet_tilde[t], f_t = _bayes_and_f(
-            qxx, qux, quu, qx, qu, q0, prior, cfg.beta, t,
-        )
-        q_xx[t], q_ux[t], q_uu[t] = 0.5 * (qxx + qxx.T), qux, 0.5 * (quu + quu.T)
-        q_x[t], q_u[t], q_0[t] = qx, qu, q0
+        q = _step_q(r, (f_xx[t + 1], f_x[t + 1], f_0[t + 1]), 1.0 + rbar[t], cfg.gamma,
+                    out=(q_xx[t], q_ux[t], q_uu[t], q_x[t], q_u[t]))
+        q_0[t] = q[5]
+        logdet_tilde[t], f_t = _bayes_and_f(
+            q, prior, cfg.beta, t, out=(sigma_bar[t], u_tilde[t], v_tilde[t], chol_tilde[t]))
         if t == t_len - 1:  # the recursion takes the hard max, the policy the soft F
             f_soft_last, f_t = f_t, _terminal_f(r)
         f_xx[t], f_x[t], f_0[t] = f_t
@@ -340,7 +348,7 @@ def backward_pass(
         beta=cfg.beta, gamma=cfg.gamma, rbar=rbar, prior=prior,
         u_tilde=u_tilde, v_tilde=v_tilde, chol_tilde=chol_tilde, logdet_tilde=logdet_tilde,
         q_xx=q_xx, q_ux=q_ux, q_uu=q_uu, q_x=q_x, q_u=q_u, q_0=q_0,
-        f_xx=f_xx, f_x=f_x, f_0=f_0, f_soft_last=f_soft_last, sigma_bar=sigma_bar,
+        f_xx=f_xx[:-1], f_x=f_x[:-1], f_0=f_0[:-1], f_soft_last=f_soft_last, sigma_bar=sigma_bar,
     )
 
 

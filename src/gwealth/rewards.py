@@ -8,9 +8,9 @@ quadratic form in positions x and trades u.  Each coefficient is written
 once, as scalar weights (products of the parameters) times terms that do not
 depend on them, so the same formula gives the reward and its derivatives in
 the parameters.  The parameter-free terms of a market (expected returns,
-the return second moments, the padded covariance, the benchmark) are built
-and checked once, by ``reward_basis``; a solve or a whole fit assembles
-every period's coefficients from that one ``RewardBasis``.
+the return second moments, the benchmark) are built and checked once, by
+``reward_basis``; a solve or a whole fit assembles every period's
+coefficients from that one ``RewardBasis``.
 
 Conventions: asset 0 is the risk-free bond, assets 1..N-1 are risky.  The
 cross-coefficient ``r_ux`` is stored so that the reward term reads
@@ -110,8 +110,7 @@ class RewardCoeffs:
         x^T r_xx x + u^T r_ux x + u^T r_uu u + x^T r_x + u^T r_u + r_0.
     A stack of K coefficient sets (the reward's derivatives) has a leading
     axis of length K on every coefficient.  ``sigma_hat`` is the
-    second-moment matrix of gross returns and ``sigma_r_padded`` the return
-    covariance padded with a zero row/column for the bond.
+    second-moment matrix of gross returns.
     """
 
     r_xx: np.ndarray
@@ -121,7 +120,6 @@ class RewardCoeffs:
     r_u: np.ndarray
     r_0: float | np.ndarray
     sigma_hat: np.ndarray
-    sigma_r_padded: np.ndarray
 
     @property
     def n_assets(self) -> int:
@@ -168,12 +166,12 @@ class RewardBasis:
     """The theta-free terms of the reward over a horizon, built once per
     market by ``reward_basis``: the (T, N) expected per-period returns
     (entry 0 the bond rate), the (T, N, N) second-moment matrices
-    sigma_hat_t of the gross returns, the (N, N) return covariance padded
-    with a zero row/column for the bond, and the (T,) benchmark values."""
+    sigma_hat_t of the gross returns (the return covariance, padded with a
+    zero row/column for the bond, plus the outer product of the expected
+    gross returns) and the (T,) benchmark values."""
 
     rbar: np.ndarray
     sigma_hat: np.ndarray
-    sigma_r_padded: np.ndarray
     b: np.ndarray
 
     @property
@@ -223,7 +221,7 @@ def reward_basis(
     for t, g in enumerate(1.0 + rbar):  # expected gross returns
         s = sig_pad + np.outer(g, g)
         sigma_hat[t] = 0.5 * (s + s.T)
-    return RewardBasis(rbar=rbar, sigma_hat=sigma_hat, sigma_r_padded=sig_pad, b=benchmark.b)
+    return RewardBasis(rbar=rbar, sigma_hat=sigma_hat, b=benchmark.b)
 
 
 def _assemble(w: np.ndarray, shape: np.ndarray, basis: RewardBasis, t: int) -> RewardCoeffs:
@@ -237,25 +235,22 @@ def _assemble(w: np.ndarray, shape: np.ndarray, basis: RewardBasis, t: int) -> R
     squared-shortfall reward over the return distribution
     N(rbar_t, padded sigma_r).
     """
-    n = basis.n_assets
-    ones = np.ones(n)
     g = 1.0 + basis.rbar[t]  # expected gross returns
     sigma_hat = basis.sigma_hat[t]
     b_t = float(basis.b[t])
-    cross = np.outer(g, ones)  # (1 + rbar) 1^T
-
-    # each weight with two trailing axes scales an N x N term; [..., 0] a vector
-    unit, w_11, w_g1, w_s, w_om, w_b1, w_bg, w_bb = np.moveaxis(w[..., None, None], -3, 0)
-    r_xx = w_g1 * (cross + cross.T) - w_11 * np.ones((n, n)) - w_s * sigma_hat
-    r_ux = 2.0 * w_g1 * cross - 2.0 * w_s * sigma_hat
-    r_uu = -w_s * sigma_hat - w_om * shape
-    r_x = (2.0 * b_t * w_bg[..., 0]) * g - (2.0 * b_t * w_b1[..., 0]) * ones
-    r_u = (2.0 * b_t * w_bg[..., 0]) * g - unit[..., 0] * ones
+    # each weight, shaped (1, 1) or (K, 1, 1), scales an N x N term; [..., 0] a vector
+    unit, w_11, w_g1, w_s, w_om, w_b1, w_bg, w_bb = w.T[..., None, None]
+    s_term = w_s * sigma_hat
+    r_xx = w_g1 * (g[:, None] + g) - w_11 - s_term  # g 1' + 1 g', ones, sigma_hat
+    r_ux = 2.0 * w_g1 * g[:, None] - 2.0 * s_term
+    r_uu = -s_term - w_om * shape
+    bg = (2.0 * b_t * w_bg[..., 0]) * g
+    r_x = bg - 2.0 * b_t * w_b1[..., 0]
+    r_u = bg - unit[..., 0]
     r_0 = -w_bb[..., 0, 0] * b_t**2
     return RewardCoeffs(
         r_xx=r_xx, r_ux=r_ux, r_uu=r_uu, r_x=r_x, r_u=r_u,
-        r_0=float(r_0) if r_0.ndim == 0 else r_0,
-        sigma_hat=sigma_hat, sigma_r_padded=basis.sigma_r_padded,
+        r_0=float(r_0) if r_0.ndim == 0 else r_0, sigma_hat=sigma_hat,
     )
 
 

@@ -202,6 +202,34 @@ def mc_log_partition(g_batch_fn, beta, mean0, cov0, n_draws, rng):
     return float(est), float(se_logmean / beta)
 
 
+def posterior_step(q_xx, q_ux, q_uu, q_x, q_u, q_0, prior, beta):
+    """One step's Bayesian update of the prior and soft free energy from G's
+    coefficients, by one solve against the posterior precision with the
+    gain's and offset's right-hand sides and the identity, and the prior's
+    products formed in place.
+
+    Returns sigma_bar, u_tilde, v_tilde, chol_tilde, log|sigma_tilde| and the
+    (f_xx, f_x, f_0) coefficients of the soft log-partition F.
+    """
+    n = q_uu.shape[0]
+    sigma_bar = prior.sigma_p_inv - 2.0 * beta * q_uu
+    sigma_bar = 0.5 * (sigma_bar + sigma_bar.T)
+    pull_u = prior.sigma_p_inv @ prior.u_bar
+    pull_v = prior.sigma_p_inv @ prior.v_bar
+    v_rhs = beta * q_ux + pull_v
+    u_rhs = beta * q_u + pull_u
+    sol = np.linalg.solve(sigma_bar, np.concatenate([v_rhs, u_rhs[:, None], np.eye(n)], axis=1))
+    v_til, u_til = sol[:, :n], sol[:, n]
+    sig = 0.5 * (sol[:, n + 1:] + sol[:, n + 1:].T)
+    chol = np.linalg.cholesky(sig)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    f_xx = q_xx + (0.5 / beta) * (v_rhs.T @ v_til - prior.v_bar.T @ pull_v)
+    f_x = q_x + (1.0 / beta) * (v_til.T @ u_rhs - prior.v_bar.T @ pull_u)
+    f_0 = q_0 + (0.5 / beta) * (float(u_rhs @ u_til) - float(prior.u_bar @ pull_u)) \
+        - (0.5 / beta) * (prior.logdet_sigma_p - logdet)
+    return sigma_bar, u_til, v_til, chol, logdet, (0.5 * (f_xx + f_xx.T), f_x, float(f_0))
+
+
 # ---------------------------------------------------------------------------
 # direct likelihood: per trajectory and step (the package pools moments)
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gwealth.errors import InfeasibleError, ShapeError
+from gwealth.errors import InfeasibleError, ParameterError, ShapeError
 from gwealth.glearner import (
+    PolicyPrior,
     SolverConfig,
     Trajectory,
     backward_pass,
@@ -46,6 +47,7 @@ from oracles import (
     expected_reward,
     mc_log_partition,
     pad,
+    posterior_step,
     quad_fit,
     rollout_loop,
     sigma_tilde,
@@ -212,7 +214,7 @@ class TestBackwardPass:
         convex = RewardCoeffs(
             r_xx=-eye, r_ux=np.zeros((n, n)), r_uu=+0.5 * eye,  # wrong-sign curvature
             r_x=np.zeros(n), r_u=np.zeros(n), r_0=0.0,
-            sigma_hat=eye, sigma_r_padded=np.zeros((n, n)),
+            sigma_hat=eye,
         )
         prior = default_prior(n, sigma_p_scale=10.0)
         with pytest.raises(InfeasibleError, match="t=0"):
@@ -392,6 +394,26 @@ class TestPosterior:
                 assert sign == 1.0
                 assert plan.logdet_tilde[t] == pytest.approx(logdet, rel=1e-12, abs=1e-12)
 
+    def test_every_row_matches_the_solve_based_step(self, rng):
+        # each row of the plan against one solve against sigma_bar, from the
+        # plan's own G coefficients: random instances with a non-zero prior
+        # mean and gain, and the seed-1 market at N=100, T=30
+        plans = [build_plan(rng, n=int(rng.integers(2, 7)), t_len=int(rng.integers(1, 6)),
+                            beta=float(10.0 ** rng.uniform(-0.5, 3.0)))[0] for _ in range(12)]
+        plans.append(market_plan(99, 200, seed=1)[0])
+        for plan in plans:
+            t_last = plan.horizon - 1
+            for t in range(plan.horizon):
+                q = (plan.q_xx[t], plan.q_ux[t], plan.q_uu[t], plan.q_x[t], plan.q_u[t],
+                     plan.q_0[t])
+                *want, (w_fxx, w_fx, w_f0) = posterior_step(*q, plan.prior, plan.beta)
+                f_xx, f_x, f_0 = (plan.f_soft_last if t == t_last
+                                  else (plan.f_xx[t], plan.f_x[t], plan.f_0[t]))
+                got = (plan.sigma_bar[t], plan.u_tilde[t], plan.v_tilde[t],
+                       plan.chol_tilde[t], plan.logdet_tilde[t], f_xx, f_x, f_0)
+                for g, w in zip(got, (*want, w_fxx, w_fx, w_f0)):
+                    assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
     def test_stored_matrices_symmetric(self, rng):
         plan, *_ = build_plan(rng, n=3, t_len=3)
         for t in range(3):
@@ -543,6 +565,33 @@ class TestExpectationIdentity:
         x_next = a_vec * z + z * eps
         vals = np.einsum("si,ij,sj->s", x_next, vxx, x_next) + x_next @ vx + v0
         assert abs(want - vals.mean()) < 3.0 * vals.std(ddof=1) / np.sqrt(n_draws)
+
+
+class TestSolverInputs:
+    @pytest.mark.parametrize("beta, gamma", [
+        (np.inf, 0.95), (-np.inf, 0.95), (np.nan, 0.95), (1.0, np.inf), (1.0, np.nan),
+    ])
+    def test_non_finite_temperature_or_discount_rejected(self, rng, beta, gamma):
+        params, rbar_path, sigma_r, benchmark, prior, _ = random_problem(rng)
+        with pytest.raises(ParameterError, match="beta" if gamma == 0.95 else "gamma"):
+            solve_plan(params, rbar_path, sigma_r, benchmark, prior,
+                       SolverConfig(beta=beta, gamma=gamma))
+
+    @pytest.mark.parametrize("member, index, value", [
+        ("u_bar", (1,), np.nan), ("u_bar", (0,), np.inf), ("v_bar", (0, 1), np.inf),
+        ("v_bar", (2, 2), np.nan), ("sigma_p", (1, 1), np.nan), ("sigma_p", (0, 2), np.inf),
+    ])
+    def test_non_finite_prior_member_rejected(self, rng, member, index, value):
+        *_, prior, _ = random_problem(rng)
+        members = {name: getattr(prior, name).copy() for name in ("u_bar", "v_bar", "sigma_p")}
+        members[member][index] = value
+        with pytest.raises(ParameterError, match=f"prior {member} "):
+            PolicyPrior(**members)
+
+    def test_prior_mean_must_be_a_vector(self, rng):
+        *_, prior, _ = random_problem(rng)
+        with pytest.raises(ShapeError, match="u_bar must be 1-D"):
+            PolicyPrior(u_bar=prior.u_bar[:, None], v_bar=prior.v_bar, sigma_p=prior.sigma_p)
 
 
 class TestTrajectoryType:

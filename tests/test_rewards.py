@@ -236,7 +236,6 @@ class TestRewardBasis:
             for field in ("r_xx", "r_ux", "r_uu", "r_x", "r_u", "r_0", "sigma_hat"):
                 assert np.array_equal(getattr(rc, field), getattr(one, field)), (t, field)
             assert np.shares_memory(rc.sigma_hat, basis.sigma_hat)
-            assert rc.sigma_r_padded is basis.sigma_r_padded
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_returns_rejected(self, rng, value):
