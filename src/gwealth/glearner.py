@@ -224,18 +224,20 @@ def terminal_action(coeffs: RewardCoeffs, x: np.ndarray) -> np.ndarray:
     return 0.5 * (sol[:, :n] @ x + sol[:, n])
 
 
-def _terminal_f(rc: RewardCoeffs) -> tuple[np.ndarray, np.ndarray, float]:
-    """Plug the analytic terminal action back into the reward.
+def _terminal_f(q) -> tuple[np.ndarray, np.ndarray, float]:
+    """Plug the analytic terminal action back into the reward, whose
+    coefficients are G's q = (q_xx, q_ux, q_uu, q_x, q_u, q_0) at T-1.
 
     max_u [u^T r_uu u + u^T b + const] = const + b^T (-r_uu)^{-1} b / 4 with
     b = r_ux x + r_u, expanded into the (f_xx, f_x, f_0) coefficients of x.
     """
-    n = rc.n_assets
-    sol = _terminal_solve(rc.r_uu, rc.r_ux, rc.r_u)
+    r_xx, r_ux, r_uu, r_x, r_u, r_0 = q
+    n = r_uu.shape[0]
+    sol = _terminal_solve(r_uu, r_ux, r_u)
     s_inv_rux, s_inv_ru = sol[:, :n], sol[:, n]
-    f_xx = rc.r_xx + 0.25 * rc.r_ux.T @ s_inv_rux
-    f_x = rc.r_x + 0.5 * rc.r_ux.T @ s_inv_ru
-    f_0 = rc.r_0 + 0.25 * float(rc.r_u @ s_inv_ru)
+    f_xx = r_xx + 0.25 * r_ux.T @ s_inv_rux
+    f_x = r_x + 0.5 * r_ux.T @ s_inv_ru
+    f_0 = r_0 + 0.25 * float(r_u @ s_inv_ru)
     return 0.5 * (f_xx + f_xx.T), f_x, float(f_0)
 
 
@@ -315,6 +317,8 @@ def backward_pass(
     period t's reward coefficients (``RewardBasis.coeffs``), read once each.
     Every step writes its results into row t of the plan's stacked arrays
     and costs one inverse and two Cholesky factorizations (``_bayes_and_f``).
+    G's q_xx and q_uu are kept as their symmetric parts (the same quadratic
+    forms), so an asymmetric r_xx or r_uu solves as its symmetric part.
     """
     cfg.validate()
     rbar = np.asarray(rbar, dtype=float)
@@ -338,10 +342,11 @@ def backward_pass(
         q = _step_q(r, (f_xx[t + 1], f_x[t + 1], f_0[t + 1]), 1.0 + rbar[t], cfg.gamma,
                     out=(q_xx[t], q_ux[t], q_uu[t], q_x[t], q_u[t]))
         q_0[t] = q[5]
+        q_xx[t], q_uu[t] = (0.5 * (m + m.T) for m in (q_xx[t], q_uu[t]))  # no-ops if symmetric
         logdet_tilde[t], f_t = _bayes_and_f(
             q, prior, cfg.beta, t, out=(sigma_bar[t], u_tilde[t], v_tilde[t], chol_tilde[t]))
         if t == t_len - 1:  # the recursion takes the hard max, the policy the soft F
-            f_soft_last, f_t = f_t, _terminal_f(r)
+            f_soft_last, f_t = f_t, _terminal_f(q)
         f_xx[t], f_x[t], f_0[t] = f_t
 
     return SolvedPlan(

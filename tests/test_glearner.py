@@ -222,6 +222,30 @@ class TestBackwardPass:
                           np.zeros((1, n)))
 
 
+    def test_asymmetric_reward_solves_as_its_symmetric_part(self, rng):
+        # x' r_xx x and u' r_uu u see only the symmetric parts, and so must the
+        # plan: the same arrays, with symmetric q_xx, q_uu and sigma_bar
+        plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(rng, n=4, t_len=4)
+        coeffs = reward_basis(rbar_path, sigma_r, benchmark).coeffs(params)
+        skews = [a - a.T for a in rng.normal(size=(2, 4, 4))]
+
+        def skewed(t):
+            rc = coeffs(t)
+            return replace(rc, r_xx=rc.r_xx + np.abs(rc.r_xx).max() * skews[0],
+                           r_uu=rc.r_uu + np.abs(rc.r_uu).max() * skews[1])
+
+        got = backward_pass(skewed, prior, cfg, plan.rbar)
+        for name in ("q_xx", "q_uu", "sigma_bar"):
+            m = getattr(got, name)
+            assert np.array_equal(m, np.swapaxes(m, -1, -2)), name
+        for name in ("sigma_bar", "u_tilde", "v_tilde", "chol_tilde", "logdet_tilde", "q_xx",
+                     "q_ux", "q_uu", "q_x", "q_u", "q_0", "f_xx", "f_x", "f_0"):
+            want = getattr(plan, name)
+            assert np.max(np.abs(getattr(got, name) - want)) <= 1e-12 * np.max(np.abs(want)), name
+        for g, w in zip(got.f_soft_last, plan.f_soft_last):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
 class TestTangentPass:
     def test_matches_central_differences_of_the_solve(self, rng):
         # a prior with non-zero u_bar and v_bar, every step's G coefficients

@@ -1,4 +1,4 @@
-"""Per-layer timing of the solver's inner kernels, for one or more source trees.
+"""Per-layer timing of the solver's inner kernels, parent source tree against change.
 
 Times, at N=100 and N=20 assets and T=30 periods:
 
@@ -11,17 +11,16 @@ Times, at N=100 and N=20 assets and T=30 periods:
 - ``assemble_coeffs`` and ``assemble_tangents``: every period's reward
   coefficients, and their derivatives, from one ``RewardBasis``.
 
-The market is the one the benchmark's ``fit`` workload builds for a seed
-(default 1), with 200 rollout paths for the data moments; the reward is the
-benchmark's true one.  Each ``--src LABEL=DIR`` names a directory holding a
-``gwealth`` package; every one is imported into the same process under its
-own name, and each repeat times every layer once per tree, alternating which
-tree goes first, so that a drift of the machine's speed touches all trees and
-layers alike.  A layer's figure is the median over the repeats, with the
-quartiles.
+The market is the one the benchmark's ``fit`` workload builds for seed 1,
+with 200 rollout paths for the data moments; the reward is the benchmark's
+true one.  PARENT_SRC and CHANGE_SRC are directories holding a ``gwealth``
+package; both are imported into the same process under their own names, and
+each of the 25 repeats times every layer once per tree, alternating which
+tree goes first, so that a drift of the machine's speed touches both trees
+and all layers alike.  A layer's figure is the median over the repeats, with
+the quartiles.
 
-    python3 tools/bench_layers.py                         # src/ next to tools/, as "current"
-    python3 tools/bench_layers.py --src parent=OLD/src --src change=src
+    python3 tools/bench_layers.py PARENT_SRC CHANGE_SRC     # e.g. ../parent/src src
 
 The result is written to ``BENCH_layers.json`` (``--out``) with the machine,
 core count, numpy and BLAS versions and BLAS threads.
@@ -50,6 +49,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (100, 20)
 HORIZON = 30
 N_PATHS = 200
+REPEATS = 25
+SEED = 1
 
 
 def _cpu_model() -> str:
@@ -89,12 +90,12 @@ def _load(alias: str, src: Path):
     return pkg
 
 
-def _layers(alias: str, n_assets: int, seed: int) -> dict:
+def _layers(alias: str, n_assets: int) -> dict:
     """The timed callables of one tree at one size, on inputs built once."""
     girl, glearner, market, rewards = (importlib.import_module(f"{alias}.{name}")
                                        for name in ("girl", "glearner", "market", "rewards"))
     truth = rewards.RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15)
-    spec = market.MarketSpec(n_risky=n_assets - 1, horizon=HORIZON, n_paths=N_PATHS, seed=seed)
+    spec = market.MarketSpec(n_risky=n_assets - 1, horizon=HORIZON, n_paths=N_PATHS, seed=SEED)
     paths = market.simulate(spec)
     sigma = market.residual_covariance(paths)
     rbar = np.concatenate([np.full((spec.horizon, 1), spec.r_f * spec.dt),
@@ -104,7 +105,7 @@ def _layers(alias: str, n_assets: int, seed: int) -> dict:
     cfg = glearner.SolverConfig()
     basis = rewards.reward_basis(rbar, sigma, bench)
     plan = glearner.backward_pass(basis.coeffs(truth), prior, cfg, basis.rbar)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=SEED, spawn_key=(1,)))
     trajs = glearner.rollout(plan, paths, np.full(n_assets, 1000.0 / n_assets), rng)
     stats = girl.prepare_stats(trajs, rbar, sigma)
     theta = girl.GirlParams(reward=truth, sigma_r=sigma, sigma_p=prior.sigma_p,
@@ -133,39 +134,28 @@ def _layers(alias: str, n_assets: int, seed: int) -> dict:
     }
 
 
-def _source(text: str) -> tuple[str, Path]:
-    label, sep, path = text.partition("=")
-    if not sep or not label or not path:
-        raise argparse.ArgumentTypeError(f"expected LABEL=DIR, got {text!r}")
-    return label, Path(path).resolve()
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", type=_source, action="append", metavar="LABEL=DIR",
-                        help="a directory holding a gwealth package (repeatable)")
-    parser.add_argument("--repeats", type=int, default=25)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("parent", type=Path, help="the parent's directory holding gwealth")
+    parser.add_argument("change", type=Path, help="the change's directory holding gwealth")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_layers.json")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    sources = dict(args.src or [("current", ROOT / "src")])
-    aliases = {label: _load(f"gwealth_bench_{i}", src).__name__
-               for i, (label, src) in enumerate(sources.items())}
+    sources = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    aliases = {label: _load(f"gwealth_bench_{label}", src).__name__
+               for label, src in sources.items()}
 
-    result = {"environment": _environment(), "seed": args.seed, "repeats": args.repeats,
+    result = {"environment": _environment(), "seed": SEED, "repeats": REPEATS,
               "horizon": HORIZON, "paths": N_PATHS, "unit": "ms",
               "sources": list(sources), "sizes": {}}
     for n_assets in SIZES:
-        layers = {label: _layers(alias, n_assets, args.seed) for label, alias in aliases.items()}
+        layers = {label: _layers(alias, n_assets) for label, alias in aliases.items()}
         for fns in layers.values():  # warm-up: caches and lazy set-up
             for fn in fns.values():
                 fn()
         labels = list(layers)
         names = list(layers[labels[0]])
         times = {name: {label: [] for label in labels} for name in names}
-        for rep in range(args.repeats):
+        for rep in range(REPEATS):
             order = labels if rep % 2 == 0 else labels[::-1]
             for name in names:
                 for label in order:
@@ -179,8 +169,8 @@ def main(argv=None) -> int:
             for name, per_label in times.items()
         }
 
-    args.out.write_text(json.dumps({"harness": "python3 tools/bench_layers.py", **result},
-                                   indent=2) + "\n")
+    record = {"harness": "python3 tools/bench_layers.py PARENT_SRC CHANGE_SRC", **result}
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
     for size, layers in result["sizes"].items():
         for name, per_label in layers.items():
             print(f"{size:>6} {name:<18} " + "  ".join(
