@@ -8,11 +8,12 @@ theta = (lam, eta, rho, omega) are recovered by running BFGS with a
 backtracking line search on the negative log-likelihood in unconstrained
 coordinates.  The reward's theta-free terms are built once per fit
 (``rewards.reward_basis``); every likelihood evaluation solves the plan once
-on them, and the exact gradient at an accepted point is one tangent pass over
-that plan (``glearner.tangent_pass``), taken against the pooled moments of
-the data: the observed minus the policy's expected trade moments.  A
-central finite-difference gradient in ``tests/oracles.py`` is its test
-oracle.
+on them, and the exact gradient at an accepted point is one adjoint pass over
+that plan (``glearner.adjoint_pass``), seeded with the pooled moments of the
+data (the observed minus the policy's expected trade moments) and contracted
+with the reward's terms (``RewardBasis.pullback``).  A central
+finite-difference gradient and the forward (tangent) form of the same
+derivative in ``tests/oracles.py`` are its test oracles.
 
 Sigma_r, the policy prior, beta and gamma are held fixed: only the reward is
 learned.
@@ -37,8 +38,8 @@ from .glearner import (
     SolvedPlan,
     SolverConfig,
     Trajectory,
+    adjoint_pass,
     backward_pass,
-    tangent_pass,
 )
 from .market import ReturnCovariance
 from .rewards import BenchmarkPath, RewardBasis, RewardParams, reward_basis
@@ -269,6 +270,7 @@ def prepare_stats(
 
     chol = np.linalg.cholesky(sigma_r.sigma_r)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    chol_inv_t = np.linalg.inv(chol).T  # residuals times it are whitened
     trans = 0.0
     for t in range(t_len):
         base = x_all[:, t, 1:] + u_all[:, t, 1:]
@@ -276,7 +278,7 @@ def prepare_stats(
         rows = ok.all(axis=1)
         if rows.any():
             delta = x_all[rows, t + 1, 1:] / base[rows] - (1.0 + rbar_path[t, 1:])
-            w = np.linalg.solve(chol, delta.T)
+            w = delta @ chol_inv_t
             trans += -0.5 * (rows.sum() * logdet + float(np.sum(w * w)))
         for m_idx in np.nonzero(~rows)[0]:
             trans += transition_log_prob(
@@ -329,30 +331,30 @@ def _nll_on_plan(plan: SolvedPlan, stats: _DataStats) -> float:
 def _plan_gradient(theta: GirlParams, basis: RewardBasis, plan: SolvedPlan,
                    stats: _DataStats) -> np.ndarray:
     """Exact gradient of the negative log-likelihood in the ``pack_reward``
-    coordinates at ``theta``, from one tangent pass over ``plan``, the plan
+    coordinates at ``theta``, from one adjoint pass over ``plan``, the plan
     solved at ``theta`` on ``basis``.
 
-    With dq the derivatives of G's coefficients, the action log-density
+    Along a change dq of G's coefficients, the action log-density
     log pi0 + beta (G - F) changes at step t by beta times the observed minus
     the policy's expected trade moments, summed over the data:
     <dq_uu, sum u u' - E[sum u u']> + <dq_ux, sum u x' - E[sum u x']> + dq_u . w_u,
     w_u = sum u - E[sum u], all written in the centred moments.  The
-    state-only parts of G and F cancel.
+    state-only parts of G and F cancel.  Those moments seed the adjoint pass.
     """
     reward = theta.reward
     m = stats.count
-    grad = np.zeros(len(PARAM_NAMES))
-    steps = tangent_pass(plan, basis.tangents(reward))
-    for t, (_, dq_ux, dq_uu, _, dq_u, _) in steps:
-        v_t, chol, x_mean = plan.v_tilde[t], plan.chol_tilde[t], stats.x_mean[t]
+
+    def seed(t, cov):
+        v_t, x_mean = plan.v_tilde[t], stats.x_mean[t]
         mu = plan.u_tilde[t] + v_t @ x_mean  # the policy mean at the mean state
         w_u = m * (stats.u_mean[t] - mu)
         v_cxx = v_t @ stats.cxx[t]
-        w_uu = (stats.cuu[t] - v_cxx @ v_t.T - m * (chol @ chol.T)
-                + np.outer(w_u, stats.u_mean[t]) + np.outer(mu, w_u))
-        w_ux = stats.cux[t] - v_cxx + np.outer(w_u, x_mean)
-        grad -= plan.beta * (dq_uu.reshape(len(grad), -1) @ w_uu.ravel()
-                             + dq_ux.reshape(len(grad), -1) @ w_ux.ravel() + dq_u @ w_u)
+        w_uu = (stats.cuu[t] - v_cxx @ v_t.T - m * cov
+                + w_u[:, None] * stats.u_mean[t] + mu[:, None] * w_u)
+        w_ux = stats.cux[t] - v_cxx + w_u[:, None] * x_mean
+        return w_ux, w_uu, w_u
+
+    grad = -plan.beta * basis.pullback(reward, adjoint_pass(plan, basis.sigma_hat, seed))
     # chain rule from (lam, eta, rho, omega) to the coordinates of pack_reward
     rho = reward.rho
     grad *= (reward.lam, reward.eta, rho * (1.0 - rho), float(reward.omega))
@@ -371,13 +373,13 @@ def fit(
 
     Works in the unconstrained coordinates of ``pack_reward`` with a
     backtracking Armijo line search (Nocedal & Wright, ch. 3 and 6), in which
-    an infeasible solve or a non-finite loss rejects a trial point.  Each
-    trial solves the plan once and keeps it; the exact gradient at an
-    accepted point is one tangent pass over its plan, which costs about
-    as much as a solve.  Stops ``converged`` when the Newton decrement g'Hg / 2
-    (H the inverse-Hessian estimate) falls below ``stop_tol`` nats, after
-    ``max_iters`` accepted steps (``budget``), or when no trial decreases the
-    loss (``line_search``).
+    an infeasible solve, a non-finite loss or reward parameters out of their
+    range or the float range reject a trial point.  Each trial solves the
+    plan once and keeps it; the exact gradient at an accepted point is one
+    adjoint pass over its plan, which costs less than the solve.  Stops
+    ``converged`` when the Newton decrement g'Hg / 2 (H the inverse-Hessian
+    estimate) falls below ``stop_tol`` nats, after ``max_iters`` accepted
+    steps (``budget``), or when no trial decreases the loss (``line_search``).
     """
     cfg = cfg if cfg is not None else FitConfig()
     cfg.validate()
@@ -425,7 +427,7 @@ def fit(
             trial = None  # drop a rejected trial's plan before the next solve
             try:
                 trial = evaluate(vec + step)
-            except InfeasibleError:
+            except (InfeasibleError, ParameterError, OverflowError):
                 trial = (math.nan,)
             if trial[0] <= loss + ARMIJO_C1 * slope:  # False for NaN
                 break

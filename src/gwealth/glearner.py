@@ -15,9 +15,10 @@ policy normalizer at every step, terminal included, is the soft
 log-partition so that the posterior density identity
 pi = pi0 * exp(beta * (G - F_soft)) holds exactly.
 
-The tangent pass runs the same recursion's derivatives in the reward
-parameters over a solved plan, step by step, without a new factorization;
-the likelihood gradient of the inverse problem is built on it.
+The adjoint pass runs the same recursion backwards over a solved plan, from
+step 0 to T-1, without a new factorization: it carries the derivative of a
+scalar function of G's coefficients (the likelihood of the inverse problem)
+to every step's coefficients, whatever the number of parameters behind them.
 """
 
 from __future__ import annotations
@@ -279,30 +280,14 @@ def _bayes_and_f(q, prior: PolicyPrior, beta: float, t: int, out) -> tuple[float
 def _step_q(r: RewardCoeffs, f_next, a_t: np.ndarray, gamma: float, out=(None,) * 5):
     """G's coefficients at a step: the reward plus the discounted expectation
     of the next step's F = (f_xx, f_x, f_0) over the gross returns, whose mean
-    is a_t and second moment ``r.sigma_hat``.  Linear in (r, f_next), so
-    stacks of tangents along a leading axis go through it as well.  The array
-    coefficients go into ``out`` if given."""
+    is a_t and second moment ``r.sigma_hat``.  The array coefficients go into
+    ``out`` if given."""
     f_xx, f_x, f_0 = f_next
     growth = gamma * (f_xx * r.sigma_hat)
     lin = gamma * (a_t * f_x)
     return (np.add(r.r_xx, growth, out=out[0]), np.add(r.r_ux, 2.0 * growth, out=out[1]),
             np.add(r.r_uu, growth, out=out[2]), np.add(r.r_x, lin, out=out[3]),
             np.add(r.r_u, lin, out=out[4]), r.r_0 + gamma * f_0)
-
-
-def _expected_g(q, gain: np.ndarray, offset: np.ndarray, cov: np.ndarray | None = None):
-    """(f_xx, f_x, f_0) of x -> E[G(x, u)] for u ~ N(offset + gain x, cov)
-    (u = offset + gain x when ``cov`` is None), for G coefficients
-    q = (q_xx, q_ux, q_uu, q_x, q_u, q_0) stacked on a leading axis."""
-    q_xx, q_ux, q_uu, q_x, q_u, q_0 = q
-    quu_k = q_uu @ offset                       # (K, N)
-    gt_qux = gain.T @ q_ux
-    f_xx = q_xx + 0.5 * (gt_qux + np.swapaxes(gt_qux, -1, -2)) + gain.T @ q_uu @ gain
-    f_x = q_x + offset @ q_ux + 2.0 * quu_k @ gain + q_u @ gain
-    f_0 = q_0 + q_u @ offset + quu_k @ offset
-    if cov is not None:
-        f_0 = f_0 + np.sum(q_uu * cov, axis=(-2, -1))
-    return f_xx, f_x, f_0
 
 
 def backward_pass(
@@ -357,42 +342,52 @@ def backward_pass(
     )
 
 
-def tangent_pass(
-    plan: SolvedPlan, reward_tangent: Callable[[int], RewardCoeffs]
+def adjoint_pass(
+    plan: SolvedPlan,
+    sigma_hat: np.ndarray,
+    seed: Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> Iterator[tuple[int, tuple]]:
-    """Derivatives of G's coefficients along K directions of the reward
-    parameters, one step at a time from T-1 down to 0.
+    """Adjoints of G's coefficients for a scalar function of the plan, one
+    step at a time from 0 to T-1; ``sigma_hat`` holds the (T, N, N) second
+    moments of the gross returns the plan was solved on.
 
-    ``reward_tangent(t)`` gives the derivatives of step t's reward
-    coefficients as a stack of K (``RewardBasis.tangents``).  Yields
-    (t, (dq_xx, dq_ux, dq_uu, dq_x, dq_u, dq_0)), each with a leading axis
-    of length K, and holds only the current step's tangents.
+    ``seed(t, sigma_tilde_t)`` gives the function's own derivative in step
+    t's (q_ux, q_uu, q_u).  Yields (t, (a_xx, a_ux, a_uu, a_x, a_u, a_0)),
+    its derivative in step t's coefficients through the earlier steps too,
+    and holds only the current step's.
 
-    The derivative of F is the expectation of the derivative of G: under the
-    posterior policy for t < T-1, since F is the log-partition of
-    pi0 exp(beta G) (an envelope identity), and at the argmax of the hard max
-    at T-1, whose gain comes from one solve against -r_uu.  With the plan's
-    own sigma_tilde_t the step needs no factorization: the policy's tangents
-    d v_tilde = sigma_tilde (beta dq_ux + 2 beta dq_uu v_tilde), the same for
-    d u_tilde, and d log|sigma_tilde| = 2 beta tr(sigma_tilde dq_uu) sum to
-    exactly that expectation.
+    F_t enters G_{t-1} through ``_step_q`` and changes by the expectation of
+    G_t's change under u ~ N(k + K x, C): the posterior policy for t < T-1
+    (F is the log-partition of pi0 exp(beta G), an envelope identity) and
+    the argmax of the hard max at T-1 (C = 0).  F_t's adjoint (a_xx, a_x,
+    a_0) so reaches G_t as a_xx -> sym(a_xx), a_ux += K a_xx + k a_x',
+    a_uu += K a_xx K' + (2 K a_x + a_0 k) k' + a_0 C, a_u += K a_x + a_0 k.
     """
     t_last = plan.horizon - 1
     n = plan.n_assets
-    # at T-1 G is the reward, and the hard max takes u = (-r_uu)^{-1}(r_ux x + r_u) / 2
+    # at T-1 the hard max takes u = (-r_uu)^{-1}(r_ux x + r_u) / 2
     argmax = 0.5 * _terminal_solve(plan.q_uu[t_last], plan.q_ux[t_last], plan.q_u[t_last])
-    df = None
-    for t in range(t_last, -1, -1):
-        dr = reward_tangent(t)
-        if t == t_last:
-            dq = (dr.r_xx, dr.r_ux, dr.r_uu, dr.r_x, dr.r_u, dr.r_0)
-            df = _expected_g(dq, argmax[:, :n], argmax[:, n])
-        else:
-            dq = _step_q(dr, df, 1.0 + plan.rbar[t], plan.gamma)
-            if t > 0:
-                chol = plan.chol_tilde[t]
-                df = _expected_g(dq, plan.v_tilde[t], plan.u_tilde[t], chol @ chol.T)
-        yield t, dq
+    a_xx, a_x, a_0 = np.zeros((n, n)), np.zeros(n), 0.0  # F_0 feeds no step
+    for t in range(plan.horizon):
+        chol = plan.chol_tilde[t]
+        cov = chol @ chol.T
+        a_ux, a_uu, a_u = seed(t, cov)
+        if t > 0:
+            gain, offset = plan.v_tilde[t], plan.u_tilde[t]
+            if t == t_last:
+                gain, offset, cov = argmax[:, :n], argmax[:, n], 0.0
+            a_xx = 0.5 * (a_xx + a_xx.T)
+            k_a, k_m = gain @ a_xx, gain @ a_x
+            a_ux = a_ux + k_a + offset[:, None] * a_x
+            a_uu = (a_uu + k_a @ gain.T + (2.0 * k_m + a_0 * offset)[:, None] * offset
+                    + a_0 * cov)
+            a_u = a_u + k_m + a_0 * offset
+        yield t, (a_xx, a_ux, a_uu, a_x, a_u, a_0)
+        # F_{t+1}'s adjoint: it enters G_t as gamma (f_xx * sigma_hat_t) on
+        # q_xx, 2 q_ux and q_uu, gamma a_t * f_x on q_x and q_u, gamma f_0 on q_0
+        a_xx = plan.gamma * sigma_hat[t] * (a_xx + 2.0 * a_ux + a_uu)
+        a_x = plan.gamma * (1.0 + plan.rbar[t]) * (a_x + a_u)
+        a_0 = plan.gamma * a_0
 
 
 def solve_plan(

@@ -6,10 +6,10 @@ the period's cash installment (which the budget constraint ties to the sum of
 trades).  Expanding the expectation over returns turns the reward into a
 quadratic form in positions x and trades u.  Each coefficient is written
 once, as scalar weights (products of the parameters) times terms that do not
-depend on them, so the same formula gives the reward and its derivatives in
-the parameters.  The parameter-free terms of a market (expected returns,
-the return second moments, the benchmark) are built and checked once, by
-``reward_basis``; a solve or a whole fit assembles every period's
+depend on them, so its derivatives in the parameters are the weights'
+Jacobian times those terms.  The parameter-free terms of a market (expected
+returns, the return second moments, the benchmark) are built and checked
+once, by ``reward_basis``; a solve or a whole fit assembles every period's
 coefficients from that one ``RewardBasis``.
 
 Conventions: asset 0 is the risk-free bond, assets 1..N-1 are risky.  The
@@ -20,7 +20,7 @@ construction.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,9 +108,7 @@ class RewardCoeffs:
 
     The reward value is
         x^T r_xx x + u^T r_ux x + u^T r_uu u + x^T r_x + u^T r_u + r_0.
-    A stack of K coefficient sets (the reward's derivatives) has a leading
-    axis of length K on every coefficient.  ``sigma_hat`` is the
-    second-moment matrix of gross returns.
+    ``sigma_hat`` is the second-moment matrix of gross returns.
     """
 
     r_xx: np.ndarray
@@ -118,7 +116,7 @@ class RewardCoeffs:
     r_uu: np.ndarray
     r_x: np.ndarray
     r_u: np.ndarray
-    r_0: float | np.ndarray
+    r_0: float
     sigma_hat: np.ndarray
 
     @property
@@ -142,7 +140,8 @@ def _reward_weights(params: RewardParams, n: int) -> tuple[np.ndarray, np.ndarra
     lam (1-rho) and lam (1-rho)^2.  A scalar omega has the identity as its
     shape; a matrix omega is its own shape with weight one, and the
     derivative in omega assumes a scalar omega (cost matrix omega * I).
-    Returns the (8,) weights, their (4, 8) Jacobian and the (N, N) shape.
+    Returns the (8,) weights, their (4, 8) Jacobian and the (N, N) shape;
+    raises ParameterError if a weight or the shape is not finite.
     """
     params.validate(n)
     lam, eta, rho = params.lam, params.eta, params.rho
@@ -158,6 +157,8 @@ def _reward_weights(params: RewardParams, n: int) -> tuple[np.ndarray, np.ndarra
         [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
     ])
     shape = np.eye(n) if np.ndim(params.omega) == 0 else params.omega_matrix(n)
+    if not (np.isfinite(weights).all() and np.isfinite(shape).all()):
+        raise ParameterError("the reward's weights or cost matrix are not finite")
     return weights, jacobian, 0.5 * (shape + shape.T)
 
 
@@ -184,15 +185,23 @@ class RewardBasis:
         weights, _, shape = _reward_weights(params, self.n_assets)
         return lambda t: _assemble(weights, shape, self, t)
 
-    def tangents(self, params: RewardParams) -> Callable[[int], RewardCoeffs]:
-        """Period t's derivatives of the reward coefficients in (lam, eta,
-        rho, omega), stacked on a leading axis of length 4: (4, N, N)
-        matrices, (4, N) vectors and a (4,) constant.  ``params.omega`` must
-        be a scalar."""
+    def pullback(self, params: RewardParams, adjoints: Iterable[tuple[int, tuple]]) -> np.ndarray:
+        """The derivative in (lam, eta, rho, omega) of sum_t <a_t, r_t>, the
+        reward coefficients (r_xx, r_ux, r_uu, r_x, r_u, r_0) of period t
+        contracted with fixed adjoints, from a stream of (t, a_t) such as
+        ``glearner.adjoint_pass`` yields: the weights' Jacobian times the
+        adjoints' contractions with the 8 terms ``_assemble`` weights, summed
+        one period at a time.  ``params.omega`` must be a scalar."""
         if np.ndim(params.omega) != 0:
             raise ParameterError("reward derivatives need a scalar omega (cost matrix omega * I)")
         _, jacobian, shape = _reward_weights(params, self.n_assets)
-        return lambda t: _assemble(jacobian, shape, self, t)
+        c = np.zeros(jacobian.shape[1])
+        for t, (a_xx, a_ux, a_uu, a_x, a_u, a_0) in adjoints:
+            g, b_t = 1.0 + self.rbar[t], float(self.b[t])
+            c += (-a_u.sum(), -a_xx.sum(), g @ (a_xx.sum(0) + a_xx.sum(1) + 2.0 * a_ux.sum(1)),
+                  -np.vdot(a_xx + 2.0 * a_ux + a_uu, self.sigma_hat[t]), -np.vdot(a_uu, shape),
+                  -2.0 * b_t * a_x.sum(), 2.0 * b_t * (g @ (a_x + a_u)), -b_t**2 * a_0)
+        return jacobian @ c
 
 
 def reward_basis(
@@ -226,10 +235,8 @@ def reward_basis(
 
 def _assemble(w: np.ndarray, shape: np.ndarray, basis: RewardBasis, t: int) -> RewardCoeffs:
     """The reward's one formula: each of period t's coefficients is a
-    weighted sum of theta-free terms, with the weights ``w`` of
-    ``_reward_weights`` (shape (8,)) or a stack of weight vectors (shape
-    (K, 8)), which gives a stack of K coefficient sets.  Being linear in
-    ``w``, it maps the weights' Jacobian to the reward's derivatives.
+    weighted sum of theta-free terms, with the (8,) weights ``w`` of
+    ``_reward_weights``.
 
     The assembled quadratic form equals the closed-form expectation of the
     squared-shortfall reward over the return distribution
@@ -238,20 +245,16 @@ def _assemble(w: np.ndarray, shape: np.ndarray, basis: RewardBasis, t: int) -> R
     g = 1.0 + basis.rbar[t]  # expected gross returns
     sigma_hat = basis.sigma_hat[t]
     b_t = float(basis.b[t])
-    # each weight, shaped (1, 1) or (K, 1, 1), scales an N x N term; [..., 0] a vector
-    unit, w_11, w_g1, w_s, w_om, w_b1, w_bg, w_bb = w.T[..., None, None]
+    unit, w_11, w_g1, w_s, w_om, w_b1, w_bg, w_bb = w
     s_term = w_s * sigma_hat
     r_xx = w_g1 * (g[:, None] + g) - w_11 - s_term  # g 1' + 1 g', ones, sigma_hat
     r_ux = 2.0 * w_g1 * g[:, None] - 2.0 * s_term
     r_uu = -s_term - w_om * shape
-    bg = (2.0 * b_t * w_bg[..., 0]) * g
-    r_x = bg - 2.0 * b_t * w_b1[..., 0]
-    r_u = bg - unit[..., 0]
-    r_0 = -w_bb[..., 0, 0] * b_t**2
-    return RewardCoeffs(
-        r_xx=r_xx, r_ux=r_ux, r_uu=r_uu, r_x=r_x, r_u=r_u,
-        r_0=float(r_0) if r_0.ndim == 0 else r_0, sigma_hat=sigma_hat,
-    )
+    bg = (2.0 * b_t * w_bg) * g
+    r_x = bg - 2.0 * b_t * w_b1
+    r_u = bg - unit
+    return RewardCoeffs(r_xx=r_xx, r_ux=r_ux, r_uu=r_uu, r_x=r_x, r_u=r_u,
+                        r_0=float(-w_bb * b_t**2), sigma_hat=sigma_hat)
 
 
 def build_coeffs(

@@ -6,9 +6,11 @@ maximization) and deliberately shares no code path with the package
 internals it checks.  The rest are the direct, per-path and per-step forms of
 computations the package batches or pools (the trajectory likelihood, the
 rollout, the equal-weight baseline, the shortfall); they call only the
-package's single-step building blocks.  The finite-difference likelihood
-gradient differences the package's own likelihood, as the check of its exact
-gradient.
+package's single-step building blocks.  The exact likelihood gradient has
+two oracles: central finite differences of the package's own likelihood, and
+the derivative's forward (tangent) mode, which pushes the reward's
+derivatives in each parameter through the recursion where the package runs
+one reverse (adjoint) sweep.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from gwealth.girl import (
     PARAM_NAMES, nll_from_stats, pack_reward, prepare_stats, transition_log_prob, unpack_reward,
 )
 from gwealth.glearner import Trajectory, cash_installment, g_value, sample_action, solve_plan
-from gwealth.rewards import target_portfolio
+from gwealth.rewards import RewardCoeffs, _assemble, _reward_weights, target_portfolio
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -319,6 +321,89 @@ def nll_gradient(theta, trajs, rbar_path, fd_step):
     step ``fd_step``: eight solves."""
     return fd_gradient(coordinate_nll(theta, trajs, rbar_path), pack_reward(theta.reward),
                        fd_step)
+
+
+# ---------------------------------------------------------------------------
+# forward-mode likelihood gradient (the package runs one adjoint pass)
+# ---------------------------------------------------------------------------
+
+def reward_tangents(basis, params, t):
+    """Period t's derivatives of the reward coefficients in (lam, eta, rho,
+    omega), stacked on a leading axis of length 4: ``_assemble`` of one row
+    of the weights' Jacobian at a time."""
+    _, jacobian, shape = _reward_weights(params, basis.n_assets)
+    rows = [_assemble(row, shape, basis, t) for row in jacobian]
+    return RewardCoeffs(**{name: np.stack([getattr(r, name) for r in rows])
+                           for name in ("r_xx", "r_ux", "r_uu", "r_x", "r_u", "r_0")},
+                        sigma_hat=rows[0].sigma_hat)
+
+
+def expected_g(q, gain, offset, cov=None):
+    """(f_xx, f_x, f_0) of x -> E[G(x, u)] for u ~ N(offset + gain x, cov)
+    (u = offset + gain x when ``cov`` is None), for G coefficients
+    q = (q_xx, q_ux, q_uu, q_x, q_u, q_0) stacked on a leading axis."""
+    q_xx, q_ux, q_uu, q_x, q_u, q_0 = q
+    quu_k = q_uu @ offset
+    gt_qux = gain.T @ q_ux
+    f_xx = q_xx + 0.5 * (gt_qux + np.swapaxes(gt_qux, -1, -2)) + gain.T @ q_uu @ gain
+    f_x = q_x + offset @ q_ux + 2.0 * quu_k @ gain + q_u @ gain
+    f_0 = q_0 + q_u @ offset + quu_k @ offset
+    if cov is not None:
+        f_0 = f_0 + np.sum(q_uu * cov, axis=(-2, -1))
+    return f_xx, f_x, f_0
+
+
+def tangent_pass(plan, basis, params):
+    """Derivatives of G's coefficients in (lam, eta, rho, omega) at every
+    step of the plan solved under ``params`` on ``basis``: a list over t of
+    (dq_xx, dq_ux, dq_uu, dq_x, dq_u, dq_0), each stacked on a leading axis
+    of length 4, from the recursion's tangent run from T-1 down to 0.
+
+    F's derivative is the expectation of G's under the posterior policy for
+    t < T-1 (F is the log-partition of pi0 exp(beta G), an envelope
+    identity) and under the argmax of the hard max at T-1, so the plan's own
+    policy carries it without a new factorization."""
+    t_last = plan.horizon - 1
+    n = plan.n_assets
+    argmax = 0.5 * np.linalg.solve(
+        -plan.q_uu[t_last], np.column_stack([plan.q_ux[t_last], plan.q_u[t_last]]))
+    steps = [None] * plan.horizon
+    df = None
+    for t in range(t_last, -1, -1):
+        dr = reward_tangents(basis, params, t)
+        dq = (dr.r_xx, dr.r_ux, dr.r_uu, dr.r_x, dr.r_u, dr.r_0)
+        if t == t_last:
+            df = expected_g(dq, argmax[:, :n], argmax[:, n])
+        else:
+            df_xx, df_x, df_0 = df
+            growth = plan.gamma * df_xx * dr.sigma_hat
+            lin = plan.gamma * (1.0 + plan.rbar[t]) * df_x
+            dq = (dq[0] + growth, dq[1] + 2.0 * growth, dq[2] + growth, dq[3] + lin,
+                  dq[4] + lin, dq[5] + plan.gamma * df_0)
+            df = expected_g(dq, plan.v_tilde[t], plan.u_tilde[t], sigma_tilde(plan, t))
+        steps[t] = dq
+    return steps
+
+
+def tangent_gradient(theta, basis, plan, stats):
+    """The likelihood gradient in the ``pack_reward`` coordinates by forward
+    mode: ``tangent_pass`` in all four directions, each step's tangents
+    contracted with beta times the observed minus the policy's expected
+    trade moments of the pooled data ``stats`` (``girl.prepare_stats``)."""
+    m = stats.count
+    grad = np.zeros(len(PARAM_NAMES))
+    for t, (_, dq_ux, dq_uu, _, dq_u, _) in enumerate(tangent_pass(plan, basis, theta.reward)):
+        v_t, x_mean = plan.v_tilde[t], stats.x_mean[t]
+        mean = plan.u_tilde[t] + v_t @ x_mean
+        w_u = m * (stats.u_mean[t] - mean)
+        v_cxx = v_t @ stats.cxx[t]
+        w_uu = (stats.cuu[t] - v_cxx @ v_t.T - m * sigma_tilde(plan, t)
+                + np.outer(w_u, stats.u_mean[t]) + np.outer(mean, w_u))
+        w_ux = stats.cux[t] - v_cxx + np.outer(w_u, x_mean)
+        grad -= plan.beta * (np.einsum("kij,ij->k", dq_uu, w_uu)
+                             + np.einsum("kij,ij->k", dq_ux, w_ux) + dq_u @ w_u)
+    reward = theta.reward
+    return grad * (reward.lam, reward.eta, reward.rho * (1.0 - reward.rho), float(reward.omega))
 
 
 # ---------------------------------------------------------------------------

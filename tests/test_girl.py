@@ -36,7 +36,8 @@ from gwealth.rewards import RewardParams, exponential_benchmark, reward_basis
 
 from conftest import random_problem, random_spd
 from oracles import (
-    action_log_prob, fd_gradient, mvn_logpdf, nll_gradient, sigma_tilde, trajectory_nll,
+    action_log_prob, fd_gradient, mvn_logpdf, nll_gradient, sigma_tilde, tangent_gradient,
+    trajectory_nll,
 )
 
 
@@ -304,7 +305,7 @@ def solve_at(theta, rbar_path):
 
 
 def exact_gradient(theta, trajs, rbar_path):
-    """The fit's gradient: one tangent pass over the plan solved at theta."""
+    """The fit's gradient: one adjoint pass over the plan solved at theta."""
     stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
     return girl_mod._plan_gradient(theta, *solve_at(theta, rbar_path), stats)
 
@@ -323,7 +324,57 @@ def gradient_error(got, want):
     return np.abs(got - want) / np.maximum(np.abs(want), floor)
 
 
+def reference_market_theta(seed, n_paths):
+    """The acceptance market (100 assets, 30 periods) of ``seed`` at the
+    reference reward, the data rolled out from the plan solved there, and
+    the return path."""
+    spec = MarketSpec(seed=seed, n_paths=n_paths)
+    paths = simulate(spec)
+    sigma_r = residual_covariance(paths)
+    rbar_path = np.concatenate(
+        [np.full((spec.horizon, 1), spec.r_f * spec.dt), mean_expected_returns(paths)],
+        axis=1)
+    prior = default_prior(spec.n_risky + 1, sigma_p_scale=10.0)
+    theta = GirlParams(
+        reward=RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15), sigma_r=sigma_r,
+        sigma_p=prior.sigma_p, u_bar=prior.u_bar, beta=1000.0, gamma=0.95,
+        benchmark=exponential_benchmark(1000.0, 0.5, spec.horizon, spec.dt),
+    )
+    _, plan = solve_at(theta, rbar_path)
+    x0 = np.full(spec.n_risky + 1, 1000.0 / (spec.n_risky + 1))
+    trajs = rollout(plan, paths, x0, np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(1,))))
+    return theta, trajs, rbar_path
+
+
+def forward_mode_error(theta, trajs, rbar_path):
+    """Per-component relative error of the exact gradient against the
+    forward-mode oracle on the same plan."""
+    stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
+    basis, plan = solve_at(theta, rbar_path)
+    return gradient_error(girl_mod._plan_gradient(theta, basis, plan, stats),
+                          tangent_gradient(theta, basis, plan, stats))
+
+
 class TestExactGradient:
+    def test_matches_forward_mode_oracle(self, rng):
+        worst = 0.0
+        for case in range(24):
+            n = int(rng.integers(2, 6))
+            u_bar = rng.normal(0.0, 2.0, size=n) if case % 2 else None
+            theta, _, trajs, rbar_path = make_setup(
+                rng, n=n, t_len=1 + case % 6, n_paths=30,
+                beta=float(10.0 ** rng.uniform(0.0, 3.0)), u_bar=u_bar,
+            )
+            if case % 4 >= 2:  # off the generating parameters
+                theta = theta.with_reward(scaled_start(theta.reward, 1.3))
+            worst = max(worst, float(forward_mode_error(theta, trajs, rbar_path).max()))
+        assert worst <= 1e-10
+
+    def test_matches_forward_mode_oracle_on_reference_market(self):
+        theta, trajs, rbar_path = reference_market_theta(seed=1, n_paths=200)
+        assert forward_mode_error(theta, trajs, rbar_path).max() <= 1e-10
+
     def test_matches_richardson_oracle(self, rng):
         worst = 0.0
         for case in range(24):
@@ -342,23 +393,8 @@ class TestExactGradient:
 
     @pytest.mark.slow
     def test_matches_richardson_oracle_on_reference_market(self):
-        # the acceptance market (seed 7, 100 assets, 30 periods, 1000 paths) at the truth
-        spec = MarketSpec(seed=7)
-        paths = simulate(spec)
-        sigma_r = residual_covariance(paths)
-        rbar_path = np.concatenate(
-            [np.full((spec.horizon, 1), spec.r_f * spec.dt), mean_expected_returns(paths)],
-            axis=1)
-        prior = default_prior(spec.n_risky + 1, sigma_p_scale=10.0)
-        theta = GirlParams(
-            reward=RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15), sigma_r=sigma_r,
-            sigma_p=prior.sigma_p, u_bar=prior.u_bar, beta=1000.0, gamma=0.95,
-            benchmark=exponential_benchmark(1000.0, 0.5, spec.horizon, spec.dt),
-        )
-        _, plan = solve_at(theta, rbar_path)
-        x0 = np.full(spec.n_risky + 1, 1000.0 / (spec.n_risky + 1))
-        trajs = rollout(plan, paths, x0, np.random.default_rng(
-            np.random.SeedSequence(entropy=7, spawn_key=(1,))))
+        # the acceptance market (seed 7, 1000 paths) at the truth
+        theta, trajs, rbar_path = reference_market_theta(seed=7, n_paths=1000)
         err = gradient_error(exact_gradient(theta, trajs, rbar_path),
                              richardson_gradient(theta, trajs, rbar_path))
         assert err.max() <= 1e-5
@@ -432,9 +468,9 @@ class TestFit:
         start = theta.with_reward(scaled_start(theta.reward, 2.0))
         vec0 = pack_reward(start.reward)
         solve = girl_mod._solve_for
-        tangent_pass = girl_mod.tangent_pass
+        plan_gradient = girl_mod._plan_gradient
         rejected = {"n": 0}
-        tangent_passes = {"n": 0}
+        gradients = {"n": 0}
 
         def walled_solve(at, *args, **kwargs):
             if np.linalg.norm(pack_reward(at.reward) - vec0) > 0.3:
@@ -442,22 +478,41 @@ class TestFit:
                 raise InfeasibleError("trial beyond the wall")
             return solve(at, *args, **kwargs)
 
-        def counted_tangent_pass(*args, **kwargs):
-            tangent_passes["n"] += 1
-            return tangent_pass(*args, **kwargs)
+        def counted_gradient(*args, **kwargs):
+            gradients["n"] += 1
+            return plan_gradient(*args, **kwargs)
 
         monkeypatch.setattr(girl_mod, "_solve_for", walled_solve)
-        monkeypatch.setattr(girl_mod, "tangent_pass", counted_tangent_pass)
+        monkeypatch.setattr(girl_mod, "_plan_gradient", counted_gradient)
         report = fit(trajs, rbar_path, start, FitConfig(max_iters=1))
         # the unit-length first trial and its first halving hit the wall
         assert rejected["n"] == 2
         # the start and the accepted trial solve as well; only the start,
-        # where the one iteration began, gets a tangent pass
+        # where the one iteration began, gets a gradient
         assert report.solves == 2 + rejected["n"]
-        assert tangent_passes["n"] == 1
+        assert gradients["n"] == 1
         assert report.stop_reason == "budget" and report.iterations == 1
         assert report.loss_path[1] < report.loss_path[0]
         assert np.linalg.norm(pack_reward(report.params.reward) - vec0) <= 0.3
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_trials_outside_float_range_are_backtracked(self, rng, monkeypatch, sign):
+        # two gradients that differ by 1e-6 make the first curvature scale
+        # 1e6, so the second step moves ln(lam) by about 1e6: lam underflows
+        # to 0.0 (sign 1) or exp overflows (sign -1); those trials are halved
+        # away like infeasible ones
+        theta, _, trajs, rbar_path = make_setup(rng, n_paths=5)
+        grads = iter([np.array([sign, 0.0, 0.0, 0.0]), np.array([sign * (1 - 1e-6), 0, 0, 0])])
+        losses = iter(-np.arange(1.0, 100.0))
+        monkeypatch.setattr(girl_mod, "_plan_gradient", lambda *args: next(grads))
+        monkeypatch.setattr(girl_mod, "_nll_on_plan", lambda *args: next(losses))
+        report = fit(trajs, rbar_path, theta, FitConfig(max_iters=2))
+        assert report.stop_reason == "budget" and report.iterations == 2
+        lam = report.params.reward.lam
+        assert 0.0 < lam < np.inf and (lam > 1e100 if sign < 0 else lam < 1e-100)
+        # the start, the unit first step, and the second step after eleven
+        # rejected trials: halved eleven times, the step of 1e6 is 488
+        assert report.solves == 2 + 11 + 1
 
     def test_uninformative_data_flat_lambda_slice(self, rng):
         # with beta -> 0 the agent ignores the reward, so the likelihood

@@ -18,7 +18,7 @@ from gwealth.rewards import (
 )
 
 from conftest import random_spd
-from oracles import expected_reward, mc_reward, pad
+from oracles import expected_reward, mc_reward, pad, reward_tangents as oracle_tangents
 
 
 def random_reward_inputs(rng, n=4):
@@ -34,9 +34,14 @@ def random_reward_inputs(rng, n=4):
     return params, rbar, sigma_r, b_t
 
 
+def one_period_basis(rbar, sigma_r, b_t):
+    return reward_basis(rbar[None], sigma_r, BenchmarkPath(b=np.array([b_t])))
+
+
 def reward_tangents(params, rbar, sigma_r, b_t):
-    """The reward's derivatives at a one-period market."""
-    return reward_basis(rbar[None], sigma_r, BenchmarkPath(b=np.array([b_t]))).tangents(params)(0)
+    """The reward's derivatives at a one-period market, one row of the
+    weights' Jacobian at a time (the forward-mode oracle's)."""
+    return oracle_tangents(one_period_basis(rbar, sigma_r, b_t), params, 0)
 
 
 class TestTargetPortfolio:
@@ -219,9 +224,29 @@ class TestRewardTangents:
         assert np.array_equal(tangents.r_uu[0], -tangents.sigma_hat)
 
     def test_matrix_omega_rejected(self, rng):
+        # the Jacobian in omega assumes the cost matrix omega * I
         params, rbar, sigma_r, b_t = random_reward_inputs(rng)
-        with pytest.raises(ParameterError):
-            reward_tangents(params, rbar, sigma_r, b_t)
+        with pytest.raises(ParameterError, match="scalar omega"):
+            one_period_basis(rbar, sigma_r, b_t).pullback(params, [])
+
+    def test_pullback_is_the_transpose_of_the_tangents(self, rng):
+        # sum_t <a_t, dr_t / dtheta_k> for random adjoints, against the
+        # tangents contracted directly
+        params, rbar, sigma_r, b_t = random_reward_inputs(rng)
+        params = RewardParams(lam=params.lam, eta=params.eta, rho=params.rho, omega=0.3)
+        basis = reward_basis(np.stack([rbar, rbar + 0.01]), sigma_r,
+                             BenchmarkPath(b=np.array([b_t, 1.1 * b_t])))
+        n = basis.n_assets
+        adjoints = [(t, (rng.normal(size=(n, n)), rng.normal(size=(n, n)),
+                         rng.normal(size=(n, n)), rng.normal(size=n), rng.normal(size=n),
+                         float(rng.normal()))) for t in range(2)]
+        want = np.zeros(4)
+        for t, adj in adjoints:
+            dr = oracle_tangents(basis, params, t)
+            for a, field in zip(adj, self.FIELDS):
+                want += np.asarray(getattr(dr, field)).reshape(4, -1) @ np.ravel(a)
+        got = basis.pullback(params, adjoints)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestRewardBasis:

@@ -3,13 +3,14 @@
 Times, at N=100 and N=20 assets and T=30 periods:
 
 - ``backward_pass``: one solve of the plan on a prebuilt reward basis;
-- ``tangent_pass``: one pass of the reward tangents over that plan;
 - ``nll_on_plan``: the likelihood contraction of a solved plan against the
   pooled data moments (``girl._nll_on_plan``);
-- ``plan_gradient``: the exact gradient, tangent pass included
+- ``plan_gradient``: the exact gradient of that likelihood over the plan
   (``girl._plan_gradient``);
-- ``assemble_coeffs`` and ``assemble_tangents``: every period's reward
-  coefficients, and their derivatives, from one ``RewardBasis``.
+- ``prepare_stats``: the pooled data moments and the transition term, from
+  the rollout's trajectories (``girl.prepare_stats``);
+- ``assemble_coeffs``: every period's reward coefficients from one
+  ``RewardBasis``.
 
 The market is the one the benchmark's ``fit`` workload builds for seed 1,
 with 200 rollout paths for the data moments; the reward is the benchmark's
@@ -112,25 +113,18 @@ def _layers(alias: str, n_assets: int) -> dict:
                             u_bar=np.zeros(n_assets), beta=cfg.beta, gamma=cfg.gamma,
                             benchmark=bench)
 
-    def tangents():
-        for _ in glearner.tangent_pass(plan, basis.tangents(truth)):
-            pass
-
-    def assemble(make):
-        def run():
-            at = make(truth)
-            for t in range(HORIZON):
-                at(t)
-        return run
+    def assemble():
+        at = basis.coeffs(truth)
+        for t in range(HORIZON):
+            at(t)
 
     return {
         "backward_pass": lambda: glearner.backward_pass(basis.coeffs(truth), prior, cfg,
                                                         basis.rbar),
-        "tangent_pass": tangents,
         "nll_on_plan": lambda: girl._nll_on_plan(plan, stats),
         "plan_gradient": lambda: girl._plan_gradient(theta, basis, plan, stats),
-        "assemble_coeffs": assemble(basis.coeffs),
-        "assemble_tangents": assemble(basis.tangents),
+        "prepare_stats": lambda: girl.prepare_stats(trajs, rbar, sigma),
+        "assemble_coeffs": assemble,
     }
 
 
