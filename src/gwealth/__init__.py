@@ -28,6 +28,7 @@ from .glearner import (
     PolicyPrior,
     SolvedPlan,
     SolverConfig,
+    Trajectories,
     Trajectory,
     backward_pass,
     cash_installment,
@@ -63,8 +64,8 @@ __all__ = [
     "RewardParams", "BenchmarkPath", "RewardCoeffs",
     "build_coeffs", "reward_value", "target_portfolio", "exponential_benchmark",
     "SolverConfig", "PolicyPrior", "GaussianPolicy", "SolvedPlan", "Trajectory",
-    "backward_pass", "solve_plan", "terminal_action", "free_energy", "g_value",
-    "policy_mean", "sample_action", "rollout", "cash_installment", "default_prior",
+    "Trajectories", "backward_pass", "solve_plan", "terminal_action", "free_energy",
+    "g_value", "policy_mean", "sample_action", "rollout", "cash_installment", "default_prior",
     "GirlParams", "FitConfig", "FitReport",
     "transition_log_prob", "fit", "loss_slices",
     "PerformanceSummary", "equal_weight_baseline", "investment_returns",

@@ -37,7 +37,7 @@ from .glearner import (
     PolicyPrior,
     SolvedPlan,
     SolverConfig,
-    Trajectory,
+    Trajectories,
     adjoint_pass,
     backward_pass,
 )
@@ -238,24 +238,17 @@ class _DataStats:
 
 
 def prepare_stats(
-    trajs: list[Trajectory], rbar_path: np.ndarray, sigma_r: ReturnCovariance
+    trajs: Trajectories, rbar_path: np.ndarray, sigma_r: ReturnCovariance
 ) -> _DataStats:
-    """Pool the data into per-step moments and the constant transition term."""
-    if len(trajs) == 0:
-        raise ParameterError("at least one trajectory is required")
-    t_len = trajs[0].horizon
-    n = trajs[0].n_assets
-    for traj in trajs:
-        if traj.horizon != t_len or traj.n_assets != n:
-            raise ShapeError("all trajectories must share horizon and asset count")
+    """Pool the data into per-step moments and the constant transition term,
+    read from the batch's (M, T+1, N) positions and (M, T, N) trades."""
+    x_all, u_all = trajs.x, trajs.u
+    m, t_len, n = u_all.shape
     if rbar_path.shape != (t_len, n) or sigma_r.n_risky != n - 1:
         raise ShapeError(
             f"trajectories of {t_len} periods x {n} assets do not match the return "
             f"path {rbar_path.shape} and Sigma_r of {sigma_r.n_risky} risky assets"
         )
-
-    x_all = np.stack([traj.x for traj in trajs])  # (M, T+1, N)
-    u_all = np.stack([traj.u for traj in trajs])  # (M, T, N)
     x_mean = x_all[:, :-1].mean(axis=0)
     u_mean = u_all.mean(axis=0)
     cxx = np.empty((t_len, n, n))
@@ -287,7 +280,7 @@ def prepare_stats(
             )
     return _DataStats(
         cxx=cxx, cux=cux, cuu=cuu, x_mean=x_mean, u_mean=u_mean,
-        count=len(trajs), horizon=t_len, n_assets=n, transition_const=float(trans),
+        count=m, horizon=t_len, n_assets=n, transition_const=float(trans),
     )
 
 
@@ -364,7 +357,7 @@ def _plan_gradient(theta: GirlParams, basis: RewardBasis, plan: SolvedPlan,
 
 
 def fit(
-    trajs: list[Trajectory],
+    trajs: Trajectories,
     rbar_path: np.ndarray,
     theta0: GirlParams,
     cfg: FitConfig | None = None,
@@ -452,7 +445,7 @@ def fit(
 
 def loss_slices(
     theta: GirlParams,
-    trajs: list[Trajectory],
+    trajs: Trajectories,
     rbar_path: np.ndarray,
     grids: dict[str, np.ndarray] | None = None,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:

@@ -23,6 +23,7 @@ to every step's coefficients, whatever the number of parameters behind them.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
@@ -171,19 +172,32 @@ class Trajectory:
     u: np.ndarray
     cash: np.ndarray
 
+
+@dataclass(frozen=True)
+class Trajectories:
+    """M simulated account histories as one batch: positions x (M, T+1, N),
+    trades u (M, T, N) and cash installments (M, T).  ``trajs[p]`` is path p,
+    a ``Trajectory`` of views into the batch (and iteration runs over them)."""
+
+    x: np.ndarray
+    u: np.ndarray
+    cash: np.ndarray
+
     def __post_init__(self):
-        if self.x.ndim != 2 or self.u.ndim != 2 or self.x.shape[0] != self.u.shape[0] + 1:
-            raise ShapeError("positions must have one more period than trades")
-        if self.x.shape[1] != self.u.shape[1] or self.cash.shape != (self.u.shape[0],):
-            raise ShapeError("inconsistent trajectory shapes")
+        if self.x.ndim != 3 or self.x.shape[0] == 0:
+            raise ShapeError(f"positions must be an (M, T+1, N) batch of at least one "
+                             f"path, got shape {self.x.shape}")
+        m, t_len, n = self.x.shape[0], self.x.shape[1] - 1, self.x.shape[2]  # T+1 positions
+        if self.u.shape != (m, t_len, n) or self.cash.shape != (m, t_len):
+            raise ShapeError(f"trades {self.u.shape} and cash {self.cash.shape} do not fit "
+                             f"positions {self.x.shape}")
 
-    @property
-    def horizon(self) -> int:
-        return self.u.shape[0]
+    def __len__(self) -> int:
+        return self.x.shape[0]
 
-    @property
-    def n_assets(self) -> int:
-        return self.u.shape[1]
+    def __getitem__(self, p: int) -> Trajectory:
+        p = operator.index(p)  # one path; a batch is not sliced
+        return Trajectory(x=self.x[p], u=self.u[p], cash=self.cash[p])
 
 
 def cash_installment(u: np.ndarray) -> float | np.ndarray:
@@ -442,7 +456,7 @@ def rollout(
     paths: ReturnPaths,
     x0: np.ndarray,
     rng: np.random.Generator,
-) -> list[Trajectory]:
+) -> Trajectories:
     """Simulate the policy forward along each realized return path.
 
     Trades are sampled from the per-step posterior, the cash installment is
@@ -452,9 +466,8 @@ def rollout(
     sequential draws of N), so a path's trajectory does not depend on the
     other paths, up to the last bits of the batched matrix products.
 
-    All paths advance together: one batched affine step per period.  The
-    returned trajectories hold views into shared (M, T+1, N), (M, T, N) and
-    (M, T) arrays.
+    All paths advance together: one batched affine step per period, written
+    into the (M, T+1, N) positions and (M, T, N) trades of the returned batch.
     """
     t_len, n = policy.horizon, policy.n_assets
     if paths.horizon != t_len:
@@ -468,9 +481,10 @@ def rollout(
     m = paths.n_paths
     x = np.empty((m, t_len + 1, n))
     u = np.empty((m, t_len, n))
-    # the noise goes straight into u; each period overwrites it with the trade
-    for p, stream in enumerate(rng.spawn(m)):
-        stream.standard_normal(out=u[p])
+    # the noise goes straight into u (each period overwrites it with the trade), drawn from
+    # the streams of rng.spawn(m) one at a time, as M live generators hold 1.4 KB of heap each
+    for p in range(m):
+        rng.spawn(1)[0].standard_normal(out=u[p])
     x[:, 0] = x0
     for t in range(t_len):
         u[:, t] = (policy.u_tilde[t] + x[:, t] @ policy.v_tilde[t].T
@@ -478,5 +492,4 @@ def rollout(
         np.add(x[:, t], u[:, t], out=x[:, t + 1])
         x[:, t + 1, 0] *= 1.0 + policy.rbar[t, 0]
         x[:, t + 1, 1:] *= 1.0 + paths.realized[:, t]
-    cash = cash_installment(u)
-    return [Trajectory(x=x[p], u=u[p], cash=cash[p]) for p in range(m)]
+    return Trajectories(x=x, u=u, cash=cash_installment(u))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, UndefinedSharpeError
-from .glearner import Trajectory
+from .glearner import Trajectories, Trajectory
 from .market import ReturnPaths
 from .rewards import BenchmarkPath, RewardParams
 
@@ -35,14 +35,6 @@ def _returns(wealth: np.ndarray, cash: np.ndarray) -> np.ndarray:
     return (wealth[..., 1:] - base) / base
 
 
-def _wealth_and_cash(trajs: list[Trajectory]) -> tuple[np.ndarray, np.ndarray]:
-    """Total wealth (M, T+1) and cash installments (M, T) of M trajectories,
-    without stacking their (M, T+1, N) positions."""
-    wealth = np.stack([traj.x.sum(axis=1) for traj in trajs])
-    cash = np.stack([traj.cash for traj in trajs])
-    return wealth, cash
-
-
 def _sharpe(rets: np.ndarray, r_f: float, dt: float) -> float:
     """Annualized Sharpe ratio of (M, T) returns pooled over paths and periods."""
     if rets.shape[1] < 2:
@@ -60,20 +52,19 @@ def investment_returns(traj: Trajectory) -> np.ndarray:
     return _returns(traj.x.sum(axis=1), traj.cash)
 
 
-def mean_wealth(trajs: list[Trajectory]) -> np.ndarray:
+def mean_wealth(trajs: Trajectories) -> np.ndarray:
     """Path-averaged total wealth, length horizon + 1."""
-    return np.stack([traj.x.sum(axis=1) for traj in trajs]).mean(axis=0)
+    return trajs.x.sum(axis=2).mean(axis=0)
 
 
 def equal_weight_baseline(
     paths: ReturnPaths, x0: np.ndarray, r_f: float, dt: float
-) -> list[Trajectory]:
+) -> Trajectories:
     """Buy-and-hold benchmark: initial positions evolve at realized returns
     (bond at r_f * dt per period) with no trades and no cashflows.
 
-    All paths advance together, one in-place product per period; the
-    returned trajectories hold views into shared position, trade and cash
-    arrays (the trades and cash all zero).
+    All paths advance together, one in-place product per period, in the
+    positions of the returned batch (its trades and cash all zero).
     """
     x0 = np.asarray(x0, dtype=float)
     n = paths.n_risky + 1
@@ -86,22 +77,18 @@ def equal_weight_baseline(
     for t in range(t_len):
         np.multiply(x[:, t, 0], bond, out=x[:, t + 1, 0])
         np.multiply(x[:, t, 1:], 1.0 + paths.realized[:, t], out=x[:, t + 1, 1:])
-    u = np.zeros((m, t_len, n))
-    cash = np.zeros((m, t_len))
-    return [Trajectory(x=x[p], u=u[p], cash=cash[p]) for p in range(m)]
+    return Trajectories(x=x, u=np.zeros((m, t_len, n)), cash=np.zeros((m, t_len)))
 
 
-def sharpe(trajs: list[Trajectory], r_f: float, dt: float) -> float:
+def sharpe(trajs: Trajectories, r_f: float, dt: float) -> float:
     """Annualized Sharpe ratio of per-period investment returns pooled over
     paths and periods: mean excess over r_f * dt divided by the standard
     deviation, scaled by sqrt(1 / dt)."""
-    if not trajs:
-        raise UndefinedSharpeError("need at least two periods for a Sharpe ratio")
-    return _sharpe(_returns(*_wealth_and_cash(trajs)), r_f, dt)
+    return _sharpe(_returns(trajs.x.sum(axis=2), trajs.cash), r_f, dt)
 
 
 def performance_summary(
-    trajs: list[Trajectory],
+    trajs: Trajectories,
     r_f: float,
     dt: float,
     params: RewardParams | None = None,
@@ -109,16 +96,16 @@ def performance_summary(
 ) -> PerformanceSummary:
     """Summarize a strategy's trajectories.
 
-    Total wealth (M, T+1) and cash (M, T) are gathered once; the returns,
-    the Sharpe ratio (the same pooled returns as ``sharpe``), the
-    terminal-wealth statistics and the shortfall all come from them.  The
-    shortfall diagnostic (positive part of target minus next-period wealth,
-    path-averaged per period, with the target of
+    Total wealth (M, T+1) is summed once from the batch's positions; with
+    its cash (M, T) it gives the returns, the Sharpe ratio (the same pooled
+    returns as ``sharpe``), the terminal-wealth statistics and the
+    shortfall.  The shortfall diagnostic (positive part of target minus
+    next-period wealth, path-averaged per period, with the target of
     ``rewards.target_portfolio``) requires the reward parameters and the
     benchmark path and is omitted when they are not given.
     """
-    wealth, cash = _wealth_and_cash(trajs)
-    rets = _returns(wealth, cash)
+    wealth = trajs.x.sum(axis=2)
+    rets = _returns(wealth, trajs.cash)
     terminal = wealth[:, -1]
     stats = {
         "mean": float(terminal.mean()),

@@ -62,6 +62,8 @@ class RewardParams:
                 raise ShapeError(f"omega matrix must be square, got {om.shape}")
             if n_assets is not None and om.shape[0] != n_assets:
                 raise ShapeError(f"omega is {om.shape} but there are {n_assets} assets")
+            if not np.isfinite(om).all():
+                raise ParameterError("omega matrix has non-finite entries")
             if not np.allclose(om, om.T, atol=1e-12, rtol=0.0):
                 raise ParameterError("omega must be symmetric")
             if np.linalg.eigvalsh(om)[0] < -1e-12:
@@ -147,12 +149,16 @@ def _reward_weights(params: RewardParams, n: int) -> tuple[np.ndarray, np.ndarra
     lam, eta, rho = params.lam, params.eta, params.rho
     om = float(params.omega) if np.ndim(params.omega) == 0 else 1.0
     s = 1.0 - rho
-    weights = np.array([1.0, lam * eta**2 * rho**2, lam * eta * rho, lam, om,
+    try:  # a Python float ** raises past the float range instead of giving inf
+        eta_sq = eta**2
+    except OverflowError as exc:
+        raise ParameterError(f"eta={eta:g} squared is outside the float range") from exc
+    weights = np.array([1.0, lam * eta_sq * rho**2, lam * eta * rho, lam, om,
                         lam * eta * rho * s, lam * s, lam * s**2])
     jacobian = np.array([
-        [0.0, eta**2 * rho**2, eta * rho, 1.0, 0.0, eta * rho * s, s, s**2],
+        [0.0, eta_sq * rho**2, eta * rho, 1.0, 0.0, eta * rho * s, s, s**2],
         [0.0, 2.0 * lam * eta * rho**2, lam * rho, 0.0, 0.0, lam * rho * s, 0.0, 0.0],
-        [0.0, 2.0 * lam * eta**2 * rho, lam * eta, 0.0, 0.0, lam * eta * (s - rho),
+        [0.0, 2.0 * lam * eta_sq * rho, lam * eta, 0.0, 0.0, lam * eta * (s - rho),
          -lam, -2.0 * lam * s],
         [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
     ])

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeError
-from .glearner import GaussianPolicy, PolicyPrior, Trajectory, cash_installment
+from .glearner import GaussianPolicy, PolicyPrior, Trajectories, cash_installment
 
 
 def _fmt(value: float) -> str:
@@ -104,33 +104,32 @@ def read_matrix_csv(path: Path) -> np.ndarray:
 # trajectories and cash installments
 # ---------------------------------------------------------------------------
 
-def write_trajectories_csv(path: Path, trajs: list[Trajectory]) -> None:
+def write_trajectories_csv(path: Path, trajs: Trajectories) -> None:
     """Rows path,period,asset,x,u for period 0..T; the final period carries
     the terminal positions with a placeholder trade of 0."""
+    _, t_len, n = trajs.u.shape
     with open(path, "w") as fh:
         fh.write("path,period,asset,x,u\n")
-        for p, traj in enumerate(trajs):
-            t_len, n = traj.u.shape
+        for p, (x, u) in enumerate(zip(trajs.x, trajs.u)):
             for t in range(t_len + 1):
                 for a in range(n):
-                    u_val = traj.u[t, a] if t < t_len else 0.0
-                    fh.write(f"{p},{t},{a},{_fmt(traj.x[t, a])},{_fmt(u_val)}\n")
+                    u_val = u[t, a] if t < t_len else 0.0
+                    fh.write(f"{p},{t},{a},{_fmt(x[t, a])},{_fmt(u_val)}\n")
 
 
-def read_trajectories_csv(path: Path) -> list[Trajectory]:
+def read_trajectories_csv(path: Path) -> Trajectories:
     raw = _read_table(path, 5)
-    x_all, u_all = _dense(path, raw[:, :3], raw[:, 3:].T)
+    x, u_all = _dense(path, raw[:, :3], raw[:, 3:].T)
     u = u_all[:, :-1]  # the last period row holds terminal positions only
-    cash = cash_installment(u)
-    return [Trajectory(x=x_all[p], u=u[p], cash=cash[p]) for p in range(x_all.shape[0])]
+    return Trajectories(x=x, u=u, cash=cash_installment(u))
 
 
-def write_cash_csv(path: Path, trajs: list[Trajectory]) -> None:
+def write_cash_csv(path: Path, trajs: Trajectories) -> None:
     with open(path, "w") as fh:
         fh.write("path,period,c\n")
-        for p, traj in enumerate(trajs):
-            for t in range(traj.horizon):
-                fh.write(f"{p},{t},{_fmt(traj.cash[t])}\n")
+        for p, cash in enumerate(trajs.cash):
+            for t, c in enumerate(cash):
+                fh.write(f"{p},{t},{_fmt(c)}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gwealth.glearner import PolicyPrior, SolverConfig
+from gwealth.glearner import PolicyPrior, SolverConfig, Trajectories
 from gwealth.market import ReturnCovariance
 from gwealth.rewards import BenchmarkPath, RewardParams
 
@@ -53,6 +53,12 @@ def random_problem(
     )
     cfg = SolverConfig(beta=beta, gamma=gamma)
     return params, rbar_path, sigma_r, benchmark, prior, cfg
+
+
+def batch(trajs) -> Trajectories:
+    """The batch of a list of single-path trajectories, stacked path by path."""
+    return Trajectories(x=np.stack([t.x for t in trajs]), u=np.stack([t.u for t in trajs]),
+                        cash=np.stack([t.cash for t in trajs]))
 
 
 @pytest.fixture

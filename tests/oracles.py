@@ -274,8 +274,8 @@ def trajectory_nll(theta, trajs, rbar_path):
                       theta.prior(), theta.solver_config())
     total = 0.0
     for traj in trajs:
-        assert traj.horizon == plan.horizon
-        for t in range(traj.horizon):
+        assert traj.u.shape[0] == plan.horizon
+        for t in range(plan.horizon):
             total += action_log_prob(plan, t, traj.x[t], traj.u[t], theta.beta)
             total += transition_log_prob(
                 traj.x[t + 1], traj.x[t], traj.u[t], rbar_path[t], theta.sigma_r
@@ -445,7 +445,7 @@ def equal_weight_loop(paths, x0, r_f, dt):
 def shortfall_loop(trajs, params, benchmark):
     """Path-averaged rectified shortfall max(target_t - wealth_{t+1}, 0) with
     the target of ``rewards.target_portfolio``, one path and period at a time."""
-    t_len = trajs[0].horizon
+    t_len = trajs[0].u.shape[0]
     gaps = np.zeros((len(trajs), t_len))
     for i, traj in enumerate(trajs):
         for t in range(t_len):

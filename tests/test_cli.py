@@ -30,7 +30,7 @@ from gwealth.storage import (
     write_trajectories_csv,
 )
 
-from conftest import random_problem
+from conftest import batch, random_problem
 from test_glearner import market_plan
 
 
@@ -162,7 +162,7 @@ class TestStorageRoundTrip:
             cash = np.array([float(np.sum(u[t])) for t in range(4)])
             trajs.append(Trajectory(x=x, u=u, cash=cash))
         path = tmp_path / "t.csv"
-        write_trajectories_csv(path, trajs)
+        write_trajectories_csv(path, batch(trajs))
         back = read_trajectories_csv(path)
         assert len(back) == 3
         for a, b in zip(trajs, back):

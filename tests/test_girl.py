@@ -8,6 +8,7 @@ from gwealth.errors import (
     DegenerateTransitionError,
     InfeasibleError,
     ParameterError,
+    ShapeError,
 )
 from gwealth.girl import (
     LINE_SEARCH_TRIALS,
@@ -23,7 +24,7 @@ from gwealth.girl import (
     transition_log_prob,
     unpack_reward,
 )
-from gwealth.glearner import default_prior, policy_mean, rollout, solve_plan
+from gwealth.glearner import Trajectories, default_prior, policy_mean, rollout, solve_plan
 from gwealth.market import (
     MarketSpec,
     ReturnCovariance,
@@ -177,8 +178,8 @@ class TestTrajectoryNLL:
     def test_likelihood_additivity(self, rng):
         theta, _, trajs, rbar_path = make_setup(rng, n_paths=8)
         whole = trajectory_nll(theta, trajs, rbar_path)
-        parts = trajectory_nll(theta, trajs[:3], rbar_path) + trajectory_nll(
-            theta, trajs[3:], rbar_path
+        parts = trajectory_nll(theta, list(trajs)[:3], rbar_path) + trajectory_nll(
+            theta, list(trajs)[3:], rbar_path
         )
         assert whole == pytest.approx(parts, rel=1e-12)
 
@@ -439,9 +440,11 @@ class TestFit:
         assert len(built) == 1
 
     def test_empty_trajectories_rejected(self, rng):
-        theta, _, _, rbar_path = make_setup(rng)
-        with pytest.raises(ParameterError):
-            fit([], rbar_path, theta, FitConfig())
+        # the batch of zero paths that fit would be given is rejected on construction
+        theta, _, trajs, rbar_path = make_setup(rng)
+        with pytest.raises(ShapeError):
+            fit(Trajectories(x=trajs.x[:0], u=trajs.u[:0], cash=trajs.cash[:0]), rbar_path,
+                theta, FitConfig())
 
     def test_rising_loss_ends_in_line_search(self, rng, monkeypatch):
         theta, _, trajs, rbar_path = make_setup(rng, n_paths=5)

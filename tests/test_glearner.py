@@ -10,7 +10,7 @@ from gwealth.errors import InfeasibleError, ParameterError, ShapeError
 from gwealth.glearner import (
     PolicyPrior,
     SolverConfig,
-    Trajectory,
+    Trajectories,
     backward_pass,
     cash_installment,
     default_prior,
@@ -527,8 +527,22 @@ class TestRollout:
         paths = self._flat_paths(4, 3, 2)
         trajs = rollout(plan, paths, np.full(3, 10.0), np.random.default_rng(5))
         for traj in trajs:
-            for t in range(traj.horizon):
+            for t in range(plan.horizon):
                 assert traj.cash[t] == cash_installment(traj.u[t])
+
+    def test_paths_are_views_of_the_batch(self, rng):
+        # trajs[p] and iteration give path p as views into the batch's arrays
+        plan, *_ = build_plan(rng, n=3, t_len=4)
+        trajs = rollout(plan, self._flat_paths(5, 4, 2), np.full(3, 10.0),
+                        np.random.default_rng(3))
+        assert len(trajs) == len(list(trajs)) == 5
+        for p, traj in enumerate(trajs):
+            for path in (traj, trajs[p]):
+                for field in ("x", "u", "cash"):
+                    got, whole = getattr(path, field), getattr(trajs, field)
+                    assert np.shares_memory(got, whole) and np.array_equal(got, whole[p])
+        with pytest.raises(TypeError):
+            trajs[1:3]
 
     def test_horizon_mismatch(self, rng):
         plan, *_ = build_plan(rng, n=3, t_len=3)
@@ -567,7 +581,7 @@ class TestRollout:
         many_trajs = rollout(plan, paths, x0, np.random.default_rng(7))
         few_trajs = rollout(plan, few, x0, np.random.default_rng(7))
         scale = max(np.abs(t.x).max() for t in few_trajs)
-        for a, b in zip(few_trajs, many_trajs[:5]):
+        for a, b in zip(few_trajs, list(many_trajs)[:5]):
             assert np.abs(a.x - b.x).max() <= 1e-12 * scale
             assert np.abs(a.u - b.u).max() <= 1e-12 * scale
 
@@ -620,6 +634,12 @@ class TestSolverInputs:
             solve_plan(replace(params, **{name: np.inf}), rbar_path, sigma_r, benchmark,
                        prior, cfg)
 
+    def test_eta_beyond_float_range_rejected(self, rng):
+        # eta**2 overflows a Python float: a typed error, not OverflowError
+        params, rbar_path, sigma_r, benchmark, prior, cfg = random_problem(rng)
+        with pytest.raises(ParameterError, match="float range"):
+            solve_plan(replace(params, eta=1e200), rbar_path, sigma_r, benchmark, prior, cfg)
+
     def test_prior_mean_must_be_a_vector(self, rng):
         *_, prior, _ = random_problem(rng)
         with pytest.raises(ShapeError, match="u_bar must be 1-D"):
@@ -628,5 +648,12 @@ class TestSolverInputs:
 
 class TestTrajectoryType:
     def test_shape_validation(self):
-        with pytest.raises(ShapeError):
-            Trajectory(x=np.zeros((3, 2)), u=np.zeros((3, 2)), cash=np.zeros(3))
+        for x, u, cash in (
+            (np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(2)),           # one path, not 3-D
+            (np.zeros((0, 3, 2)), np.zeros((0, 2, 2)), np.zeros((0, 2))),  # zero paths
+            (np.zeros((4, 3, 2)), np.zeros((4, 3, 2)), np.zeros((4, 3))),  # as many trades
+            (np.zeros((4, 3, 2)), np.zeros((4, 2, 3)), np.zeros((4, 2))),  # other width
+            (np.zeros((4, 3, 2)), np.zeros((4, 2, 2)), np.zeros((3, 2))),  # cash of 3 paths
+        ):
+            with pytest.raises(ShapeError):
+                Trajectories(x=x, u=u, cash=cash)

@@ -14,6 +14,7 @@ from gwealth.metrics import (
 )
 from gwealth.rewards import BenchmarkPath, RewardParams
 
+from conftest import batch
 from oracles import equal_weight_loop, shortfall_loop
 
 
@@ -84,14 +85,14 @@ class TestSharpe:
         # wealth doubles every period: returns are exactly 1.0 each
         traj = single_asset_trajectory([1.0, 2.0, 4.0, 8.0, 16.0])
         with pytest.raises(UndefinedSharpeError):
-            sharpe([traj], r_f=0.0, dt=0.25)
+            sharpe(batch([traj]), r_f=0.0, dt=0.25)
 
     def test_alternating_returns_zero_sharpe(self):
         a = 0.125
         rets = np.array([a, -a, a, -a, a, -a])
         w = 100.0 * np.cumprod(np.concatenate([[1.0], 1.0 + rets]))
         traj = single_asset_trajectory(w)
-        got = sharpe([traj], r_f=0.0, dt=0.25)
+        got = sharpe(batch([traj]), r_f=0.0, dt=0.25)
         assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_built_series_matches_direct_formula(self):
@@ -101,12 +102,12 @@ class TestSharpe:
         r_f, dt = 0.02, 0.25
         excess = rets - r_f * dt
         want = excess.mean() / excess.std(ddof=1) * np.sqrt(1.0 / dt)
-        assert sharpe([traj], r_f, dt) == pytest.approx(want, rel=1e-12)
+        assert sharpe(batch([traj]), r_f, dt) == pytest.approx(want, rel=1e-12)
 
     def test_too_few_periods(self):
         traj = single_asset_trajectory([1.0, 2.0])
         with pytest.raises(UndefinedSharpeError):
-            sharpe([traj], r_f=0.0, dt=0.25)
+            sharpe(batch([traj]), r_f=0.0, dt=0.25)
 
 
 class TestCashflowNeutrality:
@@ -131,7 +132,7 @@ class TestPerformanceSummary:
     def test_shapes_and_finiteness(self, rng):
         w = np.abs(rng.normal(100.0, 10.0, size=(6,))).cumsum() + 50.0
         trajs = [single_asset_trajectory(w * (1.0 + 0.01 * k)) for k in range(3)]
-        summary = performance_summary(trajs, r_f=0.02, dt=0.25)
+        summary = performance_summary(batch(trajs), r_f=0.02, dt=0.25)
         assert summary.mean_returns.shape == (5,)
         assert np.isfinite(summary.mean_returns).all()
         assert np.isfinite(summary.sharpe)
@@ -145,7 +146,7 @@ class TestPerformanceSummary:
         w = np.array([100.0, 90.0, 80.0])
         traj = single_asset_trajectory(w)
         bench = BenchmarkPath(b=np.array([1.0, 1.0]))
-        summary = performance_summary([traj], 0.0, 0.25, params=params, benchmark=bench)
+        summary = performance_summary(batch([traj]), 0.0, 0.25, params=params, benchmark=bench)
         assert summary.shortfall == pytest.approx([10.0, 10.0])
 
     def test_pooled_results_match_per_path_definitions(self):
@@ -158,10 +159,10 @@ class TestPerformanceSummary:
             trajs.append(Trajectory(x=x, u=u, cash=cash_installment(u)))
         params = RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15)
         bench = BenchmarkPath(b=rng.uniform(200.0, 400.0, size=t_len))
-        summary = performance_summary(trajs, 0.02, 0.25, params=params, benchmark=bench)
+        summary = performance_summary(batch(trajs), 0.02, 0.25, params=params, benchmark=bench)
         assert np.array_equal(summary.shortfall, shortfall_loop(trajs, params, bench))
         assert summary.shortfall.max() > 0.0
-        assert summary.sharpe == sharpe(trajs, 0.02, 0.25)
+        assert summary.sharpe == sharpe(batch(trajs), 0.02, 0.25)
         want_returns = np.mean([investment_returns(t) for t in trajs], axis=0)
         assert np.array_equal(summary.mean_returns, want_returns)
         terminal = [t.x[-1].sum() for t in trajs]

@@ -285,6 +285,12 @@ class TestTypes:
         with pytest.raises(ParameterError):
             RewardParams(lam=0.1, eta=1.01, rho=1.2, omega=0.1).validate()
 
+    def test_omega_non_finite_matrix_rejected(self):
+        # rejected before numpy's eigenvalue check, which does not converge on it
+        om = np.full((4, 4), np.inf)
+        with pytest.raises(ParameterError, match="non-finite"):
+            RewardParams(lam=0.1, eta=1.01, rho=0.5, omega=om).validate(4)
+
     def test_omega_asymmetric_rejected(self):
         om = np.array([[0.1, 0.05], [0.0, 0.1]])
         with pytest.raises(ParameterError):
