@@ -18,10 +18,7 @@ from .rewards import (
     BenchmarkPath,
     RewardCoeffs,
     RewardParams,
-    build_coeffs,
     exponential_benchmark,
-    reward_value,
-    target_portfolio,
 )
 from .glearner import (
     GaussianPolicy,
@@ -33,13 +30,8 @@ from .glearner import (
     backward_pass,
     cash_installment,
     default_prior,
-    free_energy,
-    g_value,
-    policy_mean,
     rollout,
-    sample_action,
     solve_plan,
-    terminal_action,
 )
 from .girl import (
     FitConfig,
@@ -52,8 +44,6 @@ from .girl import (
 from .metrics import (
     PerformanceSummary,
     equal_weight_baseline,
-    investment_returns,
-    mean_wealth,
     performance_summary,
     sharpe,
 )
@@ -61,15 +51,13 @@ from .metrics import (
 __all__ = [
     "MarketSpec", "ReturnPaths", "ReturnCovariance",
     "simulate", "residual_covariance", "mean_expected_returns",
-    "RewardParams", "BenchmarkPath", "RewardCoeffs",
-    "build_coeffs", "reward_value", "target_portfolio", "exponential_benchmark",
+    "RewardParams", "BenchmarkPath", "RewardCoeffs", "exponential_benchmark",
     "SolverConfig", "PolicyPrior", "GaussianPolicy", "SolvedPlan", "Trajectory",
-    "Trajectories", "backward_pass", "solve_plan", "terminal_action", "free_energy",
-    "g_value", "policy_mean", "sample_action", "rollout", "cash_installment", "default_prior",
+    "Trajectories", "backward_pass", "solve_plan", "rollout", "cash_installment",
+    "default_prior",
     "GirlParams", "FitConfig", "FitReport",
     "transition_log_prob", "fit", "loss_slices",
-    "PerformanceSummary", "equal_weight_baseline", "investment_returns",
-    "mean_wealth", "performance_summary", "sharpe",
+    "PerformanceSummary", "equal_weight_baseline", "performance_summary", "sharpe",
 ]
 
 __version__ = "0.1.0"

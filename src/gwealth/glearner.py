@@ -139,15 +139,13 @@ class GaussianPolicy:
 
 @dataclass(frozen=True)
 class SolvedPlan(GaussianPolicy):
-    """The policy plus the value coefficients of the backward recursion,
-    stacked like the policy's fields.
+    """The policy plus G's coefficients and the posterior precision, stacked
+    like the policy's fields: what the likelihood and its gradient read.
 
-    G_t(x, u) = x^T q_xx x + u^T q_ux x + u^T q_uu u + x^T q_x + u^T q_u + q_0
-    and F_t(x) = x^T f_xx x + x^T f_x + f_0, where F is the recursion's value
-    function (the hard max of the reward at T-1).  The policy normalizer is
-    the soft log-partition, which equals F for t < T-1; at T-1 it is
-    ``f_soft_last`` = (f_xx, f_x, f_0).  ``sigma_bar`` is the posterior
-    precision sigma_p^{-1} - 2 beta q_uu.
+    G_t(x, u) = x^T q_xx x + u^T q_ux x + u^T q_uu u + x^T q_x + u^T q_u + q_0,
+    and ``sigma_bar`` is the posterior precision sigma_p^{-1} - 2 beta q_uu.
+    The free energy F_t is a function of G_t (the soft log-partition of
+    pi0 * exp(beta * G_t), or the hard max of G at T-1), so it is not stored.
     """
 
     q_xx: np.ndarray       # (T, N, N)
@@ -156,10 +154,6 @@ class SolvedPlan(GaussianPolicy):
     q_x: np.ndarray        # (T, N)
     q_u: np.ndarray        # (T, N)
     q_0: np.ndarray        # (T,)
-    f_xx: np.ndarray       # (T, N, N)
-    f_x: np.ndarray        # (T, N)
-    f_0: np.ndarray        # (T,)
-    f_soft_last: tuple[np.ndarray, np.ndarray, float]
     sigma_bar: np.ndarray  # (T, N, N)
 
 
@@ -226,17 +220,6 @@ def _terminal_solve(r_uu: np.ndarray, r_ux: np.ndarray, r_u: np.ndarray) -> np.n
     the final period's curvature lam * sigma_hat + omega.  The reward's
     maximizer is u = (-r_uu)^{-1} (r_ux x + r_u) / 2."""
     return np.linalg.solve(-r_uu, np.column_stack([r_ux, r_u]))
-
-
-def terminal_action(coeffs: RewardCoeffs, x: np.ndarray) -> np.ndarray:
-    """Analytic maximizer of the final-period reward in the trades u, the
-    stationary point of the concave quadratic."""
-    n = coeffs.n_assets
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ShapeError(f"x must have shape ({n},)")
-    sol = _terminal_solve(coeffs.r_uu, coeffs.r_ux, coeffs.r_u)
-    return 0.5 * (sol[:, :n] @ x + sol[:, n])
 
 
 def _terminal_f(q) -> tuple[np.ndarray, np.ndarray, float]:
@@ -331,28 +314,25 @@ def backward_pass(
         np.empty((t_len, n, n)) for _ in range(6))
     q_x, q_u, u_tilde = (np.empty((t_len, n)) for _ in range(3))
     q_0, logdet_tilde = np.empty(t_len), np.empty(t_len)
-    # F is zero past the horizon (row T), so G at T-1 is the reward itself
-    f_xx, f_x, f_0 = np.zeros((t_len + 1, n, n)), np.zeros((t_len + 1, n)), np.zeros(t_len + 1)
+    f_next = (np.zeros((n, n)), np.zeros(n), 0.0)  # F is zero past the horizon
 
     for t in range(t_len - 1, -1, -1):
         r = reward(t)
         if r.n_assets != n:
             raise ShapeError(f"reward coefficients of step t={t} are not {n} x {n}")
-        q = _step_q(r, (f_xx[t + 1], f_x[t + 1], f_0[t + 1]), 1.0 + rbar[t], cfg.gamma,
+        q = _step_q(r, f_next, 1.0 + rbar[t], cfg.gamma,
                     out=(q_xx[t], q_ux[t], q_uu[t], q_x[t], q_u[t]))
         q_0[t] = q[5]
         q_xx[t], q_uu[t] = (0.5 * (m + m.T) for m in (q_xx[t], q_uu[t]))  # no-ops if symmetric
-        logdet_tilde[t], f_t = _bayes_and_f(
+        logdet_tilde[t], f_next = _bayes_and_f(
             q, prior, cfg.beta, t, out=(sigma_bar[t], u_tilde[t], v_tilde[t], chol_tilde[t]))
         if t == t_len - 1:  # the recursion takes the hard max, the policy the soft F
-            f_soft_last, f_t = f_t, _terminal_f(q)
-        f_xx[t], f_x[t], f_0[t] = f_t
+            f_next = _terminal_f(q)
 
     return SolvedPlan(
         beta=cfg.beta, gamma=cfg.gamma, rbar=rbar, prior=prior,
         u_tilde=u_tilde, v_tilde=v_tilde, chol_tilde=chol_tilde, logdet_tilde=logdet_tilde,
-        q_xx=q_xx, q_ux=q_ux, q_uu=q_uu, q_x=q_x, q_u=q_u, q_0=q_0,
-        f_xx=f_xx[:-1], f_x=f_x[:-1], f_0=f_0[:-1], f_soft_last=f_soft_last, sigma_bar=sigma_bar,
+        q_xx=q_xx, q_ux=q_ux, q_uu=q_uu, q_x=q_x, q_u=q_u, q_0=q_0, sigma_bar=sigma_bar,
     )
 
 
@@ -415,40 +395,6 @@ def solve_plan(
     """Assemble per-period reward coefficients and run the backward pass."""
     basis = reward_basis(rbar_path, sigma_r, benchmark)
     return backward_pass(basis.coeffs(params), prior, cfg, basis.rbar)
-
-
-def free_energy(plan: SolvedPlan, t: int, x: np.ndarray) -> float:
-    """Value of the recursion F-function at step t and state x."""
-    if not 0 <= t < plan.horizon:
-        raise ShapeError(f"step t={t} outside horizon {plan.horizon}")
-    x = np.asarray(x, dtype=float)
-    return float(x @ plan.f_xx[t] @ x + x @ plan.f_x[t] + plan.f_0[t])
-
-
-def g_value(plan: SolvedPlan, t: int, x: np.ndarray, u: np.ndarray) -> float:
-    """Value of the soft action-value function G at (t, x, u)."""
-    if not 0 <= t < plan.horizon:
-        raise ShapeError(f"step t={t} outside horizon {plan.horizon}")
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return float(
-        x @ plan.q_xx[t] @ x + u @ plan.q_ux[t] @ x + u @ plan.q_uu[t] @ u
-        + x @ plan.q_x[t] + u @ plan.q_u[t] + plan.q_0[t]
-    )
-
-
-def policy_mean(policy: GaussianPolicy, t: int, x: np.ndarray) -> np.ndarray:
-    """Posterior mean trade at step t in state x."""
-    return policy.u_tilde[t] + policy.v_tilde[t] @ np.asarray(x, dtype=float)
-
-
-def sample_action(policy: GaussianPolicy, t: int, x: np.ndarray,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Draw a trade vector from the posterior Gaussian policy."""
-    if not 0 <= t < policy.horizon:
-        raise ShapeError(f"step t={t} outside horizon {policy.horizon}")
-    z = rng.standard_normal(policy.n_assets)
-    return policy_mean(policy, t, x) + policy.chol_tilde[t] @ z
 
 
 def rollout(

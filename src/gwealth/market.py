@@ -33,7 +33,6 @@ class MarketSpec:
     oracle_c: float = 0.2
     alpha_range: tuple[float, float] = (-0.05, 0.15)  # annualized, like the other rates
     beta_range: tuple[float, float] = (0.05, 0.85)
-    price_range: tuple[float, float] = (20.0, 120.0)
     n_paths: int = 1000
     horizon: int = 30
     seed: int = 0
@@ -55,8 +54,6 @@ class MarketSpec:
             raise ParameterError("beta_range must satisfy |beta| < 1")
         if self.alpha_range[0] > self.alpha_range[1]:
             raise ParameterError("alpha_range must be ordered")
-        if self.price_range[0] > self.price_range[1]:
-            raise ParameterError("price_range must be ordered")
 
 
 @dataclass(frozen=True)
@@ -65,9 +62,9 @@ class ReturnPaths:
 
     ``expected`` and ``realized`` are [n_paths x horizon x n_risky] panels of
     dimensionless period returns; ``market`` is the [n_paths x horizon] market
-    return.  The per-asset draws (alpha, beta, initial prices) are shared
-    across paths and recorded for reference; ``alpha`` is recorded per
-    period, on the same scale as the panels (the annualized draw times dt).
+    return.  The per-asset draws (alpha and beta) are shared across paths and
+    recorded for reference; ``alpha`` is recorded per period, on the same
+    scale as the panels (the annualized draw times dt).
     """
 
     expected: np.ndarray
@@ -75,7 +72,6 @@ class ReturnPaths:
     market: np.ndarray
     alpha: np.ndarray = field(default_factory=lambda: np.empty(0))
     beta: np.ndarray = field(default_factory=lambda: np.empty(0))
-    price0: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
         if self.expected.shape != self.realized.shape or self.expected.ndim != 3:
@@ -149,7 +145,6 @@ def simulate(spec: MarketSpec) -> ReturnPaths:
     arng = _asset_rng(spec.seed)
     alpha = arng.uniform(spec.alpha_range[0], spec.alpha_range[1], size=n) * spec.dt
     beta = arng.uniform(spec.beta_range[0], spec.beta_range[1], size=n)
-    price0 = arng.uniform(spec.price_range[0], spec.price_range[1], size=n)
 
     mu_dt = spec.mu_m * spec.dt
     vol_dt = spec.sigma_m * np.sqrt(spec.dt)
@@ -173,10 +168,8 @@ def simulate(spec: MarketSpec) -> ReturnPaths:
         expected[p] = rbar
         realized[p] = r
 
-    return ReturnPaths(
-        expected=expected, realized=realized, market=market,
-        alpha=alpha, beta=beta, price0=price0,
-    )
+    return ReturnPaths(expected=expected, realized=realized, market=market,
+                       alpha=alpha, beta=beta)
 
 
 def residual_covariance(paths: ReturnPaths) -> ReturnCovariance:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, UndefinedSharpeError
-from .glearner import Trajectories, Trajectory
+from .glearner import Trajectories
 from .market import ReturnPaths
 from .rewards import BenchmarkPath, RewardParams
 
@@ -45,16 +45,6 @@ def _sharpe(rets: np.ndarray, r_f: float, dt: float) -> float:
     if std == 0.0 or std < 1e-12 * abs(mean):
         raise UndefinedSharpeError("return variance is zero; Sharpe ratio undefined")
     return mean / std * float(np.sqrt(1.0 / dt))
-
-
-def investment_returns(traj: Trajectory) -> np.ndarray:
-    """Per-period portfolio returns net of external cashflows."""
-    return _returns(traj.x.sum(axis=1), traj.cash)
-
-
-def mean_wealth(trajs: Trajectories) -> np.ndarray:
-    """Path-averaged total wealth, length horizon + 1."""
-    return trajs.x.sum(axis=2).mean(axis=0)
 
 
 def equal_weight_baseline(
@@ -100,9 +90,9 @@ def performance_summary(
     its cash (M, T) it gives the returns, the Sharpe ratio (the same pooled
     returns as ``sharpe``), the terminal-wealth statistics and the
     shortfall.  The shortfall diagnostic (positive part of target minus
-    next-period wealth, path-averaged per period, with the target of
-    ``rewards.target_portfolio``) requires the reward parameters and the
-    benchmark path and is omitted when they are not given.
+    next-period wealth, path-averaged per period, with the wealth target
+    (1 - rho) B_t + rho eta W_t of the reward) requires the reward
+    parameters and the benchmark path and is omitted when they are not given.
     """
     wealth = trajs.x.sum(axis=2)
     rets = _returns(wealth, trajs.cash)
@@ -120,7 +110,7 @@ def performance_summary(
     if params is not None and benchmark is not None:
         if benchmark.horizon != rets.shape[1]:
             raise ShapeError("benchmark horizon does not match trajectories")
-        # rewards.target_portfolio for every path and period at once
+        # the reward's next-period target for every path and period at once
         target = (1.0 - params.rho) * benchmark.b + params.rho * params.eta * wealth[:, :-1]
         shortfall = np.maximum(target - wealth[:, 1:], 0.0).mean(axis=0)
     return PerformanceSummary(

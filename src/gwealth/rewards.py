@@ -126,11 +126,6 @@ class RewardCoeffs:
         return self.r_xx.shape[0]
 
 
-def target_portfolio(params: RewardParams, b_t: float, x_t: np.ndarray) -> float:
-    """Next-period wealth target: (1 - rho) * B_t + rho * eta * sum(x_t)."""
-    return (1.0 - params.rho) * b_t + params.rho * params.eta * float(np.sum(x_t))
-
-
 def _reward_weights(params: RewardParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The scalar weights of the reward's theta-free terms, their derivatives
     in (lam, eta, rho, omega), and omega's shape, with ``params`` validated
@@ -261,36 +256,3 @@ def _assemble(w: np.ndarray, shape: np.ndarray, basis: RewardBasis, t: int) -> R
     r_u = bg - unit
     return RewardCoeffs(r_xx=r_xx, r_ux=r_ux, r_uu=r_uu, r_x=r_x, r_u=r_u,
                         r_0=float(-w_bb * b_t**2), sigma_hat=sigma_hat)
-
-
-def build_coeffs(
-    params: RewardParams,
-    rbar_t: np.ndarray,
-    sigma_r: ReturnCovariance,
-    b_t: float,
-) -> RewardCoeffs:
-    """Assemble the quadratic reward coefficients for one period.
-
-    ``rbar_t`` is the N-vector of expected per-period returns whose entry 0
-    is the per-period risk-free rate.
-    """
-    basis = reward_basis(np.asarray(rbar_t, dtype=float)[None], sigma_r,
-                         BenchmarkPath(b=np.array([b_t], dtype=float)))
-    return basis.coeffs(params)(0)
-
-
-def reward_value(coeffs: RewardCoeffs, x: np.ndarray, u: np.ndarray) -> float:
-    """Evaluate the quadratic one-step reward at positions x and trades u."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n = coeffs.n_assets
-    if x.shape != (n,) or u.shape != (n,):
-        raise ShapeError(f"x and u must have shape ({n},), got {x.shape} and {u.shape}")
-    return float(
-        x @ coeffs.r_xx @ x
-        + u @ coeffs.r_ux @ x
-        + u @ coeffs.r_uu @ u
-        + x @ coeffs.r_x
-        + u @ coeffs.r_u
-        + coeffs.r_0
-    )

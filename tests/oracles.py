@@ -6,11 +6,13 @@ maximization) and deliberately shares no code path with the package
 internals it checks.  The rest are the direct, per-path and per-step forms of
 computations the package batches or pools (the trajectory likelihood, the
 rollout, the equal-weight baseline, the shortfall); they call only the
-package's single-step building blocks.  The exact likelihood gradient has
-two oracles: central finite differences of the package's own likelihood, and
-the derivative's forward (tangent) mode, which pushes the reward's
-derivatives in each parameter through the recursion where the package runs
-one reverse (adjoint) sweep.
+package's single-step building blocks.  The quadratic forms of a reward and
+of a solved plan's G are evaluated here (``quad_value``), and F is recomputed
+from the plan's G (``plan_f``): the plan stores no F.  The exact likelihood
+gradient has two oracles: central finite differences of the package's own
+likelihood, and the derivative's forward (tangent) mode, which pushes the
+reward's derivatives in each parameter through the recursion where the
+package runs one reverse (adjoint) sweep.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from gwealth.errors import GradientError
 from gwealth.girl import (
     PARAM_NAMES, nll_from_stats, pack_reward, prepare_stats, transition_log_prob, unpack_reward,
 )
-from gwealth.glearner import Trajectory, cash_installment, g_value, sample_action, solve_plan
-from gwealth.rewards import RewardCoeffs, _assemble, _reward_weights, target_portfolio
+from gwealth.glearner import Trajectory, cash_installment, solve_plan
+from gwealth.rewards import RewardCoeffs, _assemble, _reward_weights
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -36,6 +38,52 @@ def pad(sigma_r: np.ndarray) -> np.ndarray:
     out = np.zeros((n, n))
     out[1:, 1:] = sigma_r
     return out
+
+
+def coeffs_of(c, t=None):
+    """The six coefficients (xx, ux, uu, x, u, 0) of a quadratic form in (x, u):
+    of a reward (``RewardCoeffs``), or of G at step t of a solved plan."""
+    if t is None:
+        return c.r_xx, c.r_ux, c.r_uu, c.r_x, c.r_u, c.r_0
+    return c.q_xx[t], c.q_ux[t], c.q_uu[t], c.q_x[t], c.q_u[t], c.q_0[t]
+
+
+def quad_value(c, x, u=None):
+    """x'c_xx x + u'c_ux x + u'c_uu u + x'c_x + u'c_u + c_0 for the six
+    coefficients of a reward or of G (``coeffs_of``), or x'c_xx x + x'c_x + c_0
+    for F's three when ``u`` is None."""
+    if u is None:
+        c_xx, c_x, c_0 = c
+        return float(x @ c_xx @ x + x @ c_x + c_0)
+    c_xx, c_ux, c_uu, c_x, c_u, c_0 = c
+    return float(x @ c_xx @ x + u @ c_ux @ x + u @ c_uu @ u + x @ c_x + u @ c_u + c_0)
+
+
+def argmax_policy(q):
+    """Gain K and offset k of the maximizer u = K x + k = (-q_uu)^{-1}(q_ux x + q_u) / 2
+    of a quadratic form concave in u, from its six coefficients."""
+    sol = 0.5 * np.linalg.solve(-q[2], np.column_stack([q[1], q[4]]))
+    return sol[:, :-1], sol[:, -1]
+
+
+def plan_f(plan, t):
+    """F_t's (f_xx, f_x, f_0) from the plan's G at step t: the soft
+    log-partition of ``posterior_step`` before T-1, and G at its argmax (the
+    hard max) at T-1."""
+    q = coeffs_of(plan, t)
+    if t < plan.horizon - 1:
+        return posterior_step(*q, plan.prior, plan.beta)[-1]
+    return expected_g(q, *argmax_policy(q))
+
+
+def policy_mean(policy, t, x):
+    """Posterior mean trade at step t in state x."""
+    return policy.u_tilde[t] + policy.v_tilde[t] @ x
+
+
+def target_portfolio(params, b_t, x_t):
+    """Next-period wealth target: (1 - rho) * B_t + rho * eta * sum(x_t)."""
+    return (1.0 - params.rho) * b_t + params.rho * params.eta * float(np.sum(x_t))
 
 
 def expected_reward(lam, eta, rho, omega, rbar, sigma_pad, b_t, x, u):
@@ -256,10 +304,8 @@ def action_log_prob(plan, t, x, u, beta):
     w = np.linalg.solve(chol, u - mean0)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     log_pi0 = -0.5 * (n * LOG_2PI + logdet + float(w @ w))
-    f_xx, f_x, f_0 = (plan.f_soft_last if t == plan.horizon - 1
-                      else (plan.f_xx[t], plan.f_x[t], plan.f_0[t]))
-    f_val = float(x @ f_xx @ x + x @ f_x + f_0)
-    return log_pi0 + beta * (g_value(plan, t, x, u) - f_val)
+    f_soft = posterior_step(*coeffs_of(plan, t), prior, plan.beta)[-1]
+    return log_pi0 + beta * (quad_value(coeffs_of(plan, t), x, u) - quad_value(f_soft, x))
 
 
 def trajectory_nll(theta, trajs, rbar_path):
@@ -364,16 +410,13 @@ def tangent_pass(plan, basis, params):
     identity) and under the argmax of the hard max at T-1, so the plan's own
     policy carries it without a new factorization."""
     t_last = plan.horizon - 1
-    n = plan.n_assets
-    argmax = 0.5 * np.linalg.solve(
-        -plan.q_uu[t_last], np.column_stack([plan.q_ux[t_last], plan.q_u[t_last]]))
     steps = [None] * plan.horizon
     df = None
     for t in range(t_last, -1, -1):
         dr = reward_tangents(basis, params, t)
         dq = (dr.r_xx, dr.r_ux, dr.r_uu, dr.r_x, dr.r_u, dr.r_0)
         if t == t_last:
-            df = expected_g(dq, argmax[:, :n], argmax[:, n])
+            df = expected_g(dq, *argmax_policy(coeffs_of(plan, t_last)))
         else:
             df_xx, df_x, df_0 = df
             growth = plan.gamma * df_xx * dr.sigma_hat
@@ -412,7 +455,7 @@ def tangent_gradient(theta, basis, plan, stats):
 
 def rollout_loop(plan, paths, x0, rng):
     """Policy rollout one path and one period at a time, each path drawing
-    its trades with ``sample_action`` from its own spawned stream."""
+    its trades from its own spawned stream."""
     t_len, n = plan.horizon, plan.n_assets
     out = []
     for p, stream in enumerate(rng.spawn(paths.n_paths)):
@@ -420,7 +463,8 @@ def rollout_loop(plan, paths, x0, rng):
         u = np.empty((t_len, n))
         x[0] = x0
         for t in range(t_len):
-            u[t] = sample_action(plan, t, x[t], stream)
+            z = stream.standard_normal(n)
+            u[t] = policy_mean(plan, t, x[t]) + plan.chol_tilde[t] @ z
             gross = np.concatenate([[1.0 + plan.rbar[t, 0]], 1.0 + paths.realized[p, t]])
             x[t + 1] = gross * (x[t] + u[t])
         cash = np.array([cash_installment(u[t]) for t in range(t_len)])
@@ -444,7 +488,7 @@ def equal_weight_loop(paths, x0, r_f, dt):
 
 def shortfall_loop(trajs, params, benchmark):
     """Path-averaged rectified shortfall max(target_t - wealth_{t+1}, 0) with
-    the target of ``rewards.target_portfolio``, one path and period at a time."""
+    the target of ``target_portfolio``, one path and period at a time."""
     t_len = trajs[0].u.shape[0]
     gaps = np.zeros((len(trajs), t_len))
     for i, traj in enumerate(trajs):

@@ -18,28 +18,15 @@ from gwealth.girl import (
     loss_slices,
     scaled_start,
 )
-from gwealth.glearner import (
-    SolverConfig,
-    backward_pass,
-    default_prior,
-    free_energy,
-    policy_mean,
-    rollout,
-    solve_plan,
-)
+from gwealth.glearner import SolverConfig, backward_pass, default_prior, rollout, solve_plan
 from gwealth.market import MarketSpec, mean_expected_returns, residual_covariance, simulate
-from gwealth.metrics import equal_weight_baseline, mean_wealth, sharpe
-from gwealth.rewards import (
-    RewardParams,
-    build_coeffs,
-    exponential_benchmark,
-    reward_value,
-)
+from gwealth.metrics import equal_weight_baseline, sharpe
+from gwealth.rewards import BenchmarkPath, RewardParams, exponential_benchmark, reward_basis
 
 from conftest import random_problem, random_spd
 from oracles import (
-    action_log_prob, dp_solve, expected_reward, mc_log_partition, mvn_logpdf, nll_gradient, pad,
-    sigma_tilde,
+    action_log_prob, coeffs_of, dp_solve, expected_reward, mc_log_partition, mvn_logpdf,
+    nll_gradient, pad, plan_f, policy_mean, quad_value, sigma_tilde,
 )
 
 pytestmark = pytest.mark.slow
@@ -140,8 +127,8 @@ class TestCriterion2:
 class TestCriterion3:
     def test_imitation(self, experiment, fit_result):
         spec = experiment["spec"]
-        w_star = mean_wealth(experiment["trajs"])
-        w_hat = mean_wealth(fit_result["trajs_hat"])
+        w_star = experiment["trajs"].x.sum(axis=2).mean(axis=0)  # mean wealth curves
+        w_hat = fit_result["trajs_hat"].x.sum(axis=2).mean(axis=0)
         gap = float(np.abs(w_star - w_hat).max() / w_star[-1])
         s_star = sharpe(experiment["trajs"], spec.r_f, spec.dt)
         s_hat = sharpe(fit_result["trajs_hat"], spec.r_f, spec.dt)
@@ -173,10 +160,8 @@ class TestCriterion4:
 class TestCriterion5:
     def test_solver_speed(self, experiment):
         ex = experiment
-        rc = [
-            build_coeffs(TRUTH, ex["rbar_path"][t], ex["sigma_r"], float(ex["bench"].b[t]))
-            for t in range(30)
-        ]
+        coeffs = reward_basis(ex["rbar_path"], ex["sigma_r"], ex["bench"]).coeffs(TRUTH)
+        rc = [coeffs(t) for t in range(30)]
         t0 = time.perf_counter()
         backward_pass(rc.__getitem__, ex["prior"], ex["cfg"], ex["rbar_path"])
         elapsed = time.perf_counter() - t0
@@ -200,10 +185,11 @@ class TestCriterion6:
             b_t = float(rng.uniform(50.0, 200.0))
             from gwealth.market import ReturnCovariance
 
-            rc = build_coeffs(params, rbar, ReturnCovariance(sigma_r=sigma), b_t=b_t)
+            rc = reward_basis(rbar[None], ReturnCovariance(sigma_r=sigma),
+                              BenchmarkPath(b=np.array([b_t]))).coeffs(params)(0)
             x = rng.normal(0.0, 50.0, size=4)
             u = rng.normal(0.0, 20.0, size=4)
-            got = reward_value(rc, x, u)
+            got = quad_value(coeffs_of(rc), x, u)
             want = expected_reward(lam, eta, rho, omega, rbar, pad(sigma),
                                    b_t, x, u)
             worst = max(worst, abs(got - want) / max(abs(want), 1.0))
@@ -238,7 +224,7 @@ class TestCriterion6:
                 g_batch, plan.beta, mean0, prior.sigma_p,
                 n_draws=1_000_000, rng=rng,
             )
-            if abs(free_energy(plan, 0, x) - est) >= 3.0 * se:
+            if abs(quad_value(plan_f(plan, 0), x) - est) >= 3.0 * se:
                 failures += 1
         ok = failures <= 1  # one 3-sigma miss in twenty trials is within chance
         assert _report(6, "oracle b: Gaussian integral", ok,
@@ -257,17 +243,14 @@ class TestCriterion6:
             t = int(rng.integers(0, t_len - 1))
             x = rng.normal(0.0, 20.0, size=n)
             u = rng.normal(0.0, 5.0, size=n)
-            rc = build_coeffs(params, rbar_path[t], sigma_r, float(benchmark.b[t]))
+            rc = reward_basis(rbar_path, sigma_r, benchmark).coeffs(params)(t)
             from oracles import expected_next_value
 
             ev = expected_next_value(
-                (plan.f_xx[t + 1], plan.f_x[t + 1], plan.f_0[t + 1]),
-                1.0 + rbar_path[t], pad(sigma_r.sigma_r), x + u,
+                plan_f(plan, t + 1), 1.0 + rbar_path[t], pad(sigma_r.sigma_r), x + u,
             )
-            want = reward_value(rc, x, u) + cfg.gamma * ev
-            from gwealth.glearner import g_value
-
-            got = g_value(plan, t, x, u)
+            want = quad_value(coeffs_of(rc), x, u) + cfg.gamma * ev
+            got = quad_value(coeffs_of(plan, t), x, u)
             worst = max(worst, abs(got - want) / max(abs(want), 1.0))
         ok = worst < 1e-10
         assert _report(6, "oracle c: Bellman identity", ok, f"worst rel err {worst:.2e}")

@@ -133,9 +133,21 @@ class TestConfig:
             config_from_dict({section: {key: value}})
 
     def test_int_accepted_for_float(self):
-        cfg = config_from_dict({"solver": {"beta": 10}, "market": {"price_range": [20, 120]}})
+        cfg = config_from_dict({"solver": {"beta": 10}, "market": {"alpha_range": [-1, 2]}})
         assert cfg.solver.beta == 10.0 and type(cfg.solver.beta) is float
-        assert cfg.market.price_range == (20.0, 120.0)
+        assert cfg.market.alpha_range == (-1.0, 2.0)
+
+    def test_removed_market_key_rejected(self):
+        # price_range drew initial prices that nothing read: an unknown key (exit 2)
+        with pytest.raises(ConfigError, match="unknown key.*price_range"):
+            config_from_dict({"market": {"price_range": [20, 120]}})
+
+    def test_public_names_resolve(self):
+        namespace = {}
+        exec("from gwealth import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == sorted(gwealth.__all__)
+        for name in gwealth.__all__:
+            assert namespace[name] is getattr(gwealth, name)
 
 
 class TestStorageRoundTrip:

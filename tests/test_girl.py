@@ -24,7 +24,7 @@ from gwealth.girl import (
     transition_log_prob,
     unpack_reward,
 )
-from gwealth.glearner import Trajectories, default_prior, policy_mean, rollout, solve_plan
+from gwealth.glearner import Trajectories, default_prior, rollout, solve_plan
 from gwealth.market import (
     MarketSpec,
     ReturnCovariance,
@@ -37,8 +37,8 @@ from gwealth.rewards import RewardParams, exponential_benchmark, reward_basis
 
 from conftest import random_problem, random_spd
 from oracles import (
-    action_log_prob, fd_gradient, mvn_logpdf, nll_gradient, sigma_tilde, tangent_gradient,
-    trajectory_nll,
+    action_log_prob, fd_gradient, mvn_logpdf, nll_gradient, policy_mean, sigma_tilde,
+    tangent_gradient, trajectory_nll,
 )
 
 

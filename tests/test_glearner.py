@@ -11,16 +11,12 @@ from gwealth.glearner import (
     PolicyPrior,
     SolverConfig,
     Trajectories,
+    _terminal_f,
     backward_pass,
     cash_installment,
     default_prior,
-    free_energy,
-    g_value,
-    policy_mean,
     rollout,
-    sample_action,
     solve_plan,
-    terminal_action,
 )
 from gwealth.market import (
     MarketSpec,
@@ -29,25 +25,23 @@ from gwealth.market import (
     residual_covariance,
     simulate,
 )
-from gwealth.rewards import (
-    RewardCoeffs,
-    RewardParams,
-    build_coeffs,
-    exponential_benchmark,
-    reward_basis,
-    reward_value,
-)
+from gwealth.rewards import RewardCoeffs, RewardParams, exponential_benchmark, reward_basis
 
 from conftest import random_problem, random_spd
 from oracles import (
+    argmax_policy,
     brute_force_argmax,
+    coeffs_of,
     dp_solve,
     expected_next_value,
     expected_reward,
     mc_log_partition,
     pad,
+    plan_f,
+    policy_mean,
     posterior_step,
     quad_fit,
+    quad_value,
     rollout_loop,
     sigma_tilde,
     tangent_pass,
@@ -75,6 +69,30 @@ def market_plan(n_risky, n_paths, horizon=30, seed=11):
     return plan, paths
 
 
+def period_coeffs(params, rbar_path, sigma_r, benchmark, t):
+    return reward_basis(rbar_path, sigma_r, benchmark).coeffs(params)(t)
+
+
+def terminal_action(rc, x):
+    """The reward's maximizer in the trades u at state x."""
+    gain, offset = argmax_policy(coeffs_of(rc))
+    return gain @ x + offset
+
+
+def flat_paths(n_paths, horizon, n_risky):
+    shape = (n_paths, horizon, n_risky)
+    return ReturnPaths(
+        expected=np.zeros(shape), realized=np.zeros(shape),
+        market=np.zeros((n_paths, horizon)),
+    )
+
+
+def first_trades(plan, x, n_draws, seed):
+    """The rollout's first-period trades from state x on n_draws flat paths."""
+    paths = flat_paths(n_draws, plan.horizon, plan.n_assets - 1)
+    return rollout(plan, paths, x, np.random.default_rng(seed)).u[:, 0]
+
+
 def reward_fn_for(params, rbar_t, sigma_r, b_t, n):
     om = params.omega_matrix(n)
     sig_pad = pad(sigma_r.sigma_r)
@@ -89,17 +107,17 @@ def reward_fn_for(params, rbar_t, sigma_r, b_t, n):
 class TestTerminalAction:
     def test_stationary_point_is_zero(self, rng):
         params, rbar_path, sigma_r, benchmark, _, _ = random_problem(rng, n=3)
-        rc = build_coeffs(params, rbar_path[0], sigma_r, float(benchmark.b[0]))
+        rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 0)
         x_star = -np.linalg.solve(rc.r_ux, rc.r_u)
         u = terminal_action(rc, x_star)
         assert np.abs(u).max() < 1e-8
 
     def test_matches_brute_force_maximizer(self, rng):
         params, rbar_path, sigma_r, benchmark, _, _ = random_problem(rng, n=2)
-        rc = build_coeffs(params, rbar_path[0], sigma_r, float(benchmark.b[0]))
+        rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 0)
         x = rng.normal(0.0, 20.0, size=2)
         u_star = terminal_action(rc, x)
-        u_brute = brute_force_argmax(lambda u: reward_value(rc, x, u), dim=2)
+        u_brute = brute_force_argmax(lambda u: quad_value(coeffs_of(rc), x, u), dim=2)
         assert np.abs(u_star - u_brute).max() < 1e-8
 
     def test_growing_cost_shrinks_action(self, rng):
@@ -113,7 +131,7 @@ class TestTerminalAction:
                 lam=params.lam, eta=params.eta, rho=params.rho,
                 omega=kappa * params.omega_matrix(3),
             )
-            rc = build_coeffs(scaled, rbar_path[0], sigma_r, float(benchmark.b[0]))
+            rc = period_coeffs(scaled, rbar_path, sigma_r, benchmark, 0)
             norms.append(np.linalg.norm(terminal_action(rc, x)))
         assert norms[0] > norms[1] > norms[2] > norms[3]
 
@@ -121,8 +139,9 @@ class TestTerminalAction:
 class TestBackwardPass:
     def test_single_period_matches_terminal_conditions(self, rng):
         params, rbar_path, sigma_r, benchmark, prior, cfg = random_problem(rng, n=3, t_len=1)
-        rc = build_coeffs(params, rbar_path[0], sigma_r, float(benchmark.b[0]))
+        rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 0)
         plan = backward_pass(lambda t: rc, prior, cfg, rbar_path)
+        plan_fxx, plan_fx, plan_f0 = _terminal_f(coeffs_of(plan, 0))
 
         # published closed form: sigma_tilde = sigma_hat + omega / lam
         lam = params.lam
@@ -142,18 +161,19 @@ class TestBackwardPass:
             + rc.r_u @ sti.T @ rc.r_u / (2.0 * lam)
             + rc.r_u @ sti.T @ rc.r_uu @ sti @ rc.r_u / (4.0 * lam**2)
         )
-        assert np.allclose(plan.f_xx[0], 0.5 * (f_xx + f_xx.T), rtol=1e-10, atol=1e-12)
-        assert np.allclose(plan.f_x[0], f_x, rtol=1e-10, atol=1e-12)
-        assert plan.f_0[0] == pytest.approx(f_0, rel=1e-10)
+        assert np.allclose(plan_fxx, 0.5 * (f_xx + f_xx.T), rtol=1e-10, atol=1e-12)
+        assert np.allclose(plan_fx, f_x, rtol=1e-10, atol=1e-12)
+        assert plan_f0 == pytest.approx(f_0, rel=1e-10)
 
     def test_terminal_value_is_plugged_in_argmax(self, rng):
         plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(rng, n=3, t_len=2)
-        rc = build_coeffs(params, rbar_path[-1], sigma_r, float(benchmark.b[-1]))
+        rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 1)
+        f_last = _terminal_f(coeffs_of(plan, 1))  # the recursion's F at T-1
         for _ in range(5):
             x = rng.normal(0.0, 30.0, size=3)
             u_star = terminal_action(rc, x)
-            assert free_energy(plan, 1, x) == pytest.approx(
-                reward_value(rc, x, u_star), rel=1e-10
+            assert quad_value(f_last, x) == pytest.approx(
+                quad_value(coeffs_of(rc), x, u_star), rel=1e-10
             )
 
     def test_near_deterministic_limit_matches_dp_oracle(self, rng):
@@ -239,11 +259,9 @@ class TestBackwardPass:
             m = getattr(got, name)
             assert np.array_equal(m, np.swapaxes(m, -1, -2)), name
         for name in ("sigma_bar", "u_tilde", "v_tilde", "chol_tilde", "logdet_tilde", "q_xx",
-                     "q_ux", "q_uu", "q_x", "q_u", "q_0", "f_xx", "f_x", "f_0"):
+                     "q_ux", "q_uu", "q_x", "q_u", "q_0"):
             want = getattr(plan, name)
             assert np.max(np.abs(getattr(got, name) - want)) <= 1e-12 * np.max(np.abs(want)), name
-        for g, w in zip(got.f_soft_last, plan.f_soft_last):
-            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 class TestTangentPass:
@@ -298,26 +316,18 @@ class TestFreeEnergy:
                 g_batch, plan.beta, mean0, prior.sigma_p,
                 n_draws=1_000_000, rng=rng,
             )
-            assert abs(free_energy(plan, 0, x) - est) < 3.0 * se
-
-    def test_state_zero_gives_constant(self, rng):
-        plan, *_ = build_plan(rng, n=3, t_len=2)
-        assert free_energy(plan, 0, np.zeros(3)) == plan.f_0[0]
+            assert abs(quad_value(plan_f(plan, 0), x) - est) < 3.0 * se
 
     def test_large_beta_terminal_equals_max_reward(self, rng):
         params, rbar_path, sigma_r, benchmark, prior, _ = random_problem(rng, n=2, t_len=2)
         cfg = SolverConfig(beta=1e6, gamma=0.95)
         plan = solve_plan(params, rbar_path, sigma_r, benchmark, prior, cfg)
-        rc = build_coeffs(params, rbar_path[-1], sigma_r, float(benchmark.b[-1]))
+        rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 1)
         x = rng.normal(0.0, 20.0, size=2)
-        val = free_energy(plan, 1, x)
-        best = reward_value(rc, x, terminal_action(rc, x))
+        # the soft log-partition of G at T-1, which tends to the hard max
+        val = quad_value(posterior_step(*coeffs_of(plan, 1), prior, cfg.beta)[-1], x)
+        best = quad_value(coeffs_of(rc), x, terminal_action(rc, x))
         assert val == pytest.approx(best, rel=1e-3)
-
-    def test_step_out_of_range(self, rng):
-        plan, *_ = build_plan(rng, n=3, t_len=2)
-        with pytest.raises(ShapeError):
-            free_energy(plan, 2, np.zeros(3))
 
 
 class TestGValue:
@@ -325,10 +335,11 @@ class TestGValue:
         params, rbar_path, sigma_r, benchmark, prior, _ = random_problem(rng, n=3, t_len=3)
         cfg = SolverConfig(beta=5.0, gamma=1e-300)  # gamma must stay positive
         plan = solve_plan(params, rbar_path, sigma_r, benchmark, prior, cfg)
-        rc = build_coeffs(params, rbar_path[0], sigma_r, float(benchmark.b[0]))
+        rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 0)
         x = rng.normal(0.0, 20.0, size=3)
         u = rng.normal(0.0, 5.0, size=3)
-        assert g_value(plan, 0, x, u) == pytest.approx(reward_value(rc, x, u), rel=1e-9)
+        assert quad_value(coeffs_of(plan, 0), x, u) == pytest.approx(
+            quad_value(coeffs_of(rc), x, u), rel=1e-9)
 
     def test_bellman_identity_closed_form(self, rng):
         for _ in range(10):
@@ -339,33 +350,29 @@ class TestGValue:
             t = int(rng.integers(0, 2))
             x = rng.normal(0.0, 20.0, size=2)
             u = rng.normal(0.0, 5.0, size=2)
-            rc = build_coeffs(params, rbar_path[t], sigma_r, float(benchmark.b[t]))
-            ev = expected_next_value(
-                (plan.f_xx[t + 1], plan.f_x[t + 1], plan.f_0[t + 1]), 1.0 + rbar_path[t],
-                sig_pad, x + u
-            )
-            want = reward_value(rc, x, u) + cfg.gamma * ev
-            got = g_value(plan, t, x, u)
+            rc = period_coeffs(params, rbar_path, sigma_r, benchmark, t)
+            # F_{t+1} from the plan's G_{t+1}: soft before T-1, the hard max at T-1
+            ev = expected_next_value(plan_f(plan, t + 1), 1.0 + rbar_path[t], sig_pad, x + u)
+            want = quad_value(coeffs_of(rc), x, u) + cfg.gamma * ev
+            got = quad_value(coeffs_of(plan, t), x, u)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     def test_bellman_identity_monte_carlo(self, rng):
         plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(rng, n=2, t_len=2)
         x = rng.normal(0.0, 10.0, size=2)
         u = rng.normal(0.0, 3.0, size=2)
-        rc = build_coeffs(params, rbar_path[0], sigma_r, float(benchmark.b[0]))
+        rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 0)
+        f_xx, f_x, f_0 = plan_f(plan, 1)
         z = x + u
         n_draws = 100_000
         eps = rng.multivariate_normal(np.zeros(1), sigma_r.sigma_r, size=n_draws)
         x_next = np.empty((n_draws, 2))
         x_next[:, 0] = (1.0 + rbar_path[0, 0]) * z[0]
         x_next[:, 1] = (1.0 + rbar_path[0, 1]) * z[1] + z[1] * eps[:, 0]
-        vals = (
-            np.einsum("si,ij,sj->s", x_next, plan.f_xx[1], x_next)
-            + x_next @ plan.f_x[1] + plan.f_0[1]
-        )
-        est = reward_value(rc, x, u) + cfg.gamma * vals.mean()
+        vals = np.einsum("si,ij,sj->s", x_next, f_xx, x_next) + x_next @ f_x + f_0
+        est = quad_value(coeffs_of(rc), x, u) + cfg.gamma * vals.mean()
         se = cfg.gamma * vals.std(ddof=1) / np.sqrt(n_draws)
-        assert abs(g_value(plan, 0, x, u) - est) < 3.0 * se
+        assert abs(quad_value(coeffs_of(plan, 0), x, u) - est) < 3.0 * se
 
 
 class TestPosterior:
@@ -383,7 +390,7 @@ class TestPosterior:
 
             def log_joint(u):
                 lp0 = -0.5 * (u - mean0) @ p0_inv @ (u - mean0)
-                return lp0 + cfg.beta * g_value(plan, t, x, u)
+                return lp0 + cfg.beta * quad_value(coeffs_of(plan, t), x, u)
 
             c_mat, b_vec, _ = quad_fit(log_joint, 2)
             cov = np.linalg.inv(-2.0 * c_mat)
@@ -419,29 +426,24 @@ class TestPosterior:
                 assert plan.logdet_tilde[t] == pytest.approx(logdet, rel=1e-12, abs=1e-12)
 
     def test_every_row_matches_the_solve_based_step(self, rng):
-        # each row of the plan against one solve against sigma_bar, from the
-        # plan's own G coefficients: random instances with a non-zero prior
+        # each policy row of the plan against one solve against sigma_bar, from
+        # the plan's own G coefficients: random instances with a non-zero prior
         # mean and gain, and the seed-1 market at N=100, T=30
         plans = [build_plan(rng, n=int(rng.integers(2, 7)), t_len=int(rng.integers(1, 6)),
                             beta=float(10.0 ** rng.uniform(-0.5, 3.0)))[0] for _ in range(12)]
         plans.append(market_plan(99, 200, seed=1)[0])
         for plan in plans:
-            t_last = plan.horizon - 1
             for t in range(plan.horizon):
-                q = (plan.q_xx[t], plan.q_ux[t], plan.q_uu[t], plan.q_x[t], plan.q_u[t],
-                     plan.q_0[t])
-                *want, (w_fxx, w_fx, w_f0) = posterior_step(*q, plan.prior, plan.beta)
-                f_xx, f_x, f_0 = (plan.f_soft_last if t == t_last
-                                  else (plan.f_xx[t], plan.f_x[t], plan.f_0[t]))
+                *want, _ = posterior_step(*coeffs_of(plan, t), plan.prior, plan.beta)
                 got = (plan.sigma_bar[t], plan.u_tilde[t], plan.v_tilde[t],
-                       plan.chol_tilde[t], plan.logdet_tilde[t], f_xx, f_x, f_0)
-                for g, w in zip(got, (*want, w_fxx, w_fx, w_f0)):
+                       plan.chol_tilde[t], plan.logdet_tilde[t])
+                for g, w in zip(got, want):
                     assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
     def test_stored_matrices_symmetric(self, rng):
         plan, *_ = build_plan(rng, n=3, t_len=3)
         for t in range(3):
-            for m in (plan.q_xx[t], plan.q_uu[t], plan.f_xx[t], sigma_tilde(plan, t)):
+            for m in (plan.q_xx[t], plan.q_uu[t], sigma_tilde(plan, t)):
                 assert np.abs(m - m.T).max() < 1e-12
 
 
@@ -454,15 +456,14 @@ class TestSampleAction:
             logdet_tilde=np.full(2, 2 * np.log(1e-20)),
         )
         x = rng.normal(size=2)
-        u = sample_action(plan_tiny, 0, x, np.random.default_rng(0))
+        u = first_trades(plan_tiny, x, 1, seed=0)[0]
         assert np.abs(u - policy_mean(plan_tiny, 0, x)).max() < 1e-8
 
     def test_sample_mean_matches_policy_mean(self, rng):
         plan, *_ = build_plan(rng, n=2, t_len=2, beta=5.0)
         x = rng.normal(0.0, 5.0, size=2)
         n_draws = 100_000
-        draws_rng = np.random.default_rng(7)
-        draws = np.array([sample_action(plan, 0, x, draws_rng) for _ in range(n_draws)])
+        draws = first_trades(plan, x, n_draws, seed=7)
         mean = policy_mean(plan, 0, x)
         sig = np.sqrt(np.diag(sigma_tilde(plan, 0)))
         bound = 4.0 * sig / np.sqrt(n_draws)
@@ -471,8 +472,7 @@ class TestSampleAction:
     def test_sample_covariance_matches(self, rng):
         plan, *_ = build_plan(rng, n=2, t_len=2, beta=5.0)
         x = rng.normal(0.0, 5.0, size=2)
-        draws_rng = np.random.default_rng(13)
-        draws = np.array([sample_action(plan, 0, x, draws_rng) for _ in range(100_000)])
+        draws = first_trades(plan, x, 100_000, seed=13)
         cov = np.cov(draws, rowvar=False)
         target = sigma_tilde(plan, 0)
         rel = np.linalg.norm(cov - target) / np.linalg.norm(target)
@@ -490,19 +490,12 @@ class TestRollout:
             logdet_tilde=np.full(t_len, n * np.log(1e-30)),
         )
 
-    def _flat_paths(self, n_paths, horizon, n_risky):
-        shape = (n_paths, horizon, n_risky)
-        return ReturnPaths(
-            expected=np.zeros(shape), realized=np.zeros(shape),
-            market=np.zeros((n_paths, horizon)),
-        )
-
     def test_zero_policy_zero_returns_static(self, rng):
         plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(rng, n=3, t_len=4)
         frozen = self._zero_policy_plan(plan)
         # force zero expected returns so the bond earns nothing
         frozen = replace(frozen, rbar=np.zeros_like(frozen.rbar))
-        paths = self._flat_paths(5, 4, 2)
+        paths = flat_paths(5, 4, 2)
         x0 = np.array([100.0, 50.0, 25.0])
         trajs = rollout(frozen, paths, x0, np.random.default_rng(0))
         for traj in trajs:
@@ -515,7 +508,7 @@ class TestRollout:
         rbar = np.zeros_like(frozen.rbar)
         rbar[:, 0] = 0.02 * 0.25  # annual rate at quarterly periods
         frozen = replace(frozen, rbar=rbar)
-        paths = self._flat_paths(3, 4, 2)
+        paths = flat_paths(3, 4, 2)
         x0 = np.array([1000.0, 0.0, 0.0])
         trajs = rollout(frozen, paths, x0, np.random.default_rng(0))
         for traj in trajs:
@@ -524,7 +517,7 @@ class TestRollout:
 
     def test_cash_identity_exact(self, rng):
         plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(rng, n=3, t_len=3)
-        paths = self._flat_paths(4, 3, 2)
+        paths = flat_paths(4, 3, 2)
         trajs = rollout(plan, paths, np.full(3, 10.0), np.random.default_rng(5))
         for traj in trajs:
             for t in range(plan.horizon):
@@ -533,7 +526,7 @@ class TestRollout:
     def test_paths_are_views_of_the_batch(self, rng):
         # trajs[p] and iteration give path p as views into the batch's arrays
         plan, *_ = build_plan(rng, n=3, t_len=4)
-        trajs = rollout(plan, self._flat_paths(5, 4, 2), np.full(3, 10.0),
+        trajs = rollout(plan, flat_paths(5, 4, 2), np.full(3, 10.0),
                         np.random.default_rng(3))
         assert len(trajs) == len(list(trajs)) == 5
         for p, traj in enumerate(trajs):
@@ -546,13 +539,13 @@ class TestRollout:
 
     def test_horizon_mismatch(self, rng):
         plan, *_ = build_plan(rng, n=3, t_len=3)
-        paths = self._flat_paths(2, 5, 2)
+        paths = flat_paths(2, 5, 2)
         with pytest.raises(ShapeError):
             rollout(plan, paths, np.full(3, 10.0), np.random.default_rng(0))
 
     def test_rollout_reproducible(self, rng):
         plan, *_ = build_plan(rng, n=3, t_len=3)
-        paths = self._flat_paths(4, 3, 2)
+        paths = flat_paths(4, 3, 2)
         a = rollout(plan, paths, np.full(3, 10.0), np.random.default_rng(42))
         b = rollout(plan, paths, np.full(3, 10.0), np.random.default_rng(42))
         for ta, tb in zip(a, b):

@@ -6,12 +6,7 @@ import pytest
 from gwealth.errors import UndefinedSharpeError
 from gwealth.glearner import Trajectory, cash_installment
 from gwealth.market import ReturnPaths
-from gwealth.metrics import (
-    equal_weight_baseline,
-    investment_returns,
-    performance_summary,
-    sharpe,
-)
+from gwealth.metrics import _returns, equal_weight_baseline, performance_summary, sharpe
 from gwealth.rewards import BenchmarkPath, RewardParams
 
 from conftest import batch
@@ -117,7 +112,7 @@ class TestCashflowNeutrality:
         cash = np.array([10.0, 20.0, 0.0, 5.0])
         w = np.concatenate([[100.0], 100.0 + np.cumsum(cash)])
         traj = single_asset_trajectory(w, cash=cash)
-        rets = investment_returns(traj)
+        rets = _returns(traj.x.sum(axis=1), traj.cash)
         assert np.array_equal(rets, np.zeros(4))
         assert traj.x[-1, 0] == 135.0
 
@@ -163,7 +158,7 @@ class TestPerformanceSummary:
         assert np.array_equal(summary.shortfall, shortfall_loop(trajs, params, bench))
         assert summary.shortfall.max() > 0.0
         assert summary.sharpe == sharpe(batch(trajs), 0.02, 0.25)
-        want_returns = np.mean([investment_returns(t) for t in trajs], axis=0)
+        want_returns = np.mean([_returns(t.x.sum(axis=1), t.cash) for t in trajs], axis=0)
         assert np.array_equal(summary.mean_returns, want_returns)
         terminal = [t.x[-1].sum() for t in trajs]
         assert summary.terminal_wealth_stats["mean"] == pytest.approx(np.mean(terminal), rel=1e-15)

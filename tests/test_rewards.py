@@ -7,18 +7,13 @@ import pytest
 
 from gwealth.errors import ParameterError, ShapeError
 from gwealth.market import ReturnCovariance
-from gwealth.rewards import (
-    BenchmarkPath,
-    RewardParams,
-    build_coeffs,
-    exponential_benchmark,
-    reward_basis,
-    reward_value,
-    target_portfolio,
-)
+from gwealth.rewards import BenchmarkPath, RewardParams, exponential_benchmark, reward_basis
 
 from conftest import random_spd
-from oracles import expected_reward, mc_reward, pad, reward_tangents as oracle_tangents
+from oracles import (
+    coeffs_of, expected_reward, mc_reward, pad, quad_value, reward_tangents as oracle_tangents,
+    target_portfolio,
+)
 
 
 def random_reward_inputs(rng, n=4):
@@ -36,6 +31,11 @@ def random_reward_inputs(rng, n=4):
 
 def one_period_basis(rbar, sigma_r, b_t):
     return reward_basis(rbar[None], sigma_r, BenchmarkPath(b=np.array([b_t])))
+
+
+def one_period_coeffs(params, rbar, sigma_r, b_t):
+    """The reward coefficients of a one-period market."""
+    return one_period_basis(rbar, sigma_r, b_t).coeffs(params)(0)
 
 
 def reward_tangents(params, rbar, sigma_r, b_t):
@@ -68,7 +68,7 @@ class TestBuildCoeffs:
         params = RewardParams(lam=1e-12, eta=1.01, rho=0.4, omega=omega)
         rbar = np.concatenate([[0.005], rng.uniform(-0.02, 0.06, size=n - 1)])
         sigma_r = ReturnCovariance(sigma_r=random_spd(rng, n - 1, scale=0.05))
-        rc = build_coeffs(params, rbar, sigma_r, b_t=100.0)
+        rc = one_period_coeffs(params, rbar, sigma_r, b_t=100.0)
         assert np.abs(rc.r_xx).max() < 1e-8
         assert np.abs(rc.r_ux).max() < 1e-8
         assert np.abs(rc.r_uu + omega).max() < 1e-8
@@ -79,10 +79,10 @@ class TestBuildCoeffs:
     def test_quadratic_form_matches_closed_form_oracle(self, rng):
         for _ in range(25):
             params, rbar, sigma_r, b_t = random_reward_inputs(rng)
-            rc = build_coeffs(params, rbar, sigma_r, b_t)
+            rc = one_period_coeffs(params, rbar, sigma_r, b_t)
             x = rng.normal(0.0, 50.0, size=4)
             u = rng.normal(0.0, 20.0, size=4)
-            got = reward_value(rc, x, u)
+            got = quad_value(coeffs_of(rc), x, u)
             want = expected_reward(
                 params.lam, params.eta, params.rho, params.omega_matrix(4),
                 rbar, pad(sigma_r.sigma_r), b_t, x, u,
@@ -94,7 +94,7 @@ class TestBuildCoeffs:
         n = 100
         rbar = np.concatenate([[0.005], rng.uniform(-0.02, 0.1, size=n - 1)])
         sigma_r = ReturnCovariance(sigma_r=random_spd(rng, n - 1, scale=0.05))
-        rc = build_coeffs(params, rbar, sigma_r, b_t=1000.0)
+        rc = one_period_coeffs(params, rbar, sigma_r, b_t=1000.0)
         for m in (rc.r_xx, rc.r_ux, rc.r_uu, rc.r_x, rc.r_u):
             assert np.isfinite(m).all()
         assert np.linalg.eigvalsh(rc.r_uu)[-1] < 0.0
@@ -102,7 +102,7 @@ class TestBuildCoeffs:
     def test_dimension_mismatch(self, rng):
         params, rbar, sigma_r, b_t = random_reward_inputs(rng)
         with pytest.raises(ShapeError):
-            build_coeffs(params, rbar[:-1], sigma_r, b_t)
+            one_period_coeffs(params, rbar[:-1], sigma_r, b_t)
 
 
 class TestRewardValue:
@@ -111,21 +111,21 @@ class TestRewardValue:
         params = RewardParams(lam=1e-14, eta=1.01, rho=0.3, omega=0.2)
         rbar = np.concatenate([[0.005], rng.uniform(0.0, 0.05, size=n - 1)])
         sigma_r = ReturnCovariance(sigma_r=random_spd(rng, n - 1, scale=0.05))
-        rc = build_coeffs(params, rbar, sigma_r, b_t=100.0)
-        assert abs(reward_value(rc, rng.normal(size=n), np.zeros(n))) < 1e-8
+        rc = one_period_coeffs(params, rbar, sigma_r, b_t=100.0)
+        assert abs(quad_value(coeffs_of(rc), rng.normal(size=n), np.zeros(n))) < 1e-8
 
     def test_constant_term_only(self, rng):
         params, rbar, sigma_r, b_t = random_reward_inputs(rng)
-        rc = build_coeffs(params, rbar, sigma_r, b_t)
-        val = reward_value(rc, np.zeros(4), np.zeros(4))
+        rc = one_period_coeffs(params, rbar, sigma_r, b_t)
+        val = quad_value(coeffs_of(rc), np.zeros(4), np.zeros(4))
         assert val == pytest.approx(-((1.0 - params.rho) ** 2) * params.lam * b_t**2, rel=1e-12)
 
     def test_monte_carlo_expectation(self, rng):
         params, rbar, sigma_r, b_t = random_reward_inputs(rng)
-        rc = build_coeffs(params, rbar, sigma_r, b_t)
+        rc = one_period_coeffs(params, rbar, sigma_r, b_t)
         x = rng.normal(0.0, 30.0, size=4)
         u = rng.normal(0.0, 10.0, size=4)
-        got = reward_value(rc, x, u)
+        got = quad_value(coeffs_of(rc), x, u)
         est, se = mc_reward(
             params.lam, params.eta, params.rho, params.omega_matrix(4),
             rbar, pad(sigma_r.sigma_r), b_t, x, u,
@@ -133,36 +133,30 @@ class TestRewardValue:
         )
         assert abs(got - est) < 3.0 * se
 
-    def test_shape_mismatch(self, rng):
-        params, rbar, sigma_r, b_t = random_reward_inputs(rng)
-        rc = build_coeffs(params, rbar, sigma_r, b_t)
-        with pytest.raises(ShapeError):
-            reward_value(rc, np.zeros(3), np.zeros(4))
-
 
 class TestInvariantsAndProperties:
     def test_concavity_in_trades(self, rng):
         for _ in range(10):
             params, rbar, sigma_r, b_t = random_reward_inputs(rng)
-            rc = build_coeffs(params, rbar, sigma_r, b_t)
+            rc = one_period_coeffs(params, rbar, sigma_r, b_t)
             sym = 0.5 * (rc.r_uu + rc.r_uu.T)
             assert np.linalg.eigvalsh(sym)[-1] < 0.0
 
     def test_installment_term_is_cash(self, rng):
         # the linear -1'u piece equals minus the cash installment c = sum(u)
         params, rbar, sigma_r, b_t = random_reward_inputs(rng)
-        rc = build_coeffs(params, rbar, sigma_r, b_t)
+        rc = one_period_coeffs(params, rbar, sigma_r, b_t)
         x = rng.normal(0.0, 40.0, size=4)
         u = rng.normal(0.0, 15.0, size=4)
         cashless = expected_reward(
             params.lam, params.eta, params.rho, params.omega_matrix(4),
             rbar, pad(sigma_r.sigma_r), b_t, x, u,
         ) + np.sum(u)
-        assert reward_value(rc, x, u) - cashless == pytest.approx(-np.sum(u), rel=1e-9)
+        assert quad_value(coeffs_of(rc), x, u) - cashless == pytest.approx(-np.sum(u), rel=1e-9)
 
     def test_symmetrized_on_construction(self, rng):
         params, rbar, sigma_r, b_t = random_reward_inputs(rng)
-        rc = build_coeffs(params, rbar, sigma_r, b_t)
+        rc = one_period_coeffs(params, rbar, sigma_r, b_t)
         assert np.array_equal(rc.sigma_hat, rc.sigma_hat.T)
         assert np.array_equal(rc.r_xx, rc.r_xx.T)
         assert np.array_equal(rc.r_uu, rc.r_uu.T)
@@ -181,8 +175,8 @@ class TestInvariantsAndProperties:
         sigma_p = ReturnCovariance(
             sigma_r=sigma_r.sigma_r[np.ix_(perm_r, perm_r)]
         )
-        rc = build_coeffs(params, rbar, sigma_r, b_t)
-        rc_p = build_coeffs(params_p, rbar[perm], sigma_p, b_t)
+        rc = one_period_coeffs(params, rbar, sigma_r, b_t)
+        rc_p = one_period_coeffs(params_p, rbar[perm], sigma_p, b_t)
         assert np.allclose(rc_p.r_xx, pi @ rc.r_xx @ pi.T, atol=1e-12)
         assert np.allclose(rc_p.r_ux, pi @ rc.r_ux @ pi.T, atol=1e-12)
         assert np.allclose(rc_p.r_uu, pi @ rc.r_uu @ pi.T, atol=1e-12)
@@ -203,8 +197,9 @@ class TestRewardTangents:
             for i, name in enumerate(("lam", "eta", "rho", "omega")):
                 h = 1e-6 * float(getattr(params, name))
                 up, down = (
-                    build_coeffs(dataclasses.replace(params, **{name: getattr(params, name) + d}),
-                                 rbar, sigma_r, b_t)
+                    one_period_coeffs(
+                        dataclasses.replace(params, **{name: getattr(params, name) + d}),
+                        rbar, sigma_r, b_t)
                     for d in (h, -h)
                 )
                 for field in self.FIELDS:
@@ -257,7 +252,7 @@ class TestRewardBasis:
         basis = reward_basis(rbar_path, sigma_r, bench)
         for t in range(3):
             rc = basis.coeffs(params)(t)
-            one = build_coeffs(params, rbar_path[t], sigma_r, float(bench.b[t]))
+            one = one_period_coeffs(params, rbar_path[t], sigma_r, float(bench.b[t]))
             for field in ("r_xx", "r_ux", "r_uu", "r_x", "r_u", "r_0", "sigma_hat"):
                 assert np.array_equal(getattr(rc, field), getattr(one, field)), (t, field)
             assert np.shares_memory(rc.sigma_hat, basis.sigma_hat)
