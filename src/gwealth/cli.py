@@ -21,13 +21,7 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, GWealthError, ShapeError
-from .girl import (
-    GirlParams,
-    default_slice_grids,
-    fit,
-    loss_slices,
-    scaled_start,
-)
+from .girl import GirlParams, fit, loss_slices, scaled_start
 from .glearner import PolicyPrior, default_prior, rollout, solve_plan
 from .market import ReturnCovariance, ReturnPaths, residual_covariance, simulate
 from .metrics import equal_weight_baseline, performance_summary
@@ -102,23 +96,6 @@ class _Run:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_slices(path: Path, slices: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write("parameter,value,nll\n")
-        for name in ("lam", "eta", "rho", "omega"):
-            grid, vals = slices[name]
-            for g, v in zip(grid, vals):
-                fh.write(f"{name},{storage._fmt(g)},{storage._fmt(v)}\n")
-
-
-def _write_performance(path: Path, summaries: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write("strategy,period,mean_return\n")
-        for name in sorted(summaries):
-            for t, val in enumerate(summaries[name].mean_returns):
-                fh.write(f"{name},{t},{storage._fmt(val)}\n")
 
 
 def _rollout_rng(cfg: ExperimentConfig) -> np.random.Generator:
@@ -255,9 +232,8 @@ def cmd_fit(run: _Run) -> None:
         "newton_decrement": report.decrement,
     }
     run.save(F_GIRL_REPORT, _write_json, payload)
-    slices = loss_slices(report.params.with_reward(truth), trajs, rbar_path,
-                         default_slice_grids(truth))
-    run.save(F_SLICES, _write_slices, slices)
+    slices = loss_slices(report.params.with_reward(truth), trajs, rbar_path)
+    run.save(F_SLICES, storage.write_slices_csv, slices)
 
 
 def cmd_report(run: _Run) -> None:
@@ -281,7 +257,8 @@ def cmd_report(run: _Run) -> None:
                                   params=reward, benchmark=bench)
         for name, trajs in strategies.items()
     }
-    run.save(F_PERF, _write_performance, summaries)
+    run.save(F_PERF, storage.write_performance_csv,
+             {name: s.mean_returns for name, s in summaries.items()})
     run.save(F_SUMMARY, _write_json, {
         "sharpe": {name: s.sharpe for name, s in sorted(summaries.items())},
         "terminal_wealth": {

@@ -62,7 +62,11 @@ class GirlSection(FitConfig):
 @dataclass(frozen=True)
 class IoSection:
     outdir: str = "out"
-    seed: int = 7
+    seed: int = 7  # the only seed: the simulation's and the rollouts'
+
+    def __post_init__(self):
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,7 @@ _SECTION_TYPES = {
 
 # field name -> type of every section, resolved once from the annotations
 _FIELD_TYPES = {name: get_type_hints(cls) for name, cls in _SECTION_TYPES.items()}
+del _FIELD_TYPES["market"]["seed"]  # set from io.seed, not a key of its own
 
 
 def _is_number(value) -> bool:
@@ -118,7 +123,7 @@ def _typed_value(where: str, value, hint):
     raise ConfigError(f"'{where}' must be of type {hint.__name__}, got {value!r}")
 
 
-def _build_section(name: str, cls, data: dict):
+def _build_section(name: str, cls, data: dict, **fixed):
     if not isinstance(data, dict):
         raise ConfigError(f"section '{name}' must be an object")
     hints = _FIELD_TYPES[name]
@@ -130,7 +135,7 @@ def _build_section(name: str, cls, data: dict):
     kwargs = {key: _typed_value(f"{name}.{key}", value, hints[key])
               for key, value in data.items()}
     try:
-        return cls(**kwargs)
+        return cls(**kwargs, **fixed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid section '{name}': {exc}") from exc
 
@@ -142,10 +147,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config section(s): {', '.join(sorted(unknown))}")
     io_sec = _build_section("io", IoSection, data.get("io", {}))
-    market_data = dict(data.get("market", {}))
-    market_data.setdefault("seed", io_sec.seed)  # the io seed drives the simulation
     cfg = ExperimentConfig(
-        market=_build_section("market", MarketSpec, market_data),
+        market=_build_section("market", MarketSpec, data.get("market", {}), seed=io_sec.seed),
         reward=_build_section("reward", RewardSection, data.get("reward", {})),
         solver=_build_section("solver", SolverSection, data.get("solver", {})),
         girl=_build_section("girl", GirlSection, data.get("girl", {})),

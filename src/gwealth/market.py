@@ -54,6 +54,8 @@ class MarketSpec:
             raise ParameterError("beta_range must satisfy |beta| < 1")
         if self.alpha_range[0] > self.alpha_range[1]:
             raise ParameterError("alpha_range must be ordered")
+        if not 0 <= self.seed < 2**64:  # the Philox key is two uint64 words
+            raise ParameterError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)

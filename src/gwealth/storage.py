@@ -1,11 +1,12 @@
-"""File formats for pipeline artifacts.
+"""File formats for pipeline artifacts; every CSV table is written here.
 
 CSV files carry a header row, stable column order, and full-precision decimal
-floats (shortest representation that round-trips).  Asset indices are global:
-0 is the bond, 1..n are the risky assets; return panels cover risky assets
-only.  A solved plan is stored as its policy, a compressed NPZ archive.
-Readers raise ShapeError, naming the file, on content they cannot parse and
-on any number that is not finite (nan, inf).
+floats (shortest representation that round-trips).  All but the loss slices
+are long-format tables, written by one writer and read by one dense-table
+reader.  Asset indices are global: 0 is the bond, 1..n are the risky assets;
+return panels cover risky assets only.  A solved plan is stored as its
+policy, a compressed NPZ archive.  Readers raise ShapeError, naming the file,
+on content they cannot parse and on any number that is not finite (nan, inf).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import warnings
 import zipfile
 import zlib
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +24,33 @@ from .errors import ShapeError
 from .glearner import GaussianPolicy, PolicyPrior, Trajectories, cash_installment
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _write_long(path: Path, header: str, rows, first: int = 0) -> None:
+    """A long-format table: for each (label, block) of ``rows``, with block a
+    (*dims, k) array, one line per cell of dims in row-major order holding
+    the label, the cell's index columns (the last counting from ``first``)
+    and its k values in their shortest round-trip decimal form."""
+    prefixes = None  # the index columns, the same for every block
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for label, block in rows:
+            block = np.asarray(block, dtype=float)
+            if prefixes is None:
+                ranges = [range(d) for d in block.shape[:-1]]
+                ranges[-1] = range(first, first + block.shape[-2])
+                prefixes = [",".join(map(str, cell)) for cell in product(*ranges)]
+            if not prefixes:  # an extent of 0: no cells, no lines
+                continue
+            lead = f"{label},"
+            cols = [map(repr, block[..., j].ravel().tolist()) for j in range(block.shape[-1])]
+            fh.write(lead + ("\n" + lead).join(map(",".join, zip(prefixes, *cols))) + "\n")
 
 
-def _read_table(path: Path, n_cols: int) -> np.ndarray:
-    """The numeric rows below a CSV file's header, ``n_cols`` finite values
-    each."""
+def _read_long(path: Path, header: str, n_values: int, first: int = 0) -> np.ndarray:
+    """The table ``_write_long`` writes under ``header``, with n_values value
+    columns, as an (n_values, *extents) array: each index column a
+    non-negative integer (the last from ``first``), each cell of the extents
+    named exactly once, every value finite."""
+    n_index = header.count(",") + 1 - n_values
     try:
         with warnings.catch_warnings():
             # a header-only file: reported below as a ShapeError instead
@@ -38,98 +60,92 @@ def _read_table(path: Path, n_cols: int) -> np.ndarray:
         raise ShapeError(f"'{path}' is not a numeric CSV table: {exc}") from exc
     if raw.size == 0:
         raise ShapeError(f"'{path}' contains no data rows")
-    if raw.shape[1] != n_cols:
-        raise ShapeError(f"'{path}' has {raw.shape[1]} columns, expected {n_cols}")
+    if raw.shape[1] != n_index + n_values:
+        raise ShapeError(f"'{path}' has {raw.shape[1]} columns, expected {n_index + n_values}")
     if not np.isfinite(raw).all():
         raise ShapeError(f"'{path}' has a cell that is not a finite number")
-    return raw
-
-
-def _dense(path: Path, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``values`` (..., rows) scattered into the array that the index columns
-    ``idx`` (rows, k) name, of shape values.shape[:-1] + (k index extents).
-    Every index must be a non-negative integer naming one cell, once."""
+    idx = raw[:, :n_index]
+    idx[:, -1] -= first
     if not ((idx >= 0) & (idx == np.floor(idx))).all():
         raise ShapeError(f"'{path}' has an index that is not a non-negative integer")
     idx = idx.astype(np.int64)
     shape = tuple(int(k) + 1 for k in idx.max(axis=0))
     if idx.shape[0] != math.prod(shape):
         raise ShapeError(f"'{path}' has {idx.shape[0]} rows for {math.prod(shape)} cells")
-    out = np.full(values.shape[:-1] + shape, np.nan)
-    out[(..., *idx.T)] = values
+    out = np.full((n_values,) + shape, np.nan)
+    out[(slice(None), *idx.T)] = raw[:, n_index:].T
     if np.isnan(out).any():
         raise ShapeError(f"'{path}' does not cover a full {' x '.join(map(str, shape))} table")
     return out
 
 
+# the headers of the tables a later stage reads back
+_RETURNS = "path,period,asset,value"
+_MATRIX = "row,col,value"
+_TRAJECTORIES = "path,period,asset,x,u"
+
+
 # ---------------------------------------------------------------------------
-# return panels
+# return panels and matrices
 # ---------------------------------------------------------------------------
 
 def write_returns_csv(path: Path, panel: np.ndarray) -> None:
     """Long-format panel: path,period,asset,value with asset in 1..n_risky."""
     if panel.ndim != 3:
         raise ShapeError("return panel must be [paths x periods x assets]")
-    with open(path, "w") as fh:
-        fh.write("path,period,asset,value\n")
-        n_paths, horizon, n_risky = panel.shape
-        for p in range(n_paths):
-            for t in range(horizon):
-                row = panel[p, t]
-                for a in range(n_risky):
-                    fh.write(f"{p},{t},{a + 1},{_fmt(row[a])}\n")
+    _write_long(path, _RETURNS, enumerate(panel[..., None]), first=1)
 
 
 def read_returns_csv(path: Path) -> np.ndarray:
-    raw = _read_table(path, 4)
-    return _dense(path, raw[:, :3] - [0, 0, 1], raw[:, 3])  # assets count from 1
+    return _read_long(path, _RETURNS, 1, first=1)[0]
 
 
 def write_matrix_csv(path: Path, matrix: np.ndarray) -> None:
     """Square matrix in long format: row,col,value (risky-asset indexing)."""
-    with open(path, "w") as fh:
-        fh.write("row,col,value\n")
-        n, m = matrix.shape
-        for i in range(n):
-            for j in range(m):
-                fh.write(f"{i},{j},{_fmt(matrix[i, j])}\n")
+    _write_long(path, _MATRIX, enumerate(matrix[..., None]))
 
 
 def read_matrix_csv(path: Path) -> np.ndarray:
-    raw = _read_table(path, 3)
-    return _dense(path, raw[:, :2], raw[:, 2])
+    return _read_long(path, _MATRIX, 1)[0]
 
 
 # ---------------------------------------------------------------------------
-# trajectories and cash installments
+# trajectories, cash installments and reports
 # ---------------------------------------------------------------------------
 
 def write_trajectories_csv(path: Path, trajs: Trajectories) -> None:
     """Rows path,period,asset,x,u for period 0..T; the final period carries
     the terminal positions with a placeholder trade of 0."""
-    _, t_len, n = trajs.u.shape
-    with open(path, "w") as fh:
-        fh.write("path,period,asset,x,u\n")
-        for p, (x, u) in enumerate(zip(trajs.x, trajs.u)):
-            for t in range(t_len + 1):
-                for a in range(n):
-                    u_val = u[t, a] if t < t_len else 0.0
-                    fh.write(f"{p},{t},{a},{_fmt(x[t, a])},{_fmt(u_val)}\n")
+    pad = np.zeros((1, trajs.u.shape[2]))
+    _write_long(path, _TRAJECTORIES,
+                ((p, np.stack([x, np.concatenate([u, pad])], axis=-1))
+                 for p, (x, u) in enumerate(zip(trajs.x, trajs.u))))
 
 
 def read_trajectories_csv(path: Path) -> Trajectories:
-    raw = _read_table(path, 5)
-    x, u_all = _dense(path, raw[:, :3], raw[:, 3:].T)
+    x, u_all = _read_long(path, _TRAJECTORIES, 2)
     u = u_all[:, :-1]  # the last period row holds terminal positions only
     return Trajectories(x=x, u=u, cash=cash_installment(u))
 
 
 def write_cash_csv(path: Path, trajs: Trajectories) -> None:
+    _write_long(path, "path,period,c", enumerate(trajs.cash[..., None]))
+
+
+def write_performance_csv(path: Path, mean_returns: dict[str, np.ndarray]) -> None:
+    """Rows strategy,period,mean_return, the strategies in name order."""
+    _write_long(path, "strategy,period,mean_return",
+                ((name, mean_returns[name][:, None]) for name in sorted(mean_returns)))
+
+
+def write_slices_csv(path: Path, slices: dict[str, tuple[np.ndarray, np.ndarray]]) -> None:
+    """Rows parameter,value,nll of each one-dimensional likelihood scan
+    {parameter: (grid, nll values)}, in the order given."""
     with open(path, "w") as fh:
-        fh.write("path,period,c\n")
-        for p, cash in enumerate(trajs.cash):
-            for t, c in enumerate(cash):
-                fh.write(f"{p},{t},{_fmt(c)}\n")
+        fh.write("parameter,value,nll\n")
+        for name, (grid, vals) in slices.items():
+            for g, v in zip(grid.tolist(), vals.tolist()):
+                fh.write(f"{name},{g!r},{v!r}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,19 @@ from gwealth.cli import main
 from gwealth.config import config_from_dict, load_config
 from gwealth.errors import ConfigError, ShapeError
 from gwealth.girl import FitConfig
-from gwealth.glearner import GaussianPolicy, Trajectory, rollout, solve_plan
+from gwealth.glearner import GaussianPolicy, Trajectories, Trajectory, rollout, solve_plan
 from gwealth.market import ReturnCovariance
 from gwealth.storage import (
     read_matrix_csv,
     read_returns_csv,
     read_trajectories_csv,
     read_plan_npz,
+    write_cash_csv,
     write_matrix_csv,
+    write_performance_csv,
     write_plan_npz,
     write_returns_csv,
+    write_slices_csv,
     write_trajectories_csv,
 )
 
@@ -137,6 +140,21 @@ class TestConfig:
         assert cfg.solver.beta == 10.0 and type(cfg.solver.beta) is float
         assert cfg.market.alpha_range == (-1.0, 2.0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_is_a_config_error(self, tmp_path, capsys, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            config_from_dict({"io": {"seed": seed}})
+        assert main(["simulate", "--seed", str(seed), "--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gwealth: error:") and "seed" in err
+        assert "Traceback" not in err
+        assert config_from_dict({"io": {"seed": 2**64 - 1}}).market.seed == 2**64 - 1
+
+    def test_market_seed_rejected(self):
+        # io.seed is the only seed; market.seed overrode it for the simulation alone
+        with pytest.raises(ConfigError, match="unknown key.*seed"):
+            config_from_dict({"market": {"seed": 3}, "io": {"seed": 5}})
+
     def test_removed_market_key_rejected(self):
         # price_range drew initial prices that nothing read: an unknown key (exit 2)
         with pytest.raises(ConfigError, match="unknown key.*price_range"):
@@ -212,6 +230,88 @@ class TestStorageRoundTrip:
         for g, w in zip(got, want, strict=True):
             for field in ("x", "u", "cash"):
                 assert np.array_equal(getattr(g, field), getattr(w, field)), field
+
+
+THIRD = 1.0 / 3.0
+
+# a tiny batch of two paths, two periods and two assets (the bond first)
+GOLDEN_TRAJS = Trajectories(
+    x=np.array([[[10.0, THIRD], [11.0, -0.0], [12.0, 1e-300]],
+                [[5.0, 2.0], [4.0, 2.5], [3.0, 0.5]]]),
+    u=np.array([[[1e-300, -1.5], [0.25, THIRD]], [[-0.0, 0.25], [1.0, -2.0]]]),
+    cash=np.array([[-1.5, THIRD], [-0.0, 1e-300]]),
+)
+
+
+class TestFileContract:
+    """The exact text of every CSV table: header, row order, index columns
+    and shortest round-trip floats, signed zeros and tiny exponents
+    included."""
+
+    @staticmethod
+    def written(tmp_path: Path, writer, obj) -> str:
+        path = tmp_path / "t.csv"
+        writer(path, obj)
+        return path.read_text()
+
+    def test_returns(self, tmp_path):
+        panel = np.array([[[0.5, -0.0], [1e-300, THIRD]], [[-2.5, 1.0], [0.1, 3e5]]])
+        assert self.written(tmp_path, write_returns_csv, panel) == (
+            "path,period,asset,value\n"
+            "0,0,1,0.5\n0,0,2,-0.0\n0,1,1,1e-300\n0,1,2,0.3333333333333333\n"
+            "1,0,1,-2.5\n1,0,2,1.0\n1,1,1,0.1\n1,1,2,300000.0\n"
+        )
+        # a panel without cells is the header alone
+        empty = np.empty((2, 3, 0))
+        assert self.written(tmp_path, write_returns_csv, empty) == "path,period,asset,value\n"
+
+    def test_matrix(self, tmp_path):
+        matrix = np.array([[THIRD, -0.0], [1e-300, 2.0]])
+        assert self.written(tmp_path, write_matrix_csv, matrix) == (
+            "row,col,value\n0,0,0.3333333333333333\n0,1,-0.0\n1,0,1e-300\n1,1,2.0\n"
+        )
+
+    def test_trajectories(self, tmp_path):
+        # the last period holds the terminal positions with a trade of 0
+        assert self.written(tmp_path, write_trajectories_csv, GOLDEN_TRAJS) == (
+            "path,period,asset,x,u\n"
+            "0,0,0,10.0,1e-300\n0,0,1,0.3333333333333333,-1.5\n"
+            "0,1,0,11.0,0.25\n0,1,1,-0.0,0.3333333333333333\n"
+            "0,2,0,12.0,0.0\n0,2,1,1e-300,0.0\n"
+            "1,0,0,5.0,-0.0\n1,0,1,2.0,0.25\n"
+            "1,1,0,4.0,1.0\n1,1,1,2.5,-2.0\n"
+            "1,2,0,3.0,0.0\n1,2,1,0.5,0.0\n"
+        )
+
+    def test_cash(self, tmp_path):
+        assert self.written(tmp_path, write_cash_csv, GOLDEN_TRAJS) == (
+            "path,period,c\n0,0,-1.5\n0,1,0.3333333333333333\n1,0,-0.0\n1,1,1e-300\n"
+        )
+
+    def test_performance(self, tmp_path):
+        # strategies in name order, whatever order they come in
+        mean_returns = {"girl": np.array([THIRD, -0.0]), "equal_weight": np.array([1e-300, 0.5])}
+        assert self.written(tmp_path, write_performance_csv, mean_returns) == (
+            "strategy,period,mean_return\n"
+            "equal_weight,0,1e-300\nequal_weight,1,0.5\n"
+            "girl,0,0.3333333333333333\ngirl,1,-0.0\n"
+        )
+
+    def test_loss_slices(self, tmp_path):
+        # parameters in the order given, no index column
+        slices = {"lam": (np.array([0.5, THIRD]), np.array([1e-300, -0.0])),
+                  "eta": (np.array([1.0]), np.array([2.5]))}
+        assert self.written(tmp_path, write_slices_csv, slices) == (
+            "parameter,value,nll\nlam,0.5,1e-300\nlam,0.3333333333333333,-0.0\neta,1.0,2.5\n"
+        )
+
+    def test_panels_read_back_bit_for_bit(self, tmp_path):
+        write_trajectories_csv(tmp_path / "t.csv", GOLDEN_TRAJS)
+        back = read_trajectories_csv(tmp_path / "t.csv")
+        for field in ("x", "u"):
+            got, want = getattr(back, field), getattr(GOLDEN_TRAJS, field)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got),
+                                                                np.signbit(want)), field
 
 
 READERS = {

@@ -39,6 +39,13 @@ class TestValidation:
         with pytest.raises(ParameterError):
             simulate(reference_spec(dt=0.0))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_philox_key_range(self, seed):
+        # used to end in numpy's OverflowError while keying the asset stream
+        with pytest.raises(ParameterError, match="seed"):
+            reference_spec(seed=seed).validate()
+        reference_spec(seed=2**64 - 1).validate()
+
 
 class TestSimulate:
     def test_all_noise_off_realized_equals_expected(self):

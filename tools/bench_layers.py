@@ -1,4 +1,5 @@
-"""Per-layer timing of the solver's inner kernels, parent source tree against change.
+"""Per-layer timing of the solver's inner kernels and the storage round trips,
+parent source tree against change.
 
 Times, at N=100 and N=20 assets and T=30 periods:
 
@@ -10,7 +11,11 @@ Times, at N=100 and N=20 assets and T=30 periods:
 - ``prepare_stats``: the pooled data moments and the transition term, from
   the rollout's trajectories (``girl.prepare_stats``);
 - ``assemble_coeffs``: every period's reward coefficients from one
-  ``RewardBasis``.
+  ``RewardBasis``;
+- ``write_returns_csv`` and ``read_returns_csv``: the realized-return panel
+  of the market (200 paths) to and from a CSV file in a temporary directory;
+- ``write_trajectories_csv`` and ``read_trajectories_csv``: the rollout's
+  200 trajectories likewise.
 
 The market is the one the benchmark's ``fit`` workload builds for seed 1,
 with 200 rollout paths for the data moments; the reward is the benchmark's
@@ -40,6 +45,7 @@ import importlib.util
 import json
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -91,10 +97,12 @@ def _load(alias: str, src: Path):
     return pkg
 
 
-def _layers(alias: str, n_assets: int) -> dict:
-    """The timed callables of one tree at one size, on inputs built once."""
-    girl, glearner, market, rewards = (importlib.import_module(f"{alias}.{name}")
-                                       for name in ("girl", "glearner", "market", "rewards"))
+def _layers(alias: str, n_assets: int, workdir: Path) -> dict:
+    """The timed callables of one tree at one size, on inputs built once;
+    the storage layers write and read their files in ``workdir``."""
+    girl, glearner, market, rewards, storage = (
+        importlib.import_module(f"{alias}.{name}")
+        for name in ("girl", "glearner", "market", "rewards", "storage"))
     truth = rewards.RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15)
     spec = market.MarketSpec(n_risky=n_assets - 1, horizon=HORIZON, n_paths=N_PATHS, seed=SEED)
     paths = market.simulate(spec)
@@ -113,6 +121,9 @@ def _layers(alias: str, n_assets: int) -> dict:
                             u_bar=np.zeros(n_assets), beta=cfg.beta, gamma=cfg.gamma,
                             benchmark=bench)
 
+    returns_csv = workdir / f"{alias}-{n_assets}-returns.csv"
+    trajs_csv = workdir / f"{alias}-{n_assets}-trajectories.csv"
+
     def assemble():
         at = basis.coeffs(truth)
         for t in range(HORIZON):
@@ -125,6 +136,11 @@ def _layers(alias: str, n_assets: int) -> dict:
         "plan_gradient": lambda: girl._plan_gradient(theta, basis, plan, stats),
         "prepare_stats": lambda: girl.prepare_stats(trajs, rbar, sigma),
         "assemble_coeffs": assemble,
+        # each write precedes its read in every round, so the read finds the file
+        "write_returns_csv": lambda: storage.write_returns_csv(returns_csv, paths.realized),
+        "read_returns_csv": lambda: storage.read_returns_csv(returns_csv),
+        "write_trajectories_csv": lambda: storage.write_trajectories_csv(trajs_csv, trajs),
+        "read_trajectories_csv": lambda: storage.read_trajectories_csv(trajs_csv),
     }
 
 
@@ -141,33 +157,35 @@ def main(argv=None) -> int:
     result = {"environment": _environment(), "seed": SEED, "repeats": REPEATS,
               "horizon": HORIZON, "paths": N_PATHS, "unit": "ms",
               "sources": list(sources), "sizes": {}}
-    for n_assets in SIZES:
-        layers = {label: _layers(alias, n_assets) for label, alias in aliases.items()}
-        for fns in layers.values():  # warm-up: caches and lazy set-up
-            for fn in fns.values():
-                fn()
-        labels = list(layers)
-        names = list(layers[labels[0]])
-        times = {name: {label: [] for label in labels} for name in names}
-        for rep in range(REPEATS):
-            order = labels if rep % 2 == 0 else labels[::-1]
-            for name in names:
-                for label in order:
-                    start = time.perf_counter()
-                    layers[label][name]()
-                    times[name][label].append(1e3 * (time.perf_counter() - start))
-        result["sizes"][f"N={n_assets}"] = {
-            name: {label: dict(zip(("q1", "median", "q3"),
-                                   np.percentile(vals, [25, 50, 75]).round(4).tolist()))
-                   for label, vals in per_label.items()}
-            for name, per_label in times.items()
-        }
+    with tempfile.TemporaryDirectory(prefix="bench_layers-") as workdir:
+        for n_assets in SIZES:
+            layers = {label: _layers(alias, n_assets, Path(workdir))
+                      for label, alias in aliases.items()}
+            for fns in layers.values():  # warm-up: caches and lazy set-up
+                for fn in fns.values():
+                    fn()
+            labels = list(layers)
+            names = list(layers[labels[0]])
+            times = {name: {label: [] for label in labels} for name in names}
+            for rep in range(REPEATS):
+                order = labels if rep % 2 == 0 else labels[::-1]
+                for name in names:
+                    for label in order:
+                        start = time.perf_counter()
+                        layers[label][name]()
+                        times[name][label].append(1e3 * (time.perf_counter() - start))
+            result["sizes"][f"N={n_assets}"] = {
+                name: {label: dict(zip(("q1", "median", "q3"),
+                                       np.percentile(vals, [25, 50, 75]).round(4).tolist()))
+                       for label, vals in per_label.items()}
+                for name, per_label in times.items()
+            }
 
     record = {"harness": "python3 tools/bench_layers.py PARENT_SRC CHANGE_SRC", **result}
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     for size, layers in result["sizes"].items():
         for name, per_label in layers.items():
-            print(f"{size:>6} {name:<18} " + "  ".join(
+            print(f"{size:>6} {name:<22} " + "  ".join(
                 f"{label} {q['median']:8.3f} [{q['q1']:.3f}, {q['q3']:.3f}]"
                 for label, q in per_label.items()) + " ms")
     return 0
