@@ -95,7 +95,8 @@ class _Run:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # JSON has no NaN or Infinity: a non-finite number raises ValueError
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _rollout_rng(cfg: ExperimentConfig) -> np.random.Generator:
@@ -149,15 +150,9 @@ def _prior(cfg: ExperimentConfig) -> PolicyPrior:
 def _girl_params(cfg: ExperimentConfig, sigma: ReturnCovariance,
                  reward: RewardParams, horizon: int) -> GirlParams:
     prior = _prior(cfg)
-    return GirlParams(
-        reward=reward,
-        sigma_r=sigma,
-        sigma_p=prior.sigma_p,
-        u_bar=prior.u_bar,
-        beta=cfg.solver.beta,
-        gamma=cfg.solver.gamma,
-        benchmark=_benchmark(cfg, horizon),
-    )
+    return GirlParams(reward=reward, sigma_r=sigma, sigma_p=prior.sigma_p, u_bar=prior.u_bar,
+                      beta=cfg.solver.beta, gamma=cfg.solver.gamma,
+                      benchmark=_benchmark(cfg, horizon))
 
 
 def _x0(cfg: ExperimentConfig) -> np.ndarray:
@@ -229,7 +224,7 @@ def cmd_fit(run: _Run) -> None:
         "solves": report.solves,
         "converged": report.converged,
         "stop_reason": report.stop_reason,
-        "newton_decrement": report.decrement,
+        "newton_decrement": report.decrement if np.isfinite(report.decrement) else None,
     }
     run.save(F_GIRL_REPORT, _write_json, payload)
     slices = loss_slices(report.params.with_reward(truth), trajs, rbar_path)

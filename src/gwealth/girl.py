@@ -4,16 +4,12 @@ Observed state-action histories of a planner with a linear-Gaussian policy
 define a trajectory likelihood: per step, the log-density of the action under
 the posterior policy (written as log pi0 + beta * (G - F), which is the same
 thing) plus the log-density of the state transition.  The reward parameters
-theta = (lam, eta, rho, omega) are recovered by running BFGS with a
-backtracking line search on the negative log-likelihood in unconstrained
-coordinates.  The reward's theta-free terms are built once per fit
-(``rewards.reward_basis``); every likelihood evaluation solves the plan once
-on them, and the exact gradient at an accepted point is one adjoint pass over
-that plan (``glearner.adjoint_pass``), seeded with the pooled moments of the
-data (the observed minus the policy's expected trade moments) and contracted
-with the reward's terms (``RewardBasis.pullback``).  A central
-finite-difference gradient and the forward (tangent) form of the same
-derivative in ``tests/oracles.py`` are its test oracles.
+theta = (lam, eta, rho, omega) are recovered by damped Fisher scoring in
+unconstrained coordinates, on the reward's theta-free terms built once per fit
+(``rewards.reward_basis``): every likelihood evaluation solves the plan once,
+and one tangent pass over an accepted point's plan (``glearner.tangent_pass``)
+gives the exact gradient and information.  Central finite differences and
+the adjoint form of the gradient in ``tests/oracles.py`` are its oracles.
 
 Sigma_r, the policy prior, beta and gamma are held fixed: only the reward is
 learned.
@@ -22,7 +18,7 @@ learned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -34,12 +30,13 @@ from .errors import (
     ShapeError,
 )
 from .glearner import (
+    GaussianPolicy,
     PolicyPrior,
     SolvedPlan,
     SolverConfig,
     Trajectories,
-    adjoint_pass,
     backward_pass,
+    tangent_pass,
 )
 from .market import ReturnCovariance
 from .rewards import BenchmarkPath, RewardBasis, RewardParams, reward_basis
@@ -50,8 +47,10 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 PARAM_NAMES = ("lam", "eta", "rho", "omega")
 
-ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the line search
-LINE_SEARCH_TRIALS = 30  # trial steps, each half the last, before the line search gives up
+# the damped scoring step (I + mu diag I) s = -g of ``fit``
+DAMPING_START, DAMPING_UP, DAMPING_DOWN = 1e-2, 4.0, 3.0  # mu's start, its factors
+GAIN_RATIO = 0.25  # of the predicted loss decrease, for a step to shrink mu
+MAX_STEP, DAMPING_TRIALS = 1.0, 30  # longest step per coordinate; rejections in a row to stop
 
 
 @dataclass(frozen=True)
@@ -108,11 +107,10 @@ class FitConfig:
 class FitReport:
     """Outcome of a likelihood fit.  ``loss_path`` holds the starting loss,
     then one accepted (lower) loss per iteration, ending at the loss of
-    ``params``; ``stop_reason`` is ``converged``, ``budget`` or
-    ``line_search``; ``decrement`` is the Newton decrement (nats) at the last
-    gradient evaluated, which is at ``params`` unless the budget ran out;
-    ``solves`` counts the backward passes the fit ran, rejected trials
-    included."""
+    ``params``; ``stop_reason`` is ``converged``, ``budget`` or ``damping``;
+    ``decrement`` is the Newton decrement g'I^{-1}g / 2 (nats) at the last
+    score, at ``params`` unless the budget ran out (inf if I is not positive
+    definite there); ``solves`` counts the backward passes the fit ran."""
 
     params: GirlParams
     loss_path: np.ndarray
@@ -318,42 +316,49 @@ def _nll_on_plan(plan: SolvedPlan, stats: _DataStats) -> float:
 
 
 # ---------------------------------------------------------------------------
-# gradient and optimizer
+# score and optimizer
 # ---------------------------------------------------------------------------
 
-def _plan_gradient(theta: GirlParams, basis: RewardBasis, plan: SolvedPlan,
-                   stats: _DataStats) -> np.ndarray:
-    """Exact gradient of the negative log-likelihood in the ``pack_reward``
-    coordinates at ``theta``, from one adjoint pass over ``plan``, the plan
-    solved at ``theta`` on ``basis``.
-
-    Along a change dq of G's coefficients, the action log-density
-    log pi0 + beta (G - F) changes at step t by beta times the observed minus
-    the policy's expected trade moments, summed over the data:
-    <dq_uu, sum u u' - E[sum u u']> + <dq_ux, sum u x' - E[sum u x']> + dq_u . w_u,
-    w_u = sum u - E[sum u], all written in the centred moments.  The
-    state-only parts of G and F cancel.  Those moments seed the adjoint pass.
+def _plan_score(theta: GirlParams, basis: RewardBasis, plan: GaussianPolicy,
+                stats: _DataStats) -> tuple[np.ndarray, np.ndarray]:
+    """Exact gradient of the negative log-likelihood and its Fisher
+    information in the ``pack_reward`` coordinates at ``theta``, contracted
+    step by step from one tangent pass over ``plan``, the policy solved at
+    ``theta`` on ``basis``.  The likelihood depends on theta only through the
+    policy N(k + K x, C), whose mean changes by beta C (A_i x + a_i) and
+    precision by -2 beta dq_uu,i along direction i (``tangent_pass``).  Over
+    residuals e = u - k - K x, the log-density changes by beta [<A_i, sum e x'>
+    + a_i . sum e + <dq_uu,i, sum e e' - m C>]; with h_i = A_i x_mean + a_i,
+    I_ij = sum_t beta^2 [m h_i' C h_j + <A_i, C A_j cxx> + 2 m tr(C dq_uu,i C dq_uu,j)].
     """
-    reward = theta.reward
-    m = stats.count
+    m, k = stats.count, len(PARAM_NAMES)
+    grad, info = np.zeros(k), np.zeros((k, k))
 
-    def seed(t, cov):
-        v_t, x_mean = plan.v_tilde[t], stats.x_mean[t]
-        mu = plan.u_tilde[t] + v_t @ x_mean  # the policy mean at the mean state
-        w_u = m * (stats.u_mean[t] - mu)
-        v_cxx = v_t @ stats.cxx[t]
-        w_uu = (stats.cuu[t] - v_cxx @ v_t.T - m * cov
-                + w_u[:, None] * stats.u_mean[t] + mu[:, None] * w_u)
-        w_ux = stats.cux[t] - v_cxx + w_u[:, None] * x_mean
-        return w_ux, w_uu, w_u
+    def contract(t, dq_uu, a_ux, a_u):
+        v_t, x_mean, cxx, cux = plan.v_tilde[t], stats.x_mean[t], stats.cxx[t], stats.cux[t]
+        cov = plan.chol_tilde[t] @ plan.chol_tilde[t].T
+        # the data's sums of e, e x' and e e' - m C (its symmetric part), e = u - k - K x
+        e_sum = m * (stats.u_mean[t] - plan.u_tilde[t] - v_t @ x_mean)
+        v_cxx = v_t @ cxx
+        e_x = cux - v_cxx + np.outer(e_sum, x_mean)
+        grad[:] -= a_ux.reshape(k, -1) @ e_x.ravel() + a_u @ e_sum
+        e_e = stats.cuu[t] - 2.0 * (v_t @ cux.T) + v_cxx @ v_t.T - m * cov
+        grad[:] -= dq_uu.reshape(k, -1) @ (e_e + np.outer(e_sum, e_sum / m)).ravel()
+        h = a_ux @ x_mean + a_u
+        info[:] += m * (h @ cov @ h.T)
+        info[:] += a_ux.reshape(k, -1) @ ((cov @ a_ux) @ cxx).reshape(k, -1).T
+        c_uu = cov @ dq_uu
+        info[:] += 2.0 * m * (c_uu.reshape(k, -1) @ np.swapaxes(c_uu, 1, 2).reshape(k, -1).T)
 
-    grad = -plan.beta * basis.pullback(reward, adjoint_pass(plan, basis.sigma_hat, seed))
+    r = theta.reward
+    tangent_pass(plan, basis.coeffs(r), basis.tangents(r), contract)
     # chain rule from (lam, eta, rho, omega) to the coordinates of pack_reward
-    rho = reward.rho
-    grad *= (reward.lam, reward.eta, rho * (1.0 - rho), float(reward.omega))
-    if not np.all(np.isfinite(grad)):
-        raise GradientError("non-finite likelihood gradient")
-    return grad
+    scale = np.array([r.lam, r.eta, r.rho * (1.0 - r.rho), float(r.omega)])
+    grad *= plan.beta * scale
+    info *= plan.beta**2 * np.outer(scale, scale)
+    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(info))):
+        raise GradientError("non-finite likelihood gradient or information")
+    return grad, 0.5 * (info + info.T)
 
 
 def fit(
@@ -362,17 +367,19 @@ def fit(
     theta0: GirlParams,
     cfg: FitConfig | None = None,
 ) -> FitReport:
-    """Recover the reward parameters by BFGS on the negative log-likelihood.
+    """Recover the reward parameters by damped Fisher scoring on the negative
+    log-likelihood, in the unconstrained coordinates of ``pack_reward``.
 
-    Works in the unconstrained coordinates of ``pack_reward`` with a
-    backtracking Armijo line search (Nocedal & Wright, ch. 3 and 6), in which
-    an infeasible solve, a non-finite loss or reward parameters out of their
-    range or the float range reject a trial point.  Each trial solves the
-    plan once and keeps it; the exact gradient at an accepted point is one
-    adjoint pass over its plan, which costs less than the solve.  Stops
-    ``converged`` when the Newton decrement g'Hg / 2 (H the inverse-Hessian
-    estimate) falls below ``stop_tol`` nats, after ``max_iters`` accepted
-    steps (``budget``), or when no trial decreases the loss (``line_search``).
+    One tangent pass over an accepted point's policy gives the gradient g and
+    the information I (``_plan_score``); a trial step solves (I + mu diag I)
+    s = -g (Osborne 1992; Marquardt 1963).  A trial is rejected, and mu grows
+    by DAMPING_UP, when the damped system is singular, the step exceeds
+    MAX_STEP in a coordinate or the trial leaves the domain or the float
+    range (all before any solve), its solve is infeasible, or its loss is not
+    lower.  A step that gains GAIN_RATIO of the predicted decrease divides mu
+    by DAMPING_DOWN.  Stops ``converged`` when the Newton decrement
+    g'I^{-1}g / 2 is below ``stop_tol`` nats, after ``max_iters`` accepted
+    steps (``budget``), or after DAMPING_TRIALS rejections in a row (``damping``).
     """
     cfg = cfg if cfg is not None else FitConfig()
     cfg.validate()
@@ -384,63 +391,54 @@ def fit(
 
     def evaluate(vec):
         nonlocal solves
-        solves += 1
         theta = theta0.with_reward(unpack_reward(vec))
+        theta.validate()  # a point outside the domain costs no solve
+        solves += 1
         plan = _solve_for(theta, basis, prior)
-        return _nll_on_plan(plan, stats), theta, plan
+        # the policy alone is kept for the score: G's coefficients and the precision go
+        policy = GaussianPolicy(**{f.name: getattr(plan, f.name) for f in fields(GaussianPolicy)})
+        return _nll_on_plan(plan, stats), theta, policy
 
     vec = pack_reward(theta0.reward)
-    loss, theta, plan = evaluate(vec)
+    loss, theta, policy = evaluate(vec)
     if not np.isfinite(loss):
         raise GradientError("non-finite objective at the starting parameters")
-    loss_path = [loss]
-    hess_inv = None  # until the first curvature pair, steps have unit length
-    grad = step = None
-    stop_reason = "budget"
-    decrement = math.inf
+    loss_path, mu, stop_reason = [loss], DAMPING_START, "budget"
     for _ in range(cfg.max_iters):
-        new_grad = _plan_gradient(theta, basis, plan, stats)
-        del plan  # one plan in memory at a time: the next is the line search's
-        if grad is not None:
-            y = new_grad - grad
-            sy = float(step @ y)
-            if sy > 0.0:  # otherwise the update would lose positive definiteness
-                if hess_inv is None:
-                    hess_inv = sy / float(y @ y) * np.eye(vec.shape[0])  # N&W (6.20)
-                v = np.eye(vec.shape[0]) - np.outer(step, y) / sy
-                hess_inv = v @ hess_inv @ v.T + np.outer(step, step) / sy
-        grad = new_grad
-        step = -(grad / np.linalg.norm(grad) if hess_inv is None else hess_inv @ grad)
-        slope = float(grad @ step)
-        decrement = -0.5 * slope
+        grad, info = _plan_score(theta, basis, policy, stats)
+        policy = None  # one policy in memory at a time: the next is a trial's
+        try:  # through a Cholesky factor: an I that is not positive definite never converges
+            z = np.linalg.solve(np.linalg.cholesky(info), grad)
+            decrement = 0.5 * float(z @ z)
+        except np.linalg.LinAlgError:
+            decrement = math.inf
         if decrement < cfg.stop_tol:
             stop_reason = "converged"
             break
-        for _ in range(LINE_SEARCH_TRIALS):
-            trial = None  # drop a rejected trial's plan before the next solve
+        for _ in range(DAMPING_TRIALS):
+            trial = None  # drop a rejected trial's policy before the next solve
             try:
-                trial = evaluate(vec + step)
-            except (InfeasibleError, ParameterError, OverflowError):
-                trial = (math.nan,)
-            if trial[0] <= loss + ARMIJO_C1 * slope:  # False for NaN
+                step = np.linalg.solve(info + mu * np.diag(np.diag(info)), -grad)
+                if np.max(np.abs(step)) <= MAX_STEP:  # False for NaN
+                    trial = evaluate(vec + step)
+            except (np.linalg.LinAlgError, InfeasibleError, ParameterError, OverflowError):
+                pass
+            if trial is not None and trial[0] < loss:  # False for NaN
                 break
-            step = 0.5 * step
-            slope *= 0.5
+            mu *= DAMPING_UP
         else:
-            stop_reason = "line_search"
+            stop_reason = "damping"
             break
+        if loss - trial[0] >= -GAIN_RATIO * float(grad @ step + 0.5 * step @ info @ step):
+            mu /= DAMPING_DOWN
         vec = vec + step
-        loss, theta, plan = trial
+        loss, theta, policy = trial
         loss_path.append(loss)
 
-    return FitReport(
-        params=theta,
-        loss_path=np.asarray(loss_path),
-        iterations=len(loss_path) - 1,
-        stop_reason=stop_reason,
-        decrement=decrement,
-        solves=solves,
-    )
+    policy = trial = None  # gone before the report is allocated, so the heap can shrink
+    return FitReport(params=theta, loss_path=np.asarray(loss_path),
+                     iterations=len(loss_path) - 1, stop_reason=stop_reason,
+                     decrement=decrement, solves=solves)
 
 
 def loss_slices(

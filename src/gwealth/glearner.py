@@ -15,16 +15,15 @@ policy normalizer at every step, terminal included, is the soft
 log-partition so that the posterior density identity
 pi = pi0 * exp(beta * (G - F_soft)) holds exactly.
 
-The adjoint pass runs the same recursion backwards over a solved plan, from
-step 0 to T-1, without a new factorization: it carries the derivative of a
-scalar function of G's coefficients (the likelihood of the inverse problem)
-to every step's coefficients, whatever the number of parameters behind them.
+The tangent pass runs the same recursion over a solved plan without a new
+factorization: it carries the reward's derivatives in a few parameters to
+every step's G and posterior policy, for the likelihood's score.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,8 +138,8 @@ class GaussianPolicy:
 
 @dataclass(frozen=True)
 class SolvedPlan(GaussianPolicy):
-    """The policy plus G's coefficients and the posterior precision, stacked
-    like the policy's fields: what the likelihood and its gradient read.
+    """The policy plus G's coefficients and the posterior precision (which
+    the likelihood reads), stacked like the policy's fields.
 
     G_t(x, u) = x^T q_xx x + u^T q_ux x + u^T q_uu u + x^T q_x + u^T q_u + q_0,
     and ``sigma_bar`` is the posterior precision sigma_p^{-1} - 2 beta q_uu.
@@ -336,52 +335,63 @@ def backward_pass(
     )
 
 
-def adjoint_pass(
-    plan: SolvedPlan,
-    sigma_hat: np.ndarray,
-    seed: Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> Iterator[tuple[int, tuple]]:
-    """Adjoints of G's coefficients for a scalar function of the plan, one
-    step at a time from 0 to T-1; ``sigma_hat`` holds the (T, N, N) second
-    moments of the gross returns the plan was solved on.
+def tangent_pass(
+    plan: GaussianPolicy,
+    reward: Callable[[int], RewardCoeffs],
+    tangents: Callable[[int], RewardCoeffs],
+    contract: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None],
+) -> None:
+    """Derivatives of a policy solved on ``reward`` (as ``backward_pass``
+    takes it) along k directions of that reward, handed to ``contract`` one
+    step at a time from T-1 down to 0.  ``tangents(t)`` stacks period t's
+    derivatives of the reward coefficients on a leading axis of length k
+    (``RewardBasis.tangents``).  ``contract(t, dq_uu, a_ux, a_u)`` gets G's
+    dq_uu, a_ux = dq_ux + 2 dq_uu K and a_u = dq_u + 2 dq_uu k: the posterior
+    precision changes by -2 beta dq_uu, the gain K by beta C a_ux and the
+    offset k by beta C a_u.
 
-    ``seed(t, sigma_tilde_t)`` gives the function's own derivative in step
-    t's (q_ux, q_uu, q_u).  Yields (t, (a_xx, a_ux, a_uu, a_x, a_u, a_0)),
-    its derivative in step t's coefficients through the earlier steps too,
-    and holds only the current step's.
-
-    F_t enters G_{t-1} through ``_step_q`` and changes by the expectation of
-    G_t's change under u ~ N(k + K x, C): the posterior policy for t < T-1
-    (F is the log-partition of pi0 exp(beta G), an envelope identity) and
-    the argmax of the hard max at T-1 (C = 0).  F_t's adjoint (a_xx, a_x,
-    a_0) so reaches G_t as a_xx -> sym(a_xx), a_ux += K a_xx + k a_x',
-    a_uu += K a_xx K' + (2 K a_x + a_0 k) k' + a_0 C, a_u += K a_x + a_0 k.
+    G_t changes by the reward's change plus F_{t+1}'s (``_step_q``), F_t by
+    the expectation of G_t's under the posterior policy (an envelope
+    identity), or under the hard max's argmax at T-1 (C = 0).  For that
+    policy, with b_ux = dq_ux + dq_uu K and b_u = dq_u + 2 dq_uu k,
+    df_xx = dq_xx + sym(K' b_ux), df_x = dq_x + dq_ux' k + K' b_u and
+    df_0 = dq_0 + (dq_u + b_u)' k / 2 + <dq_uu, C>.
     """
-    t_last = plan.horizon - 1
-    n = plan.n_assets
-    # at T-1 the hard max takes u = (-r_uu)^{-1}(r_ux x + r_u) / 2
-    argmax = 0.5 * _terminal_solve(plan.q_uu[t_last], plan.q_ux[t_last], plan.q_u[t_last])
-    a_xx, a_x, a_0 = np.zeros((n, n)), np.zeros(n), 0.0  # F_0 feeds no step
-    for t in range(plan.horizon):
-        chol = plan.chol_tilde[t]
-        cov = chol @ chol.T
-        a_ux, a_uu, a_u = seed(t, cov)
-        if t > 0:
-            gain, offset = plan.v_tilde[t], plan.u_tilde[t]
-            if t == t_last:
-                gain, offset, cov = argmax[:, :n], argmax[:, n], 0.0
-            a_xx = 0.5 * (a_xx + a_xx.T)
-            k_a, k_m = gain @ a_xx, gain @ a_x
-            a_ux = a_ux + k_a + offset[:, None] * a_x
-            a_uu = (a_uu + k_a @ gain.T + (2.0 * k_m + a_0 * offset)[:, None] * offset
-                    + a_0 * cov)
-            a_u = a_u + k_m + a_0 * offset
-        yield t, (a_xx, a_ux, a_uu, a_x, a_u, a_0)
-        # F_{t+1}'s adjoint: it enters G_t as gamma (f_xx * sigma_hat_t) on
-        # q_xx, 2 q_ux and q_uu, gamma a_t * f_x on q_x and q_u, gamma f_0 on q_0
-        a_xx = plan.gamma * sigma_hat[t] * (a_xx + 2.0 * a_ux + a_uu)
-        a_x = plan.gamma * (1.0 + plan.rbar[t]) * (a_x + a_u)
-        a_0 = plan.gamma * a_0
+    t_last, n = plan.horizon - 1, plan.n_assets
+    # G at T-1 is the reward, whose hard max takes u = (-r_uu)^{-1}(r_ux x + r_u) / 2
+    r = reward(t_last)
+    argmax = 0.5 * _terminal_solve(r.r_uu, r.r_ux, r.r_u)
+    df_xx = None  # F past T-1 is zero
+    for t in range(t_last, -1, -1):
+        r = tangents(t)
+        dq_xx, dq_ux, dq_uu, dq_x, dq_u, dq_0 = r.r_xx, r.r_ux, r.r_uu, r.r_x, r.r_u, r.r_0
+        if df_xx is not None:  # as in _step_q; dq_xx takes df_xx's memory
+            df_xx *= plan.gamma * r.sigma_hat
+            dq_uu += df_xx
+            dq_ux += df_xx
+            dq_ux += df_xx
+            dq_xx = np.add(df_xx, dq_xx, out=df_xx)
+            lin = plan.gamma * ((1.0 + plan.rbar[t]) * df_x)
+            dq_x, dq_u, dq_0 = dq_x + lin, dq_u + lin, dq_0 + plan.gamma * df_0
+        r = df_xx = None
+        gain, offset = plan.v_tilde[t], plan.u_tilde[t]
+        a_u = dq_u + 2.0 * (dq_uu @ offset)
+        p = dq_uu @ gain
+        if t > 0:  # F_t's tangents, under the policy F takes
+            f_gain, f_offset, cov = (
+                (argmax[:, :n], argmax[:, n], np.zeros((n, n))) if t == t_last
+                else (gain, offset, plan.chol_tilde[t] @ plan.chol_tilde[t].T))
+            b_u = dq_u + 2.0 * (dq_uu @ f_offset)
+            df_x = dq_x + f_offset @ dq_ux + b_u @ f_gain
+            df_0 = (dq_0 + 0.5 * ((dq_u + b_u) @ f_offset)
+                    + dq_uu.reshape(len(dq_uu), -1) @ cov.ravel())
+            b = f_gain.T @ (dq_ux + (p if f_gain is gain else dq_uu @ f_gain))
+            dq_xx += 0.5 * (b + np.swapaxes(b, 1, 2))
+            df_xx, b = dq_xx, None
+        dq_ux += 2.0 * p
+        p = dq_xx = None
+        contract(t, dq_uu, dq_ux, a_u)
+        dq_uu = dq_ux = None
 
 
 def solve_plan(

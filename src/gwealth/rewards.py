@@ -20,8 +20,8 @@ construction.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -186,23 +186,18 @@ class RewardBasis:
         weights, _, shape = _reward_weights(params, self.n_assets)
         return lambda t: _assemble(weights, shape, self, t)
 
-    def pullback(self, params: RewardParams, adjoints: Iterable[tuple[int, tuple]]) -> np.ndarray:
-        """The derivative in (lam, eta, rho, omega) of sum_t <a_t, r_t>, the
-        reward coefficients (r_xx, r_ux, r_uu, r_x, r_u, r_0) of period t
-        contracted with fixed adjoints, from a stream of (t, a_t) such as
-        ``glearner.adjoint_pass`` yields: the weights' Jacobian times the
-        adjoints' contractions with the 8 terms ``_assemble`` weights, summed
-        one period at a time.  ``params.omega`` must be a scalar."""
+    def tangents(self, params: RewardParams) -> Callable[[int], RewardCoeffs]:
+        """Period t's derivatives of the reward coefficients in (lam, eta, rho,
+        omega), stacked on a leading axis of 4 like ``coeffs`` assembles them:
+        ``_assemble`` of the weights' Jacobian.  ``params.omega`` must be a scalar."""
         if np.ndim(params.omega) != 0:
             raise ParameterError("reward derivatives need a scalar omega (cost matrix omega * I)")
         _, jacobian, shape = _reward_weights(params, self.n_assets)
-        c = np.zeros(jacobian.shape[1])
-        for t, (a_xx, a_ux, a_uu, a_x, a_u, a_0) in adjoints:
-            g, b_t = 1.0 + self.rbar[t], float(self.b[t])
-            c += (-a_u.sum(), -a_xx.sum(), g @ (a_xx.sum(0) + a_xx.sum(1) + 2.0 * a_ux.sum(1)),
-                  -np.vdot(a_xx + 2.0 * a_ux + a_uu, self.sigma_hat[t]), -np.vdot(a_uu, shape),
-                  -2.0 * b_t * a_x.sum(), 2.0 * b_t * (g @ (a_x + a_u)), -b_t**2 * a_0)
-        return jacobian @ c
+        w = jacobian.T[:, :, None, None]  # (4, 1, 1) per weight
+        def at(t: int) -> RewardCoeffs:
+            r = _assemble(w, shape, self, t)
+            return replace(r, r_x=r.r_x[:, 0], r_u=r.r_u[:, 0], r_0=r.r_0[:, 0, 0])
+        return at
 
 
 def reward_basis(
@@ -237,7 +232,8 @@ def reward_basis(
 def _assemble(w: np.ndarray, shape: np.ndarray, basis: RewardBasis, t: int) -> RewardCoeffs:
     """The reward's one formula: each of period t's coefficients is a
     weighted sum of theta-free terms, with the (8,) weights ``w`` of
-    ``_reward_weights``.
+    ``_reward_weights``; weights of shape (k, 1, 1) give k coefficient sets
+    (their vectors as (k, 1, N)), as for the weights' Jacobian.
 
     The assembled quadratic form equals the closed-form expectation of the
     squared-shortfall reward over the return distribution
@@ -249,10 +245,11 @@ def _assemble(w: np.ndarray, shape: np.ndarray, basis: RewardBasis, t: int) -> R
     unit, w_11, w_g1, w_s, w_om, w_b1, w_bg, w_bb = w
     s_term = w_s * sigma_hat
     r_xx = w_g1 * (g[:, None] + g) - w_11 - s_term  # g 1' + 1 g', ones, sigma_hat
-    r_ux = 2.0 * w_g1 * g[:, None] - 2.0 * s_term
-    r_uu = -s_term - w_om * shape
+    r_uu = -(s_term + w_om * shape)
+    s_term -= w_g1 * g[:, None]  # r_ux = 2 (w_g1 g 1' - s_term) in s_term's memory
+    r_ux = np.multiply(s_term, -2.0, out=s_term)
     bg = (2.0 * b_t * w_bg) * g
     r_x = bg - 2.0 * b_t * w_b1
     r_u = bg - unit
     return RewardCoeffs(r_xx=r_xx, r_ux=r_ux, r_uu=r_uu, r_x=r_x, r_u=r_u,
-                        r_0=float(-w_bb * b_t**2), sigma_hat=sigma_hat)
+                        r_0=-w_bb * b_t**2, sigma_hat=sigma_hat)

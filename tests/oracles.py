@@ -10,9 +10,11 @@ package's single-step building blocks.  The quadratic forms of a reward and
 of a solved plan's G are evaluated here (``quad_value``), and F is recomputed
 from the plan's G (``plan_f``): the plan stores no F.  The exact likelihood
 gradient has two oracles: central finite differences of the package's own
-likelihood, and the derivative's forward (tangent) mode, which pushes the
-reward's derivatives in each parameter through the recursion where the
-package runs one reverse (adjoint) sweep.
+likelihood, and the derivative's reverse (adjoint) mode, one backward sweep
+of a scalar function's adjoints pulled back through the reward's weights,
+where the package pushes the reward's derivatives in each parameter through
+the recursion (forward mode).  A per-step forward mode that holds every
+step's tangents and shares no code with the package's is kept as well.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ import math
 import numpy as np
 from scipy import optimize, stats
 
-from gwealth.errors import GradientError
+from gwealth.errors import GradientError, ParameterError
 from gwealth.girl import (
     PARAM_NAMES, nll_from_stats, pack_reward, prepare_stats, transition_log_prob, unpack_reward,
 )
-from gwealth.glearner import Trajectory, cash_installment, solve_plan
+from gwealth.glearner import Trajectory, _terminal_solve, cash_installment, solve_plan
 from gwealth.rewards import RewardCoeffs, _assemble, _reward_weights
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -446,6 +448,92 @@ def tangent_gradient(theta, basis, plan, stats):
         grad -= plan.beta * (np.einsum("kij,ij->k", dq_uu, w_uu)
                              + np.einsum("kij,ij->k", dq_ux, w_ux) + dq_u @ w_u)
     reward = theta.reward
+    return grad * (reward.lam, reward.eta, reward.rho * (1.0 - reward.rho), float(reward.omega))
+
+
+# ---------------------------------------------------------------------------
+# reverse-mode likelihood gradient (the package runs one tangent pass)
+# ---------------------------------------------------------------------------
+
+def adjoint_pass(plan, sigma_hat, seed):
+    """Adjoints of G's coefficients for a scalar function of the plan, one
+    step at a time from 0 to T-1; ``sigma_hat`` holds the (T, N, N) second
+    moments of the gross returns the plan was solved on.
+
+    ``seed(t, sigma_tilde_t)`` gives the function's own derivative in step
+    t's (q_ux, q_uu, q_u).  Yields (t, (a_xx, a_ux, a_uu, a_x, a_u, a_0)),
+    its derivative in step t's coefficients through the earlier steps too.
+
+    F_t enters G_{t-1} through the recursion and changes by the expectation
+    of G_t's change under u ~ N(k + K x, C): the posterior policy for
+    t < T-1 and the argmax of the hard max at T-1 (C = 0).  F_t's adjoint
+    (a_xx, a_x, a_0) so reaches G_t as a_xx -> sym(a_xx),
+    a_ux += K a_xx + k a_x', a_uu += K a_xx K' + (2 K a_x + a_0 k) k' + a_0 C,
+    a_u += K a_x + a_0 k.
+    """
+    t_last = plan.horizon - 1
+    n = plan.n_assets
+    argmax = 0.5 * _terminal_solve(plan.q_uu[t_last], plan.q_ux[t_last], plan.q_u[t_last])
+    a_xx, a_x, a_0 = np.zeros((n, n)), np.zeros(n), 0.0  # F_0 feeds no step
+    for t in range(plan.horizon):
+        cov = sigma_tilde(plan, t)
+        a_ux, a_uu, a_u = seed(t, cov)
+        if t > 0:
+            gain, offset = plan.v_tilde[t], plan.u_tilde[t]
+            if t == t_last:
+                gain, offset, cov = argmax[:, :n], argmax[:, n], 0.0
+            a_xx = 0.5 * (a_xx + a_xx.T)
+            k_a, k_m = gain @ a_xx, gain @ a_x
+            a_ux = a_ux + k_a + offset[:, None] * a_x
+            a_uu = (a_uu + k_a @ gain.T + (2.0 * k_m + a_0 * offset)[:, None] * offset
+                    + a_0 * cov)
+            a_u = a_u + k_m + a_0 * offset
+        yield t, (a_xx, a_ux, a_uu, a_x, a_u, a_0)
+        # F_{t+1}'s adjoint: it enters G_t as gamma (f_xx * sigma_hat_t) on
+        # q_xx, 2 q_ux and q_uu, gamma a_t * f_x on q_x and q_u, gamma f_0 on q_0
+        a_xx = plan.gamma * sigma_hat[t] * (a_xx + 2.0 * a_ux + a_uu)
+        a_x = plan.gamma * (1.0 + plan.rbar[t]) * (a_x + a_u)
+        a_0 = plan.gamma * a_0
+
+
+def pullback(basis, params, adjoints):
+    """The derivative in (lam, eta, rho, omega) of sum_t <a_t, r_t>, the
+    reward coefficients (r_xx, r_ux, r_uu, r_x, r_u, r_0) of period t
+    contracted with fixed adjoints, from a stream of (t, a_t) such as
+    ``adjoint_pass`` yields: the weights' Jacobian times the adjoints'
+    contractions with the 8 terms ``_assemble`` weights.  ``params.omega``
+    must be a scalar."""
+    if np.ndim(params.omega) != 0:
+        raise ParameterError("reward derivatives need a scalar omega (cost matrix omega * I)")
+    _, jacobian, shape = _reward_weights(params, basis.n_assets)
+    c = np.zeros(jacobian.shape[1])
+    for t, (a_xx, a_ux, a_uu, a_x, a_u, a_0) in adjoints:
+        g, b_t = 1.0 + basis.rbar[t], float(basis.b[t])
+        c += (-a_u.sum(), -a_xx.sum(), g @ (a_xx.sum(0) + a_xx.sum(1) + 2.0 * a_ux.sum(1)),
+              -np.vdot(a_xx + 2.0 * a_ux + a_uu, basis.sigma_hat[t]), -np.vdot(a_uu, shape),
+              -2.0 * b_t * a_x.sum(), 2.0 * b_t * (g @ (a_x + a_u)), -b_t**2 * a_0)
+    return jacobian @ c
+
+
+def adjoint_gradient(theta, basis, plan, stats):
+    """The likelihood gradient in the ``pack_reward`` coordinates by reverse
+    mode: one ``adjoint_pass`` seeded with beta times the observed minus the
+    policy's expected trade moments of the pooled data ``stats``, pulled back
+    through the reward's weights."""
+    m = stats.count
+
+    def seed(t, cov):
+        v_t, x_mean = plan.v_tilde[t], stats.x_mean[t]
+        mean = plan.u_tilde[t] + v_t @ x_mean
+        w_u = m * (stats.u_mean[t] - mean)
+        v_cxx = v_t @ stats.cxx[t]
+        w_uu = (stats.cuu[t] - v_cxx @ v_t.T - m * cov
+                + np.outer(w_u, stats.u_mean[t]) + np.outer(mean, w_u))
+        w_ux = stats.cux[t] - v_cxx + np.outer(w_u, x_mean)
+        return w_ux, w_uu, w_u
+
+    reward = theta.reward
+    grad = -plan.beta * pullback(basis, reward, adjoint_pass(plan, basis.sigma_hat, seed))
     return grad * (reward.lam, reward.eta, reward.rho * (1.0 - reward.rho), float(reward.omega))
 
 

@@ -76,12 +76,13 @@ def fit_result(experiment):
     )
     theta0 = theta_star.with_reward(scaled_start(TRUTH, 2.0))
     print("\n[acceptance] running the reference fit "
-          "(BFGS, Newton-decrement tolerance 1e-4 nats, up to 1000 iterations)...")
+          "(damped Fisher scoring, Newton-decrement tolerance 1e-4 nats, "
+          "up to 1000 iterations)...")
     t0 = time.perf_counter()
     report = fit(ex["trajs"], ex["rbar_path"], theta0, FitConfig(max_iters=1000))
     elapsed = time.perf_counter() - t0
     print(f"[acceptance] fit stopped ({report.stop_reason}) in {elapsed:.0f} s "
-          f"after {report.iterations} iterations, Newton decrement "
+          f"after {report.iterations} iterations and {report.solves} solves, Newton decrement "
           f"{report.decrement:.3g} nats")
 
     slices = loss_slices(theta_star, ex["trajs"], ex["rbar_path"],

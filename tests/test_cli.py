@@ -430,7 +430,7 @@ class TestCliStages:
         assert set(report["theta"]) == {"lam", "eta", "rho", "omega"}
         assert report["iterations"] <= 3
         assert report["solves"] >= report["iterations"] + 1
-        assert report["stop_reason"] in ("converged", "budget", "line_search")
+        assert report["stop_reason"] in ("converged", "budget", "damping")
         assert report["newton_decrement"] > 0.0
         slices = (out / "loss_slices.csv").read_text().splitlines()
         assert slices[0] == "parameter,value,nll"
@@ -440,6 +440,31 @@ class TestCliStages:
             for row in (out / name).read_text().splitlines()[1:]:
                 for field in row.split(",")[1:]:
                     float(field)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_json_artifacts_reject_non_finite_numbers(self, tmp_path, value):
+        # JSON has no NaN or Infinity: writing one raises, and writes nothing
+        path = tmp_path / "payload.json"
+        with pytest.raises(ValueError):
+            cli._write_json(path, {"loss_path": [1.0, value]})
+        assert not path.exists()
+
+    def test_non_finite_decrement_is_written_as_null(self, tmp_path, monkeypatch):
+        # the decrement is inf when the information never became positive
+        # definite; the report stays strict JSON
+        cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        for cmd in ("simulate", "solve", "rollout"):
+            assert main([cmd, "--config", str(cfg_path)]) == 0, cmd
+        real_fit = cli.fit
+        monkeypatch.setattr(cli, "fit", lambda *args: dataclasses.replace(
+            real_fit(*args), decrement=float("inf")))
+        assert main(["fit", "--config", str(cfg_path)]) == 0
+
+        def reject(constant):
+            raise AssertionError(f"{constant} in girl_report.json")
+
+        text = (tmp_path / "out" / "girl_report.json").read_text()
+        assert json.loads(text, parse_constant=reject)["newton_decrement"] is None
 
     def test_fit_without_trajectories_is_missing_input(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tiny_config(tmp_path / "empty"))

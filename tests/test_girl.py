@@ -1,5 +1,8 @@
 """Likelihood and fit tests for the inverse problem."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,8 @@ from gwealth.errors import (
     ShapeError,
 )
 from gwealth.girl import (
-    LINE_SEARCH_TRIALS,
+    DAMPING_TRIALS,
+    PARAM_NAMES,
     FitConfig,
     GirlParams,
     default_slice_grids,
@@ -37,8 +41,8 @@ from gwealth.rewards import RewardParams, exponential_benchmark, reward_basis
 
 from conftest import random_problem, random_spd
 from oracles import (
-    action_log_prob, fd_gradient, mvn_logpdf, nll_gradient, policy_mean, sigma_tilde,
-    tangent_gradient, trajectory_nll,
+    action_log_prob, adjoint_gradient, fd_gradient, mvn_logpdf, nll_gradient, policy_mean,
+    sigma_tilde, tangent_gradient, trajectory_nll,
 )
 
 
@@ -306,9 +310,9 @@ def solve_at(theta, rbar_path):
 
 
 def exact_gradient(theta, trajs, rbar_path):
-    """The fit's gradient: one adjoint pass over the plan solved at theta."""
+    """The fit's gradient: one tangent pass over the plan solved at theta."""
     stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
-    return girl_mod._plan_gradient(theta, *solve_at(theta, rbar_path), stats)
+    return girl_mod._plan_score(theta, *solve_at(theta, rbar_path), stats)[0]
 
 
 def richardson_gradient(theta, trajs, rbar_path):
@@ -348,13 +352,14 @@ def reference_market_theta(seed, n_paths):
     return theta, trajs, rbar_path
 
 
-def forward_mode_error(theta, trajs, rbar_path):
-    """Per-component relative error of the exact gradient against the
-    forward-mode oracle on the same plan."""
+def oracle_errors(theta, trajs, rbar_path):
+    """Per-component relative errors of the exact gradient against the
+    forward-mode and the adjoint oracles on the same plan."""
     stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
     basis, plan = solve_at(theta, rbar_path)
-    return gradient_error(girl_mod._plan_gradient(theta, basis, plan, stats),
-                          tangent_gradient(theta, basis, plan, stats))
+    got = girl_mod._plan_score(theta, basis, plan, stats)[0]
+    return np.maximum(gradient_error(got, tangent_gradient(theta, basis, plan, stats)),
+                      gradient_error(got, adjoint_gradient(theta, basis, plan, stats)))
 
 
 class TestExactGradient:
@@ -369,12 +374,12 @@ class TestExactGradient:
             )
             if case % 4 >= 2:  # off the generating parameters
                 theta = theta.with_reward(scaled_start(theta.reward, 1.3))
-            worst = max(worst, float(forward_mode_error(theta, trajs, rbar_path).max()))
+            worst = max(worst, float(oracle_errors(theta, trajs, rbar_path).max()))
         assert worst <= 1e-10
 
     def test_matches_forward_mode_oracle_on_reference_market(self):
         theta, trajs, rbar_path = reference_market_theta(seed=1, n_paths=200)
-        assert forward_mode_error(theta, trajs, rbar_path).max() <= 1e-10
+        assert oracle_errors(theta, trajs, rbar_path).max() <= 1e-10
 
     def test_matches_richardson_oracle(self, rng):
         worst = 0.0
@@ -399,6 +404,91 @@ class TestExactGradient:
         err = gradient_error(exact_gradient(theta, trajs, rbar_path),
                              richardson_gradient(theta, trajs, rbar_path))
         assert err.max() <= 1e-5
+
+
+def expected_stats(stats, plan):
+    """The data moments with the actions replaced by their expectations
+    under ``plan``'s policy given the observed states: the likelihood of
+    these moments is the expected likelihood, so its Hessian at the plan's
+    parameters is the Fisher information."""
+    v, m = plan.v_tilde, stats.count
+    cov = plan.chol_tilde @ np.swapaxes(plan.chol_tilde, 1, 2)
+    cux = v @ stats.cxx
+    return replace(stats, u_mean=plan.u_tilde + np.einsum("tij,tj->ti", v, stats.x_mean),
+                   cux=cux, cuu=cux @ np.swapaxes(v, 1, 2) + m * cov)
+
+
+class TestInformation:
+    def test_matches_fd_jacobian_of_the_gradient(self, rng):
+        # at the truth, with the expected moments, the central-difference
+        # Jacobian of the exact gradient is the information
+        worst = 0.0
+        for case in range(12):
+            n = int(rng.integers(2, 6))
+            u_bar = rng.normal(0.0, 2.0, size=n) if case % 2 else None
+            theta, _, trajs, rbar_path = make_setup(
+                rng, n=n, t_len=1 + case % 6, n_paths=30,
+                beta=float(10.0 ** rng.uniform(0.0, 3.0)), u_bar=u_bar,
+            )
+            basis, plan = solve_at(theta, rbar_path)
+            stats = expected_stats(prepare_stats(trajs, rbar_path, theta.sigma_r), plan)
+            grad, info = girl_mod._plan_score(theta, basis, plan, stats)
+            vec = pack_reward(theta.reward)
+            jac = np.empty((4, 4))
+            for i in range(4):
+                probes = []
+                for d in (1e-5, -1e-5):
+                    at = vec.copy()
+                    at[i] += d
+                    moved = theta.with_reward(unpack_reward(at))
+                    probes.append(girl_mod._plan_score(moved, *solve_at(moved, rbar_path),
+                                                       stats)[0])
+                jac[:, i] = (probes[0] - probes[1]) / 2e-5
+            scale = np.sqrt(np.outer(np.diag(info), np.diag(info)))
+            worst = max(worst, float(np.max(np.abs(jac - info) / scale)))
+            # the truth maximizes the expected likelihood
+            assert np.max(np.abs(grad)) <= 1e-8 * np.sqrt(np.max(np.diag(info)))
+        assert worst <= 1e-6
+
+    def test_symmetric_positive_semidefinite(self, rng):
+        for case in range(12):
+            n = int(rng.integers(2, 6))
+            theta, _, trajs, rbar_path = make_setup(
+                rng, n=n, t_len=1 + case % 6, n_paths=30,
+                beta=float(10.0 ** rng.uniform(0.0, 3.0)),
+            )
+            if case % 2:  # off the generating parameters
+                theta = theta.with_reward(scaled_start(theta.reward, 1.5))
+            stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
+            _, info = girl_mod._plan_score(theta, *solve_at(theta, rbar_path), stats)
+            assert np.array_equal(info, info.T)
+            eig = np.linalg.eigvalsh(info)
+            assert eig[0] >= -1e-12 * eig[-1]
+
+    def test_indefinite_information_never_converges(self, rng, monkeypatch):
+        # g'I^{-1}g is negative here, far below stop_tol; through a Cholesky
+        # factor the decrement of an indefinite I is inf instead
+        theta, _, trajs, rbar_path = make_setup(rng, n_paths=5)
+        losses = iter(-np.arange(1.0, 100.0))
+        monkeypatch.setattr(girl_mod, "_nll_on_plan", lambda *args: next(losses))
+        monkeypatch.setattr(girl_mod, "_plan_score", lambda *args: (
+            np.array([0.0, 0.0, 1e-3, 0.0]), np.diag([1.0, 1.0, -1.0, 1.0])))
+        report = fit(trajs, rbar_path, theta, FitConfig(max_iters=3))
+        assert report.stop_reason == "budget" and report.iterations == 3
+        assert report.decrement == np.inf
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0, 3.0, 5.0, 8.0])
+    def test_far_starts_converge_or_stop_with_a_reason(self, rng, scale):
+        theta, _, trajs, rbar_path = make_setup(rng, n_paths=80, beta=200.0)
+        cfg = FitConfig(max_iters=400)
+        near = fit(trajs, rbar_path, theta.with_reward(scaled_start(theta.reward, 1.5)), cfg)
+        report = fit(trajs, rbar_path, theta.with_reward(scaled_start(theta.reward, scale)), cfg)
+        assert report.stop_reason in ("converged", "budget", "damping")
+        assert np.all(np.diff(report.loss_path) < 0.0)
+        report.params.validate()
+        if report.converged:  # at the optimum, not where the information went singular
+            assert near.converged
+            assert abs(report.loss_path[-1] - near.loss_path[-1]) <= 2.0 * cfg.stop_tol
 
 
 class TestFit:
@@ -446,76 +536,115 @@ class TestFit:
             fit(Trajectories(x=trajs.x[:0], u=trajs.u[:0], cash=trajs.cash[:0]), rbar_path,
                 theta, FitConfig())
 
-    def test_rising_loss_ends_in_line_search(self, rng, monkeypatch):
+    def test_rising_loss_ends_in_damping(self, rng, monkeypatch):
         theta, _, trajs, rbar_path = make_setup(rng, n_paths=5)
         calls = {"n": 0}
+        scores = {"n": 0}
+        plan_score = girl_mod._plan_score
 
         def increasing_nll(*args, **kwargs):
             calls["n"] += 1
             return float(calls["n"])
 
+        def counted_score(*args, **kwargs):
+            scores["n"] += 1
+            return plan_score(*args, **kwargs)
+
         monkeypatch.setattr(girl_mod, "_nll_on_plan", increasing_nll)
+        monkeypatch.setattr(girl_mod, "_plan_score", counted_score)
         report = fit(trajs, rbar_path, theta, FitConfig(max_iters=200))
-        assert report.stop_reason == "line_search" and not report.converged
+        assert report.stop_reason == "damping" and not report.converged
         assert report.iterations == 0
         assert np.array_equal(report.loss_path, [1.0])
         np.testing.assert_allclose(pack_reward(report.params.reward),
                                    pack_reward(theta.reward), rtol=1e-12)
-        # the start, then every trial of one line search; the exact gradient
-        # evaluates no loss
-        assert calls["n"] == 1 + LINE_SEARCH_TRIALS
+        # the start, then the trials that passed the step cap, each solved
+        # once; none of the rejected ones is scored
         assert report.solves == calls["n"]
+        assert 1 < report.solves <= 1 + DAMPING_TRIALS
+        assert scores["n"] == 1
 
     def test_infeasible_trials_are_backtracked(self, rng, monkeypatch):
         theta, _, trajs, rbar_path = make_setup(rng, n_paths=40, beta=50.0)
         start = theta.with_reward(scaled_start(theta.reward, 2.0))
         vec0 = pack_reward(start.reward)
         solve = girl_mod._solve_for
-        plan_gradient = girl_mod._plan_gradient
+        plan_score = girl_mod._plan_score
         rejected = {"n": 0}
-        gradients = {"n": 0}
+        scores = {"n": 0}
 
         def walled_solve(at, *args, **kwargs):
-            if np.linalg.norm(pack_reward(at.reward) - vec0) > 0.3:
+            if np.linalg.norm(pack_reward(at.reward) - vec0) > 0.05:
                 rejected["n"] += 1
                 raise InfeasibleError("trial beyond the wall")
             return solve(at, *args, **kwargs)
 
-        def counted_gradient(*args, **kwargs):
-            gradients["n"] += 1
-            return plan_gradient(*args, **kwargs)
+        def counted_score(*args, **kwargs):
+            scores["n"] += 1
+            return plan_score(*args, **kwargs)
 
         monkeypatch.setattr(girl_mod, "_solve_for", walled_solve)
-        monkeypatch.setattr(girl_mod, "_plan_gradient", counted_gradient)
+        monkeypatch.setattr(girl_mod, "_plan_score", counted_score)
         report = fit(trajs, rbar_path, start, FitConfig(max_iters=1))
-        # the unit-length first trial and its first halving hit the wall
-        assert rejected["n"] == 2
+        # the damping grows until a step stays inside the wall
+        assert rejected["n"] >= 1
         # the start and the accepted trial solve as well; only the start,
-        # where the one iteration began, gets a gradient
+        # where the one iteration began, is scored
         assert report.solves == 2 + rejected["n"]
-        assert gradients["n"] == 1
+        assert scores["n"] == 1
         assert report.stop_reason == "budget" and report.iterations == 1
         assert report.loss_path[1] < report.loss_path[0]
-        assert np.linalg.norm(pack_reward(report.params.reward) - vec0) <= 0.3
+        assert np.linalg.norm(pack_reward(report.params.reward) - vec0) <= 0.05
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_trials_outside_float_range_are_backtracked(self, rng, monkeypatch, sign):
-        # two gradients that differ by 1e-6 make the first curvature scale
-        # 1e6, so the second step moves ln(lam) by about 1e6: lam underflows
-        # to 0.0 (sign 1) or exp overflows (sign -1); those trials are halved
-        # away like infeasible ones
+        # from ln(lam) at the edge of the float range, a unit step makes lam
+        # underflow to 0.0 (sign 1) or exp overflow (sign -1); those trials
+        # are rejected before any solve, and the damping shortens the step
+        # until it stays inside
         theta, _, trajs, rbar_path = make_setup(rng, n_paths=5)
-        grads = iter([np.array([sign, 0.0, 0.0, 0.0]), np.array([sign * (1 - 1e-6), 0, 0, 0])])
+        edge = math.log(5e-324) if sign > 0 else 709.0
+        start = theta.with_reward(replace(theta.reward, lam=math.exp(edge)))
         losses = iter(-np.arange(1.0, 100.0))
-        monkeypatch.setattr(girl_mod, "_plan_gradient", lambda *args: next(grads))
+        scores = {"n": 0}
+
+        def unit_score(*args):
+            scores["n"] += 1
+            return np.array([sign, 0.0, 0.0, 0.0]), np.eye(4)
+
+        plan = solve_at(theta, rbar_path)[1]  # every trial gets this plan
+        monkeypatch.setattr(girl_mod, "_solve_for", lambda *args: plan)
         monkeypatch.setattr(girl_mod, "_nll_on_plan", lambda *args: next(losses))
-        report = fit(trajs, rbar_path, theta, FitConfig(max_iters=2))
+        monkeypatch.setattr(girl_mod, "_plan_score", unit_score)
+        report = fit(trajs, rbar_path, start, FitConfig(max_iters=2))
         assert report.stop_reason == "budget" and report.iterations == 2
         lam = report.params.reward.lam
-        assert 0.0 < lam < np.inf and (lam > 1e100 if sign < 0 else lam < 1e-100)
-        # the start, the unit first step, and the second step after eleven
-        # rejected trials: halved eleven times, the step of 1e6 is 488
-        assert report.solves == 2 + 11 + 1
+        assert 0.0 < lam < np.inf and (lam > 1e307 if sign < 0 else lam < 1e-323)
+        report.params.validate()
+        # the start and two accepted steps; no rejected trial was solved
+        assert report.solves == 3 and scores["n"] == 2
+
+    @pytest.mark.parametrize("name", ["lam", "rho", "omega"])
+    def test_trials_outside_the_domain_are_rejected(self, rng, monkeypatch, name):
+        # a unit step from the edge of the domain makes lam or omega underflow
+        # to 0.0, or rho round to 1.0: such a trial is rejected before its
+        # solve, so the fit returns parameters that a restart accepts
+        theta, _, trajs, rbar_path = make_setup(rng, n_paths=5)
+        i = PARAM_NAMES.index(name)
+        vec = pack_reward(theta.reward)
+        vec[i] = 36.0 if name == "rho" else math.log(5e-324)
+        start = theta.with_reward(unpack_reward(vec))
+        start.validate()
+        grad = np.zeros(4)
+        grad[i] = -1.0 if name == "rho" else 1.0
+        losses = iter(-np.arange(1.0, 100.0))
+        monkeypatch.setattr(girl_mod, "_nll_on_plan", lambda *args: next(losses))
+        monkeypatch.setattr(girl_mod, "_plan_score", lambda *args: (grad, np.eye(4)))
+        report = fit(trajs, rbar_path, start, FitConfig(max_iters=3))
+        assert report.stop_reason == "budget" and report.iterations == 3
+        report.params.validate()
+        fit(trajs, rbar_path, report.params, FitConfig(max_iters=1))
+        assert report.solves == 4  # the start and the accepted steps
 
     def test_uninformative_data_flat_lambda_slice(self, rng):
         # with beta -> 0 the agent ignores the reward, so the likelihood

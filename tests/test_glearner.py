@@ -17,6 +17,7 @@ from gwealth.glearner import (
     default_prior,
     rollout,
     solve_plan,
+    tangent_pass as package_tangent_pass,
 )
 from gwealth.market import (
     MarketSpec,
@@ -288,6 +289,57 @@ class TestTangentPass:
                     scale = np.max(np.abs(want), axis=tuple(range(1, want.ndim)))
                     err = np.abs(got - want).reshape(plan.horizon, -1).max(axis=1)
                     assert np.all(err <= 1e-6 * np.maximum(scale, 1e-9)), (name, field)
+
+
+def policy_tangents(plan, basis, params):
+    """The package's tangent pass at every step: {t: (dq_uu, a_ux, a_u)}, in
+    the order the contract is called."""
+    steps = {}
+    package_tangent_pass(plan, basis.coeffs(params), basis.tangents(params),
+                         lambda t, *tangents: steps.update({t: tangents}))
+    return steps
+
+
+class TestPackageTangentPass:
+    def test_matches_the_oracle(self, rng):
+        # the oracle holds every step's G tangents; the package hands over
+        # the policy's, one step at a time from T-1 down to 0
+        for beta in (0.5, 5.0):
+            for t_len in (1, 2, 5):
+                plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(
+                    rng, n=3, t_len=t_len, beta=beta)
+                basis = reward_basis(rbar_path, sigma_r, benchmark)
+                steps = policy_tangents(plan, basis, params)
+                assert list(steps) == list(range(t_len - 1, -1, -1))
+                for t, dq in enumerate(tangent_pass(plan, basis, params)):
+                    want = (dq[2], dq[1] + 2.0 * dq[2] @ plan.v_tilde[t],
+                            dq[4] + 2.0 * dq[2] @ plan.u_tilde[t])
+                    for got, exact in zip(steps[t], want):
+                        assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+    def test_policy_tangents_match_central_differences(self, rng):
+        # the posterior precision changes by -2 beta dq_uu, the gain by
+        # beta C a_ux and the offset by beta C a_u
+        names = ("lam", "eta", "rho", "omega")
+        for beta in (0.5, 5.0):
+            plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(
+                rng, n=3, t_len=4, beta=beta)
+            steps = policy_tangents(plan, reward_basis(rbar_path, sigma_r, benchmark), params)
+            for i, name in enumerate(names):
+                h = 1e-6 * float(getattr(params, name))
+                up, down = (
+                    solve_plan(replace(params, **{name: float(getattr(params, name)) + d}),
+                               rbar_path, sigma_r, benchmark, prior, cfg)
+                    for d in (h, -h)
+                )
+                for t, (dq_uu, a_ux, a_u) in steps.items():
+                    cov = sigma_tilde(plan, t)
+                    for field, got in (("sigma_bar", -2.0 * beta * dq_uu[i]),
+                                       ("v_tilde", beta * cov @ a_ux[i]),
+                                       ("u_tilde", beta * cov @ a_u[i])):
+                        want = (getattr(up, field)[t] - getattr(down, field)[t]) / (2.0 * h)
+                        scale = max(np.max(np.abs(want)), 1e-9)
+                        assert np.max(np.abs(got - want)) <= 1e-6 * scale, (name, field, t)
 
 
 class TestFreeEnergy:

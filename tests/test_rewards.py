@@ -11,8 +11,8 @@ from gwealth.rewards import BenchmarkPath, RewardParams, exponential_benchmark, 
 
 from conftest import random_spd
 from oracles import (
-    coeffs_of, expected_reward, mc_reward, pad, quad_value, reward_tangents as oracle_tangents,
-    target_portfolio,
+    coeffs_of, expected_reward, mc_reward, pad, pullback, quad_value,
+    reward_tangents as oracle_tangents, target_portfolio,
 )
 
 
@@ -222,11 +222,24 @@ class TestRewardTangents:
         # the Jacobian in omega assumes the cost matrix omega * I
         params, rbar, sigma_r, b_t = random_reward_inputs(rng)
         with pytest.raises(ParameterError, match="scalar omega"):
-            one_period_basis(rbar, sigma_r, b_t).pullback(params, [])
+            one_period_basis(rbar, sigma_r, b_t).tangents(params)
+
+    def test_basis_tangents_are_the_rows_stacked(self, rng):
+        # one broadcast assembly of the Jacobian equals the oracle's
+        # assembly of one row at a time
+        params, rbar, sigma_r, b_t = random_reward_inputs(rng)
+        params = RewardParams(lam=params.lam, eta=params.eta, rho=params.rho, omega=0.3)
+        basis = reward_basis(np.stack([rbar, rbar + 0.01]), sigma_r,
+                             BenchmarkPath(b=np.array([b_t, 1.1 * b_t])))
+        tangents = basis.tangents(params)
+        for t in range(2):
+            got, want = tangents(t), oracle_tangents(basis, params, t)
+            for field in self.FIELDS:
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
     def test_pullback_is_the_transpose_of_the_tangents(self, rng):
-        # sum_t <a_t, dr_t / dtheta_k> for random adjoints, against the
-        # tangents contracted directly
+        # sum_t <a_t, dr_t / dtheta_k> for random adjoints: the adjoint
+        # oracle's pullback against the basis' tangents contracted directly
         params, rbar, sigma_r, b_t = random_reward_inputs(rng)
         params = RewardParams(lam=params.lam, eta=params.eta, rho=params.rho, omega=0.3)
         basis = reward_basis(np.stack([rbar, rbar + 0.01]), sigma_r,
@@ -237,10 +250,10 @@ class TestRewardTangents:
                          float(rng.normal()))) for t in range(2)]
         want = np.zeros(4)
         for t, adj in adjoints:
-            dr = oracle_tangents(basis, params, t)
+            dr = basis.tangents(params)(t)
             for a, field in zip(adj, self.FIELDS):
                 want += np.asarray(getattr(dr, field)).reshape(4, -1) @ np.ravel(a)
-        got = basis.pullback(params, adjoints)
+        got = pullback(basis, params, adjoints)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

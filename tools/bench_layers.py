@@ -6,8 +6,8 @@ Times, at N=100 and N=20 assets and T=30 periods:
 - ``backward_pass``: one solve of the plan on a prebuilt reward basis;
 - ``nll_on_plan``: the likelihood contraction of a solved plan against the
   pooled data moments (``girl._nll_on_plan``);
-- ``plan_gradient``: the exact gradient of that likelihood over the plan
-  (``girl._plan_gradient``);
+- ``plan_score``: the exact gradient of that likelihood and its Fisher
+  information over the plan (``girl._plan_score``);
 - ``prepare_stats``: the pooled data moments and the transition term, from
   the rollout's trajectories (``girl.prepare_stats``);
 - ``assemble_coeffs``: every period's reward coefficients from one
@@ -24,7 +24,8 @@ package; both are imported into the same process under their own names, and
 each of the 25 repeats times every layer once per tree, alternating which
 tree goes first, so that a drift of the machine's speed touches both trees
 and all layers alike.  A layer's figure is the median over the repeats, with
-the quartiles.
+the quartiles.  A layer whose function one tree lacks is timed for the other
+tree alone and recorded as ``null`` (absent) for it.
 
     python3 tools/bench_layers.py PARENT_SRC CHANGE_SRC     # e.g. ../parent/src src
 
@@ -99,7 +100,8 @@ def _load(alias: str, src: Path):
 
 def _layers(alias: str, n_assets: int, workdir: Path) -> dict:
     """The timed callables of one tree at one size, on inputs built once;
-    the storage layers write and read their files in ``workdir``."""
+    the storage layers write and read their files in ``workdir``.  A layer
+    whose function the tree lacks is left out."""
     girl, glearner, market, rewards, storage = (
         importlib.import_module(f"{alias}.{name}")
         for name in ("girl", "glearner", "market", "rewards", "storage"))
@@ -129,11 +131,11 @@ def _layers(alias: str, n_assets: int, workdir: Path) -> dict:
         for t in range(HORIZON):
             at(t)
 
-    return {
+    layers = {
         "backward_pass": lambda: glearner.backward_pass(basis.coeffs(truth), prior, cfg,
                                                         basis.rbar),
         "nll_on_plan": lambda: girl._nll_on_plan(plan, stats),
-        "plan_gradient": lambda: girl._plan_gradient(theta, basis, plan, stats),
+        "plan_score": lambda: girl._plan_score(theta, basis, plan, stats),
         "prepare_stats": lambda: girl.prepare_stats(trajs, rbar, sigma),
         "assemble_coeffs": assemble,
         # each write precedes its read in every round, so the read finds the file
@@ -142,6 +144,9 @@ def _layers(alias: str, n_assets: int, workdir: Path) -> dict:
         "write_trajectories_csv": lambda: storage.write_trajectories_csv(trajs_csv, trajs),
         "read_trajectories_csv": lambda: storage.read_trajectories_csv(trajs_csv),
     }
+    needs = {"plan_score": (girl, "_plan_score")}
+    return {name: fn for name, fn in layers.items()
+            if name not in needs or hasattr(*needs[name])}
 
 
 def main(argv=None) -> int:
@@ -165,19 +170,23 @@ def main(argv=None) -> int:
                 for fn in fns.values():
                     fn()
             labels = list(layers)
-            names = list(layers[labels[0]])
-            times = {name: {label: [] for label in labels} for name in names}
+            names = list(dict.fromkeys(name for fns in layers.values() for name in fns))
+            times = {name: {label: [] for label in labels if name in layers[label]}
+                     for name in names}
             for rep in range(REPEATS):
                 order = labels if rep % 2 == 0 else labels[::-1]
                 for name in names:
                     for label in order:
+                        if name not in layers[label]:
+                            continue
                         start = time.perf_counter()
                         layers[label][name]()
                         times[name][label].append(1e3 * (time.perf_counter() - start))
             result["sizes"][f"N={n_assets}"] = {
                 name: {label: dict(zip(("q1", "median", "q3"),
-                                       np.percentile(vals, [25, 50, 75]).round(4).tolist()))
-                       for label, vals in per_label.items()}
+                                       np.percentile(per_label[label], [25, 50, 75])
+                                       .round(4).tolist())) if label in per_label else None
+                       for label in labels}
                 for name, per_label in times.items()
             }
 
@@ -186,8 +195,8 @@ def main(argv=None) -> int:
     for size, layers in result["sizes"].items():
         for name, per_label in layers.items():
             print(f"{size:>6} {name:<22} " + "  ".join(
-                f"{label} {q['median']:8.3f} [{q['q1']:.3f}, {q['q3']:.3f}]"
-                for label, q in per_label.items()) + " ms")
+                f"{label} {q['median']:8.3f} [{q['q1']:.3f}, {q['q3']:.3f}]" if q else
+                f"{label}   absent" for label, q in per_label.items()) + " ms")
     return 0
 
 
