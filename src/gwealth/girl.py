@@ -18,7 +18,7 @@ learned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -395,18 +395,16 @@ def fit(
         theta.validate()  # a point outside the domain costs no solve
         solves += 1
         plan = _solve_for(theta, basis, prior)
-        # the policy alone is kept for the score: G's coefficients and the precision go
-        policy = GaussianPolicy(**{f.name: getattr(plan, f.name) for f in fields(GaussianPolicy)})
-        return _nll_on_plan(plan, stats), theta, policy
+        return _nll_on_plan(plan, stats), theta, plan
 
     vec = pack_reward(theta0.reward)
-    loss, theta, policy = evaluate(vec)
+    loss, theta, plan = evaluate(vec)
     if not np.isfinite(loss):
         raise GradientError("non-finite objective at the starting parameters")
     loss_path, mu, stop_reason = [loss], DAMPING_START, "budget"
     for _ in range(cfg.max_iters):
-        grad, info = _plan_score(theta, basis, policy, stats)
-        policy = None  # one policy in memory at a time: the next is a trial's
+        grad, info = _plan_score(theta, basis, plan, stats)
+        plan = None  # one plan in memory at a time: the next is a trial's
         try:  # through a Cholesky factor: an I that is not positive definite never converges
             z = np.linalg.solve(np.linalg.cholesky(info), grad)
             decrement = 0.5 * float(z @ z)
@@ -416,7 +414,7 @@ def fit(
             stop_reason = "converged"
             break
         for _ in range(DAMPING_TRIALS):
-            trial = None  # drop a rejected trial's policy before the next solve
+            trial = None  # drop a rejected trial's plan before the next solve
             try:
                 step = np.linalg.solve(info + mu * np.diag(np.diag(info)), -grad)
                 if np.max(np.abs(step)) <= MAX_STEP:  # False for NaN
@@ -432,10 +430,10 @@ def fit(
         if loss - trial[0] >= -GAIN_RATIO * float(grad @ step + 0.5 * step @ info @ step):
             mu /= DAMPING_DOWN
         vec = vec + step
-        loss, theta, policy = trial
+        loss, theta, plan = trial
         loss_path.append(loss)
 
-    policy = trial = None  # gone before the report is allocated, so the heap can shrink
+    plan = trial = None  # gone before the report is allocated, so the heap can shrink
     return FitReport(params=theta, loss_path=np.asarray(loss_path),
                      iterations=len(loss_path) - 1, stop_reason=stop_reason,
                      decrement=decrement, solves=solves)

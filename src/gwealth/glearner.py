@@ -138,21 +138,10 @@ class GaussianPolicy:
 
 @dataclass(frozen=True)
 class SolvedPlan(GaussianPolicy):
-    """The policy plus G's coefficients and the posterior precision (which
-    the likelihood reads), stacked like the policy's fields.
+    """The policy plus its posterior precision sigma_bar = sigma_p^{-1} -
+    2 beta q_uu (which the likelihood reads), stacked like the policy's
+    fields.  G and F are locals of the backward recursion, not stored."""
 
-    G_t(x, u) = x^T q_xx x + u^T q_ux x + u^T q_uu u + x^T q_x + u^T q_u + q_0,
-    and ``sigma_bar`` is the posterior precision sigma_p^{-1} - 2 beta q_uu.
-    The free energy F_t is a function of G_t (the soft log-partition of
-    pi0 * exp(beta * G_t), or the hard max of G at T-1), so it is not stored.
-    """
-
-    q_xx: np.ndarray       # (T, N, N)
-    q_ux: np.ndarray       # (T, N, N)
-    q_uu: np.ndarray       # (T, N, N)
-    q_x: np.ndarray        # (T, N)
-    q_u: np.ndarray        # (T, N)
-    q_0: np.ndarray        # (T,)
     sigma_bar: np.ndarray  # (T, N, N)
 
 
@@ -248,8 +237,8 @@ def _bayes_and_f(q, prior: PolicyPrior, beta: float, t: int, out) -> tuple[float
     feeds both the sampler and log|sigma_tilde| = -log|sigma_bar|.
 
     ``q`` is G's (q_xx, q_ux, q_uu, q_x, q_u, q_0); sigma_bar, u_tilde,
-    v_tilde and chol_tilde are written into ``out``, the plan's rows of step
-    t.  Returns log|sigma_tilde| and the (f_xx, f_x, f_0) coefficients of F.
+    v_tilde and chol_tilde go into ``out``.  Returns log|sigma_tilde| and
+    F's (f_xx, f_x, f_0).
     """
     q_xx, q_ux, q_uu, q_x, q_u, q_0 = q
     sigma_bar, u_til, v_til, chol_tilde = out
@@ -273,17 +262,18 @@ def _bayes_and_f(q, prior: PolicyPrior, beta: float, t: int, out) -> tuple[float
     return logdet, (0.5 * (f_xx + f_xx.T), f_x, float(f_0))
 
 
-def _step_q(r: RewardCoeffs, f_next, a_t: np.ndarray, gamma: float, out=(None,) * 5):
-    """G's coefficients at a step: the reward plus the discounted expectation
-    of the next step's F = (f_xx, f_x, f_0) over the gross returns, whose mean
-    is a_t and second moment ``r.sigma_hat``.  The array coefficients go into
-    ``out`` if given."""
+def _step_q(r: RewardCoeffs, f_next, a_t: np.ndarray, gamma: float):
+    """G's coefficients (q_xx, q_ux, q_uu, q_x, q_u, q_0) at a step, G(x, u) =
+    x'q_xx x + u'q_ux x + u'q_uu u + x'q_x + u'q_u + q_0: the reward plus the
+    discounted expectation of the next step's F = (f_xx, f_x, f_0) over the
+    gross returns, whose mean is a_t and second moment ``r.sigma_hat``.
+    q_xx and q_uu are kept as their symmetric parts (the same quadratic
+    forms), so an asymmetric r_xx or r_uu solves as its symmetric part."""
     f_xx, f_x, f_0 = f_next
     growth = gamma * (f_xx * r.sigma_hat)
     lin = gamma * (a_t * f_x)
-    return (np.add(r.r_xx, growth, out=out[0]), np.add(r.r_ux, 2.0 * growth, out=out[1]),
-            np.add(r.r_uu, growth, out=out[2]), np.add(r.r_x, lin, out=out[3]),
-            np.add(r.r_u, lin, out=out[4]), r.r_0 + gamma * f_0)
+    q_xx, q_uu = (0.5 * (m + m.T) for m in (r.r_xx + growth, r.r_uu + growth))
+    return q_xx, r.r_ux + 2.0 * growth, q_uu, r.r_x + lin, r.r_u + lin, r.r_0 + gamma * f_0
 
 
 def backward_pass(
@@ -296,10 +286,9 @@ def backward_pass(
 
     ``rbar`` is the (T, N) expected-return path and ``reward(t)`` gives
     period t's reward coefficients (``RewardBasis.coeffs``), read once each.
-    Every step writes its results into row t of the plan's stacked arrays
-    and costs one inverse and two Cholesky factorizations (``_bayes_and_f``).
-    G's q_xx and q_uu are kept as their symmetric parts (the same quadratic
-    forms), so an asymmetric r_xx or r_uu solves as its symmetric part.
+    Every step forms G_t from F_{t+1} (``_step_q``) and writes its policy
+    into row t of the plan's stacked arrays, at the cost of one inverse and
+    two Cholesky factorizations (``_bayes_and_f``).
     """
     cfg.validate()
     rbar = np.asarray(rbar, dtype=float)
@@ -309,20 +298,15 @@ def backward_pass(
     if prior.n_assets != n:
         raise ShapeError("prior dimension does not match the return path")
 
-    q_xx, q_ux, q_uu, sigma_bar, v_tilde, chol_tilde = (
-        np.empty((t_len, n, n)) for _ in range(6))
-    q_x, q_u, u_tilde = (np.empty((t_len, n)) for _ in range(3))
-    q_0, logdet_tilde = np.empty(t_len), np.empty(t_len)
+    sigma_bar, v_tilde, chol_tilde = (np.empty((t_len, n, n)) for _ in range(3))
+    u_tilde, logdet_tilde = np.empty((t_len, n)), np.empty(t_len)
     f_next = (np.zeros((n, n)), np.zeros(n), 0.0)  # F is zero past the horizon
 
     for t in range(t_len - 1, -1, -1):
         r = reward(t)
         if r.n_assets != n:
             raise ShapeError(f"reward coefficients of step t={t} are not {n} x {n}")
-        q = _step_q(r, f_next, 1.0 + rbar[t], cfg.gamma,
-                    out=(q_xx[t], q_ux[t], q_uu[t], q_x[t], q_u[t]))
-        q_0[t] = q[5]
-        q_xx[t], q_uu[t] = (0.5 * (m + m.T) for m in (q_xx[t], q_uu[t]))  # no-ops if symmetric
+        q = _step_q(r, f_next, 1.0 + rbar[t], cfg.gamma)
         logdet_tilde[t], f_next = _bayes_and_f(
             q, prior, cfg.beta, t, out=(sigma_bar[t], u_tilde[t], v_tilde[t], chol_tilde[t]))
         if t == t_len - 1:  # the recursion takes the hard max, the policy the soft F
@@ -331,7 +315,7 @@ def backward_pass(
     return SolvedPlan(
         beta=cfg.beta, gamma=cfg.gamma, rbar=rbar, prior=prior,
         u_tilde=u_tilde, v_tilde=v_tilde, chol_tilde=chol_tilde, logdet_tilde=logdet_tilde,
-        q_xx=q_xx, q_ux=q_ux, q_uu=q_uu, q_x=q_x, q_u=q_u, q_0=q_0, sigma_bar=sigma_bar,
+        sigma_bar=sigma_bar,
     )
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ParameterError, ShapeError
 from .glearner import GaussianPolicy, PolicyPrior, Trajectories, cash_installment
 
 
@@ -173,8 +173,10 @@ def write_plan_npz(path: Path, policy: GaussianPolicy) -> None:
 
 
 def read_plan_npz(path: Path) -> GaussianPolicy:
-    """The policy ``write_plan_npz`` stored; a missing or misshapen member, or
-    one that is not all finite floats, is a ShapeError naming it."""
+    """The policy ``write_plan_npz`` stored; a missing or misshapen member, one
+    that is not all finite floats, or a ``chol_tilde`` that is not a stack of
+    lower Cholesky factors is a ShapeError naming it, and a prior covariance
+    that is not symmetric positive definite a ParameterError naming it."""
     try:
         with np.load(path) as npz:
             # each NpzFile lookup decompresses the whole member: load every one once
@@ -193,9 +195,16 @@ def read_plan_npz(path: Path) -> GaussianPolicy:
                              f"inconsistent with axes ({', '.join(axes)}) of the others")
         if member.dtype.kind != "f" or not np.isfinite(member).all():
             raise ShapeError(f"'{path}': member '{name}' is not all finite floats")
-    prior = PolicyPrior(
-        u_bar=data["prior_u_bar"], v_bar=data["prior_v_bar"], sigma_p=data["prior_sigma_p"],
-    )
+    chol = data["chol_tilde"]
+    if np.triu(chol, 1).any() or not (np.diagonal(chol, axis1=1, axis2=2) > 0.0).all():
+        raise ShapeError(f"'{path}': member 'chol_tilde' is not a stack of lower Cholesky "
+                         "factors (zero above a positive diagonal)")
+    try:
+        prior = PolicyPrior(
+            u_bar=data["prior_u_bar"], v_bar=data["prior_v_bar"], sigma_p=data["prior_sigma_p"],
+        )
+    except ParameterError as exc:
+        raise ParameterError(f"'{path}': member 'prior_sigma_p': {exc}") from exc
     return GaussianPolicy(
         beta=float(data["beta"]), gamma=float(data["gamma"]), rbar=data["rbar"], prior=prior,
         u_tilde=data["u_tilde"], v_tilde=data["v_tilde"], chol_tilde=data["chol_tilde"],

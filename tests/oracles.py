@@ -6,9 +6,11 @@ maximization) and deliberately shares no code path with the package
 internals it checks.  The rest are the direct, per-path and per-step forms of
 computations the package batches or pools (the trajectory likelihood, the
 rollout, the equal-weight baseline, the shortfall); they call only the
-package's single-step building blocks.  The quadratic forms of a reward and
-of a solved plan's G are evaluated here (``quad_value``), and F is recomputed
-from the plan's G (``plan_f``): the plan stores no F.  The exact likelihood
+package's single-step building blocks.  The plan stores neither G nor F:
+``plan_g`` replays the backward recursion's G from the package's own step
+functions on the reward the plan was solved on, bit for bit, and F is
+recomputed from that G (``plan_f``).  The quadratic forms of a reward and of
+G are evaluated here (``quad_value``).  The exact likelihood
 gradient has two oracles: central finite differences of the package's own
 likelihood, and the derivative's reverse (adjoint) mode, one backward sweep
 of a scalar function's adjoints pulled back through the reward's weights,
@@ -28,8 +30,11 @@ from gwealth.errors import GradientError, ParameterError
 from gwealth.girl import (
     PARAM_NAMES, nll_from_stats, pack_reward, prepare_stats, transition_log_prob, unpack_reward,
 )
-from gwealth.glearner import Trajectory, _terminal_solve, cash_installment, solve_plan
-from gwealth.rewards import RewardCoeffs, _assemble, _reward_weights
+from gwealth.glearner import (
+    Trajectory, _bayes_and_f, _step_q, _terminal_f, _terminal_solve, backward_pass,
+    cash_installment,
+)
+from gwealth.rewards import RewardCoeffs, _assemble, _reward_weights, reward_basis
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -42,12 +47,30 @@ def pad(sigma_r: np.ndarray) -> np.ndarray:
     return out
 
 
-def coeffs_of(c, t=None):
-    """The six coefficients (xx, ux, uu, x, u, 0) of a quadratic form in (x, u):
-    of a reward (``RewardCoeffs``), or of G at step t of a solved plan."""
-    if t is None:
-        return c.r_xx, c.r_ux, c.r_uu, c.r_x, c.r_u, c.r_0
-    return c.q_xx[t], c.q_ux[t], c.q_uu[t], c.q_x[t], c.q_u[t], c.q_0[t]
+def coeffs_of(rc):
+    """The six coefficients (xx, ux, uu, x, u, 0) of a reward (``RewardCoeffs``)
+    as a quadratic form in (x, u), in the order of G's (``plan_g``)."""
+    return rc.r_xx, rc.r_ux, rc.r_uu, rc.r_x, rc.r_u, rc.r_0
+
+
+def plan_g(plan, reward):
+    """G's six coefficients (q_xx, q_ux, q_uu, q_x, q_u, q_0) at every step of
+    a plan solved on ``reward`` (as ``backward_pass`` takes it), a list over t.
+
+    The backward recursion is replayed from T-1 down to 0 with the package's
+    own steps: ``_step_q`` forms G_t from F_{t+1}, and F_t is ``_bayes_and_f``'s
+    soft log-partition before T-1 (its policy goes into scratch buffers) and
+    ``_terminal_f``'s hard max at T-1.  So G carries the bits of the solve.
+    """
+    t_len, n = plan.horizon, plan.n_assets
+    scratch = (np.empty((n, n)), np.empty(n), np.empty((n, n)), np.empty((n, n)))
+    steps = [None] * t_len
+    f_next = (np.zeros((n, n)), np.zeros(n), 0.0)  # F is zero past the horizon
+    for t in range(t_len - 1, -1, -1):
+        q = steps[t] = _step_q(reward(t), f_next, 1.0 + plan.rbar[t], plan.gamma)
+        f_next = (_terminal_f(q) if t == t_len - 1
+                  else _bayes_and_f(q, plan.prior, plan.beta, t, scratch)[1])
+    return steps
 
 
 def quad_value(c, x, u=None):
@@ -68,11 +91,11 @@ def argmax_policy(q):
     return sol[:, :-1], sol[:, -1]
 
 
-def plan_f(plan, t):
-    """F_t's (f_xx, f_x, f_0) from the plan's G at step t: the soft
-    log-partition of ``posterior_step`` before T-1, and G at its argmax (the
-    hard max) at T-1."""
-    q = coeffs_of(plan, t)
+def plan_f(plan, g, t):
+    """F_t's (f_xx, f_x, f_0) from G at step t of the plan (``g`` as
+    ``plan_g`` gives it): the soft log-partition of ``posterior_step`` before
+    T-1, and G at its argmax (the hard max) at T-1."""
+    q = g[t]
     if t < plan.horizon - 1:
         return posterior_step(*q, plan.prior, plan.beta)[-1]
     return expected_g(q, *argmax_policy(q))
@@ -291,10 +314,11 @@ def sigma_tilde(policy, t):
     return policy.chol_tilde[t] @ policy.chol_tilde[t].T
 
 
-def action_log_prob(plan, t, x, u, beta):
-    """Log probability of an action: log pi0(u|x) + beta * (G(x,u) - F(x)).
+def action_log_prob(plan, q, x, u, beta):
+    """Log probability of an action at the step of the plan where G has the
+    coefficients ``q``: log pi0(u|x) + beta * (G(x,u) - F(x)).
 
-    F here is the soft log-partition at step t, which makes this exactly the
+    F here is the soft log-partition of that G, which makes this exactly the
     log-density of the posterior Gaussian policy.
     """
     prior = plan.prior
@@ -306,8 +330,8 @@ def action_log_prob(plan, t, x, u, beta):
     w = np.linalg.solve(chol, u - mean0)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     log_pi0 = -0.5 * (n * LOG_2PI + logdet + float(w @ w))
-    f_soft = posterior_step(*coeffs_of(plan, t), prior, plan.beta)[-1]
-    return log_pi0 + beta * (quad_value(coeffs_of(plan, t), x, u) - quad_value(f_soft, x))
+    f_soft = posterior_step(*q, prior, plan.beta)[-1]
+    return log_pi0 + beta * (quad_value(q, x, u) - quad_value(f_soft, x))
 
 
 def trajectory_nll(theta, trajs, rbar_path):
@@ -318,13 +342,14 @@ def trajectory_nll(theta, trajs, rbar_path):
     """
     if len(trajs) == 0:
         return 0.0
-    plan = solve_plan(theta.reward, rbar_path, theta.sigma_r, theta.benchmark,
-                      theta.prior(), theta.solver_config())
+    reward = reward_basis(rbar_path, theta.sigma_r, theta.benchmark).coeffs(theta.reward)
+    plan = backward_pass(reward, theta.prior(), theta.solver_config(), rbar_path)
+    g = plan_g(plan, reward)
     total = 0.0
     for traj in trajs:
         assert traj.u.shape[0] == plan.horizon
         for t in range(plan.horizon):
-            total += action_log_prob(plan, t, traj.x[t], traj.u[t], theta.beta)
+            total += action_log_prob(plan, g[t], traj.x[t], traj.u[t], theta.beta)
             total += transition_log_prob(
                 traj.x[t + 1], traj.x[t], traj.u[t], rbar_path[t], theta.sigma_r
             )
@@ -372,7 +397,7 @@ def nll_gradient(theta, trajs, rbar_path, fd_step):
 
 
 # ---------------------------------------------------------------------------
-# forward-mode likelihood gradient (the package runs one adjoint pass)
+# forward-mode likelihood gradient, every step held (the package streams the steps)
 # ---------------------------------------------------------------------------
 
 def reward_tangents(basis, params, t):
@@ -418,7 +443,7 @@ def tangent_pass(plan, basis, params):
         dr = reward_tangents(basis, params, t)
         dq = (dr.r_xx, dr.r_ux, dr.r_uu, dr.r_x, dr.r_u, dr.r_0)
         if t == t_last:
-            df = expected_g(dq, *argmax_policy(coeffs_of(plan, t_last)))
+            df = expected_g(dq, *argmax_policy(plan_g(plan, basis.coeffs(params))[t_last]))
         else:
             df_xx, df_x, df_0 = df
             growth = plan.gamma * df_xx * dr.sigma_hat
@@ -455,10 +480,9 @@ def tangent_gradient(theta, basis, plan, stats):
 # reverse-mode likelihood gradient (the package runs one tangent pass)
 # ---------------------------------------------------------------------------
 
-def adjoint_pass(plan, sigma_hat, seed):
-    """Adjoints of G's coefficients for a scalar function of the plan, one
-    step at a time from 0 to T-1; ``sigma_hat`` holds the (T, N, N) second
-    moments of the gross returns the plan was solved on.
+def adjoint_pass(plan, basis, params, seed):
+    """Adjoints of G's coefficients for a scalar function of the plan solved
+    under ``params`` on ``basis``, one step at a time from 0 to T-1.
 
     ``seed(t, sigma_tilde_t)`` gives the function's own derivative in step
     t's (q_ux, q_uu, q_u).  Yields (t, (a_xx, a_ux, a_uu, a_x, a_u, a_0)),
@@ -473,7 +497,8 @@ def adjoint_pass(plan, sigma_hat, seed):
     """
     t_last = plan.horizon - 1
     n = plan.n_assets
-    argmax = 0.5 * _terminal_solve(plan.q_uu[t_last], plan.q_ux[t_last], plan.q_u[t_last])
+    r = basis.coeffs(params)(t_last)  # G at T-1 is the reward
+    argmax = 0.5 * _terminal_solve(r.r_uu, r.r_ux, r.r_u)
     a_xx, a_x, a_0 = np.zeros((n, n)), np.zeros(n), 0.0  # F_0 feeds no step
     for t in range(plan.horizon):
         cov = sigma_tilde(plan, t)
@@ -491,7 +516,7 @@ def adjoint_pass(plan, sigma_hat, seed):
         yield t, (a_xx, a_ux, a_uu, a_x, a_u, a_0)
         # F_{t+1}'s adjoint: it enters G_t as gamma (f_xx * sigma_hat_t) on
         # q_xx, 2 q_ux and q_uu, gamma a_t * f_x on q_x and q_u, gamma f_0 on q_0
-        a_xx = plan.gamma * sigma_hat[t] * (a_xx + 2.0 * a_ux + a_uu)
+        a_xx = plan.gamma * basis.sigma_hat[t] * (a_xx + 2.0 * a_ux + a_uu)
         a_x = plan.gamma * (1.0 + plan.rbar[t]) * (a_x + a_u)
         a_0 = plan.gamma * a_0
 
@@ -533,7 +558,7 @@ def adjoint_gradient(theta, basis, plan, stats):
         return w_ux, w_uu, w_u
 
     reward = theta.reward
-    grad = -plan.beta * pullback(basis, reward, adjoint_pass(plan, basis.sigma_hat, seed))
+    grad = -plan.beta * pullback(basis, reward, adjoint_pass(plan, basis, reward, seed))
     return grad * (reward.lam, reward.eta, reward.rho * (1.0 - reward.rho), float(reward.omega))
 
 

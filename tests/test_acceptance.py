@@ -26,7 +26,7 @@ from gwealth.rewards import BenchmarkPath, RewardParams, exponential_benchmark, 
 from conftest import random_problem, random_spd
 from oracles import (
     action_log_prob, coeffs_of, dp_solve, expected_reward, mc_log_partition, mvn_logpdf,
-    nll_gradient, pad, plan_f, policy_mean, quad_value, sigma_tilde,
+    nll_gradient, pad, plan_f, plan_g, policy_mean, quad_value, sigma_tilde,
 )
 
 pytestmark = pytest.mark.slow
@@ -208,12 +208,14 @@ class TestCriterion6:
                 rng, n=2, t_len=2, beta=float(rng.uniform(0.5, 2.0))
             )
             plan = solve_plan(params, rbar_path, sigma_r, benchmark, prior, cfg)
+            g = plan_g(plan, reward_basis(rbar_path, sigma_r, benchmark).coeffs(params))
             x = rng.normal(0.0, 5.0, size=2)
 
-            def g_batch(u_draws, plan=plan, x=x):
-                lin = u_draws @ (plan.q_ux[0] @ x + plan.q_u[0])
-                quad = np.einsum("si,ij,sj->s", u_draws, plan.q_uu[0], u_draws)
-                return float(x @ plan.q_xx[0] @ x + x @ plan.q_x[0] + plan.q_0[0]) + lin + quad
+            def g_batch(u_draws, q=g[0], x=x):
+                q_xx, q_ux, q_uu, q_x, q_u, q_0 = q
+                lin = u_draws @ (q_ux @ x + q_u)
+                quad = np.einsum("si,ij,sj->s", u_draws, q_uu, u_draws)
+                return float(x @ q_xx @ x + x @ q_x + q_0) + lin + quad
 
             mean0 = prior.u_bar + prior.v_bar @ x
             # the 3-sigma bound is only meaningful when the importance sampler
@@ -225,7 +227,7 @@ class TestCriterion6:
                 g_batch, plan.beta, mean0, prior.sigma_p,
                 n_draws=1_000_000, rng=rng,
             )
-            if abs(quad_value(plan_f(plan, 0), x) - est) >= 3.0 * se:
+            if abs(quad_value(plan_f(plan, g, 0), x) - est) >= 3.0 * se:
                 failures += 1
         ok = failures <= 1  # one 3-sigma miss in twenty trials is within chance
         assert _report(6, "oracle b: Gaussian integral", ok,
@@ -244,14 +246,15 @@ class TestCriterion6:
             t = int(rng.integers(0, t_len - 1))
             x = rng.normal(0.0, 20.0, size=n)
             u = rng.normal(0.0, 5.0, size=n)
-            rc = reward_basis(rbar_path, sigma_r, benchmark).coeffs(params)(t)
+            reward = reward_basis(rbar_path, sigma_r, benchmark).coeffs(params)
+            g = plan_g(plan, reward)
             from oracles import expected_next_value
 
             ev = expected_next_value(
-                plan_f(plan, t + 1), 1.0 + rbar_path[t], pad(sigma_r.sigma_r), x + u,
+                plan_f(plan, g, t + 1), 1.0 + rbar_path[t], pad(sigma_r.sigma_r), x + u,
             )
-            want = quad_value(coeffs_of(rc), x, u) + cfg.gamma * ev
-            got = quad_value(coeffs_of(plan, t), x, u)
+            want = quad_value(coeffs_of(reward(t)), x, u) + cfg.gamma * ev
+            got = quad_value(g[t], x, u)
             worst = max(worst, abs(got - want) / max(abs(want), 1.0))
         ok = worst < 1e-10
         assert _report(6, "oracle c: Bellman identity", ok, f"worst rel err {worst:.2e}")
@@ -306,11 +309,12 @@ class TestCriterion6:
                 rng, n=2, t_len=2, beta=float(rng.uniform(1.0, 50.0))
             )
             plan = solve_plan(params, rbar_path, sigma_r, benchmark, prior, cfg)
+            g = plan_g(plan, reward_basis(rbar_path, sigma_r, benchmark).coeffs(params))
             for _ in range(10):
                 t = int(rng.integers(0, 2))
                 x = rng.normal(0.0, 10.0, size=2)
                 u = rng.normal(0.0, 3.0, size=2)
-                got = action_log_prob(plan, t, x, u, beta=cfg.beta)
+                got = action_log_prob(plan, g[t], x, u, beta=cfg.beta)
                 want = mvn_logpdf(u, policy_mean(plan, t, x), sigma_tilde(plan, t))
                 worst = max(worst, abs(got - want))
                 count += 1

@@ -521,8 +521,17 @@ class TestCliStages:
         ("solve", "sigma_r.csv", overwrite(b"row,col,value\n0,0\n"), "sigma_r.csv"),
         ("rollout", "plan.npz", edit_plan(lambda m: m["v_tilde"].__setitem__((1, 2, 0), np.nan)),
          "v_tilde"),
+        ("rollout", "plan.npz",
+         edit_plan(lambda m: m.update(chol_tilde=np.swapaxes(m["chol_tilde"], 1, 2))),
+         "chol_tilde"),
+        ("rollout", "plan.npz", edit_plan(lambda m: m["chol_tilde"][2].__imul__(-1.0)),
+         "chol_tilde"),
+        ("rollout", "plan.npz", edit_plan(lambda m: m.update(prior_sigma_p=-m["prior_sigma_p"])),
+         "prior_sigma_p"),
     ], ids=["plan_without_u_tilde", "plan_not_a_zip", "sigma_r_not_numeric",
-            "plan_member_shape", "sigma_r_two_columns", "plan_member_nan"])
+            "plan_member_shape", "sigma_r_two_columns", "plan_member_nan",
+            "plan_chol_upper_triangular", "plan_chol_negative_diagonal",
+            "plan_prior_not_positive_definite"])
     def test_malformed_artifact_is_a_clean_error(self, tmp_path, capsys,
                                                  command, name, corrupt, needle):
         cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))

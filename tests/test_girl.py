@@ -41,8 +41,8 @@ from gwealth.rewards import RewardParams, exponential_benchmark, reward_basis
 
 from conftest import random_problem, random_spd
 from oracles import (
-    action_log_prob, adjoint_gradient, fd_gradient, mvn_logpdf, nll_gradient, policy_mean,
-    sigma_tilde, tangent_gradient, trajectory_nll,
+    action_log_prob, adjoint_gradient, fd_gradient, mvn_logpdf, nll_gradient, plan_g,
+    policy_mean, sigma_tilde, tangent_gradient, trajectory_nll,
 )
 
 
@@ -73,6 +73,12 @@ def make_setup(rng, n=3, t_len=3, n_paths=40, beta=50.0, gamma=0.95, lam=None,
     )
     trajs = rollout(plan, paths, np.full(n, 30.0), np.random.default_rng(901))
     return theta, plan, trajs, rbar_path
+
+
+def theta_g(theta, plan, rbar_path):
+    """G at every step of the plan solved under ``theta`` (``plan_g``)."""
+    return plan_g(plan, reward_basis(rbar_path, theta.sigma_r, theta.benchmark)
+                  .coeffs(theta.reward))
 
 
 class TestTransitionLogProb:
@@ -138,26 +144,27 @@ class TestActionLogProb:
         theta, plan, trajs, rbar_path = make_setup(rng, beta=1e-12)
         x = trajs[0].x[0]
         u = trajs[0].u[0]
-        got = action_log_prob(plan, 0, x, u, beta=1e-12)
+        got = action_log_prob(plan, theta_g(theta, plan, rbar_path)[0], x, u, beta=1e-12)
         want = mvn_logpdf(u, theta.u_bar, theta.sigma_p)
         assert got == pytest.approx(want, abs=1e-8)
 
     def test_equals_posterior_gaussian_density(self, rng):
         theta, plan, trajs, rbar_path = make_setup(rng, beta=20.0)
+        g = theta_g(theta, plan, rbar_path)
         for _ in range(20):
             t = int(rng.integers(0, plan.horizon))
             x = rng.normal(20.0, 10.0, size=3)
             u = rng.normal(0.0, 2.0, size=3)
-            got = action_log_prob(plan, t, x, u, beta=theta.beta)
+            got = action_log_prob(plan, g[t], x, u, beta=theta.beta)
             want = mvn_logpdf(u, policy_mean(plan, t, x), sigma_tilde(plan, t))
             assert got == pytest.approx(want, abs=1e-8)
 
     def test_value_at_posterior_mean(self, rng):
-        theta, plan, trajs, _ = make_setup(rng, beta=20.0)
+        theta, plan, trajs, rbar_path = make_setup(rng, beta=20.0)
         t = 1
         x = rng.normal(20.0, 5.0, size=3)
         mean = policy_mean(plan, t, x)
-        got = action_log_prob(plan, t, x, mean, beta=theta.beta)
+        got = action_log_prob(plan, theta_g(theta, plan, rbar_path)[t], x, mean, beta=theta.beta)
         want = -0.5 * np.log(
             (2.0 * np.pi) ** 3 * np.linalg.det(sigma_tilde(plan, t))
         )
@@ -174,7 +181,8 @@ class TestTrajectoryNLL:
         traj = trajs[0]
         got = trajectory_nll(theta, [traj], rbar_path)
         want = -(
-            action_log_prob(plan, 0, traj.x[0], traj.u[0], theta.beta)
+            action_log_prob(plan, theta_g(theta, plan, rbar_path)[0], traj.x[0], traj.u[0],
+                            theta.beta)
             + transition_log_prob(traj.x[1], traj.x[0], traj.u[0], rbar_path[0], theta.sigma_r)
         )
         assert got == pytest.approx(want, rel=1e-12)

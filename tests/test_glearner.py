@@ -1,14 +1,16 @@
 """Solver tests: terminal step, backward recursion, Gaussian integration,
 Bayesian policy update, limits in the inverse temperature, and rollouts."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from gwealth.errors import InfeasibleError, ParameterError, ShapeError
 from gwealth.glearner import (
+    GaussianPolicy,
     PolicyPrior,
+    SolvedPlan,
     SolverConfig,
     Trajectories,
     _terminal_f,
@@ -39,6 +41,7 @@ from oracles import (
     mc_log_partition,
     pad,
     plan_f,
+    plan_g,
     policy_mean,
     posterior_step,
     quad_fit,
@@ -55,18 +58,38 @@ def build_plan(rng, n=3, t_len=3, **kwargs):
     return plan, params, rbar_path, sigma_r, benchmark, prior, cfg
 
 
-def market_plan(n_risky, n_paths, horizon=30, seed=11):
-    """A plan solved at the reference reward on a simulated market, with the
-    market's return paths."""
+G_NAMES = ("q_xx", "q_ux", "q_uu", "q_x", "q_u", "q_0")
+
+
+def replay_g(plan, params, rbar_path, sigma_r, benchmark):
+    """G at every step of a plan solved under ``params`` on this market."""
+    return plan_g(plan, reward_basis(rbar_path, sigma_r, benchmark).coeffs(params))
+
+
+def g_stacks(g):
+    """{name: G's coefficient stacked over the steps}, like the plan's fields."""
+    return {name: np.stack(c) for name, c in zip(G_NAMES, zip(*g))}
+
+
+MARKET_REWARD = RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15)
+
+
+def market_basis(n_risky, n_paths, horizon=30, seed=11):
+    """The reward basis of a simulated market, with the market's return paths."""
     spec = MarketSpec(n_risky=n_risky, horizon=horizon, n_paths=n_paths, seed=seed)
     paths = simulate(spec)
     rbar = np.concatenate(
         [np.full((horizon, 1), spec.r_f * spec.dt), mean_expected_returns(paths)], axis=1)
-    plan = solve_plan(
-        RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15), rbar,
-        residual_covariance(paths), exponential_benchmark(1000.0, 0.5, horizon, spec.dt),
-        default_prior(n_risky + 1, 10.0), SolverConfig(),
-    )
+    return reward_basis(rbar, residual_covariance(paths),
+                        exponential_benchmark(1000.0, 0.5, horizon, spec.dt)), paths
+
+
+def market_plan(n_risky, n_paths, horizon=30, seed=11):
+    """A plan solved at ``MARKET_REWARD`` on a simulated market, with the
+    market's return paths."""
+    basis, paths = market_basis(n_risky, n_paths, horizon, seed)
+    plan = backward_pass(basis.coeffs(MARKET_REWARD), default_prior(n_risky + 1, 10.0),
+                         SolverConfig(), basis.rbar)
     return plan, paths
 
 
@@ -142,7 +165,7 @@ class TestBackwardPass:
         params, rbar_path, sigma_r, benchmark, prior, cfg = random_problem(rng, n=3, t_len=1)
         rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 0)
         plan = backward_pass(lambda t: rc, prior, cfg, rbar_path)
-        plan_fxx, plan_fx, plan_f0 = _terminal_f(coeffs_of(plan, 0))
+        plan_fxx, plan_fx, plan_f0 = _terminal_f(plan_g(plan, lambda t: rc)[0])
 
         # published closed form: sigma_tilde = sigma_hat + omega / lam
         lam = params.lam
@@ -169,7 +192,8 @@ class TestBackwardPass:
     def test_terminal_value_is_plugged_in_argmax(self, rng):
         plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(rng, n=3, t_len=2)
         rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 1)
-        f_last = _terminal_f(coeffs_of(plan, 1))  # the recursion's F at T-1
+        # the recursion's F at T-1
+        f_last = _terminal_f(replay_g(plan, params, rbar_path, sigma_r, benchmark)[1])
         for _ in range(5):
             x = rng.normal(0.0, 30.0, size=3)
             u_star = terminal_action(rc, x)
@@ -245,7 +269,7 @@ class TestBackwardPass:
 
     def test_asymmetric_reward_solves_as_its_symmetric_part(self, rng):
         # x' r_xx x and u' r_uu u see only the symmetric parts, and so must the
-        # plan: the same arrays, with symmetric q_xx, q_uu and sigma_bar
+        # solve: the same plan and G, with symmetric q_xx, q_uu and sigma_bar
         plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(rng, n=4, t_len=4)
         coeffs = reward_basis(rbar_path, sigma_r, benchmark).coeffs(params)
         skews = [a - a.T for a in rng.normal(size=(2, 4, 4))]
@@ -256,13 +280,19 @@ class TestBackwardPass:
                            r_uu=rc.r_uu + np.abs(rc.r_uu).max() * skews[1])
 
         got = backward_pass(skewed, prior, cfg, plan.rbar)
+        arrays = {name: (getattr(got, name), getattr(plan, name))
+                  for name in ("sigma_bar", "u_tilde", "v_tilde", "chol_tilde", "logdet_tilde")}
+        g_got, g_want = g_stacks(plan_g(got, skewed)), g_stacks(plan_g(plan, coeffs))
+        arrays.update({name: (g_got[name], g_want[name]) for name in G_NAMES})
         for name in ("q_xx", "q_uu", "sigma_bar"):
-            m = getattr(got, name)
+            m = arrays[name][0]
             assert np.array_equal(m, np.swapaxes(m, -1, -2)), name
-        for name in ("sigma_bar", "u_tilde", "v_tilde", "chol_tilde", "logdet_tilde", "q_xx",
-                     "q_ux", "q_uu", "q_x", "q_u", "q_0"):
-            want = getattr(plan, name)
-            assert np.max(np.abs(getattr(got, name) - want)) <= 1e-12 * np.max(np.abs(want)), name
+        for name, (m, want) in arrays.items():
+            assert np.max(np.abs(m - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    def test_plan_adds_only_the_precision_to_the_policy(self):
+        assert ([f.name for f in fields(SolvedPlan)]
+                == [f.name for f in fields(GaussianPolicy)] + ["sigma_bar"])
 
 
 class TestTangentPass:
@@ -270,7 +300,6 @@ class TestTangentPass:
         # the forward-mode oracle of the exact gradient: a prior with non-zero
         # u_bar and v_bar, every step's G coefficients
         names = ("lam", "eta", "rho", "omega")
-        fields = ("q_xx", "q_ux", "q_uu", "q_x", "q_u", "q_0")
         for beta in (0.5, 5.0):
             plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(
                 rng, n=3, t_len=4, beta=beta)
@@ -278,13 +307,14 @@ class TestTangentPass:
             assert len(steps) == plan.horizon
             for i, name in enumerate(names):
                 h = 1e-6 * float(getattr(params, name))
-                up, down = (
-                    solve_plan(replace(params, **{name: float(getattr(params, name)) + d}),
-                               rbar_path, sigma_r, benchmark, prior, cfg)
-                    for d in (h, -h)
-                )
-                for k, field in enumerate(fields):
-                    want = (getattr(up, field) - getattr(down, field)) / (2.0 * h)
+                shifted = []
+                for d in (h, -h):
+                    p = replace(params, **{name: float(getattr(params, name)) + d})
+                    plan_d = solve_plan(p, rbar_path, sigma_r, benchmark, prior, cfg)
+                    shifted.append(g_stacks(replay_g(plan_d, p, rbar_path, sigma_r, benchmark)))
+                up, down = shifted
+                for k, field in enumerate(G_NAMES):
+                    want = (up[field] - down[field]) / (2.0 * h)
                     got = np.stack([steps[t][k][i] for t in range(plan.horizon)])
                     scale = np.max(np.abs(want), axis=tuple(range(1, want.ndim)))
                     err = np.abs(got - want).reshape(plan.horizon, -1).max(axis=1)
@@ -354,10 +384,13 @@ class TestFreeEnergy:
             )
             x = rng.normal(0.0, 5.0, size=2)
 
-            def g_batch(u_draws, plan=plan, x=x):
-                lin = u_draws @ (plan.q_ux[0] @ x + plan.q_u[0])
-                quad = np.einsum("si,ij,sj->s", u_draws, plan.q_uu[0], u_draws)
-                return float(x @ plan.q_xx[0] @ x + x @ plan.q_x[0] + plan.q_0[0]) + lin + quad
+            g = replay_g(plan, params, rbar_path, sigma_r, benchmark)
+
+            def g_batch(u_draws, q=g[0], x=x):
+                q_xx, q_ux, q_uu, q_x, q_u, q_0 = q
+                lin = u_draws @ (q_ux @ x + q_u)
+                quad = np.einsum("si,ij,sj->s", u_draws, q_uu, u_draws)
+                return float(x @ q_xx @ x + x @ q_x + q_0) + lin + quad
 
             mean0 = prior.u_bar + prior.v_bar @ x
             # keep the importance sampler healthy so 3 sigma means 3 sigma
@@ -368,7 +401,7 @@ class TestFreeEnergy:
                 g_batch, plan.beta, mean0, prior.sigma_p,
                 n_draws=1_000_000, rng=rng,
             )
-            assert abs(quad_value(plan_f(plan, 0), x) - est) < 3.0 * se
+            assert abs(quad_value(plan_f(plan, g, 0), x) - est) < 3.0 * se
 
     def test_large_beta_terminal_equals_max_reward(self, rng):
         params, rbar_path, sigma_r, benchmark, prior, _ = random_problem(rng, n=2, t_len=2)
@@ -377,7 +410,8 @@ class TestFreeEnergy:
         rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 1)
         x = rng.normal(0.0, 20.0, size=2)
         # the soft log-partition of G at T-1, which tends to the hard max
-        val = quad_value(posterior_step(*coeffs_of(plan, 1), prior, cfg.beta)[-1], x)
+        g = replay_g(plan, params, rbar_path, sigma_r, benchmark)
+        val = quad_value(posterior_step(*g[1], prior, cfg.beta)[-1], x)
         best = quad_value(coeffs_of(rc), x, terminal_action(rc, x))
         assert val == pytest.approx(best, rel=1e-3)
 
@@ -390,8 +424,8 @@ class TestGValue:
         rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 0)
         x = rng.normal(0.0, 20.0, size=3)
         u = rng.normal(0.0, 5.0, size=3)
-        assert quad_value(coeffs_of(plan, 0), x, u) == pytest.approx(
-            quad_value(coeffs_of(rc), x, u), rel=1e-9)
+        g = replay_g(plan, params, rbar_path, sigma_r, benchmark)
+        assert quad_value(g[0], x, u) == pytest.approx(quad_value(coeffs_of(rc), x, u), rel=1e-9)
 
     def test_bellman_identity_closed_form(self, rng):
         for _ in range(10):
@@ -403,10 +437,11 @@ class TestGValue:
             x = rng.normal(0.0, 20.0, size=2)
             u = rng.normal(0.0, 5.0, size=2)
             rc = period_coeffs(params, rbar_path, sigma_r, benchmark, t)
-            # F_{t+1} from the plan's G_{t+1}: soft before T-1, the hard max at T-1
-            ev = expected_next_value(plan_f(plan, t + 1), 1.0 + rbar_path[t], sig_pad, x + u)
+            g = replay_g(plan, params, rbar_path, sigma_r, benchmark)
+            # F_{t+1} from G_{t+1}: soft before T-1, the hard max at T-1
+            ev = expected_next_value(plan_f(plan, g, t + 1), 1.0 + rbar_path[t], sig_pad, x + u)
             want = quad_value(coeffs_of(rc), x, u) + cfg.gamma * ev
-            got = quad_value(coeffs_of(plan, t), x, u)
+            got = quad_value(g[t], x, u)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
     def test_bellman_identity_monte_carlo(self, rng):
@@ -414,7 +449,8 @@ class TestGValue:
         x = rng.normal(0.0, 10.0, size=2)
         u = rng.normal(0.0, 3.0, size=2)
         rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 0)
-        f_xx, f_x, f_0 = plan_f(plan, 1)
+        g = replay_g(plan, params, rbar_path, sigma_r, benchmark)
+        f_xx, f_x, f_0 = plan_f(plan, g, 1)
         z = x + u
         n_draws = 100_000
         eps = rng.multivariate_normal(np.zeros(1), sigma_r.sigma_r, size=n_draws)
@@ -424,7 +460,7 @@ class TestGValue:
         vals = np.einsum("si,ij,sj->s", x_next, f_xx, x_next) + x_next @ f_x + f_0
         est = quad_value(coeffs_of(rc), x, u) + cfg.gamma * vals.mean()
         se = cfg.gamma * vals.std(ddof=1) / np.sqrt(n_draws)
-        assert abs(quad_value(coeffs_of(plan, 0), x, u) - est) < 3.0 * se
+        assert abs(quad_value(g[0], x, u) - est) < 3.0 * se
 
 
 class TestPosterior:
@@ -439,10 +475,11 @@ class TestPosterior:
             x = rng.normal(0.0, 10.0, size=2)
             mean0 = prior.u_bar + prior.v_bar @ x
             p0_inv = np.linalg.inv(prior.sigma_p)
+            q = replay_g(plan, params, rbar_path, sigma_r, benchmark)[t]
 
             def log_joint(u):
                 lp0 = -0.5 * (u - mean0) @ p0_inv @ (u - mean0)
-                return lp0 + cfg.beta * quad_value(coeffs_of(plan, t), x, u)
+                return lp0 + cfg.beta * quad_value(q, x, u)
 
             c_mat, b_vec, _ = quad_fit(log_joint, 2)
             cov = np.linalg.inv(-2.0 * c_mat)
@@ -479,23 +516,29 @@ class TestPosterior:
 
     def test_every_row_matches_the_solve_based_step(self, rng):
         # each policy row of the plan against one solve against sigma_bar, from
-        # the plan's own G coefficients: random instances with a non-zero prior
+        # the solve's own G coefficients: random instances with a non-zero prior
         # mean and gain, and the seed-1 market at N=100, T=30
-        plans = [build_plan(rng, n=int(rng.integers(2, 7)), t_len=int(rng.integers(1, 6)),
-                            beta=float(10.0 ** rng.uniform(-0.5, 3.0)))[0] for _ in range(12)]
-        plans.append(market_plan(99, 200, seed=1)[0])
-        for plan in plans:
+        cases = []
+        for _ in range(12):
+            plan, params, rbar_path, sigma_r, benchmark, *_ = build_plan(
+                rng, n=int(rng.integers(2, 7)), t_len=int(rng.integers(1, 6)),
+                beta=float(10.0 ** rng.uniform(-0.5, 3.0)))
+            cases.append((plan, replay_g(plan, params, rbar_path, sigma_r, benchmark)))
+        plan, basis = market_plan(99, 200, seed=1)[0], market_basis(99, 200, seed=1)[0]
+        cases.append((plan, plan_g(plan, basis.coeffs(MARKET_REWARD))))
+        for plan, steps in cases:
             for t in range(plan.horizon):
-                *want, _ = posterior_step(*coeffs_of(plan, t), plan.prior, plan.beta)
+                *want, _ = posterior_step(*steps[t], plan.prior, plan.beta)
                 got = (plan.sigma_bar[t], plan.u_tilde[t], plan.v_tilde[t],
                        plan.chol_tilde[t], plan.logdet_tilde[t])
                 for g, w in zip(got, want):
                     assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
     def test_stored_matrices_symmetric(self, rng):
-        plan, *_ = build_plan(rng, n=3, t_len=3)
+        plan, params, rbar_path, sigma_r, benchmark, *_ = build_plan(rng, n=3, t_len=3)
+        g = replay_g(plan, params, rbar_path, sigma_r, benchmark)
         for t in range(3):
-            for m in (plan.q_xx[t], plan.q_uu[t], sigma_tilde(plan, t)):
+            for m in (g[t][0], g[t][2], sigma_tilde(plan, t)):
                 assert np.abs(m - m.T).max() < 1e-12
 
 
