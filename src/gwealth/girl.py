@@ -30,7 +30,6 @@ from .errors import (
     ShapeError,
 )
 from .glearner import (
-    GaussianPolicy,
     PolicyPrior,
     SolvedPlan,
     SolverConfig,
@@ -299,11 +298,13 @@ def nll_from_stats(theta: GirlParams, stats: _DataStats, rbar_path: np.ndarray) 
 def _nll_on_plan(plan: SolvedPlan, stats: _DataStats) -> float:
     """Per step, the posterior precision P (symmetric) against the summed
     outer products of the residuals u - u_tilde - v x, with d their mean:
-    <P, cuu> - 2 <P v, cux> + <v' P v, cxx> + m d' P d, two matrix products."""
+    <P, cuu> - 2 <P v, cux> + <v' P v, cxx> + m d' P d, two matrix products.
+    log|sigma_tilde| comes from the diagonals of the plan's Cholesky factors."""
     if plan.horizon != stats.horizon or plan.n_assets != stats.n_assets:
         raise ShapeError("data statistics do not match the solved plan")
     m = stats.count
     n = stats.n_assets
+    logdet = 2.0 * np.log(np.diagonal(plan.chol_tilde, axis1=1, axis2=2)).sum(axis=1)
     total = 0.0
     for t in range(stats.horizon):
         v_t, prec = plan.v_tilde[t], plan.sigma_bar[t]
@@ -311,7 +312,7 @@ def _nll_on_plan(plan: SolvedPlan, stats: _DataStats) -> float:
         d = stats.u_mean[t] - plan.u_tilde[t] - v_t @ stats.x_mean[t]
         quad = (np.vdot(prec, stats.cuu[t]) - 2.0 * np.vdot(w, stats.cux[t])
                 + np.vdot(v_t.T @ w, stats.cxx[t]) + m * float(d @ prec @ d))
-        total += -0.5 * (quad + m * (n * LOG_2PI + plan.logdet_tilde[t]))
+        total += -0.5 * (quad + m * (n * LOG_2PI + logdet[t]))
     return -(total + stats.transition_const)
 
 
@@ -319,7 +320,7 @@ def _nll_on_plan(plan: SolvedPlan, stats: _DataStats) -> float:
 # score and optimizer
 # ---------------------------------------------------------------------------
 
-def _plan_score(theta: GirlParams, basis: RewardBasis, plan: GaussianPolicy,
+def _plan_score(theta: GirlParams, basis: RewardBasis, plan: SolvedPlan,
                 stats: _DataStats) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient of the negative log-likelihood and its Fisher
     information in the ``pack_reward`` coordinates at ``theta``, contracted
@@ -355,7 +356,10 @@ def _plan_score(theta: GirlParams, basis: RewardBasis, plan: GaussianPolicy,
     # chain rule from (lam, eta, rho, omega) to the coordinates of pack_reward
     scale = np.array([r.lam, r.eta, r.rho * (1.0 - r.rho), float(r.omega)])
     grad *= plan.beta * scale
-    info *= plan.beta**2 * np.outer(scale, scale)
+    try:  # a Python float ** raises past the float range instead of giving inf
+        info *= plan.beta**2 * np.outer(scale, scale)
+    except OverflowError as exc:
+        raise GradientError(f"beta={plan.beta:g} squared is outside the float range") from exc
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(info))):
         raise GradientError("non-finite likelihood gradient or information")
     return grad, 0.5 * (info + info.T)

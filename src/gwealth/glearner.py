@@ -99,33 +99,32 @@ class PolicyPrior:
 
 def default_prior(n_assets: int, sigma_p_scale: float = 10.0) -> PolicyPrior:
     """Zero-mean, state-independent prior with sigma_p_scale^2 * I covariance."""
+    try:  # a Python float ** raises past the float range instead of giving inf
+        variance = sigma_p_scale**2
+    except OverflowError as exc:
+        raise ParameterError(
+            f"sigma_p_scale={sigma_p_scale:g} squared is outside the float range") from exc
     return PolicyPrior(
         u_bar=np.zeros(n_assets),
         v_bar=np.zeros((n_assets, n_assets)),
-        sigma_p=sigma_p_scale**2 * np.eye(n_assets),
+        sigma_p=variance * np.eye(n_assets),
     )
 
 
 @dataclass(frozen=True)
 class GaussianPolicy:
     """Per-step posterior policy u ~ N(u_tilde[t] + v_tilde[t] x, sigma_tilde_t),
-    sigma_tilde_t = chol_tilde[t] chol_tilde[t]^T, with the constant prior it
-    was updated from and the parameters and expected returns it was solved
-    under.
+    sigma_tilde_t = chol_tilde[t] chol_tilde[t]^T, with the expected returns
+    it was solved under: the sampler a rollout reads and ``plan.npz`` stores.
 
     Per-step results are stacked along the first axis: (T, N, N) for
-    matrices, (T, N) for vectors and (T,) for scalars.  This is what a
-    rollout reads and what ``plan.npz`` stores.
+    matrices and (T, N) for vectors.
     """
 
-    beta: float
-    gamma: float
     rbar: np.ndarray          # (T, N) expected per-period returns, entry 0 = bond rate
-    prior: PolicyPrior
     u_tilde: np.ndarray       # (T, N)
     v_tilde: np.ndarray       # (T, N, N)
     chol_tilde: np.ndarray    # (T, N, N) lower Cholesky factors of sigma_tilde
-    logdet_tilde: np.ndarray  # (T,) log|sigma_tilde_t|
 
     @property
     def horizon(self) -> int:
@@ -138,10 +137,13 @@ class GaussianPolicy:
 
 @dataclass(frozen=True)
 class SolvedPlan(GaussianPolicy):
-    """The policy plus its posterior precision sigma_bar = sigma_p^{-1} -
-    2 beta q_uu (which the likelihood reads), stacked like the policy's
-    fields.  G and F are locals of the backward recursion, not stored."""
+    """The policy plus what the likelihood fit reads of its solve: the
+    inverse temperature beta and discount gamma it was solved under, and the
+    posterior precision sigma_bar = sigma_p^{-1} - 2 beta q_uu, stacked like
+    the policy's fields.  G, F and the prior are not stored."""
 
+    beta: float
+    gamma: float
     sigma_bar: np.ndarray  # (T, N, N)
 
 
@@ -227,18 +229,18 @@ def _terminal_f(q) -> tuple[np.ndarray, np.ndarray, float]:
     return 0.5 * (f_xx + f_xx.T), f_x, float(f_0)
 
 
-def _bayes_and_f(q, prior: PolicyPrior, beta: float, t: int, out) -> tuple[float, tuple]:
+def _bayes_and_f(q, prior: PolicyPrior, beta: float, t: int,
+                 out) -> tuple[np.ndarray, np.ndarray, float]:
     """Closed-form Bayesian update of the prior and Gaussian integral at step t.
 
     The posterior precision is sigma_bar = sigma_p^{-1} - 2 beta q_uu; its
     one inverse, symmetrized, is the posterior covariance sigma_tilde, whose
     products with v_rhs and u_rhs are the posterior gain and offset.  F is the
     log-partition of pi0 * exp(beta * G).  The Cholesky factor of sigma_tilde
-    feeds both the sampler and log|sigma_tilde| = -log|sigma_bar|.
+    feeds both the sampler and F's log|sigma_tilde| = -log|sigma_bar|.
 
     ``q`` is G's (q_xx, q_ux, q_uu, q_x, q_u, q_0); sigma_bar, u_tilde,
-    v_tilde and chol_tilde go into ``out``.  Returns log|sigma_tilde| and
-    F's (f_xx, f_x, f_0).
+    v_tilde and chol_tilde go into ``out``.  Returns F's (f_xx, f_x, f_0).
     """
     q_xx, q_ux, q_uu, q_x, q_u, q_0 = q
     sigma_bar, u_til, v_til, chol_tilde = out
@@ -259,7 +261,7 @@ def _bayes_and_f(q, prior: PolicyPrior, beta: float, t: int, out) -> tuple[float
     f_0 = q_0 + (0.5 / beta) * (
         float(u_rhs @ u_til) - float(prior.u_bar @ prior.pull_u)
     ) - (0.5 / beta) * (prior.logdet_sigma_p - logdet)
-    return logdet, (0.5 * (f_xx + f_xx.T), f_x, float(f_0))
+    return 0.5 * (f_xx + f_xx.T), f_x, float(f_0)
 
 
 def _step_q(r: RewardCoeffs, f_next, a_t: np.ndarray, gamma: float):
@@ -299,7 +301,7 @@ def backward_pass(
         raise ShapeError("prior dimension does not match the return path")
 
     sigma_bar, v_tilde, chol_tilde = (np.empty((t_len, n, n)) for _ in range(3))
-    u_tilde, logdet_tilde = np.empty((t_len, n)), np.empty(t_len)
+    u_tilde = np.empty((t_len, n))
     f_next = (np.zeros((n, n)), np.zeros(n), 0.0)  # F is zero past the horizon
 
     for t in range(t_len - 1, -1, -1):
@@ -307,20 +309,17 @@ def backward_pass(
         if r.n_assets != n:
             raise ShapeError(f"reward coefficients of step t={t} are not {n} x {n}")
         q = _step_q(r, f_next, 1.0 + rbar[t], cfg.gamma)
-        logdet_tilde[t], f_next = _bayes_and_f(
+        f_next = _bayes_and_f(
             q, prior, cfg.beta, t, out=(sigma_bar[t], u_tilde[t], v_tilde[t], chol_tilde[t]))
         if t == t_len - 1:  # the recursion takes the hard max, the policy the soft F
             f_next = _terminal_f(q)
 
-    return SolvedPlan(
-        beta=cfg.beta, gamma=cfg.gamma, rbar=rbar, prior=prior,
-        u_tilde=u_tilde, v_tilde=v_tilde, chol_tilde=chol_tilde, logdet_tilde=logdet_tilde,
-        sigma_bar=sigma_bar,
-    )
+    return SolvedPlan(rbar=rbar, u_tilde=u_tilde, v_tilde=v_tilde, chol_tilde=chol_tilde,
+                      beta=cfg.beta, gamma=cfg.gamma, sigma_bar=sigma_bar)
 
 
 def tangent_pass(
-    plan: GaussianPolicy,
+    plan: SolvedPlan,
     reward: Callable[[int], RewardCoeffs],
     tangents: Callable[[int], RewardCoeffs],
     contract: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None],

@@ -28,6 +28,8 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .market import ReturnCovariance
 
+_SQRT_MAX = float(np.sqrt(np.finfo(float).max))  # the largest float whose square is finite
+
 
 @dataclass(frozen=True)
 class RewardParams:
@@ -81,7 +83,8 @@ class RewardParams:
 
 @dataclass(frozen=True)
 class BenchmarkPath:
-    """Portfolio-independent benchmark values B_t, t = 0..T-1, in dollars."""
+    """Portfolio-independent benchmark values B_t, t = 0..T-1, in dollars:
+    positive, and finite with a finite square (the reward's B_t^2 term)."""
 
     b: np.ndarray
 
@@ -91,6 +94,9 @@ class BenchmarkPath:
             raise ShapeError("benchmark path must be a 1-D array")
         if not (b > 0.0).all():
             raise ParameterError("benchmark values must be positive")
+        if not (b <= _SQRT_MAX).all():
+            raise ParameterError(f"benchmark values must be finite with a finite square, "
+                                 f"got a largest value of {b.max():g}")
         object.__setattr__(self, "b", b)
 
     @property
@@ -101,7 +107,8 @@ class BenchmarkPath:
 def exponential_benchmark(initial: float, rate: float, horizon: int, dt: float) -> BenchmarkPath:
     """Benchmark compounded continuously: B_t = initial * exp(rate * t * dt)."""
     t = np.arange(horizon)
-    return BenchmarkPath(b=initial * np.exp(rate * t * dt))
+    with np.errstate(over="ignore"):  # an inf value is rejected by BenchmarkPath
+        return BenchmarkPath(b=initial * np.exp(rate * t * dt))
 
 
 @dataclass(frozen=True)

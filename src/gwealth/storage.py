@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
-from .glearner import GaussianPolicy, PolicyPrior, Trajectories, cash_installment
+from .errors import ShapeError
+from .glearner import GaussianPolicy, Trajectories, cash_installment
 
 
 def _write_long(path: Path, header: str, rows, first: int = 0) -> None:
@@ -152,31 +152,21 @@ def write_slices_csv(path: Path, slices: dict[str, tuple[np.ndarray, np.ndarray]
 # solved plans
 # ---------------------------------------------------------------------------
 
-# plan.npz members with their axes: T periods, N assets (the bond first)
-_PLAN_MEMBERS = {
-    "beta": "", "gamma": "", "rbar": "TN",
-    "prior_u_bar": "N", "prior_v_bar": "NN", "prior_sigma_p": "NN",
-    "u_tilde": "TN", "v_tilde": "TNN", "chol_tilde": "TNN", "logdet_tilde": "T",
-}
+# plan.npz members, the fields of a GaussianPolicy, with their axes: T periods,
+# N assets (the bond first)
+_PLAN_MEMBERS = {"rbar": "TN", "u_tilde": "TN", "v_tilde": "TNN", "chol_tilde": "TNN"}
 
 
 def write_plan_npz(path: Path, policy: GaussianPolicy) -> None:
-    """The policy's fields, the prior's with a ``prior_`` prefix; of a
-    SolvedPlan only its policy is stored."""
-    prior = policy.prior
-    np.savez_compressed(
-        path, beta=np.array(policy.beta), gamma=np.array(policy.gamma), rbar=policy.rbar,
-        prior_u_bar=prior.u_bar, prior_v_bar=prior.v_bar, prior_sigma_p=prior.sigma_p,
-        u_tilde=policy.u_tilde, v_tilde=policy.v_tilde, chol_tilde=policy.chol_tilde,
-        logdet_tilde=policy.logdet_tilde,
-    )
+    """The policy's fields, one member each; of a SolvedPlan only its policy
+    is stored."""
+    np.savez_compressed(path, **{name: getattr(policy, name) for name in _PLAN_MEMBERS})
 
 
 def read_plan_npz(path: Path) -> GaussianPolicy:
     """The policy ``write_plan_npz`` stored; a missing or misshapen member, one
     that is not all finite floats, or a ``chol_tilde`` that is not a stack of
-    lower Cholesky factors is a ShapeError naming it, and a prior covariance
-    that is not symmetric positive definite a ParameterError naming it."""
+    lower Cholesky factors is a ShapeError naming it."""
     try:
         with np.load(path) as npz:
             # each NpzFile lookup decompresses the whole member: load every one once
@@ -199,14 +189,4 @@ def read_plan_npz(path: Path) -> GaussianPolicy:
     if np.triu(chol, 1).any() or not (np.diagonal(chol, axis1=1, axis2=2) > 0.0).all():
         raise ShapeError(f"'{path}': member 'chol_tilde' is not a stack of lower Cholesky "
                          "factors (zero above a positive diagonal)")
-    try:
-        prior = PolicyPrior(
-            u_bar=data["prior_u_bar"], v_bar=data["prior_v_bar"], sigma_p=data["prior_sigma_p"],
-        )
-    except ParameterError as exc:
-        raise ParameterError(f"'{path}': member 'prior_sigma_p': {exc}") from exc
-    return GaussianPolicy(
-        beta=float(data["beta"]), gamma=float(data["gamma"]), rbar=data["rbar"], prior=prior,
-        u_tilde=data["u_tilde"], v_tilde=data["v_tilde"], chol_tilde=data["chol_tilde"],
-        logdet_tilde=data["logdet_tilde"],
-    )
+    return GaussianPolicy(**{name: data[name] for name in _PLAN_MEMBERS})

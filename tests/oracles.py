@@ -6,11 +6,11 @@ maximization) and deliberately shares no code path with the package
 internals it checks.  The rest are the direct, per-path and per-step forms of
 computations the package batches or pools (the trajectory likelihood, the
 rollout, the equal-weight baseline, the shortfall); they call only the
-package's single-step building blocks.  The plan stores neither G nor F:
-``plan_g`` replays the backward recursion's G from the package's own step
-functions on the reward the plan was solved on, bit for bit, and F is
-recomputed from that G (``plan_f``).  The quadratic forms of a reward and of
-G are evaluated here (``quad_value``).  The exact likelihood
+package's single-step building blocks.  The plan stores neither G nor F nor
+its prior: ``plan_g`` replays the backward recursion's G from the package's
+own step functions on the prior and reward the plan was solved from, bit for
+bit, and F is recomputed from that G (``plan_f``).  The quadratic forms of a
+reward and of G are evaluated here (``quad_value``).  The exact likelihood
 gradient has two oracles: central finite differences of the package's own
 likelihood, and the derivative's reverse (adjoint) mode, one backward sweep
 of a scalar function's adjoints pulled back through the reward's weights,
@@ -53,9 +53,10 @@ def coeffs_of(rc):
     return rc.r_xx, rc.r_ux, rc.r_uu, rc.r_x, rc.r_u, rc.r_0
 
 
-def plan_g(plan, reward):
+def plan_g(plan, prior, reward):
     """G's six coefficients (q_xx, q_ux, q_uu, q_x, q_u, q_0) at every step of
-    a plan solved on ``reward`` (as ``backward_pass`` takes it), a list over t.
+    a plan solved from ``prior`` on ``reward`` (as ``backward_pass`` takes
+    them), a list over t.
 
     The backward recursion is replayed from T-1 down to 0 with the package's
     own steps: ``_step_q`` forms G_t from F_{t+1}, and F_t is ``_bayes_and_f``'s
@@ -69,7 +70,7 @@ def plan_g(plan, reward):
     for t in range(t_len - 1, -1, -1):
         q = steps[t] = _step_q(reward(t), f_next, 1.0 + plan.rbar[t], plan.gamma)
         f_next = (_terminal_f(q) if t == t_len - 1
-                  else _bayes_and_f(q, plan.prior, plan.beta, t, scratch)[1])
+                  else _bayes_and_f(q, prior, plan.beta, t, scratch))
     return steps
 
 
@@ -91,13 +92,13 @@ def argmax_policy(q):
     return sol[:, :-1], sol[:, -1]
 
 
-def plan_f(plan, g, t):
-    """F_t's (f_xx, f_x, f_0) from G at step t of the plan (``g`` as
-    ``plan_g`` gives it): the soft log-partition of ``posterior_step`` before
-    T-1, and G at its argmax (the hard max) at T-1."""
+def plan_f(plan, prior, g, t):
+    """F_t's (f_xx, f_x, f_0) from G at step t of the plan solved from
+    ``prior`` (``g`` as ``plan_g`` gives it): the soft log-partition of
+    ``posterior_step`` before T-1, and G at its argmax (the hard max) at T-1."""
     q = g[t]
     if t < plan.horizon - 1:
-        return posterior_step(*q, plan.prior, plan.beta)[-1]
+        return posterior_step(*q, prior, plan.beta)[-1]
     return expected_g(q, *argmax_policy(q))
 
 
@@ -314,14 +315,14 @@ def sigma_tilde(policy, t):
     return policy.chol_tilde[t] @ policy.chol_tilde[t].T
 
 
-def action_log_prob(plan, q, x, u, beta):
-    """Log probability of an action at the step of the plan where G has the
-    coefficients ``q``: log pi0(u|x) + beta * (G(x,u) - F(x)).
+def action_log_prob(plan, prior, q, x, u, beta):
+    """Log probability of an action at the step of the plan solved from
+    ``prior`` where G has the coefficients ``q``: log pi0(u|x) + beta *
+    (G(x,u) - F(x)).
 
     F here is the soft log-partition of that G, which makes this exactly the
     log-density of the posterior Gaussian policy.
     """
-    prior = plan.prior
     x = np.asarray(x, float)
     u = np.asarray(u, float)
     n = u.shape[0]
@@ -343,13 +344,14 @@ def trajectory_nll(theta, trajs, rbar_path):
     if len(trajs) == 0:
         return 0.0
     reward = reward_basis(rbar_path, theta.sigma_r, theta.benchmark).coeffs(theta.reward)
-    plan = backward_pass(reward, theta.prior(), theta.solver_config(), rbar_path)
-    g = plan_g(plan, reward)
+    prior = theta.prior()
+    plan = backward_pass(reward, prior, theta.solver_config(), rbar_path)
+    g = plan_g(plan, prior, reward)
     total = 0.0
     for traj in trajs:
         assert traj.u.shape[0] == plan.horizon
         for t in range(plan.horizon):
-            total += action_log_prob(plan, g[t], traj.x[t], traj.u[t], theta.beta)
+            total += action_log_prob(plan, prior, g[t], traj.x[t], traj.u[t], theta.beta)
             total += transition_log_prob(
                 traj.x[t + 1], traj.x[t], traj.u[t], rbar_path[t], theta.sigma_r
             )
@@ -443,7 +445,11 @@ def tangent_pass(plan, basis, params):
         dr = reward_tangents(basis, params, t)
         dq = (dr.r_xx, dr.r_ux, dr.r_uu, dr.r_x, dr.r_u, dr.r_0)
         if t == t_last:
-            df = expected_g(dq, *argmax_policy(plan_g(plan, basis.coeffs(params))[t_last]))
+            # G at T-1, as plan_g replays it: the reward plus a zero F
+            n = plan.n_assets
+            g_last = _step_q(basis.coeffs(params)(t_last), (np.zeros((n, n)), np.zeros(n), 0.0),
+                             1.0 + plan.rbar[t_last], plan.gamma)
+            df = expected_g(dq, *argmax_policy(g_last))
         else:
             df_xx, df_x, df_0 = df
             growth = plan.gamma * df_xx * dr.sigma_hat

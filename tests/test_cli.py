@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 
 import gwealth
-from gwealth import cli
+from gwealth import cli, storage
 from gwealth.cli import main
 from gwealth.config import config_from_dict, load_config
 from gwealth.errors import ConfigError, ShapeError
 from gwealth.girl import FitConfig
-from gwealth.glearner import GaussianPolicy, Trajectories, Trajectory, rollout, solve_plan
-from gwealth.market import ReturnCovariance
+from gwealth.glearner import (
+    GaussianPolicy, Trajectories, Trajectory, backward_pass, rollout, solve_plan,
+)
+from gwealth.rewards import reward_basis
 from gwealth.storage import (
     read_matrix_csv,
     read_returns_csv,
@@ -214,10 +216,8 @@ class TestStorageRoundTrip:
                                    for f in dataclasses.fields(GaussianPolicy)})
         assert_same_arrays(back, policy, "plan")
         with np.load(path) as npz:
-            assert sorted(npz.files) == sorted([
-                "beta", "gamma", "rbar", "prior_u_bar", "prior_v_bar", "prior_sigma_p",
-                "u_tilde", "v_tilde", "chol_tilde", "logdet_tilde",
-            ])
+            assert sorted(npz.files) == sorted(["rbar", "u_tilde", "v_tilde", "chol_tilde"])
+        assert list(storage._PLAN_MEMBERS) == [f.name for f in dataclasses.fields(GaussianPolicy)]
 
     @pytest.mark.parametrize("n_risky", [2, 19])
     def test_rollout_of_stored_plan_is_bit_identical(self, tmp_path, n_risky):
@@ -526,12 +526,9 @@ class TestCliStages:
          "chol_tilde"),
         ("rollout", "plan.npz", edit_plan(lambda m: m["chol_tilde"][2].__imul__(-1.0)),
          "chol_tilde"),
-        ("rollout", "plan.npz", edit_plan(lambda m: m.update(prior_sigma_p=-m["prior_sigma_p"])),
-         "prior_sigma_p"),
     ], ids=["plan_without_u_tilde", "plan_not_a_zip", "sigma_r_not_numeric",
             "plan_member_shape", "sigma_r_two_columns", "plan_member_nan",
-            "plan_chol_upper_triangular", "plan_chol_negative_diagonal",
-            "plan_prior_not_positive_definite"])
+            "plan_chol_upper_triangular", "plan_chol_negative_diagonal"])
     def test_malformed_artifact_is_a_clean_error(self, tmp_path, capsys,
                                                  command, name, corrupt, needle):
         cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
@@ -602,16 +599,47 @@ class TestCliStages:
         assert "covers 3 risky assets" in err and f"market.n_risky = {n_risky}" in err
 
     def test_likelihood_prior_is_the_solve_prior(self, tmp_path):
+        # the plan file of `gwealth solve` is, bit for bit, the plan solved from
+        # the likelihood's prior under the configured solver
         cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
         for cmd in ("simulate", "solve"):
             assert main([cmd, "--config", str(cfg_path)]) == 0, cmd
         cfg = load_config(cfg_path)
-        solved = read_plan_npz(cfg.outdir / "plan.npz").prior
-        sigma = ReturnCovariance(sigma_r=read_matrix_csv(cfg.outdir / "sigma_r.csv"))
-        fitted = cli._girl_params(cfg, sigma, cfg.reward.params(), 4).prior()
-        for name in ("u_bar", "v_bar", "sigma_p", "sigma_p_inv"):
-            assert np.array_equal(getattr(fitted, name), getattr(solved, name)), name
-        assert fitted.logdet_sigma_p == solved.logdet_sigma_p
+        sigma, rbar = cli._market_inputs(cli._Run(cfg))  # read back from the files
+        theta = cli._girl_params(cfg, sigma, cfg.reward.params(), 4)
+        basis = reward_basis(rbar, sigma, theta.benchmark)
+        want = backward_pass(basis.coeffs(cfg.reward.params()), theta.prior(), cfg.solver,
+                             basis.rbar)
+        with np.load(cfg.outdir / "plan.npz") as npz:
+            assert sorted(npz.files) == sorted(storage._PLAN_MEMBERS)
+            for name in npz.files:
+                assert np.array_equal(npz[name], getattr(want, name)), name
+
+    @pytest.mark.parametrize("section, key, value, command, needle", [
+        ("reward", "benchmark_rate", 1e4, "solve", "benchmark"),
+        ("reward", "initial_wealth", 1e200, "solve", "benchmark"),
+        ("solver", "sigma_p_scale", 1e200, "solve", "sigma_p_scale"),
+        ("solver", "beta", 1e300, "fit", "beta"),
+    ], ids=["benchmark_not_finite", "benchmark_square_overflows", "prior_variance_overflows",
+            "beta_square_overflows"])
+    def test_overflowing_value_is_a_clean_error(self, tmp_path, capsys, section, key, value,
+                                                command, needle):
+        # a value whose arithmetic leaves the float range fails its stage with a
+        # typed error and writes nothing (a RuntimeWarning fails the test)
+        data = tiny_config(tmp_path / "out")
+        data["market"].update({"n_risky": 2, "horizon": 8})
+        data[section][key] = value
+        cfg_path = write_config(tmp_path, data)
+        stages = ["simulate", "solve", "rollout", "fit"]
+        for cmd in stages[:stages.index(command)]:
+            assert main([cmd, "--config", str(cfg_path)]) == 0, cmd
+        before = sorted(p.name for p in (tmp_path / "out").iterdir())
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gwealth: error:")
+        assert "Traceback" not in err and needle in err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == before  # no plan file
 
     def test_header_only_csv_is_a_clean_error(self, tmp_path):
         # a child process: stderr as a user sees it, without pytest's warning capture

@@ -77,7 +77,7 @@ def make_setup(rng, n=3, t_len=3, n_paths=40, beta=50.0, gamma=0.95, lam=None,
 
 def theta_g(theta, plan, rbar_path):
     """G at every step of the plan solved under ``theta`` (``plan_g``)."""
-    return plan_g(plan, reward_basis(rbar_path, theta.sigma_r, theta.benchmark)
+    return plan_g(plan, theta.prior(), reward_basis(rbar_path, theta.sigma_r, theta.benchmark)
                   .coeffs(theta.reward))
 
 
@@ -144,7 +144,8 @@ class TestActionLogProb:
         theta, plan, trajs, rbar_path = make_setup(rng, beta=1e-12)
         x = trajs[0].x[0]
         u = trajs[0].u[0]
-        got = action_log_prob(plan, theta_g(theta, plan, rbar_path)[0], x, u, beta=1e-12)
+        got = action_log_prob(plan, theta.prior(), theta_g(theta, plan, rbar_path)[0], x, u,
+                              beta=1e-12)
         want = mvn_logpdf(u, theta.u_bar, theta.sigma_p)
         assert got == pytest.approx(want, abs=1e-8)
 
@@ -155,7 +156,7 @@ class TestActionLogProb:
             t = int(rng.integers(0, plan.horizon))
             x = rng.normal(20.0, 10.0, size=3)
             u = rng.normal(0.0, 2.0, size=3)
-            got = action_log_prob(plan, g[t], x, u, beta=theta.beta)
+            got = action_log_prob(plan, theta.prior(), g[t], x, u, beta=theta.beta)
             want = mvn_logpdf(u, policy_mean(plan, t, x), sigma_tilde(plan, t))
             assert got == pytest.approx(want, abs=1e-8)
 
@@ -164,7 +165,8 @@ class TestActionLogProb:
         t = 1
         x = rng.normal(20.0, 5.0, size=3)
         mean = policy_mean(plan, t, x)
-        got = action_log_prob(plan, theta_g(theta, plan, rbar_path)[t], x, mean, beta=theta.beta)
+        got = action_log_prob(plan, theta.prior(), theta_g(theta, plan, rbar_path)[t], x, mean,
+                              beta=theta.beta)
         want = -0.5 * np.log(
             (2.0 * np.pi) ** 3 * np.linalg.det(sigma_tilde(plan, t))
         )
@@ -181,8 +183,8 @@ class TestTrajectoryNLL:
         traj = trajs[0]
         got = trajectory_nll(theta, [traj], rbar_path)
         want = -(
-            action_log_prob(plan, theta_g(theta, plan, rbar_path)[0], traj.x[0], traj.u[0],
-                            theta.beta)
+            action_log_prob(plan, theta.prior(), theta_g(theta, plan, rbar_path)[0],
+                            traj.x[0], traj.u[0], theta.beta)
             + transition_log_prob(traj.x[1], traj.x[0], traj.u[0], rbar_path[0], theta.sigma_r)
         )
         assert got == pytest.approx(want, rel=1e-12)

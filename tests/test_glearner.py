@@ -61,9 +61,16 @@ def build_plan(rng, n=3, t_len=3, **kwargs):
 G_NAMES = ("q_xx", "q_ux", "q_uu", "q_x", "q_u", "q_0")
 
 
-def replay_g(plan, params, rbar_path, sigma_r, benchmark):
-    """G at every step of a plan solved under ``params`` on this market."""
-    return plan_g(plan, reward_basis(rbar_path, sigma_r, benchmark).coeffs(params))
+def replay_g(plan, prior, params, rbar_path, sigma_r, benchmark):
+    """G at every step of a plan solved from ``prior`` under ``params`` on
+    this market."""
+    return plan_g(plan, prior, reward_basis(rbar_path, sigma_r, benchmark).coeffs(params))
+
+
+def chol_logdet(plan, t):
+    """log|sigma_tilde_t| from the diagonal of the plan's Cholesky factor, as
+    the likelihood forms it."""
+    return 2.0 * np.log(np.diagonal(plan.chol_tilde[t])).sum()
 
 
 def g_stacks(g):
@@ -165,7 +172,7 @@ class TestBackwardPass:
         params, rbar_path, sigma_r, benchmark, prior, cfg = random_problem(rng, n=3, t_len=1)
         rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 0)
         plan = backward_pass(lambda t: rc, prior, cfg, rbar_path)
-        plan_fxx, plan_fx, plan_f0 = _terminal_f(plan_g(plan, lambda t: rc)[0])
+        plan_fxx, plan_fx, plan_f0 = _terminal_f(plan_g(plan, prior, lambda t: rc)[0])
 
         # published closed form: sigma_tilde = sigma_hat + omega / lam
         lam = params.lam
@@ -193,7 +200,7 @@ class TestBackwardPass:
         plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(rng, n=3, t_len=2)
         rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 1)
         # the recursion's F at T-1
-        f_last = _terminal_f(replay_g(plan, params, rbar_path, sigma_r, benchmark)[1])
+        f_last = _terminal_f(replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)[1])
         for _ in range(5):
             x = rng.normal(0.0, 30.0, size=3)
             u_star = terminal_action(rc, x)
@@ -281,8 +288,8 @@ class TestBackwardPass:
 
         got = backward_pass(skewed, prior, cfg, plan.rbar)
         arrays = {name: (getattr(got, name), getattr(plan, name))
-                  for name in ("sigma_bar", "u_tilde", "v_tilde", "chol_tilde", "logdet_tilde")}
-        g_got, g_want = g_stacks(plan_g(got, skewed)), g_stacks(plan_g(plan, coeffs))
+                  for name in ("sigma_bar", "u_tilde", "v_tilde", "chol_tilde")}
+        g_got, g_want = g_stacks(plan_g(got, prior, skewed)), g_stacks(plan_g(plan, prior, coeffs))
         arrays.update({name: (g_got[name], g_want[name]) for name in G_NAMES})
         for name in ("q_xx", "q_uu", "sigma_bar"):
             m = arrays[name][0]
@@ -291,8 +298,10 @@ class TestBackwardPass:
             assert np.max(np.abs(m - want)) <= 1e-12 * np.max(np.abs(want)), name
 
     def test_plan_adds_only_the_precision_to_the_policy(self):
+        assert [f.name for f in fields(GaussianPolicy)] == [
+            "rbar", "u_tilde", "v_tilde", "chol_tilde"]
         assert ([f.name for f in fields(SolvedPlan)]
-                == [f.name for f in fields(GaussianPolicy)] + ["sigma_bar"])
+                == [f.name for f in fields(GaussianPolicy)] + ["beta", "gamma", "sigma_bar"])
 
 
 class TestTangentPass:
@@ -311,7 +320,8 @@ class TestTangentPass:
                 for d in (h, -h):
                     p = replace(params, **{name: float(getattr(params, name)) + d})
                     plan_d = solve_plan(p, rbar_path, sigma_r, benchmark, prior, cfg)
-                    shifted.append(g_stacks(replay_g(plan_d, p, rbar_path, sigma_r, benchmark)))
+                    shifted.append(g_stacks(
+                        replay_g(plan_d, prior, p, rbar_path, sigma_r, benchmark)))
                 up, down = shifted
                 for k, field in enumerate(G_NAMES):
                     want = (up[field] - down[field]) / (2.0 * h)
@@ -384,7 +394,7 @@ class TestFreeEnergy:
             )
             x = rng.normal(0.0, 5.0, size=2)
 
-            g = replay_g(plan, params, rbar_path, sigma_r, benchmark)
+            g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)
 
             def g_batch(u_draws, q=g[0], x=x):
                 q_xx, q_ux, q_uu, q_x, q_u, q_0 = q
@@ -401,7 +411,7 @@ class TestFreeEnergy:
                 g_batch, plan.beta, mean0, prior.sigma_p,
                 n_draws=1_000_000, rng=rng,
             )
-            assert abs(quad_value(plan_f(plan, g, 0), x) - est) < 3.0 * se
+            assert abs(quad_value(plan_f(plan, prior, g, 0), x) - est) < 3.0 * se
 
     def test_large_beta_terminal_equals_max_reward(self, rng):
         params, rbar_path, sigma_r, benchmark, prior, _ = random_problem(rng, n=2, t_len=2)
@@ -410,7 +420,7 @@ class TestFreeEnergy:
         rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 1)
         x = rng.normal(0.0, 20.0, size=2)
         # the soft log-partition of G at T-1, which tends to the hard max
-        g = replay_g(plan, params, rbar_path, sigma_r, benchmark)
+        g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)
         val = quad_value(posterior_step(*g[1], prior, cfg.beta)[-1], x)
         best = quad_value(coeffs_of(rc), x, terminal_action(rc, x))
         assert val == pytest.approx(best, rel=1e-3)
@@ -424,7 +434,7 @@ class TestGValue:
         rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 0)
         x = rng.normal(0.0, 20.0, size=3)
         u = rng.normal(0.0, 5.0, size=3)
-        g = replay_g(plan, params, rbar_path, sigma_r, benchmark)
+        g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)
         assert quad_value(g[0], x, u) == pytest.approx(quad_value(coeffs_of(rc), x, u), rel=1e-9)
 
     def test_bellman_identity_closed_form(self, rng):
@@ -437,9 +447,10 @@ class TestGValue:
             x = rng.normal(0.0, 20.0, size=2)
             u = rng.normal(0.0, 5.0, size=2)
             rc = period_coeffs(params, rbar_path, sigma_r, benchmark, t)
-            g = replay_g(plan, params, rbar_path, sigma_r, benchmark)
+            g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)
             # F_{t+1} from G_{t+1}: soft before T-1, the hard max at T-1
-            ev = expected_next_value(plan_f(plan, g, t + 1), 1.0 + rbar_path[t], sig_pad, x + u)
+            ev = expected_next_value(plan_f(plan, prior, g, t + 1), 1.0 + rbar_path[t], sig_pad,
+                                     x + u)
             want = quad_value(coeffs_of(rc), x, u) + cfg.gamma * ev
             got = quad_value(g[t], x, u)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
@@ -449,8 +460,8 @@ class TestGValue:
         x = rng.normal(0.0, 10.0, size=2)
         u = rng.normal(0.0, 3.0, size=2)
         rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 0)
-        g = replay_g(plan, params, rbar_path, sigma_r, benchmark)
-        f_xx, f_x, f_0 = plan_f(plan, g, 1)
+        g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)
+        f_xx, f_x, f_0 = plan_f(plan, prior, g, 1)
         z = x + u
         n_draws = 100_000
         eps = rng.multivariate_normal(np.zeros(1), sigma_r.sigma_r, size=n_draws)
@@ -475,7 +486,7 @@ class TestPosterior:
             x = rng.normal(0.0, 10.0, size=2)
             mean0 = prior.u_bar + prior.v_bar @ x
             p0_inv = np.linalg.inv(prior.sigma_p)
-            q = replay_g(plan, params, rbar_path, sigma_r, benchmark)[t]
+            q = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)[t]
 
             def log_joint(u):
                 lp0 = -0.5 * (u - mean0) @ p0_inv @ (u - mean0)
@@ -512,7 +523,7 @@ class TestPosterior:
                 assert np.allclose(plan.sigma_bar[t] @ sig, np.eye(4), rtol=0.0, atol=1e-10)
                 sign, logdet = np.linalg.slogdet(sig)
                 assert sign == 1.0
-                assert plan.logdet_tilde[t] == pytest.approx(logdet, rel=1e-12, abs=1e-12)
+                assert chol_logdet(plan, t) == pytest.approx(logdet, rel=1e-12, abs=1e-12)
 
     def test_every_row_matches_the_solve_based_step(self, rng):
         # each policy row of the plan against one solve against sigma_bar, from
@@ -520,23 +531,25 @@ class TestPosterior:
         # mean and gain, and the seed-1 market at N=100, T=30
         cases = []
         for _ in range(12):
-            plan, params, rbar_path, sigma_r, benchmark, *_ = build_plan(
+            plan, params, rbar_path, sigma_r, benchmark, prior, _ = build_plan(
                 rng, n=int(rng.integers(2, 7)), t_len=int(rng.integers(1, 6)),
                 beta=float(10.0 ** rng.uniform(-0.5, 3.0)))
-            cases.append((plan, replay_g(plan, params, rbar_path, sigma_r, benchmark)))
+            cases.append((plan, prior,
+                          replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)))
         plan, basis = market_plan(99, 200, seed=1)[0], market_basis(99, 200, seed=1)[0]
-        cases.append((plan, plan_g(plan, basis.coeffs(MARKET_REWARD))))
-        for plan, steps in cases:
+        prior = default_prior(100, 10.0)  # market_plan's
+        cases.append((plan, prior, plan_g(plan, prior, basis.coeffs(MARKET_REWARD))))
+        for plan, prior, steps in cases:
             for t in range(plan.horizon):
-                *want, _ = posterior_step(*steps[t], plan.prior, plan.beta)
+                *want, _ = posterior_step(*steps[t], prior, plan.beta)
                 got = (plan.sigma_bar[t], plan.u_tilde[t], plan.v_tilde[t],
-                       plan.chol_tilde[t], plan.logdet_tilde[t])
+                       plan.chol_tilde[t], chol_logdet(plan, t))
                 for g, w in zip(got, want):
                     assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
     def test_stored_matrices_symmetric(self, rng):
-        plan, params, rbar_path, sigma_r, benchmark, *_ = build_plan(rng, n=3, t_len=3)
-        g = replay_g(plan, params, rbar_path, sigma_r, benchmark)
+        plan, params, rbar_path, sigma_r, benchmark, prior, _ = build_plan(rng, n=3, t_len=3)
+        g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)
         for t in range(3):
             for m in (g[t][0], g[t][2], sigma_tilde(plan, t)):
                 assert np.abs(m - m.T).max() < 1e-12
@@ -548,7 +561,6 @@ class TestSampleAction:
         plan_tiny = replace(
             plan,
             chol_tilde=np.tile(1e-10 * np.eye(2), (2, 1, 1)),
-            logdet_tilde=np.full(2, 2 * np.log(1e-20)),
         )
         x = rng.normal(size=2)
         u = first_trades(plan_tiny, x, 1, seed=0)[0]
@@ -582,7 +594,6 @@ class TestRollout:
             u_tilde=np.zeros((t_len, n)),
             v_tilde=np.zeros((t_len, n, n)),
             chol_tilde=np.tile(1e-15 * np.eye(n), (t_len, 1, 1)),
-            logdet_tilde=np.full(t_len, n * np.log(1e-30)),
         )
 
     def test_zero_policy_zero_returns_static(self, rng):

@@ -284,6 +284,14 @@ class TestTypes:
         with pytest.raises(ParameterError):
             BenchmarkPath(b=np.array([100.0, -1.0]))
 
+    def test_benchmark_square_must_be_finite(self):
+        # the largest float whose square is finite passes, the next one up does not
+        edge = np.sqrt(np.finfo(float).max)
+        assert np.isfinite(BenchmarkPath(b=np.array([edge])).b[0] ** 2)
+        for value in (np.nextafter(edge, np.inf), np.inf):
+            with pytest.raises(ParameterError, match="benchmark"):
+                BenchmarkPath(b=np.array([100.0, value]))
+
     def test_exponential_benchmark_values(self):
         bench = exponential_benchmark(1000.0, 0.5, 4, 0.25)
         assert bench.b[0] == 1000.0
