@@ -384,6 +384,7 @@ def fit(
     by DAMPING_DOWN.  Stops ``converged`` when the Newton decrement
     g'I^{-1}g / 2 is below ``stop_tol`` nats, after ``max_iters`` accepted
     steps (``budget``), or after DAMPING_TRIALS rejections in a row (``damping``).
+    A decrement past the float range raises ``GradientError`` naming the iteration.
     """
     cfg = cfg if cfg is not None else FitConfig()
     cfg.validate()
@@ -406,14 +407,18 @@ def fit(
     if not np.isfinite(loss):
         raise GradientError("non-finite objective at the starting parameters")
     loss_path, mu, stop_reason = [loss], DAMPING_START, "budget"
-    for _ in range(cfg.max_iters):
-        grad, info = _plan_score(theta, basis, plan, stats)
+    for iteration in range(1, cfg.max_iters + 1):
+        grad, info = _plan_score(theta, basis, plan, stats)  # both finite, or it raises
         plan = None  # one plan in memory at a time: the next is a trial's
         try:  # through a Cholesky factor: an I that is not positive definite never converges
             z = np.linalg.solve(np.linalg.cholesky(info), grad)
-            decrement = 0.5 * float(z @ z)
         except np.linalg.LinAlgError:
             decrement = math.inf
+        else:
+            with np.errstate(over="ignore"):
+                decrement = 0.5 * float(z @ z)
+            if not math.isfinite(decrement):  # of a finite gradient and information
+                raise GradientError(f"the Newton decrement overflows at iteration {iteration}")
         if decrement < cfg.stop_tol:
             stop_reason = "converged"
             break

@@ -400,10 +400,10 @@ def rollout(
 
     Trades are sampled from the per-step posterior, the cash installment is
     the sum of trades, and positions compound at the realized returns (the
-    bond at its expected, deterministic rate).  Each path consumes its own
-    spawned RNG stream, drawn as one (T, N) block (the same numbers as T
-    sequential draws of N), so a path's trajectory does not depend on the
-    other paths, up to the last bits of the batched matrix products.
+    bond at its expected, deterministic rate).  The noise is one path-major
+    (M, T, N) draw from ``rng``, so the first M' paths of an M-path rollout
+    equal an M'-path rollout from the same generator, up to the last bits of
+    the batched matrix products.
 
     All paths advance together: one batched affine step per period, written
     into the (M, T+1, N) positions and (M, T, N) trades of the returned batch.
@@ -420,10 +420,7 @@ def rollout(
     m = paths.n_paths
     x = np.empty((m, t_len + 1, n))
     u = np.empty((m, t_len, n))
-    # the noise goes straight into u (each period overwrites it with the trade), drawn from
-    # the streams of rng.spawn(m) one at a time, as M live generators hold 1.4 KB of heap each
-    for p in range(m):
-        rng.spawn(1)[0].standard_normal(out=u[p])
+    rng.standard_normal(out=u)  # the noise; each period overwrites it with the trade
     x[:, 0] = x0
     for t in range(t_len):
         u[:, t] = (policy.u_tilde[t] + x[:, t] @ policy.v_tilde[t].T

@@ -5,18 +5,19 @@ reward, Gaussian moments, black-box quadratic fitting, brute-force
 maximization) and deliberately shares no code path with the package
 internals it checks.  The rest are the direct, per-path and per-step forms of
 computations the package batches or pools (the trajectory likelihood, the
-rollout, the equal-weight baseline, the shortfall); they call only the
-package's single-step building blocks.  The plan stores neither G nor F nor
-its prior: ``plan_g`` replays the backward recursion's G from the package's
-own step functions on the prior and reward the plan was solved from, bit for
-bit, and F is recomputed from that G (``plan_f``).  The quadratic forms of a
-reward and of G are evaluated here (``quad_value``).  The exact likelihood
-gradient has two oracles: central finite differences of the package's own
-likelihood, and the derivative's reverse (adjoint) mode, one backward sweep
-of a scalar function's adjoints pulled back through the reward's weights,
-where the package pushes the reward's derivatives in each parameter through
-the recursion (forward mode).  A per-step forward mode that holds every
-step's tangents and shares no code with the package's is kept as well.
+market simulation, the rollout, the equal-weight baseline, the shortfall);
+they call only the package's single-step building blocks.  The plan stores
+neither G nor F nor its prior: ``plan_g`` replays the backward recursion's G
+from the package's own step functions on the prior and reward the plan was
+solved from, bit for bit, and F is recomputed from that G (``plan_f``).  The
+quadratic forms of a reward and of G are evaluated here (``quad_value``).
+The exact likelihood gradient has two oracles: central finite differences of
+the package's own likelihood, and the derivative's reverse (adjoint) mode,
+one backward sweep of a scalar function's adjoints pulled back through the
+reward's weights, where the package pushes the reward's derivatives in each
+parameter through the recursion (forward mode).  A per-step forward mode
+that holds every step's tangents and shares no code with the package's is
+kept as well.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from gwealth.glearner import (
     Trajectory, _bayes_and_f, _step_q, _terminal_f, _terminal_solve, backward_pass,
     cash_installment,
 )
+from gwealth.market import ReturnPaths
 from gwealth.rewards import RewardCoeffs, _assemble, _reward_weights, reward_basis
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -572,18 +574,54 @@ def adjoint_gradient(theta, basis, plan, stats):
 # per-path Monte-Carlo loops (the package advances all paths at once)
 # ---------------------------------------------------------------------------
 
+def simulate_loop(spec):
+    """The market simulation one path at a time, with the per-path formulas:
+    path p takes the next T market normals of Philox key (seed, 1) and the
+    next (T, n) idiosyncratic normals of key (seed, 2), in path order; the
+    per-asset alpha and beta come from key (seed, 0)."""
+    def stream(panel):
+        key = np.array([spec.seed, panel], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    n, t_len, m = spec.n_risky, spec.horizon, spec.n_paths
+    assets, market_noise, idio_noise = stream(0), stream(1), stream(2)
+    alpha = assets.uniform(spec.alpha_range[0], spec.alpha_range[1], size=n) * spec.dt
+    beta = assets.uniform(spec.beta_range[0], spec.beta_range[1], size=n)
+    mu_dt = spec.mu_m * spec.dt
+    vol_dt = spec.sigma_m * np.sqrt(spec.dt)
+    idio_scale = spec.sigma_i * np.sqrt(1.0 - beta**2) * np.sqrt(spec.dt)
+    c = spec.oracle_c
+    expected, realized = np.empty((m, t_len, n)), np.empty((m, t_len, n))
+    market = np.empty((m, t_len))
+    for p in range(m):
+        z_m = market_noise.standard_normal(t_len)
+        z_i = idio_noise.standard_normal((t_len, n))
+        for t in range(t_len):
+            if spec.exact_gbm:
+                drift = (spec.mu_m - 0.5 * spec.sigma_m**2) * spec.dt
+                r_m = math.exp(drift + vol_dt * z_m[t]) - 1.0
+            else:
+                r_m = mu_dt + vol_dt * z_m[t]
+            rbar = alpha + beta * ((1.0 - c) * mu_dt + c * r_m)
+            market[p, t] = r_m
+            expected[p, t] = rbar
+            realized[p, t] = rbar + beta * (r_m - mu_dt) + idio_scale * z_i[t]
+    return ReturnPaths(expected=expected, realized=realized, market=market,
+                       alpha=alpha, beta=beta)
+
+
 def rollout_loop(plan, paths, x0, rng):
     """Policy rollout one path and one period at a time, each path drawing
-    its trades from its own spawned stream."""
+    its (T, N) block of trade noise from ``rng`` in path order."""
     t_len, n = plan.horizon, plan.n_assets
     out = []
-    for p, stream in enumerate(rng.spawn(paths.n_paths)):
+    for p in range(paths.n_paths):
+        z = rng.standard_normal((t_len, n))
         x = np.empty((t_len + 1, n))
         u = np.empty((t_len, n))
         x[0] = x0
         for t in range(t_len):
-            z = stream.standard_normal(n)
-            u[t] = policy_mean(plan, t, x[t]) + plan.chol_tilde[t] @ z
+            u[t] = policy_mean(plan, t, x[t]) + plan.chol_tilde[t] @ z[t]
             gross = np.concatenate([[1.0 + plan.rbar[t, 0]], 1.0 + paths.realized[p, t]])
             x[t + 1] = gross * (x[t] + u[t])
         cash = np.array([cash_installment(u[t]) for t in range(t_len)])

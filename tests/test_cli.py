@@ -620,8 +620,9 @@ class TestCliStages:
         ("reward", "initial_wealth", 1e200, "solve", "benchmark"),
         ("solver", "sigma_p_scale", 1e200, "solve", "sigma_p_scale"),
         ("solver", "beta", 1e300, "fit", "beta"),
+        ("reward", "initial_wealth", 1e150, "fit", "Newton decrement overflows at iteration 1"),
     ], ids=["benchmark_not_finite", "benchmark_square_overflows", "prior_variance_overflows",
-            "beta_square_overflows"])
+            "beta_square_overflows", "newton_decrement_overflows"])
     def test_overflowing_value_is_a_clean_error(self, tmp_path, capsys, section, key, value,
                                                 command, needle):
         # a value whose arithmetic leaves the float range fails its stage with a

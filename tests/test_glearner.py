@@ -672,6 +672,26 @@ class TestRollout:
         for field in ("x", "u", "cash"):
             assert len({id(getattr(t, field).base) for t in got}) == 1
 
+    def test_one_draw_from_the_callers_generator(self):
+        # the noise is one block from the generator given, not a stream per path
+        class NoSpawn:
+            def __init__(self, rng):
+                self.rng, self.draws = rng, []
+
+            def spawn(self, n_children):
+                raise AssertionError("rollout spawned a generator")
+
+            def standard_normal(self, *args, **kwargs):
+                self.draws.append(kwargs["out"].shape)
+                return self.rng.standard_normal(*args, **kwargs)
+
+        plan, paths = market_plan(3, n_paths=40)
+        rng = NoSpawn(np.random.default_rng(5))
+        got = rollout(plan, paths, np.full(4, 250.0), rng)
+        assert rng.draws == [(40, plan.horizon, 4)]
+        want = rollout(plan, paths, np.full(4, 250.0), np.random.default_rng(5))
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.x, want.x)
+
     def test_path_independent_of_other_paths(self):
         plan, paths = market_plan(9, n_paths=40)
         few = ReturnPaths(expected=paths.expected[:5], realized=paths.realized[:5],

@@ -12,6 +12,8 @@ from gwealth.market import (
     simulate,
 )
 
+from oracles import simulate_loop
+
 
 def reference_spec(**overrides):
     base = dict(
@@ -116,6 +118,38 @@ class TestSimulate:
         spec = reference_spec(n_paths=5, horizon=4, exact_gbm=True)
         paths = simulate(spec)
         assert (paths.market > -1.0).all()
+
+    @pytest.mark.parametrize("exact_gbm", [False, True])
+    def test_matches_per_path_loop(self, exact_gbm):
+        spec = reference_spec(n_risky=7, n_paths=30, horizon=6, exact_gbm=exact_gbm)
+        got, want = simulate(spec), simulate_loop(spec)
+        assert np.array_equal(got.alpha, want.alpha) and np.array_equal(got.beta, want.beta)
+        for name in ("expected", "realized", "market"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max(), name
+
+    @pytest.mark.parametrize("exact_gbm", [False, True])
+    def test_first_paths_equal_a_shorter_run(self, exact_gbm):
+        # path p's numbers are the p-th block of each panel's stream
+        many = simulate(reference_spec(n_risky=6, n_paths=57, horizon=5, exact_gbm=exact_gbm))
+        few = simulate(reference_spec(n_risky=6, n_paths=9, horizon=5, exact_gbm=exact_gbm))
+        for name in ("expected", "realized", "market"):
+            assert np.array_equal(getattr(many, name)[:9], getattr(few, name)), name
+
+    @pytest.mark.parametrize("n_paths", [5, 500])
+    def test_one_stream_per_panel(self, monkeypatch, n_paths):
+        # the asset draws, the market noise and the idiosyncratic noise: three
+        # counter-based streams whatever the number of paths
+        keys = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            keys.append(tuple(kwargs["key"].tolist()))
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        simulate(reference_spec(n_risky=4, n_paths=n_paths, horizon=3))
+        assert keys == [(11, 0), (11, 1), (11, 2)]
 
     def test_mean_expected_returns_shape(self):
         spec = reference_spec(n_paths=13, horizon=4, n_risky=6)

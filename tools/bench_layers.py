@@ -19,10 +19,22 @@ Times, at N=100 and N=20 assets and T=30 periods:
 
 The market is the one the benchmark's ``fit`` workload builds for seed 1,
 with 200 rollout paths for the data moments; the reward is the benchmark's
-true one.  PARENT_SRC and CHANGE_SRC are directories holding a ``gwealth``
-package; both are imported into the same process under their own names, and
-each of the 25 repeats times every layer once per tree, alternating which
-tree goes first, so that a drift of the machine's speed touches both trees
+true one.
+
+At the shape of the benchmark's ``montecarlo`` workload (20,000 paths, N=10
+assets, T=30, the plan solved on a 4,000-path calibration market of the same
+seed) it also times that workload's operation layer by layer: ``simulate``,
+``rollout`` (from a fresh rollout generator each call),
+``equal_weight_baseline`` and ``performance_summary`` (of the plan's
+trajectories, with the shortfall term).  Each tree simulates from its own
+spec and rolls out its own plan, but the rollout, the baseline and the
+summary of both trees read one market and one set of trajectories, the
+change's, since these panels take about 0.2 GB.
+
+PARENT_SRC and CHANGE_SRC are directories holding a ``gwealth`` package;
+both are imported into the same process under their own names, and each of
+the 25 repeats times every layer once per tree, alternating which tree goes
+first, so that a drift of the machine's speed touches both trees
 and all layers alike.  A layer's figure is the median over the repeats, with
 the quartiles.  A layer whose function one tree lacks is timed for the other
 tree alone and recorded as ``null`` (absent) for it.
@@ -41,6 +53,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy is imported, as perfbench/run.py does
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -59,6 +72,8 @@ HORIZON = 30
 N_PATHS = 200
 REPEATS = 25
 SEED = 1
+MC_ASSETS, MC_PATHS, MC_CALIB_PATHS = 10, 20_000, 4_000  # the montecarlo workload's shape
+TRUTH = dict(lam=0.001, eta=1.01, rho=0.4, omega=0.15)
 
 
 def _cpu_model() -> str:
@@ -105,7 +120,7 @@ def _layers(alias: str, n_assets: int, workdir: Path) -> dict:
     girl, glearner, market, rewards, storage = (
         importlib.import_module(f"{alias}.{name}")
         for name in ("girl", "glearner", "market", "rewards", "storage"))
-    truth = rewards.RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15)
+    truth = rewards.RewardParams(**TRUTH)
     spec = market.MarketSpec(n_risky=n_assets - 1, horizon=HORIZON, n_paths=N_PATHS, seed=SEED)
     paths = market.simulate(spec)
     sigma = market.residual_covariance(paths)
@@ -116,8 +131,7 @@ def _layers(alias: str, n_assets: int, workdir: Path) -> dict:
     cfg = glearner.SolverConfig()
     basis = rewards.reward_basis(rbar, sigma, bench)
     plan = glearner.backward_pass(basis.coeffs(truth), prior, cfg, basis.rbar)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=SEED, spawn_key=(1,)))
-    trajs = glearner.rollout(plan, paths, np.full(n_assets, 1000.0 / n_assets), rng)
+    trajs = glearner.rollout(plan, paths, np.full(n_assets, 1000.0 / n_assets), _rollout_rng())
     stats = girl.prepare_stats(trajs, rbar, sigma)
     theta = girl.GirlParams(reward=truth, sigma_r=sigma, sigma_p=prior.sigma_p,
                             u_bar=np.zeros(n_assets), beta=cfg.beta, gamma=cfg.gamma,
@@ -149,6 +163,70 @@ def _layers(alias: str, n_assets: int, workdir: Path) -> dict:
             if name not in needs or hasattr(*needs[name])}
 
 
+def _rollout_rng() -> np.random.Generator:
+    # the stream the benchmark's workloads and `gwealth repro` roll out from
+    return np.random.default_rng(np.random.SeedSequence(entropy=SEED, spawn_key=(1,)))
+
+
+def _montecarlo_plan(alias: str):
+    """The montecarlo workload's spec, x0, benchmark and plan, solved by one tree."""
+    glearner, market, rewards = (importlib.import_module(f"{alias}.{name}")
+                                 for name in ("glearner", "market", "rewards"))
+    spec = market.MarketSpec(n_risky=MC_ASSETS - 1, horizon=HORIZON, n_paths=MC_PATHS,
+                             seed=SEED)
+    calib = market.simulate(dataclasses.replace(spec, n_paths=MC_CALIB_PATHS))
+    rbar = np.concatenate([np.full((spec.horizon, 1), spec.r_f * spec.dt),
+                           market.mean_expected_returns(calib)], axis=1)
+    bench = rewards.exponential_benchmark(1000.0, 0.5, spec.horizon, spec.dt)
+    plan = glearner.solve_plan(rewards.RewardParams(**TRUTH), rbar,
+                               market.residual_covariance(calib), bench,
+                               glearner.default_prior(MC_ASSETS, 10.0), glearner.SolverConfig())
+    return spec, np.full(MC_ASSETS, 1000.0 / MC_ASSETS), bench, plan
+
+
+def _montecarlo_layers(alias: str, inputs, paths, trajs) -> dict:
+    """The timed steps of the montecarlo operation in one tree, the rollout,
+    baseline and summary on the shared ``paths`` and ``trajs``."""
+    glearner, market, metrics, rewards = (
+        importlib.import_module(f"{alias}.{name}")
+        for name in ("glearner", "market", "metrics", "rewards"))
+    spec, x0, bench, plan = inputs
+    truth = rewards.RewardParams(**TRUTH)
+    return {
+        "simulate": lambda: market.simulate(spec),
+        "rollout": lambda: glearner.rollout(plan, paths, x0, _rollout_rng()),
+        "equal_weight_baseline": lambda: metrics.equal_weight_baseline(paths, x0, spec.r_f,
+                                                                       spec.dt),
+        "performance_summary": lambda: metrics.performance_summary(
+            trajs, spec.r_f, spec.dt, params=truth, benchmark=bench),
+    }
+
+
+def _time(layers: dict) -> dict:
+    """{layer: {tree: quartiles (ms) or None}} over REPEATS alternating rounds
+    of ``layers`` = {tree: {layer: callable}}, after one warm-up call each."""
+    for fns in layers.values():  # warm-up: caches and lazy set-up
+        for fn in fns.values():
+            fn()
+    labels = list(layers)
+    names = list(dict.fromkeys(name for fns in layers.values() for name in fns))
+    times = {name: {label: [] for label in labels if name in layers[label]} for name in names}
+    for rep in range(REPEATS):
+        order = labels if rep % 2 == 0 else labels[::-1]
+        for name in names:
+            for label in order:
+                if name not in layers[label]:
+                    continue
+                start = time.perf_counter()
+                layers[label][name]()
+                times[name][label].append(1e3 * (time.perf_counter() - start))
+    return {name: {label: dict(zip(("q1", "median", "q3"),
+                                   np.percentile(per_label[label], [25, 50, 75])
+                                   .round(4).tolist())) if label in per_label else None
+                   for label in labels}
+            for name, per_label in times.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="the parent's directory holding gwealth")
@@ -164,31 +242,19 @@ def main(argv=None) -> int:
               "sources": list(sources), "sizes": {}}
     with tempfile.TemporaryDirectory(prefix="bench_layers-") as workdir:
         for n_assets in SIZES:
-            layers = {label: _layers(alias, n_assets, Path(workdir))
-                      for label, alias in aliases.items()}
-            for fns in layers.values():  # warm-up: caches and lazy set-up
-                for fn in fns.values():
-                    fn()
-            labels = list(layers)
-            names = list(dict.fromkeys(name for fns in layers.values() for name in fns))
-            times = {name: {label: [] for label in labels if name in layers[label]}
-                     for name in names}
-            for rep in range(REPEATS):
-                order = labels if rep % 2 == 0 else labels[::-1]
-                for name in names:
-                    for label in order:
-                        if name not in layers[label]:
-                            continue
-                        start = time.perf_counter()
-                        layers[label][name]()
-                        times[name][label].append(1e3 * (time.perf_counter() - start))
-            result["sizes"][f"N={n_assets}"] = {
-                name: {label: dict(zip(("q1", "median", "q3"),
-                                       np.percentile(per_label[label], [25, 50, 75])
-                                       .round(4).tolist())) if label in per_label else None
-                       for label in labels}
-                for name, per_label in times.items()
-            }
+            result["sizes"][f"N={n_assets}"] = _time(
+                {label: _layers(alias, n_assets, Path(workdir))
+                 for label, alias in aliases.items()})
+
+    plans = {label: _montecarlo_plan(alias) for label, alias in aliases.items()}
+    spec, x0, _, plan = plans["change"]
+    market, glearner = (importlib.import_module(f"{aliases['change']}.{name}")
+                        for name in ("market", "glearner"))
+    paths = market.simulate(spec)
+    trajs = glearner.rollout(plan, paths, x0, _rollout_rng())
+    result["sizes"][f"montecarlo N={MC_ASSETS} M={MC_PATHS}"] = _time(
+        {label: _montecarlo_layers(alias, plans[label], paths, trajs)
+         for label, alias in aliases.items()})
 
     record = {"harness": "python3 tools/bench_layers.py PARENT_SRC CHANGE_SRC", **result}
     args.out.write_text(json.dumps(record, indent=2) + "\n")
