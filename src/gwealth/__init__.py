@@ -39,7 +39,6 @@ from .girl import (
     GirlParams,
     fit,
     loss_slices,
-    transition_log_prob,
 )
 from .metrics import (
     PerformanceSummary,
@@ -55,8 +54,7 @@ __all__ = [
     "SolverConfig", "PolicyPrior", "GaussianPolicy", "SolvedPlan", "Trajectory",
     "Trajectories", "backward_pass", "solve_plan", "rollout", "cash_installment",
     "default_prior",
-    "GirlParams", "FitConfig", "FitReport",
-    "transition_log_prob", "fit", "loss_slices",
+    "GirlParams", "FitConfig", "FitReport", "fit", "loss_slices",
     "PerformanceSummary", "equal_weight_baseline", "performance_summary", "sharpe",
 ]
 

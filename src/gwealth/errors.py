@@ -29,10 +29,6 @@ class InfeasibleError(GWealthError, RuntimeError):
     """A matrix that must be positive definite is not (names the step)."""
 
 
-class DegenerateTransitionError(GWealthError, ValueError):
-    """All risky positions are too small to define a transition density."""
-
-
 class UndefinedSharpeError(GWealthError, ValueError):
     """Sharpe ratio is undefined because the return variance is zero."""
 

@@ -1,9 +1,12 @@
 """Maximum-likelihood recovery of reward parameters from trajectories.
 
 Observed state-action histories of a planner with a linear-Gaussian policy
-define a trajectory likelihood: per step, the log-density of the action under
-the posterior policy (written as log pi0 + beta * (G - F), which is the same
-thing) plus the log-density of the state transition.  The reward parameters
+define the likelihood of the actions given the states: per step, the
+log-density of the action under the posterior policy (written as log pi0 +
+beta * (G - F), which is the same thing).  The transition density of the
+positions is left out, since with Sigma_r and the return path fixed it does
+not depend on theta; losses therefore differ from those of earlier versions,
+which carried it, by a theta-free constant.  The reward parameters
 theta = (lam, eta, rho, omega) are recovered by damped Fisher scoring in
 unconstrained coordinates, on the reward's theta-free terms built once per fit
 (``rewards.reward_basis``): every likelihood evaluation solves the plan once,
@@ -22,13 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DegenerateTransitionError,
-    GradientError,
-    InfeasibleError,
-    ParameterError,
-    ShapeError,
-)
+from .errors import GradientError, InfeasibleError, ParameterError, ShapeError
 from .glearner import (
     PolicyPrior,
     SolvedPlan,
@@ -39,8 +36,6 @@ from .glearner import (
 )
 from .market import ReturnCovariance
 from .rewards import BenchmarkPath, RewardBasis, RewardParams, reward_basis
-
-EPS_POSITION = 1e-8  # risky positions below this are excluded from transitions
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -166,38 +161,13 @@ def unpack_reward(vec: np.ndarray) -> RewardParams:
 
 
 # ---------------------------------------------------------------------------
-# likelihood terms
+# fast likelihood evaluation on pooled sufficient statistics
 # ---------------------------------------------------------------------------
 
-def transition_log_prob(
-    x_next: np.ndarray,
-    x: np.ndarray,
-    u: np.ndarray,
-    rbar: np.ndarray,
-    sigma_r: ReturnCovariance,
-) -> float:
-    """Log transition density of the risky positions, constants dropped.
-
-    The residual per risky asset is x'_i / (x_i + u_i) - (1 + rbar_i).  Risky
-    assets whose post-trade position is below EPS_POSITION are excluded, with
-    the log-determinant reduced to the included sub-block.  The bond factor
-    and 2*pi terms carry no parameter information and are omitted.
-    """
-    x_next = np.asarray(x_next, float)
-    x = np.asarray(x, float)
-    u = np.asarray(u, float)
-    base = x[1:] + u[1:]
-    mask = np.abs(base) >= EPS_POSITION
-    if not mask.any():
-        raise DegenerateTransitionError(
-            "no risky position is large enough to define a transition residual"
-        )
-    delta = x_next[1:][mask] / base[mask] - (1.0 + np.asarray(rbar, float)[1:][mask])
-    sub = sigma_r.sigma_r[np.ix_(mask, mask)]
-    chol = np.linalg.cholesky(sub)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    w = np.linalg.solve(chol, delta)
-    return -0.5 * logdet - 0.5 * float(w @ w)
+def _named(reward: RewardParams) -> str:
+    """The reward parameters as an error message names them."""
+    return (f"lam={reward.lam:g}, eta={reward.eta:g}, rho={reward.rho:g}, "
+            f"omega={float(reward.omega):g}")
 
 
 def _solve_for(theta: GirlParams, basis: RewardBasis, prior: PolicyPrior) -> SolvedPlan:
@@ -207,21 +177,14 @@ def _solve_for(theta: GirlParams, basis: RewardBasis, prior: PolicyPrior) -> Sol
         return backward_pass(basis.coeffs(theta.reward), prior, theta.solver_config(),
                              basis.rbar)
     except InfeasibleError as exc:
-        raise InfeasibleError(
-            f"{exc} (under reward parameters lam={theta.reward.lam:g}, "
-            f"eta={theta.reward.eta:g}, rho={theta.reward.rho:g}, "
-            f"omega={float(theta.reward.omega):g})"
-        ) from exc
+        raise InfeasibleError(f"{exc} (under reward parameters {_named(theta.reward)})") from exc
 
-
-# ---------------------------------------------------------------------------
-# fast likelihood evaluation on pooled sufficient statistics
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _DataStats:
     """Per-step pooled moments of the observed states and actions, centred so
-    that the likelihood does not cancel their means, which dwarf the noise."""
+    that the likelihood does not cancel their means, which dwarf the noise.
+    They are all the action likelihood reads of the data."""
 
     cxx: np.ndarray     # (T, N, N) sum of (x - x_mean)(x - x_mean)'
     cux: np.ndarray     # (T, N, N) sum of (u - u_mean)(x - x_mean)'
@@ -231,14 +194,14 @@ class _DataStats:
     count: int
     horizon: int
     n_assets: int
-    transition_const: float  # theta-independent transition log-likelihood
 
 
 def prepare_stats(
     trajs: Trajectories, rbar_path: np.ndarray, sigma_r: ReturnCovariance
 ) -> _DataStats:
-    """Pool the data into per-step moments and the constant transition term,
-    read from the batch's (M, T+1, N) positions and (M, T, N) trades."""
+    """Pool the data into per-step moments, read from the batch's (M, T+1, N)
+    positions and (M, T, N) trades; the terminal positions are not read.
+    ``rbar_path`` and ``sigma_r`` are only checked against the data's shape."""
     x_all, u_all = trajs.x, trajs.u
     m, t_len, n = u_all.shape
     if rbar_path.shape != (t_len, n) or sigma_r.n_risky != n - 1:
@@ -257,35 +220,19 @@ def prepare_stats(
         cxx[t] = x_t.T @ x_t
         cux[t] = u_t.T @ x_t
         cuu[t] = u_t.T @ u_t
-
-    chol = np.linalg.cholesky(sigma_r.sigma_r)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    chol_inv_t = np.linalg.inv(chol).T  # residuals times it are whitened
-    trans = 0.0
-    for t in range(t_len):
-        base = x_all[:, t, 1:] + u_all[:, t, 1:]
-        ok = np.abs(base) >= EPS_POSITION
-        rows = ok.all(axis=1)
-        if rows.any():
-            delta = x_all[rows, t + 1, 1:] / base[rows] - (1.0 + rbar_path[t, 1:])
-            w = delta @ chol_inv_t
-            trans += -0.5 * (rows.sum() * logdet + float(np.sum(w * w)))
-        for m_idx in np.nonzero(~rows)[0]:
-            trans += transition_log_prob(
-                x_all[m_idx, t + 1], x_all[m_idx, t], u_all[m_idx, t],
-                rbar_path[t], sigma_r,
-            )
     return _DataStats(
         cxx=cxx, cux=cux, cuu=cuu, x_mean=x_mean, u_mean=u_mean,
-        count=m, horizon=t_len, n_assets=n, transition_const=float(trans),
+        count=m, horizon=t_len, n_assets=n,
     )
 
 
 def nll_from_stats(theta: GirlParams, stats: _DataStats, rbar_path: np.ndarray) -> float:
-    """Negative log-likelihood of the pooled trajectories under theta.
+    """Negative log-likelihood of the pooled actions given their states
+    under theta.
 
-    Equals the per-step sum of action and transition log-densities over
-    every trajectory (``trajectory_nll`` in ``tests/oracles.py``).
+    Equals the per-step sum of action log-densities over every trajectory
+    (``trajectory_nll`` in ``tests/oracles.py``).  The theta-free transition
+    density of the positions is not part of it.
 
     The action term is the Gaussian posterior log-density accumulated through
     second moments, which costs a handful of N x N products per step instead
@@ -313,7 +260,7 @@ def _nll_on_plan(plan: SolvedPlan, stats: _DataStats) -> float:
         quad = (np.vdot(prec, stats.cuu[t]) - 2.0 * np.vdot(w, stats.cux[t])
                 + np.vdot(v_t.T @ w, stats.cxx[t]) + m * float(d @ prec @ d))
         total += -0.5 * (quad + m * (n * LOG_2PI + logdet[t]))
-    return -(total + stats.transition_const)
+    return -total
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +352,8 @@ def fit(
     vec = pack_reward(theta0.reward)
     loss, theta, plan = evaluate(vec)
     if not np.isfinite(loss):
-        raise GradientError("non-finite objective at the starting parameters")
+        raise GradientError(
+            f"non-finite objective at the starting parameters {_named(theta0.reward)}")
     loss_path, mu, stop_reason = [loss], DAMPING_START, "budget"
     for iteration in range(1, cfg.max_iters + 1):
         grad, info = _plan_score(theta, basis, plan, stats)  # both finite, or it raises

@@ -28,9 +28,7 @@ import numpy as np
 from scipy import optimize, stats
 
 from gwealth.errors import GradientError, ParameterError
-from gwealth.girl import (
-    PARAM_NAMES, nll_from_stats, pack_reward, prepare_stats, transition_log_prob, unpack_reward,
-)
+from gwealth.girl import PARAM_NAMES, nll_from_stats, pack_reward, prepare_stats, unpack_reward
 from gwealth.glearner import (
     Trajectory, _bayes_and_f, _step_q, _terminal_f, _terminal_solve, backward_pass,
     cash_installment,
@@ -338,10 +336,11 @@ def action_log_prob(plan, prior, q, x, u, beta):
 
 
 def trajectory_nll(theta, trajs, rbar_path):
-    """Negative log-likelihood of the trajectories under theta.
+    """Negative log-likelihood of the trajectories' actions given their
+    states under theta.
 
     Re-runs the backward recursion under theta, then sums the per-step action
-    and transition log-probabilities; trajectories enter additively.
+    log-probabilities; trajectories enter additively.
     """
     if len(trajs) == 0:
         return 0.0
@@ -354,9 +353,6 @@ def trajectory_nll(theta, trajs, rbar_path):
         assert traj.u.shape[0] == plan.horizon
         for t in range(plan.horizon):
             total += action_log_prob(plan, prior, g[t], traj.x[t], traj.u[t], theta.beta)
-            total += transition_log_prob(
-                traj.x[t + 1], traj.x[t], traj.u[t], rbar_path[t], theta.sigma_r
-            )
     return -total
 
 

@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 import gwealth.girl as girl_mod
-from gwealth.errors import (
-    DegenerateTransitionError,
-    InfeasibleError,
-    ParameterError,
-    ShapeError,
-)
+from gwealth.errors import GradientError, InfeasibleError, ParameterError, ShapeError
 from gwealth.girl import (
     DAMPING_TRIALS,
     PARAM_NAMES,
@@ -25,7 +20,6 @@ from gwealth.girl import (
     pack_reward,
     prepare_stats,
     scaled_start,
-    transition_log_prob,
     unpack_reward,
 )
 from gwealth.glearner import Trajectories, default_prior, rollout, solve_plan
@@ -81,64 +75,6 @@ def theta_g(theta, plan, rbar_path):
                   .coeffs(theta.reward))
 
 
-class TestTransitionLogProb:
-    def test_zero_residual(self, rng):
-        sigma_r = ReturnCovariance(sigma_r=random_spd(rng, 3, scale=0.05))
-        rbar = np.concatenate([[0.005], rng.uniform(0.0, 0.05, size=3)])
-        x = rng.uniform(5.0, 20.0, size=4)
-        u = rng.uniform(-1.0, 1.0, size=4)
-        x_next = (1.0 + rbar) * (x + u)
-        got = transition_log_prob(x_next, x, u, rbar, sigma_r)
-        _, logdet = np.linalg.slogdet(sigma_r.sigma_r)
-        assert got == pytest.approx(-0.5 * logdet, rel=1e-12)
-
-    def test_scalar_density(self, rng):
-        from scipy import stats
-
-        sigma_r = ReturnCovariance(sigma_r=np.array([[0.003]]))
-        rbar = np.array([0.005, 0.02])
-        x = np.array([10.0, 12.0])
-        u = np.array([0.5, -0.3])
-        x_next = np.array([10.05, 12.3])
-        got = transition_log_prob(x_next, x, u, rbar, sigma_r)
-        delta = x_next[1] / (x[1] + u[1]) - 1.02
-        want = stats.norm(0.0, np.sqrt(0.003)).logpdf(delta) + 0.5 * np.log(2 * np.pi)
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_matches_independent_mvn_logpdf(self, rng):
-        n_risky = 3
-        sigma_r = ReturnCovariance(sigma_r=random_spd(rng, n_risky, scale=0.05))
-        rbar = np.concatenate([[0.005], rng.uniform(0.0, 0.05, size=n_risky)])
-        x = rng.uniform(5.0, 20.0, size=n_risky + 1)
-        u = rng.uniform(-1.0, 1.0, size=n_risky + 1)
-        x_next = (1.0 + rbar + 0.01 * rng.standard_normal(n_risky + 1)) * (x + u)
-        got = transition_log_prob(x_next, x, u, rbar, sigma_r)
-        delta = x_next[1:] / (x[1:] + u[1:]) - (1.0 + rbar[1:])
-        want = mvn_logpdf(delta, np.zeros(n_risky), sigma_r.sigma_r) \
-            + 0.5 * n_risky * np.log(2.0 * np.pi)
-        assert got == pytest.approx(want, abs=1e-12)
-
-    def test_all_positions_degenerate(self, rng):
-        sigma_r = ReturnCovariance(sigma_r=np.eye(2) * 0.01)
-        x = np.array([10.0, 1e-12, -1e-12])
-        u = np.zeros(3)
-        with pytest.raises(DegenerateTransitionError):
-            transition_log_prob(np.ones(3), x, u, np.full(3, 0.01), sigma_r)
-
-    def test_subblock_exclusion(self, rng):
-        sigma = random_spd(rng, 2, scale=0.05)
-        sigma_r = ReturnCovariance(sigma_r=sigma)
-        rbar = np.array([0.005, 0.02, 0.03])
-        x = np.array([10.0, 8.0, 1e-12])  # third asset excluded
-        u = np.zeros(3)
-        x_next = np.array([10.05, 8.4, 0.0])
-        got = transition_log_prob(x_next, x, u, rbar, sigma_r)
-        delta = np.array([x_next[1] / 8.0 - 1.02])
-        sub = sigma[:1, :1]
-        want = -0.5 * np.log(np.linalg.det(sub)) - 0.5 * delta @ np.linalg.solve(sub, delta)
-        assert got == pytest.approx(float(want), rel=1e-12)
-
-
 class TestActionLogProb:
     def test_vanishing_beta_gives_prior(self, rng):
         theta, plan, trajs, rbar_path = make_setup(rng, beta=1e-12)
@@ -182,11 +118,8 @@ class TestTrajectoryNLL:
         theta, plan, trajs, rbar_path = make_setup(rng, t_len=1)
         traj = trajs[0]
         got = trajectory_nll(theta, [traj], rbar_path)
-        want = -(
-            action_log_prob(plan, theta.prior(), theta_g(theta, plan, rbar_path)[0],
-                            traj.x[0], traj.u[0], theta.beta)
-            + transition_log_prob(traj.x[1], traj.x[0], traj.u[0], rbar_path[0], theta.sigma_r)
-        )
+        want = -action_log_prob(plan, theta.prior(), theta_g(theta, plan, rbar_path)[0],
+                                traj.x[0], traj.u[0], theta.beta)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_likelihood_additivity(self, rng):
@@ -203,6 +136,25 @@ class TestTrajectoryNLL:
         stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
         fast = nll_from_stats(theta, stats, rbar_path)
         assert fast == pytest.approx(direct, rel=1e-9)
+
+    def test_terminal_positions_are_not_read(self, rng):
+        # the loss is of the actions given the states: the positions after
+        # the last trade enter no action density
+        theta, _, trajs, rbar_path = make_setup(rng, n_paths=12)
+        before = nll_from_stats(theta, prepare_stats(trajs, rbar_path, theta.sigma_r), rbar_path)
+        x = trajs.x.copy()
+        x[:, -1] *= rng.uniform(0.5, 2.0, size=x[:, -1].shape)
+        moved = Trajectories(x=x, u=trajs.u, cash=trajs.cash)
+        after = nll_from_stats(theta, prepare_stats(moved, rbar_path, theta.sigma_r), rbar_path)
+        assert after == before
+
+    def test_stats_reject_a_market_of_another_width(self, rng):
+        theta, _, trajs, rbar_path = make_setup(rng, n=3)
+        wide = ReturnCovariance(sigma_r=random_spd(rng, 3, scale=0.05))
+        with pytest.raises(ShapeError):
+            prepare_stats(trajs, rbar_path, wide)
+        with pytest.raises(ShapeError):
+            prepare_stats(trajs, np.pad(rbar_path, ((0, 0), (0, 1))), theta.sigma_r)
 
     def test_truth_beats_grid_neighbors(self, rng):
         theta, _, trajs, rbar_path = make_setup(rng, n_paths=60, beta=100.0)
@@ -545,6 +497,30 @@ class TestFit:
         with pytest.raises(ShapeError):
             fit(Trajectories(x=trajs.x[:0], u=trajs.u[:0], cash=trajs.cash[:0]), rbar_path,
                 theta, FitConfig())
+
+    def test_non_finite_start_names_its_parameters(self):
+        # a lam at the edge of the float range overflows the solve's free
+        # energy (it warns there) and the start's loss; the error names the
+        # start, not a symptom further down
+        spec = MarketSpec(n_risky=2, horizon=8, n_paths=10)
+        paths = simulate(spec)
+        rbar_path = np.concatenate(
+            [np.full((spec.horizon, 1), spec.r_f * spec.dt), mean_expected_returns(paths)],
+            axis=1)
+        prior = default_prior(spec.n_risky + 1, sigma_p_scale=10.0)
+        theta = GirlParams(
+            reward=RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15),
+            sigma_r=residual_covariance(paths), sigma_p=prior.sigma_p, u_bar=prior.u_bar,
+            beta=100.0, gamma=0.95,
+            benchmark=exponential_benchmark(1000.0, 0.5, spec.horizon, spec.dt),
+        )
+        trajs = rollout(solve_at(theta, rbar_path)[1], paths, np.full(3, 1000.0 / 3),
+                        np.random.default_rng(1))
+        start = theta.with_reward(replace(theta.reward, lam=1e300))
+        with pytest.warns(RuntimeWarning), pytest.raises(
+                GradientError, match=r"starting parameters lam=1e\+300, eta=1.01, rho=0.4, "
+                                     r"omega=0.15"):
+            fit(trajs, rbar_path, start, FitConfig())
 
     def test_rising_loss_ends_in_damping(self, rng, monkeypatch):
         theta, _, trajs, rbar_path = make_setup(rng, n_paths=5)

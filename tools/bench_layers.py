@@ -8,8 +8,8 @@ Times, at N=100 and N=20 assets and T=30 periods:
   pooled data moments (``girl._nll_on_plan``);
 - ``plan_score``: the exact gradient of that likelihood and its Fisher
   information over the plan (``girl._plan_score``);
-- ``prepare_stats``: the pooled data moments and the transition term, from
-  the rollout's trajectories (``girl.prepare_stats``);
+- ``prepare_stats``: the pooled data moments of the rollout's trajectories
+  (``girl.prepare_stats``);
 - ``assemble_coeffs``: every period's reward coefficients from one
   ``RewardBasis``;
 - ``write_returns_csv`` and ``read_returns_csv``: the realized-return panel
