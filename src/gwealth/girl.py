@@ -299,14 +299,15 @@ def _plan_score(theta: GirlParams, basis: RewardBasis, plan: SolvedPlan,
         info[:] += 2.0 * m * (c_uu.reshape(k, -1) @ np.swapaxes(c_uu, 1, 2).reshape(k, -1).T)
 
     r = theta.reward
-    tangent_pass(plan, basis.coeffs(r), basis.tangents(r), contract)
-    # chain rule from (lam, eta, rho, omega) to the coordinates of pack_reward
-    scale = np.array([r.lam, r.eta, r.rho * (1.0 - r.rho), float(r.omega)])
-    grad *= plan.beta * scale
-    try:  # a Python float ** raises past the float range instead of giving inf
-        info *= plan.beta**2 * np.outer(scale, scale)
-    except OverflowError as exc:
-        raise GradientError(f"beta={plan.beta:g} squared is outside the float range") from exc
+    with np.errstate(over="ignore"):  # an overflow is a non-finite result, rejected below
+        tangent_pass(plan, basis.coeffs(r), basis.tangents(r), contract)
+        # chain rule from (lam, eta, rho, omega) to the coordinates of pack_reward
+        scale = np.array([r.lam, r.eta, r.rho * (1.0 - r.rho), float(r.omega)])
+        grad *= plan.beta * scale
+        try:  # a Python float ** raises past the float range instead of giving inf
+            info *= plan.beta**2 * np.outer(scale, scale)
+        except OverflowError as exc:
+            raise GradientError(f"beta={plan.beta:g} squared is outside the float range") from exc
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(info))):
         raise GradientError("non-finite likelihood gradient or information")
     return grad, 0.5 * (info + info.T)
@@ -347,7 +348,8 @@ def fit(
         theta.validate()  # a point outside the domain costs no solve
         solves += 1
         plan = _solve_for(theta, basis, prior)
-        return _nll_on_plan(plan, stats), theta, plan
+        with np.errstate(over="ignore"):  # an overflow is a non-finite loss: never accepted
+            return _nll_on_plan(plan, stats), theta, plan
 
     vec = pack_reward(theta0.reward)
     loss, theta, plan = evaluate(vec)

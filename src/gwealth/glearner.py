@@ -2,10 +2,13 @@
 
 Quadratic one-step rewards plus linear (in positions) dynamics make the
 soft action-value function G and the free energy F quadratic forms whose
-coefficients satisfy a backward recursion.  Each step performs a Gaussian
-integral of exp(beta * G) against the reference policy to obtain F, and a
-Bayesian update of the reference policy to obtain the posterior
-linear-Gaussian policy, both from one inverse of the posterior precision.
+coefficients satisfy a backward recursion.  G and F are carried without their
+constant terms: the posterior policy depends only on the terms of G that
+involve u and x, so a constant reaches no policy, likelihood or score.  Each
+step performs a Gaussian integral of exp(beta * G) against the reference
+policy to obtain F, and a Bayesian update of the reference policy to obtain
+the posterior linear-Gaussian policy, both from one inverse of the posterior
+precision.
 Forward Monte-Carlo rollouts sample trades from the posterior and book the
 implied cash installments.
 
@@ -52,17 +55,16 @@ class SolverConfig:
 class PolicyPrior:
     """Reference (prior) policy: u ~ N(u_bar + v_bar x, sigma_p).
 
-    ``sigma_p_inv`` and ``logdet_sigma_p`` are derived on construction from
-    the factorization that validates sigma_p, and so are the constant
-    products of every posterior update: ``pull_u`` = sigma_p^{-1} u_bar,
-    ``pull_v`` = sigma_p^{-1} v_bar, and v_bar' times each (``vt_pull_*``).
+    ``sigma_p_inv`` is derived on construction, once a Cholesky factorization
+    has validated sigma_p, and so are the constant products of every
+    posterior update: ``pull_u`` = sigma_p^{-1} u_bar, ``pull_v`` =
+    sigma_p^{-1} v_bar, and v_bar' times each (``vt_pull_*``).
     """
 
     u_bar: np.ndarray
     v_bar: np.ndarray
     sigma_p: np.ndarray
     sigma_p_inv: np.ndarray = field(init=False, repr=False, compare=False)
-    logdet_sigma_p: float = field(init=False, repr=False, compare=False)
     pull_u: np.ndarray = field(init=False, repr=False, compare=False)
     pull_v: np.ndarray = field(init=False, repr=False, compare=False)
     vt_pull_u: np.ndarray = field(init=False, repr=False, compare=False)
@@ -80,7 +82,7 @@ class PolicyPrior:
         if not np.allclose(self.sigma_p, self.sigma_p.T, atol=1e-12, rtol=0.0):
             raise ParameterError("prior covariance must be symmetric")
         try:
-            chol = np.linalg.cholesky(self.sigma_p)
+            np.linalg.cholesky(self.sigma_p)
         except np.linalg.LinAlgError as exc:
             raise ParameterError("prior covariance must be positive definite") from exc
         inv = np.linalg.solve(self.sigma_p, np.eye(n))
@@ -88,8 +90,7 @@ class PolicyPrior:
         pull_u, pull_v = inv @ self.u_bar, inv @ self.v_bar
         for name, value in (("sigma_p_inv", inv), ("pull_u", pull_u), ("pull_v", pull_v),
                             ("vt_pull_u", self.v_bar.T @ pull_u),
-                            ("vt_pull_v", self.v_bar.T @ pull_v),
-                            ("logdet_sigma_p", 2.0 * float(np.sum(np.log(np.diag(chol)))))):
+                            ("vt_pull_v", self.v_bar.T @ pull_v)):
             object.__setattr__(self, name, value)
 
     @property
@@ -196,13 +197,12 @@ def cash_installment(u: np.ndarray) -> float | np.ndarray:
     return np.sum(u, axis=-1)
 
 
-def _chol_logdet(m: np.ndarray, context: str) -> tuple[np.ndarray, float]:
-    """Cholesky factor and log-determinant of an SPD matrix."""
+def _cholesky(m: np.ndarray, context: str) -> np.ndarray:
+    """Cholesky factor of an SPD matrix, or an InfeasibleError naming ``context``."""
     try:
-        chol = np.linalg.cholesky(m)
+        return np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise InfeasibleError(f"{context}: matrix is not positive definite") from exc
-    return chol, 2.0 * float(np.log(chol.diagonal()).sum())
 
 
 def _terminal_solve(r_uu: np.ndarray, r_ux: np.ndarray, r_u: np.ndarray) -> np.ndarray:
@@ -212,70 +212,66 @@ def _terminal_solve(r_uu: np.ndarray, r_ux: np.ndarray, r_u: np.ndarray) -> np.n
     return np.linalg.solve(-r_uu, np.column_stack([r_ux, r_u]))
 
 
-def _terminal_f(q) -> tuple[np.ndarray, np.ndarray, float]:
+def _terminal_f(q) -> tuple[np.ndarray, np.ndarray]:
     """Plug the analytic terminal action back into the reward, whose
-    coefficients are G's q = (q_xx, q_ux, q_uu, q_x, q_u, q_0) at T-1.
+    coefficients are G's q = (q_xx, q_ux, q_uu, q_x, q_u) at T-1.
 
-    max_u [u^T r_uu u + u^T b + const] = const + b^T (-r_uu)^{-1} b / 4 with
-    b = r_ux x + r_u, expanded into the (f_xx, f_x, f_0) coefficients of x.
+    max_u [u^T r_uu u + u^T b] = b^T (-r_uu)^{-1} b / 4 with b = r_ux x + r_u,
+    expanded into the (f_xx, f_x) coefficients of x; the constant is not kept.
     """
-    r_xx, r_ux, r_uu, r_x, r_u, r_0 = q
+    r_xx, r_ux, r_uu, r_x, r_u = q
     n = r_uu.shape[0]
     sol = _terminal_solve(r_uu, r_ux, r_u)
-    s_inv_rux, s_inv_ru = sol[:, :n], sol[:, n]
-    f_xx = r_xx + 0.25 * r_ux.T @ s_inv_rux
-    f_x = r_x + 0.5 * r_ux.T @ s_inv_ru
-    f_0 = r_0 + 0.25 * float(r_u @ s_inv_ru)
-    return 0.5 * (f_xx + f_xx.T), f_x, float(f_0)
+    f_xx = r_xx + 0.25 * r_ux.T @ sol[:, :n]
+    f_x = r_x + 0.5 * r_ux.T @ sol[:, n]
+    return 0.5 * (f_xx + f_xx.T), f_x
 
 
 def _bayes_and_f(q, prior: PolicyPrior, beta: float, t: int,
-                 out) -> tuple[np.ndarray, np.ndarray, float]:
+                 out) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form Bayesian update of the prior and Gaussian integral at step t.
 
     The posterior precision is sigma_bar = sigma_p^{-1} - 2 beta q_uu; its
     one inverse, symmetrized, is the posterior covariance sigma_tilde, whose
-    products with v_rhs and u_rhs are the posterior gain and offset.  F is the
-    log-partition of pi0 * exp(beta * G).  The Cholesky factor of sigma_tilde
-    feeds both the sampler and F's log|sigma_tilde| = -log|sigma_bar|.
+    products with v_rhs and u_rhs are the posterior gain and offset, and
+    whose Cholesky factor is the sampler's.  F is the log-partition of
+    pi0 * exp(beta * G), of which only the terms in x are kept.
 
-    ``q`` is G's (q_xx, q_ux, q_uu, q_x, q_u, q_0); sigma_bar, u_tilde,
-    v_tilde and chol_tilde go into ``out``.  Returns F's (f_xx, f_x, f_0).
+    ``q`` is G's (q_xx, q_ux, q_uu, q_x, q_u); sigma_bar, u_tilde, v_tilde
+    and chol_tilde go into ``out``.  Returns F's (f_xx, f_x).
     """
-    q_xx, q_ux, q_uu, q_x, q_u, q_0 = q
+    q_xx, q_ux, q_uu, q_x, q_u = q
     sigma_bar, u_til, v_til, chol_tilde = out
     # contraction requirement: spectral radius of sigma_tilde sigma_p^{-1} < 1,
     # equivalently q_uu negative definite; sigma_bar is then SPD as well
-    _chol_logdet(-q_uu, f"action curvature at step t={t} (posterior-to-prior covariance "
-                 "ratio would have spectral radius >= 1)")
+    _cholesky(-q_uu, f"action curvature at step t={t} (posterior-to-prior covariance "
+              "ratio would have spectral radius >= 1)")
     np.subtract(prior.sigma_p_inv, 2.0 * beta * q_uu, out=sigma_bar)
     inv = np.linalg.inv(sigma_bar)
     sigma_tilde = 0.5 * (inv + inv.T)
-    chol_tilde[...], logdet = _chol_logdet(sigma_tilde, f"posterior covariance at step t={t}")
+    chol_tilde[...] = _cholesky(sigma_tilde, f"posterior covariance at step t={t}")
     v_rhs = beta * q_ux + prior.pull_v
     u_rhs = beta * q_u + prior.pull_u
     np.matmul(sigma_tilde, v_rhs, out=v_til)
     np.matmul(sigma_tilde, u_rhs, out=u_til)
     f_xx = q_xx + (0.5 / beta) * (v_rhs.T @ v_til - prior.vt_pull_v)
     f_x = q_x + (1.0 / beta) * (v_til.T @ u_rhs - prior.vt_pull_u)
-    f_0 = q_0 + (0.5 / beta) * (
-        float(u_rhs @ u_til) - float(prior.u_bar @ prior.pull_u)
-    ) - (0.5 / beta) * (prior.logdet_sigma_p - logdet)
-    return 0.5 * (f_xx + f_xx.T), f_x, float(f_0)
+    return 0.5 * (f_xx + f_xx.T), f_x
 
 
 def _step_q(r: RewardCoeffs, f_next, a_t: np.ndarray, gamma: float):
-    """G's coefficients (q_xx, q_ux, q_uu, q_x, q_u, q_0) at a step, G(x, u) =
-    x'q_xx x + u'q_ux x + u'q_uu u + x'q_x + u'q_u + q_0: the reward plus the
-    discounted expectation of the next step's F = (f_xx, f_x, f_0) over the
+    """G's coefficients (q_xx, q_ux, q_uu, q_x, q_u) at a step, G(x, u) =
+    x'q_xx x + u'q_ux x + u'q_uu u + x'q_x + u'q_u + const: the reward plus
+    the discounted expectation of the next step's F = (f_xx, f_x) over the
     gross returns, whose mean is a_t and second moment ``r.sigma_hat``.
-    q_xx and q_uu are kept as their symmetric parts (the same quadratic
-    forms), so an asymmetric r_xx or r_uu solves as its symmetric part."""
-    f_xx, f_x, f_0 = f_next
+    The constant is not kept (``r.r_0`` is not read).  q_xx and q_uu are
+    kept as their symmetric parts (the same quadratic forms), so an
+    asymmetric r_xx or r_uu solves as its symmetric part."""
+    f_xx, f_x = f_next
     growth = gamma * (f_xx * r.sigma_hat)
     lin = gamma * (a_t * f_x)
     q_xx, q_uu = (0.5 * (m + m.T) for m in (r.r_xx + growth, r.r_uu + growth))
-    return q_xx, r.r_ux + 2.0 * growth, q_uu, r.r_x + lin, r.r_u + lin, r.r_0 + gamma * f_0
+    return q_xx, r.r_ux + 2.0 * growth, q_uu, r.r_x + lin, r.r_u + lin
 
 
 def backward_pass(
@@ -290,7 +286,8 @@ def backward_pass(
     period t's reward coefficients (``RewardBasis.coeffs``), read once each.
     Every step forms G_t from F_{t+1} (``_step_q``) and writes its policy
     into row t of the plan's stacked arrays, at the cost of one inverse and
-    two Cholesky factorizations (``_bayes_and_f``).
+    two Cholesky factorizations (``_bayes_and_f``).  G and F carry no
+    constant term, so the reward's ``r_0`` is not read.
     """
     cfg.validate()
     rbar = np.asarray(rbar, dtype=float)
@@ -302,7 +299,7 @@ def backward_pass(
 
     sigma_bar, v_tilde, chol_tilde = (np.empty((t_len, n, n)) for _ in range(3))
     u_tilde = np.empty((t_len, n))
-    f_next = (np.zeros((n, n)), np.zeros(n), 0.0)  # F is zero past the horizon
+    f_next = (np.zeros((n, n)), np.zeros(n))  # F is zero past the horizon
 
     for t in range(t_len - 1, -1, -1):
         r = reward(t)
@@ -335,10 +332,10 @@ def tangent_pass(
 
     G_t changes by the reward's change plus F_{t+1}'s (``_step_q``), F_t by
     the expectation of G_t's under the posterior policy (an envelope
-    identity), or under the hard max's argmax at T-1 (C = 0).  For that
-    policy, with b_ux = dq_ux + dq_uu K and b_u = dq_u + 2 dq_uu k,
-    df_xx = dq_xx + sym(K' b_ux), df_x = dq_x + dq_ux' k + K' b_u and
-    df_0 = dq_0 + (dq_u + b_u)' k / 2 + <dq_uu, C>.
+    identity), or under the hard max's argmax at T-1.  For that policy's
+    gain K and offset k, with b_ux = dq_ux + dq_uu K and b_u = dq_u + 2 dq_uu k,
+    df_xx = dq_xx + sym(K' b_ux) and df_x = dq_x + dq_ux' k + K' b_u; the
+    constants of G and F are not carried.
     """
     t_last, n = plan.horizon - 1, plan.n_assets
     # G at T-1 is the reward, whose hard max takes u = (-r_uu)^{-1}(r_ux x + r_u) / 2
@@ -347,7 +344,7 @@ def tangent_pass(
     df_xx = None  # F past T-1 is zero
     for t in range(t_last, -1, -1):
         r = tangents(t)
-        dq_xx, dq_ux, dq_uu, dq_x, dq_u, dq_0 = r.r_xx, r.r_ux, r.r_uu, r.r_x, r.r_u, r.r_0
+        dq_xx, dq_ux, dq_uu, dq_x, dq_u = r.r_xx, r.r_ux, r.r_uu, r.r_x, r.r_u
         if df_xx is not None:  # as in _step_q; dq_xx takes df_xx's memory
             df_xx *= plan.gamma * r.sigma_hat
             dq_uu += df_xx
@@ -355,19 +352,15 @@ def tangent_pass(
             dq_ux += df_xx
             dq_xx = np.add(df_xx, dq_xx, out=df_xx)
             lin = plan.gamma * ((1.0 + plan.rbar[t]) * df_x)
-            dq_x, dq_u, dq_0 = dq_x + lin, dq_u + lin, dq_0 + plan.gamma * df_0
+            dq_x, dq_u = dq_x + lin, dq_u + lin
         r = df_xx = None
         gain, offset = plan.v_tilde[t], plan.u_tilde[t]
         a_u = dq_u + 2.0 * (dq_uu @ offset)
         p = dq_uu @ gain
         if t > 0:  # F_t's tangents, under the policy F takes
-            f_gain, f_offset, cov = (
-                (argmax[:, :n], argmax[:, n], np.zeros((n, n))) if t == t_last
-                else (gain, offset, plan.chol_tilde[t] @ plan.chol_tilde[t].T))
+            f_gain, f_offset = (argmax[:, :n], argmax[:, n]) if t == t_last else (gain, offset)
             b_u = dq_u + 2.0 * (dq_uu @ f_offset)
             df_x = dq_x + f_offset @ dq_ux + b_u @ f_gain
-            df_0 = (dq_0 + 0.5 * ((dq_u + b_u) @ f_offset)
-                    + dq_uu.reshape(len(dq_uu), -1) @ cov.ravel())
             b = f_gain.T @ (dq_ux + (p if f_gain is gain else dq_uu @ f_gain))
             dq_xx += 0.5 * (b + np.swapaxes(b, 1, 2))
             df_xx, b = dq_xx, None

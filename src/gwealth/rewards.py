@@ -117,7 +117,8 @@ class RewardCoeffs:
 
     The reward value is
         x^T r_xx x + u^T r_ux x + u^T r_uu u + x^T r_x + u^T r_u + r_0.
-    ``sigma_hat`` is the second-moment matrix of gross returns.
+    ``sigma_hat`` is the second-moment matrix of gross returns.  The solver
+    does not read ``r_0``: a constant moves no policy.
     """
 
     r_xx: np.ndarray

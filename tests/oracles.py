@@ -9,8 +9,10 @@ market simulation, the rollout, the equal-weight baseline, the shortfall);
 they call only the package's single-step building blocks.  The plan stores
 neither G nor F nor its prior: ``plan_g`` replays the backward recursion's G
 from the package's own step functions on the prior and reward the plan was
-solved from, bit for bit, and F is recomputed from that G (``plan_f``).  The
-quadratic forms of a reward and of G are evaluated here (``quad_value``).
+solved from, bit for bit, and adds G's constant, which the package does not
+carry, from this module's own steps; F is recomputed from that G
+(``plan_f``).  The quadratic forms of a reward and of G are evaluated here
+(``quad_value``).
 The exact likelihood gradient has two oracles: central finite differences of
 the package's own likelihood, and the derivative's reverse (adjoint) mode,
 one backward sweep of a scalar function's adjoints pulled back through the
@@ -59,18 +61,26 @@ def plan_g(plan, prior, reward):
     them), a list over t.
 
     The backward recursion is replayed from T-1 down to 0 with the package's
-    own steps: ``_step_q`` forms G_t from F_{t+1}, and F_t is ``_bayes_and_f``'s
-    soft log-partition before T-1 (its policy goes into scratch buffers) and
-    ``_terminal_f``'s hard max at T-1.  So G carries the bits of the solve.
+    own steps: ``_step_q`` forms G_t's five terms in x and u from F_{t+1}'s
+    two, and F_t is ``_bayes_and_f``'s soft log-partition before T-1 (its
+    policy goes into scratch buffers) and ``_terminal_f``'s hard max at T-1.
+    So those terms carry the bits of the solve.  The package carries no
+    constant; here q_0,t = r_0,t + gamma f_0,t+1, with F_t's constant from
+    ``posterior_step`` before T-1 and from G at its argmax at T-1.
     """
     t_len, n = plan.horizon, plan.n_assets
     scratch = (np.empty((n, n)), np.empty(n), np.empty((n, n)), np.empty((n, n)))
     steps = [None] * t_len
-    f_next = (np.zeros((n, n)), np.zeros(n), 0.0)  # F is zero past the horizon
+    f_next, f_0 = (np.zeros((n, n)), np.zeros(n)), 0.0  # F is zero past the horizon
     for t in range(t_len - 1, -1, -1):
-        q = steps[t] = _step_q(reward(t), f_next, 1.0 + plan.rbar[t], plan.gamma)
-        f_next = (_terminal_f(q) if t == t_len - 1
-                  else _bayes_and_f(q, prior, plan.beta, t, scratch))
+        r = reward(t)
+        q = _step_q(r, f_next, 1.0 + plan.rbar[t], plan.gamma)
+        steps[t] = (*q, r.r_0 + plan.gamma * f_0)
+        if t == t_len - 1:
+            f_next, f_0 = _terminal_f(q), expected_g(steps[t], *argmax_policy(q))[2]
+        else:
+            f_next = _bayes_and_f(q, prior, plan.beta, t, scratch)
+            f_0 = posterior_step(*steps[t], prior, plan.beta)[-1][2]
     return steps
 
 
@@ -87,7 +97,8 @@ def quad_value(c, x, u=None):
 
 def argmax_policy(q):
     """Gain K and offset k of the maximizer u = K x + k = (-q_uu)^{-1}(q_ux x + q_u) / 2
-    of a quadratic form concave in u, from its six coefficients."""
+    of a quadratic form concave in u, from its coefficients (q_xx, q_ux, q_uu,
+    q_x, q_u, ...)."""
     sol = 0.5 * np.linalg.solve(-q[2], np.column_stack([q[1], q[4]]))
     return sol[:, :-1], sol[:, -1]
 
@@ -288,6 +299,7 @@ def posterior_step(q_xx, q_ux, q_uu, q_x, q_u, q_0, prior, beta):
     (f_xx, f_x, f_0) coefficients of the soft log-partition F.
     """
     n = q_uu.shape[0]
+    logdet_p = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(prior.sigma_p)))))
     sigma_bar = prior.sigma_p_inv - 2.0 * beta * q_uu
     sigma_bar = 0.5 * (sigma_bar + sigma_bar.T)
     pull_u = prior.sigma_p_inv @ prior.u_bar
@@ -302,7 +314,7 @@ def posterior_step(q_xx, q_ux, q_uu, q_x, q_u, q_0, prior, beta):
     f_xx = q_xx + (0.5 / beta) * (v_rhs.T @ v_til - prior.v_bar.T @ pull_v)
     f_x = q_x + (1.0 / beta) * (v_til.T @ u_rhs - prior.v_bar.T @ pull_u)
     f_0 = q_0 + (0.5 / beta) * (float(u_rhs @ u_til) - float(prior.u_bar @ pull_u)) \
-        - (0.5 / beta) * (prior.logdet_sigma_p - logdet)
+        - (0.5 / beta) * (logdet_p - logdet)
     return sigma_bar, u_til, v_til, chol, logdet, (0.5 * (f_xx + f_xx.T), f_x, float(f_0))
 
 
@@ -445,7 +457,7 @@ def tangent_pass(plan, basis, params):
         if t == t_last:
             # G at T-1, as plan_g replays it: the reward plus a zero F
             n = plan.n_assets
-            g_last = _step_q(basis.coeffs(params)(t_last), (np.zeros((n, n)), np.zeros(n), 0.0),
+            g_last = _step_q(basis.coeffs(params)(t_last), (np.zeros((n, n)), np.zeros(n)),
                              1.0 + plan.rbar[t_last], plan.gamma)
             df = expected_g(dq, *argmax_policy(g_last))
         else:

