@@ -22,7 +22,7 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, GWealthError, ShapeError
 from .girl import GirlParams, fit, loss_slices, scaled_start
-from .glearner import PolicyPrior, default_prior, rollout, solve_plan
+from .glearner import GaussianPolicy, PolicyPrior, default_prior, rollout, solve_plan
 from .market import ReturnCovariance, ReturnPaths, residual_covariance, simulate
 from .metrics import equal_weight_baseline, performance_summary
 from .rewards import BenchmarkPath, RewardParams, exponential_benchmark
@@ -183,7 +183,10 @@ def _solve_stage(run: _Run, reward: RewardParams, plan_file: str) -> None:
     logger.info("solving plan for %d periods, %d assets", horizon, n)
     plan = solve_plan(reward, rbar_path, sigma, _benchmark(cfg, horizon), _prior(cfg),
                       cfg.solver)
-    run.save(plan_file, storage.write_plan_npz, plan)
+    # keep what the file holds, as a stage run on its own reads it back
+    policy = GaussianPolicy(rbar=plan.rbar, u_tilde=plan.u_tilde, v_tilde=plan.v_tilde,
+                            chol_tilde=plan.chol_tilde)
+    run.save(plan_file, storage.write_plan_npz, policy)
 
 
 def cmd_solve(run: _Run) -> None:

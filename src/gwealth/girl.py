@@ -15,12 +15,14 @@ gives the exact gradient and information.  Central finite differences and
 the adjoint form of the gradient in ``tests/oracles.py`` are its oracles.
 
 Sigma_r, the policy prior, beta and gamma are held fixed: only the reward is
-learned.
+learned.  The loss slices run on every CPU of the process's affinity set (no
+setting changes that), bit-identical to a serial loop of ``nll_from_stats``.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +33,8 @@ from .glearner import (
     SolvedPlan,
     SolverConfig,
     Trajectories,
+    _backward_steps,
+    _checked_path,
     backward_pass,
     tangent_pass,
 )
@@ -242,25 +246,50 @@ def nll_from_stats(theta: GirlParams, stats: _DataStats, rbar_path: np.ndarray) 
     return _nll_on_plan(_solve_for(theta, basis, theta.prior()), stats)
 
 
+def _step_nll(stats: _DataStats, t: int, prec: np.ndarray, u_t: np.ndarray, v_t: np.ndarray,
+              chol_t: np.ndarray) -> float:
+    """Step t's negative log-likelihood under the policy N(u_t + v_t x, C),
+    C = chol_t chol_t' of precision P = ``prec``: against the summed outer
+    products of the residuals, with d their mean, <P, cuu> - 2 <P v, cux> +
+    <v' P v, cxx> + m d' P d (two matrix products), plus m log|C|."""
+    m, n = stats.count, stats.n_assets
+    w = prec @ v_t
+    d = stats.u_mean[t] - u_t - v_t @ stats.x_mean[t]
+    quad = (np.vdot(prec, stats.cuu[t]) - 2.0 * np.vdot(w, stats.cux[t])
+            + np.vdot(v_t.T @ w, stats.cxx[t]) + m * float(d @ prec @ d))
+    logdet = 2.0 * np.log(np.diagonal(chol_t)).sum()
+    return 0.5 * (quad + m * (n * LOG_2PI + logdet))
+
+
 def _nll_on_plan(plan: SolvedPlan, stats: _DataStats) -> float:
-    """Per step, the posterior precision P (symmetric) against the summed
-    outer products of the residuals u - u_tilde - v x, with d their mean:
-    <P, cuu> - 2 <P v, cux> + <v' P v, cxx> + m d' P d, two matrix products.
-    log|sigma_tilde| comes from the diagonals of the plan's Cholesky factors."""
+    """The sum of ``_step_nll`` over the plan's rows, for t = 0..T-1."""
     if plan.horizon != stats.horizon or plan.n_assets != stats.n_assets:
         raise ShapeError("data statistics do not match the solved plan")
-    m = stats.count
-    n = stats.n_assets
-    logdet = 2.0 * np.log(np.diagonal(plan.chol_tilde, axis1=1, axis2=2)).sum(axis=1)
     total = 0.0
     for t in range(stats.horizon):
-        v_t, prec = plan.v_tilde[t], plan.sigma_bar[t]
-        w = prec @ v_t
-        d = stats.u_mean[t] - plan.u_tilde[t] - v_t @ stats.x_mean[t]
-        quad = (np.vdot(prec, stats.cuu[t]) - 2.0 * np.vdot(w, stats.cux[t])
-                + np.vdot(v_t.T @ w, stats.cxx[t]) + m * float(d @ prec @ d))
-        total += -0.5 * (quad + m * (n * LOG_2PI + logdet[t]))
-    return -total
+        total += _step_nll(stats, t, plan.sigma_bar[t], plan.u_tilde[t], plan.v_tilde[t],
+                           plan.chol_tilde[t])
+    return total
+
+
+def _streamed_nll(theta: GirlParams, basis: RewardBasis, prior: PolicyPrior,
+                  stats: _DataStats) -> float:
+    """``_nll_on_plan`` of the plan ``_solve_for`` solves, streamed through one
+    set of step buffers; its terms are summed in t order, so the two agree
+    bit for bit.  The inputs must pass ``glearner._checked_path``."""
+    n = stats.n_assets
+    step = (np.empty((n, n)), np.empty(n), np.empty((n, n)), np.empty((n, n)))
+    terms = [0.0] * stats.horizon
+    try:
+        for t in _backward_steps(basis.coeffs(theta.reward), prior, theta.solver_config(),
+                                 basis.rbar, lambda t: step):
+            terms[t] = _step_nll(stats, t, *step)
+    except InfeasibleError as exc:
+        raise InfeasibleError(f"{exc} (under reward parameters {_named(theta.reward)})") from exc
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -407,22 +436,28 @@ def loss_slices(
     """One-dimensional NLL scans around theta, one grid per reward parameter.
 
     Returns {name: (grid values, nll values)}.  Defaults to 21-point grids
-    centered on theta's own values.
+    centered on theta's own values.  The points run on a thread pool with one
+    worker per CPU of the process's affinity set (no setting changes that),
+    each streaming its solve (``_streamed_nll``).  Every value equals
+    ``nll_from_stats`` at its point bit for bit, and an infeasible solve raises
+    the error of the first failing point in grid order, as a serial loop would.
     """
+    from concurrent.futures import ThreadPoolExecutor  # no other path loads a thread pool
+
     if grids is None:
         grids = default_slice_grids(theta.reward)
     stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
     basis = reward_basis(rbar_path, theta.sigma_r, theta.benchmark)
     prior = theta.prior()
-    out = {}
-    base = theta.reward
-    for name, grid in grids.items():
-        vals = np.empty(grid.shape[0])
-        for i, g in enumerate(grid):
-            reward = replace(base, **{name: float(g)})
-            vals[i] = _nll_on_plan(_solve_for(theta.with_reward(reward), basis, prior), stats)
-        out[name] = (np.asarray(grid, dtype=float), vals)
-    return out
+    _checked_path(prior, theta.solver_config(), basis.rbar)
+    points = [theta.with_reward(replace(theta.reward, **{name: float(g)}))
+              for name, grid in grids.items() for g in grid]
+    # workers call no public function: the benchmark's span tracer is not thread-safe
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    with ThreadPoolExecutor(len(affinity(0)) if affinity else os.cpu_count() or 1) as pool:
+        vals = pool.map(lambda at: _streamed_nll(at, basis, prior, stats), points)
+        return {name: (np.asarray(grid, dtype=float), np.fromiter(vals, float, len(grid)))
+                for name, grid in grids.items()}
 
 
 def default_slice_grids(reward: RewardParams, n_points: int = 21) -> dict[str, np.ndarray]:

@@ -274,6 +274,37 @@ def _step_q(r: RewardCoeffs, f_next, a_t: np.ndarray, gamma: float):
     return q_xx, r.r_ux + 2.0 * growth, q_uu, r.r_x + lin, r.r_u + lin
 
 
+def _checked_path(prior: PolicyPrior, cfg: SolverConfig, rbar: np.ndarray) -> np.ndarray:
+    """``rbar`` as a float (T, N) path of at least one period, once ``cfg``
+    is valid and the prior is N-dimensional."""
+    cfg.validate()
+    rbar = np.asarray(rbar, dtype=float)
+    if rbar.ndim != 2 or rbar.shape[0] == 0:
+        raise ShapeError(f"rbar must be a (T, N) path of at least one period, got {rbar.shape}")
+    if prior.n_assets != rbar.shape[1]:
+        raise ShapeError("prior dimension does not match the return path")
+    return rbar
+
+
+def _backward_steps(reward: Callable[[int], RewardCoeffs], prior: PolicyPrior,
+                    cfg: SolverConfig, rbar: np.ndarray, out: Callable[[int], tuple]):
+    """The backward recursion on inputs ``_checked_path`` passes: for t from T-1
+    down to 0, it writes step t's (sigma_bar, u_tilde, v_tilde, chol_tilde)
+    into the buffers ``out(t)`` gives and yields t.  G and F stay inside."""
+    t_len, n = rbar.shape
+    f_next = (np.zeros((n, n)), np.zeros(n))  # F is zero past the horizon
+    for t in range(t_len - 1, -1, -1):
+        r = reward(t)
+        if r.n_assets != n:
+            raise ShapeError(f"reward coefficients of step t={t} are not {n} x {n}")
+        q = _step_q(r, f_next, 1.0 + rbar[t], cfg.gamma)
+        f_next = _bayes_and_f(q, prior, cfg.beta, t, out=out(t))
+        if t == t_len - 1:  # the recursion takes the hard max, the policy the soft F
+            f_next = _terminal_f(q)
+        r = q = None  # gone before the next step assembles its own
+        yield t
+
+
 def backward_pass(
     reward: Callable[[int], RewardCoeffs],
     prior: PolicyPrior,
@@ -289,28 +320,13 @@ def backward_pass(
     two Cholesky factorizations (``_bayes_and_f``).  G and F carry no
     constant term, so the reward's ``r_0`` is not read.
     """
-    cfg.validate()
-    rbar = np.asarray(rbar, dtype=float)
-    if rbar.ndim != 2 or rbar.shape[0] == 0:
-        raise ShapeError(f"rbar must be a (T, N) path of at least one period, got {rbar.shape}")
+    rbar = _checked_path(prior, cfg, rbar)
     t_len, n = rbar.shape
-    if prior.n_assets != n:
-        raise ShapeError("prior dimension does not match the return path")
-
     sigma_bar, v_tilde, chol_tilde = (np.empty((t_len, n, n)) for _ in range(3))
     u_tilde = np.empty((t_len, n))
-    f_next = (np.zeros((n, n)), np.zeros(n))  # F is zero past the horizon
-
-    for t in range(t_len - 1, -1, -1):
-        r = reward(t)
-        if r.n_assets != n:
-            raise ShapeError(f"reward coefficients of step t={t} are not {n} x {n}")
-        q = _step_q(r, f_next, 1.0 + rbar[t], cfg.gamma)
-        f_next = _bayes_and_f(
-            q, prior, cfg.beta, t, out=(sigma_bar[t], u_tilde[t], v_tilde[t], chol_tilde[t]))
-        if t == t_len - 1:  # the recursion takes the hard max, the policy the soft F
-            f_next = _terminal_f(q)
-
+    for _ in _backward_steps(reward, prior, cfg, rbar,
+                             lambda t: (sigma_bar[t], u_tilde[t], v_tilde[t], chol_tilde[t])):
+        pass
     return SolvedPlan(rbar=rbar, u_tilde=u_tilde, v_tilde=v_tilde, chol_tilde=chol_tilde,
                       beta=cfg.beta, gamma=cfg.gamma, sigma_bar=sigma_bar)
 

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,16 @@ class TestStorageRoundTrip:
         with np.load(path) as npz:
             assert sorted(npz.files) == sorted(["rbar", "u_tilde", "v_tilde", "chol_tilde"])
         assert list(storage._PLAN_MEMBERS) == [f.name for f in dataclasses.fields(GaussianPolicy)]
+        with zipfile.ZipFile(path) as archive:
+            assert {m.compress_type for m in archive.infolist()} == {zipfile.ZIP_STORED}
+
+    def test_compressed_plan_of_earlier_versions_reads_the_same(self, tmp_path, rng):
+        plan = solve_plan(*random_problem(rng, n=3, t_len=4))
+        stored, compressed = tmp_path / "plan.npz", tmp_path / "compressed.npz"
+        write_plan_npz(stored, plan)
+        np.savez_compressed(compressed, **{name: getattr(plan, name)
+                                           for name in storage._PLAN_MEMBERS})
+        assert_same_arrays(read_plan_npz(compressed), read_plan_npz(stored), "plan")
 
     @pytest.mark.parametrize("n_risky", [2, 19])
     def test_rollout_of_stored_plan_is_bit_identical(self, tmp_path, n_risky):

@@ -1,12 +1,19 @@
 """Likelihood and fit tests for the inverse problem."""
 
 import math
+import os
+import sys
+import threading
+import time
+import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import gwealth.girl as girl_mod
+import gwealth.glearner as glearner_mod
+import gwealth.rewards as rewards_mod
 from gwealth.errors import GradientError, InfeasibleError, ParameterError, ShapeError
 from gwealth.girl import (
     DAMPING_TRIALS,
@@ -31,7 +38,7 @@ from gwealth.market import (
     residual_covariance,
     simulate,
 )
-from gwealth.rewards import RewardParams, exponential_benchmark, reward_basis
+from gwealth.rewards import RewardBasis, RewardParams, exponential_benchmark, reward_basis
 
 from conftest import random_problem, random_spd
 from oracles import (
@@ -668,3 +675,89 @@ class TestFit:
         assert report.converged
         assert abs(report.loss_path[-1] - ref.fun) <= 2.0 * cfg.stop_tol
         np.testing.assert_allclose(pack_reward(report.params.reward), ref.x, atol=1e-3)
+
+
+def serial_slices(theta, trajs, rbar_path, grids):
+    """The slices as a serial loop of ``nll_from_stats``, one point at a time."""
+    stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
+    return {name: np.array([nll_from_stats(theta.with_reward(
+                replace(theta.reward, **{name: float(g)})), stats, rbar_path) for g in grid])
+            for name, grid in grids.items()}
+
+
+class TestLossSlices:
+    @pytest.mark.parametrize("workers", [1, 8])
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_equals_serial_loop(self, rng, monkeypatch, n, workers):
+        # more workers than cores, switching threads often
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+        theta, _, trajs, rbar_path = make_setup(rng, n=n)
+        grids = default_slice_grids(theta.reward)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            slices = loss_slices(theta, trajs, rbar_path)
+        finally:
+            sys.setswitchinterval(interval)
+        want = serial_slices(theta, trajs, rbar_path, grids)
+        assert list(slices) == list(grids)
+        for name, (grid, vals) in slices.items():
+            assert np.array_equal(grid, grids[name])
+            assert vals.tolist() == want[name].tolist(), name
+
+    def test_streamed_nll_equals_nll_on_plan(self, rng):
+        theta, _, trajs, rbar_path = make_setup(rng, n=5, t_len=6)
+        stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
+        basis = reward_basis(rbar_path, theta.sigma_r, theta.benchmark)
+        prior = theta.prior()
+        for scale in (None, 2.0, 0.5):
+            at = theta if scale is None else theta.with_reward(scaled_start(theta.reward, scale))
+            plan = girl_mod._solve_for(at, basis, prior)
+            assert (girl_mod._streamed_nll(at, basis, prior, stats)
+                    == girl_mod._nll_on_plan(plan, stats))
+
+    def test_infeasible_point_raises_as_the_serial_loop(self, rng, monkeypatch):
+        # the curvature turns convex from the 13th lam point on: the error is
+        # that of the first failing point in grid order, as in a serial loop,
+        # though that point is the slowest to fail
+        theta, _, trajs, rbar_path = make_setup(rng, n=5)
+        grids = default_slice_grids(theta.reward)
+        wall = float(grids["lam"][12])
+        coeffs = RewardBasis.coeffs
+
+        def convex_past_wall(basis, params):
+            at = coeffs(basis, params)
+            if params.lam < wall:
+                return at
+            if params.lam == wall:
+                time.sleep(0.2)
+            return lambda t: replace(at(t), r_uu=-at(t).r_uu)
+
+        monkeypatch.setattr(RewardBasis, "coeffs", convex_past_wall)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        with pytest.raises(InfeasibleError) as serial:
+            serial_slices(theta, trajs, rbar_path, grids)
+        with pytest.raises(InfeasibleError) as pooled:
+            loss_slices(theta, trajs, rbar_path, grids)
+        assert str(pooled.value) == str(serial.value)
+        assert f"lam={wall:g}," in str(pooled.value)
+
+    def test_workers_call_no_public_function(self, rng, monkeypatch):
+        # a tracer that wraps the package's public functions sees every call
+        # on the calling thread
+        theta, _, trajs, rbar_path = make_setup(rng, n=5)
+        threads = set()
+        for mod in (girl_mod, glearner_mod, rewards_mod):
+            for attr, obj in list(vars(mod).items()):
+                if (attr.startswith("_") or not isinstance(obj, types.FunctionType)
+                        or not obj.__module__.startswith("gwealth.")):
+                    continue
+
+                def recorded(*args, _func=obj, **kwargs):
+                    threads.add(threading.get_ident())
+                    return _func(*args, **kwargs)
+
+                monkeypatch.setattr(mod, attr, recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        girl_mod.loss_slices(theta, trajs, rbar_path)
+        assert threads == {threading.get_ident()}

@@ -10,12 +10,16 @@ Times, at N=100 and N=20 assets and T=30 periods:
   information over the plan (``girl._plan_score``);
 - ``prepare_stats``: the pooled data moments of the rollout's trajectories
   (``girl.prepare_stats``);
+- ``loss_slices``: the 4 x 21 one-dimensional likelihood scans around the
+  true reward (``girl.loss_slices``), on as many threads as the process has
+  CPUs in its affinity set;
 - ``assemble_coeffs``: every period's reward coefficients from one
   ``RewardBasis``;
 - ``write_returns_csv`` and ``read_returns_csv``: the realized-return panel
   of the market (200 paths) to and from a CSV file in a temporary directory;
 - ``write_trajectories_csv`` and ``read_trajectories_csv``: the rollout's
-  200 trajectories likewise.
+  200 trajectories likewise;
+- ``write_plan_npz``: the solved plan to an NPZ file likewise.
 
 The market is the one the benchmark's ``fit`` workload builds for seed 1,
 with 200 rollout paths for the data moments; the reward is the benchmark's
@@ -42,7 +46,8 @@ tree alone and recorded as ``null`` (absent) for it.
     python3 tools/bench_layers.py PARENT_SRC CHANGE_SRC     # e.g. ../parent/src src
 
 The result is written to ``BENCH_layers.json`` (``--out``) with the machine,
-core count, numpy and BLAS versions and BLAS threads.
+core count, the CPUs of the process's affinity set, numpy and BLAS versions
+and BLAS threads.
 """
 
 from __future__ import annotations
@@ -92,6 +97,8 @@ def _environment() -> dict:
         "machine": platform.machine(),
         "cpu": _cpu_model(),
         "cores": os.cpu_count(),
+        "cpu_affinity": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                         else None),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
@@ -139,6 +146,7 @@ def _layers(alias: str, n_assets: int, workdir: Path) -> dict:
 
     returns_csv = workdir / f"{alias}-{n_assets}-returns.csv"
     trajs_csv = workdir / f"{alias}-{n_assets}-trajectories.csv"
+    plan_npz = workdir / f"{alias}-{n_assets}-plan.npz"
 
     def assemble():
         at = basis.coeffs(truth)
@@ -151,12 +159,14 @@ def _layers(alias: str, n_assets: int, workdir: Path) -> dict:
         "nll_on_plan": lambda: girl._nll_on_plan(plan, stats),
         "plan_score": lambda: girl._plan_score(theta, basis, plan, stats),
         "prepare_stats": lambda: girl.prepare_stats(trajs, rbar, sigma),
+        "loss_slices": lambda: girl.loss_slices(theta, trajs, rbar),
         "assemble_coeffs": assemble,
         # each write precedes its read in every round, so the read finds the file
         "write_returns_csv": lambda: storage.write_returns_csv(returns_csv, paths.realized),
         "read_returns_csv": lambda: storage.read_returns_csv(returns_csv),
         "write_trajectories_csv": lambda: storage.write_trajectories_csv(trajs_csv, trajs),
         "read_trajectories_csv": lambda: storage.read_trajectories_csv(trajs_csv),
+        "write_plan_npz": lambda: storage.write_plan_npz(plan_npz, plan),
     }
     needs = {"plan_score": (girl, "_plan_score")}
     return {name: fn for name, fn in layers.items()
