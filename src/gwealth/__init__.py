@@ -23,7 +23,6 @@ from .rewards import (
 from .glearner import (
     GaussianPolicy,
     PolicyPrior,
-    SolvedPlan,
     SolverConfig,
     Trajectories,
     Trajectory,
@@ -51,7 +50,7 @@ __all__ = [
     "MarketSpec", "ReturnPaths", "ReturnCovariance",
     "simulate", "residual_covariance", "mean_expected_returns",
     "RewardParams", "BenchmarkPath", "RewardCoeffs", "exponential_benchmark",
-    "SolverConfig", "PolicyPrior", "GaussianPolicy", "SolvedPlan", "Trajectory",
+    "SolverConfig", "PolicyPrior", "GaussianPolicy", "Trajectory",
     "Trajectories", "backward_pass", "solve_plan", "rollout", "cash_installment",
     "default_prior",
     "GirlParams", "FitConfig", "FitReport", "fit", "loss_slices",

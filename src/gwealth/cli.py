@@ -22,7 +22,7 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, GWealthError, ShapeError
 from .girl import GirlParams, fit, loss_slices, scaled_start
-from .glearner import GaussianPolicy, PolicyPrior, default_prior, rollout, solve_plan
+from .glearner import PolicyPrior, default_prior, rollout, solve_plan
 from .market import ReturnCovariance, ReturnPaths, residual_covariance, simulate
 from .metrics import equal_weight_baseline, performance_summary
 from .rewards import BenchmarkPath, RewardParams, exponential_benchmark
@@ -181,11 +181,8 @@ def _solve_stage(run: _Run, reward: RewardParams, plan_file: str) -> None:
     sigma, rbar_path = _market_inputs(run)
     horizon, n = rbar_path.shape
     logger.info("solving plan for %d periods, %d assets", horizon, n)
-    plan = solve_plan(reward, rbar_path, sigma, _benchmark(cfg, horizon), _prior(cfg),
-                      cfg.solver)
-    # keep what the file holds, as a stage run on its own reads it back
-    policy = GaussianPolicy(rbar=plan.rbar, u_tilde=plan.u_tilde, v_tilde=plan.v_tilde,
-                            chol_tilde=plan.chol_tilde)
+    policy = solve_plan(reward, rbar_path, sigma, _benchmark(cfg, horizon), _prior(cfg),
+                        cfg.solver)
     run.save(plan_file, storage.write_plan_npz, policy)
 
 

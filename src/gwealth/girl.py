@@ -9,10 +9,12 @@ not depend on theta; losses therefore differ from those of earlier versions,
 which carried it, by a theta-free constant.  The reward parameters
 theta = (lam, eta, rho, omega) are recovered by damped Fisher scoring in
 unconstrained coordinates, on the reward's theta-free terms built once per fit
-(``rewards.reward_basis``): every likelihood evaluation solves the plan once,
-and one tangent pass over an accepted point's plan (``glearner.tangent_pass``)
-gives the exact gradient and information.  Central finite differences and
-the adjoint form of the gradient in ``tests/oracles.py`` are its oracles.
+(``rewards.reward_basis``).  Every likelihood evaluation runs the backward
+recursion once and scores each step as soon as it is solved (``_nll``, the
+one driver of the loss), and one tangent pass over an accepted point's policy
+(``glearner.tangent_pass``) gives the exact gradient and information.
+Central finite differences and the adjoint form of the gradient in
+``tests/oracles.py`` are its oracles.
 
 Sigma_r, the policy prior, beta and gamma are held fixed: only the reward is
 learned.  The loss slices run on every CPU of the process's affinity set (no
@@ -29,13 +31,13 @@ import numpy as np
 
 from .errors import GradientError, InfeasibleError, ParameterError, ShapeError
 from .glearner import (
+    GaussianPolicy,
     PolicyPrior,
-    SolvedPlan,
     SolverConfig,
     Trajectories,
     _backward_steps,
     _checked_path,
-    backward_pass,
+    _policy_rows,
     tangent_pass,
 )
 from .market import ReturnCovariance
@@ -127,18 +129,27 @@ def scaled_start(reward: RewardParams, scale: float = 2.0) -> RewardParams:
     the configured values by the given factor (never at them).
 
     The growth rate is scaled through its excess over one; rho is capped
-    inside the open unit interval.
+    inside the open unit interval.  A start outside the fit's domain (lam,
+    eta and omega positive and finite, rho in (0, 1)) raises ParameterError
+    naming it, the ``reward`` key it comes from and ``girl.theta0_scale``.
     """
     if scale == 1.0:
         raise ParameterError("starting scale of 1.0 would start at the configured values")
     if np.ndim(reward.omega) != 0:
         raise ParameterError("inference starting point needs a scalar omega")
-    return RewardParams(
+    start = RewardParams(
         lam=reward.lam * scale,
         eta=1.0 + (reward.eta - 1.0) * scale,
         rho=min(reward.rho * scale, 0.95),
         omega=float(reward.omega) * scale,
     )
+    for name in PARAM_NAMES:
+        value, upper = float(getattr(start, name)), 1.0 if name == "rho" else math.inf
+        if not 0.0 < value < upper:
+            raise ParameterError(f"the fit's start {name}={value:g} lies outside (0, {upper:g}): "
+                                 f"it is reward.{name}={float(getattr(reward, name)):g} moved "
+                                 f"by girl.theta0_scale={scale:g}")
+    return start
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +183,6 @@ def _named(reward: RewardParams) -> str:
     """The reward parameters as an error message names them."""
     return (f"lam={reward.lam:g}, eta={reward.eta:g}, rho={reward.rho:g}, "
             f"omega={float(reward.omega):g}")
-
-
-def _solve_for(theta: GirlParams, basis: RewardBasis, prior: PolicyPrior) -> SolvedPlan:
-    """The plan under theta's reward on the market terms of ``basis`` (built
-    from theta's sigma_r and benchmark) with theta's ``prior``."""
-    try:
-        return backward_pass(basis.coeffs(theta.reward), prior, theta.solver_config(),
-                             basis.rbar)
-    except InfeasibleError as exc:
-        raise InfeasibleError(f"{exc} (under reward parameters {_named(theta.reward)})") from exc
 
 
 @dataclass(frozen=True)
@@ -232,18 +233,13 @@ def prepare_stats(
 
 def nll_from_stats(theta: GirlParams, stats: _DataStats, rbar_path: np.ndarray) -> float:
     """Negative log-likelihood of the pooled actions given their states
-    under theta.
-
-    Equals the per-step sum of action log-densities over every trajectory
-    (``trajectory_nll`` in ``tests/oracles.py``).  The theta-free transition
-    density of the positions is not part of it.
-
-    The action term is the Gaussian posterior log-density accumulated through
-    second moments, which costs a handful of N x N products per step instead
-    of a pass over every trajectory.
-    """
+    under theta: the per-step sum of action log-densities over every
+    trajectory (``trajectory_nll`` in ``tests/oracles.py``), accumulated
+    through second moments in a handful of N x N products per step instead of
+    a pass over every trajectory (``_nll``).  The theta-free transition
+    density of the positions is not part of it."""
     basis = reward_basis(rbar_path, theta.sigma_r, theta.benchmark)
-    return _nll_on_plan(_solve_for(theta, basis, theta.prior()), stats)
+    return _nll(theta, basis, theta.prior(), stats, _step_buffers(stats.n_assets))
 
 
 def _step_nll(stats: _DataStats, t: int, prec: np.ndarray, u_t: np.ndarray, v_t: np.ndarray,
@@ -261,29 +257,29 @@ def _step_nll(stats: _DataStats, t: int, prec: np.ndarray, u_t: np.ndarray, v_t:
     return 0.5 * (quad + m * (n * LOG_2PI + logdet))
 
 
-def _nll_on_plan(plan: SolvedPlan, stats: _DataStats) -> float:
-    """The sum of ``_step_nll`` over the plan's rows, for t = 0..T-1."""
-    if plan.horizon != stats.horizon or plan.n_assets != stats.n_assets:
-        raise ShapeError("data statistics do not match the solved plan")
-    total = 0.0
-    for t in range(stats.horizon):
-        total += _step_nll(stats, t, plan.sigma_bar[t], plan.u_tilde[t], plan.v_tilde[t],
-                           plan.chol_tilde[t])
-    return total
-
-
-def _streamed_nll(theta: GirlParams, basis: RewardBasis, prior: PolicyPrior,
-                  stats: _DataStats) -> float:
-    """``_nll_on_plan`` of the plan ``_solve_for`` solves, streamed through one
-    set of step buffers; its terms are summed in t order, so the two agree
-    bit for bit.  The inputs must pass ``glearner._checked_path``."""
-    n = stats.n_assets
+def _step_buffers(n: int):
+    """An ``out`` for ``_nll`` that writes every step into one set of buffers."""
     step = (np.empty((n, n)), np.empty(n), np.empty((n, n)), np.empty((n, n)))
+    return lambda t: step
+
+
+def _nll(theta: GirlParams, basis: RewardBasis, prior: PolicyPrior, stats: _DataStats,
+         out) -> float:
+    """The loss of ``stats`` under theta on the market terms of ``basis``
+    with theta's ``prior``, the one driver of the likelihood: the recursion
+    writes step t into ``out(t)``'s buffers, where ``_step_nll`` scores it
+    before the next step.  The terms are added in t order, so any ``out``
+    gives the same bits.  A term that overflows makes the loss non-finite
+    without a warning; an infeasible solve names theta's reward parameters."""
+    cfg = theta.solver_config()
+    rbar = _checked_path(prior, cfg, basis.rbar)
+    if rbar.shape != (stats.horizon, stats.n_assets):
+        raise ShapeError("data statistics do not match the return path")
     terms = [0.0] * stats.horizon
     try:
-        for t in _backward_steps(basis.coeffs(theta.reward), prior, theta.solver_config(),
-                                 basis.rbar, lambda t: step):
-            terms[t] = _step_nll(stats, t, *step)
+        for t in _backward_steps(basis.coeffs(theta.reward), prior, cfg, rbar, out):
+            with np.errstate(over="ignore"):  # thread-local: entered on the caller's thread
+                terms[t] = _step_nll(stats, t, *out(t))
     except InfeasibleError as exc:
         raise InfeasibleError(f"{exc} (under reward parameters {_named(theta.reward)})") from exc
     total = 0.0
@@ -296,11 +292,11 @@ def _streamed_nll(theta: GirlParams, basis: RewardBasis, prior: PolicyPrior,
 # score and optimizer
 # ---------------------------------------------------------------------------
 
-def _plan_score(theta: GirlParams, basis: RewardBasis, plan: SolvedPlan,
+def _plan_score(theta: GirlParams, basis: RewardBasis, policy: GaussianPolicy,
                 stats: _DataStats) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradient of the negative log-likelihood and its Fisher
     information in the ``pack_reward`` coordinates at ``theta``, contracted
-    step by step from one tangent pass over ``plan``, the policy solved at
+    step by step from one tangent pass over ``policy``, the policy solved at
     ``theta`` on ``basis``.  The likelihood depends on theta only through the
     policy N(k + K x, C), whose mean changes by beta C (A_i x + a_i) and
     precision by -2 beta dq_uu,i along direction i (``tangent_pass``).  Over
@@ -312,10 +308,10 @@ def _plan_score(theta: GirlParams, basis: RewardBasis, plan: SolvedPlan,
     grad, info = np.zeros(k), np.zeros((k, k))
 
     def contract(t, dq_uu, a_ux, a_u):
-        v_t, x_mean, cxx, cux = plan.v_tilde[t], stats.x_mean[t], stats.cxx[t], stats.cux[t]
-        cov = plan.chol_tilde[t] @ plan.chol_tilde[t].T
+        v_t, x_mean, cxx, cux = policy.v_tilde[t], stats.x_mean[t], stats.cxx[t], stats.cux[t]
+        cov = policy.chol_tilde[t] @ policy.chol_tilde[t].T
         # the data's sums of e, e x' and e e' - m C (its symmetric part), e = u - k - K x
-        e_sum = m * (stats.u_mean[t] - plan.u_tilde[t] - v_t @ x_mean)
+        e_sum = m * (stats.u_mean[t] - policy.u_tilde[t] - v_t @ x_mean)
         v_cxx = v_t @ cxx
         e_x = cux - v_cxx + np.outer(e_sum, x_mean)
         grad[:] -= a_ux.reshape(k, -1) @ e_x.ravel() + a_u @ e_sum
@@ -329,14 +325,14 @@ def _plan_score(theta: GirlParams, basis: RewardBasis, plan: SolvedPlan,
 
     r = theta.reward
     with np.errstate(over="ignore"):  # an overflow is a non-finite result, rejected below
-        tangent_pass(plan, basis.coeffs(r), basis.tangents(r), contract)
+        tangent_pass(policy, theta.gamma, basis.coeffs(r), basis.tangents(r), contract)
         # chain rule from (lam, eta, rho, omega) to the coordinates of pack_reward
         scale = np.array([r.lam, r.eta, r.rho * (1.0 - r.rho), float(r.omega)])
-        grad *= plan.beta * scale
+        grad *= theta.beta * scale
         try:  # a Python float ** raises past the float range instead of giving inf
-            info *= plan.beta**2 * np.outer(scale, scale)
+            info *= theta.beta**2 * np.outer(scale, scale)
         except OverflowError as exc:
-            raise GradientError(f"beta={plan.beta:g} squared is outside the float range") from exc
+            raise GradientError(f"beta={theta.beta:g} squared is outside the float range") from exc
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(info))):
         raise GradientError("non-finite likelihood gradient or information")
     return grad, 0.5 * (info + info.T)
@@ -376,19 +372,18 @@ def fit(
         theta = theta0.with_reward(unpack_reward(vec))
         theta.validate()  # a point outside the domain costs no solve
         solves += 1
-        plan = _solve_for(theta, basis, prior)
-        with np.errstate(over="ignore"):  # an overflow is a non-finite loss: never accepted
-            return _nll_on_plan(plan, stats), theta, plan
+        policy, out = _policy_rows(basis.rbar)  # the score reads the policy of an accepted trial
+        return _nll(theta, basis, prior, stats, out), theta, policy
 
     vec = pack_reward(theta0.reward)
-    loss, theta, plan = evaluate(vec)
+    loss, theta, policy = evaluate(vec)
     if not np.isfinite(loss):
         raise GradientError(
             f"non-finite objective at the starting parameters {_named(theta0.reward)}")
     loss_path, mu, stop_reason = [loss], DAMPING_START, "budget"
     for iteration in range(1, cfg.max_iters + 1):
-        grad, info = _plan_score(theta, basis, plan, stats)  # both finite, or it raises
-        plan = None  # one plan in memory at a time: the next is a trial's
+        grad, info = _plan_score(theta, basis, policy, stats)  # both finite, or it raises
+        policy = None  # one policy in memory at a time: the next is a trial's
         try:  # through a Cholesky factor: an I that is not positive definite never converges
             z = np.linalg.solve(np.linalg.cholesky(info), grad)
         except np.linalg.LinAlgError:
@@ -402,7 +397,7 @@ def fit(
             stop_reason = "converged"
             break
         for _ in range(DAMPING_TRIALS):
-            trial = None  # drop a rejected trial's plan before the next solve
+            trial = None  # drop a rejected trial's policy before the next solve
             try:
                 step = np.linalg.solve(info + mu * np.diag(np.diag(info)), -grad)
                 if np.max(np.abs(step)) <= MAX_STEP:  # False for NaN
@@ -418,10 +413,10 @@ def fit(
         if loss - trial[0] >= -GAIN_RATIO * float(grad @ step + 0.5 * step @ info @ step):
             mu /= DAMPING_DOWN
         vec = vec + step
-        loss, theta, plan = trial
+        loss, theta, policy = trial
         loss_path.append(loss)
 
-    plan = trial = None  # gone before the report is allocated, so the heap can shrink
+    policy = trial = None  # gone before the report is allocated, so the heap can shrink
     return FitReport(params=theta, loss_path=np.asarray(loss_path),
                      iterations=len(loss_path) - 1, stop_reason=stop_reason,
                      decrement=decrement, solves=solves)
@@ -435,12 +430,13 @@ def loss_slices(
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """One-dimensional NLL scans around theta, one grid per reward parameter.
 
-    Returns {name: (grid values, nll values)}.  Defaults to 21-point grids
-    centered on theta's own values.  The points run on a thread pool with one
-    worker per CPU of the process's affinity set (no setting changes that),
-    each streaming its solve (``_streamed_nll``).  Every value equals
-    ``nll_from_stats`` at its point bit for bit, and an infeasible solve raises
-    the error of the first failing point in grid order, as a serial loop would.
+    Returns {name: (grid values, nll values)}, on ``default_slice_grids``
+    unless given.  The points run on a thread pool with one worker per CPU
+    of the process's affinity set (no setting changes that), each through
+    ``_nll`` in one set of step buffers, and equal ``nll_from_stats`` bit for
+    bit.  As in a serial loop, the first point in grid order whose solve is
+    infeasible or whose loss is not finite raises ``InfeasibleError`` or
+    ``GradientError`` naming it.
     """
     from concurrent.futures import ThreadPoolExecutor  # no other path loads a thread pool
 
@@ -449,19 +445,27 @@ def loss_slices(
     stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
     basis = reward_basis(rbar_path, theta.sigma_r, theta.benchmark)
     prior = theta.prior()
-    _checked_path(prior, theta.solver_config(), basis.rbar)
     points = [theta.with_reward(replace(theta.reward, **{name: float(g)}))
               for name, grid in grids.items() for g in grid]
+
     # workers call no public function: the benchmark's span tracer is not thread-safe
+    def loss_at(at):
+        loss = _nll(at, basis, prior, stats, _step_buffers(stats.n_assets))
+        if not math.isfinite(loss):  # pool.map raises it in grid order, as an infeasible solve
+            raise GradientError(f"non-finite loss under reward parameters {_named(at.reward)}")
+        return loss
+
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     with ThreadPoolExecutor(len(affinity(0)) if affinity else os.cpu_count() or 1) as pool:
-        vals = pool.map(lambda at: _streamed_nll(at, basis, prior, stats), points)
+        vals = pool.map(loss_at, points)
         return {name: (np.asarray(grid, dtype=float), np.fromiter(vals, float, len(grid)))
                 for name, grid in grids.items()}
 
 
 def default_slice_grids(reward: RewardParams, n_points: int = 21) -> dict[str, np.ndarray]:
-    """Symmetric scan grids around the reward parameters."""
+    """Scan grids centred on lam and omega (0.5 to 1.5 times each) and on eta
+    (+- 0.06); rho's spans rho +- 0.2 clipped to [0.02, 0.98], so it is
+    centred on rho only for rho in [0.22, 0.78]."""
     rho_lo = max(0.02, reward.rho - 0.2)
     rho_hi = min(0.98, reward.rho + 0.2)
     return {

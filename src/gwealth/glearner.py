@@ -18,7 +18,7 @@ policy normalizer at every step, terminal included, is the soft
 log-partition so that the posterior density identity
 pi = pi0 * exp(beta * (G - F_soft)) holds exactly.
 
-The tangent pass runs the same recursion over a solved plan without a new
+The tangent pass runs the same recursion over a solved policy without a new
 factorization: it carries the reward's derivatives in a few parameters to
 every step's G and posterior policy, for the likelihood's score.
 """
@@ -134,18 +134,6 @@ class GaussianPolicy:
     @property
     def n_assets(self) -> int:
         return self.rbar.shape[1]
-
-
-@dataclass(frozen=True)
-class SolvedPlan(GaussianPolicy):
-    """The policy plus what the likelihood fit reads of its solve: the
-    inverse temperature beta and discount gamma it was solved under, and the
-    posterior precision sigma_bar = sigma_p^{-1} - 2 beta q_uu, stacked like
-    the policy's fields.  G, F and the prior are not stored."""
-
-    beta: float
-    gamma: float
-    sigma_bar: np.ndarray  # (T, N, N)
 
 
 @dataclass(frozen=True)
@@ -305,46 +293,54 @@ def _backward_steps(reward: Callable[[int], RewardCoeffs], prior: PolicyPrior,
         yield t
 
 
+def _policy_rows(rbar: np.ndarray) -> tuple[GaussianPolicy, Callable[[int], tuple]]:
+    """An unfilled policy on the (T, N) path ``rbar`` and the ``out`` of
+    ``_backward_steps`` that writes step t into its row t.  Every step's
+    precision goes into one N x N buffer, since only its own step reads it."""
+    t_len, n = rbar.shape
+    v_tilde, chol_tilde = np.empty((t_len, n, n)), np.empty((t_len, n, n))
+    u_tilde, sigma_bar = np.empty((t_len, n)), np.empty((n, n))
+    return (GaussianPolicy(rbar=rbar, u_tilde=u_tilde, v_tilde=v_tilde, chol_tilde=chol_tilde),
+            lambda t: (sigma_bar, u_tilde[t], v_tilde[t], chol_tilde[t]))
+
+
 def backward_pass(
     reward: Callable[[int], RewardCoeffs],
     prior: PolicyPrior,
     cfg: SolverConfig,
     rbar: np.ndarray,
-) -> SolvedPlan:
+) -> GaussianPolicy:
     """Solve the finite-horizon problem by backward recursion.
 
     ``rbar`` is the (T, N) expected-return path and ``reward(t)`` gives
     period t's reward coefficients (``RewardBasis.coeffs``), read once each.
     Every step forms G_t from F_{t+1} (``_step_q``) and writes its policy
-    into row t of the plan's stacked arrays, at the cost of one inverse and
+    into row t of the policy's stacked arrays, at the cost of one inverse and
     two Cholesky factorizations (``_bayes_and_f``).  G and F carry no
     constant term, so the reward's ``r_0`` is not read.
     """
     rbar = _checked_path(prior, cfg, rbar)
-    t_len, n = rbar.shape
-    sigma_bar, v_tilde, chol_tilde = (np.empty((t_len, n, n)) for _ in range(3))
-    u_tilde = np.empty((t_len, n))
-    for _ in _backward_steps(reward, prior, cfg, rbar,
-                             lambda t: (sigma_bar[t], u_tilde[t], v_tilde[t], chol_tilde[t])):
+    policy, out = _policy_rows(rbar)
+    for _ in _backward_steps(reward, prior, cfg, rbar, out):
         pass
-    return SolvedPlan(rbar=rbar, u_tilde=u_tilde, v_tilde=v_tilde, chol_tilde=chol_tilde,
-                      beta=cfg.beta, gamma=cfg.gamma, sigma_bar=sigma_bar)
+    return policy
 
 
 def tangent_pass(
-    plan: SolvedPlan,
+    policy: GaussianPolicy,
+    gamma: float,
     reward: Callable[[int], RewardCoeffs],
     tangents: Callable[[int], RewardCoeffs],
     contract: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None],
 ) -> None:
     """Derivatives of a policy solved on ``reward`` (as ``backward_pass``
-    takes it) along k directions of that reward, handed to ``contract`` one
-    step at a time from T-1 down to 0.  ``tangents(t)`` stacks period t's
-    derivatives of the reward coefficients on a leading axis of length k
-    (``RewardBasis.tangents``).  ``contract(t, dq_uu, a_ux, a_u)`` gets G's
-    dq_uu, a_ux = dq_ux + 2 dq_uu K and a_u = dq_u + 2 dq_uu k: the posterior
-    precision changes by -2 beta dq_uu, the gain K by beta C a_ux and the
-    offset k by beta C a_u.
+    takes it) at discount ``gamma`` along k directions of that reward, handed
+    to ``contract`` one step at a time from T-1 down to 0.  ``tangents(t)``
+    stacks period t's derivatives of the reward coefficients on a leading
+    axis of length k (``RewardBasis.tangents``).  ``contract(t, dq_uu, a_ux,
+    a_u)`` gets G's dq_uu, a_ux = dq_ux + 2 dq_uu K and a_u = dq_u + 2 dq_uu
+    k: the posterior precision changes by -2 beta dq_uu, the gain K by beta C
+    a_ux and the offset k by beta C a_u.
 
     G_t changes by the reward's change plus F_{t+1}'s (``_step_q``), F_t by
     the expectation of G_t's under the posterior policy (an envelope
@@ -353,7 +349,7 @@ def tangent_pass(
     df_xx = dq_xx + sym(K' b_ux) and df_x = dq_x + dq_ux' k + K' b_u; the
     constants of G and F are not carried.
     """
-    t_last, n = plan.horizon - 1, plan.n_assets
+    t_last, n = policy.horizon - 1, policy.n_assets
     # G at T-1 is the reward, whose hard max takes u = (-r_uu)^{-1}(r_ux x + r_u) / 2
     r = reward(t_last)
     argmax = 0.5 * _terminal_solve(r.r_uu, r.r_ux, r.r_u)
@@ -362,15 +358,15 @@ def tangent_pass(
         r = tangents(t)
         dq_xx, dq_ux, dq_uu, dq_x, dq_u = r.r_xx, r.r_ux, r.r_uu, r.r_x, r.r_u
         if df_xx is not None:  # as in _step_q; dq_xx takes df_xx's memory
-            df_xx *= plan.gamma * r.sigma_hat
+            df_xx *= gamma * r.sigma_hat
             dq_uu += df_xx
             dq_ux += df_xx
             dq_ux += df_xx
             dq_xx = np.add(df_xx, dq_xx, out=df_xx)
-            lin = plan.gamma * ((1.0 + plan.rbar[t]) * df_x)
+            lin = gamma * ((1.0 + policy.rbar[t]) * df_x)
             dq_x, dq_u = dq_x + lin, dq_u + lin
         r = df_xx = None
-        gain, offset = plan.v_tilde[t], plan.u_tilde[t]
+        gain, offset = policy.v_tilde[t], policy.u_tilde[t]
         a_u = dq_u + 2.0 * (dq_uu @ offset)
         p = dq_uu @ gain
         if t > 0:  # F_t's tangents, under the policy F takes
@@ -393,7 +389,7 @@ def solve_plan(
     benchmark: BenchmarkPath,
     prior: PolicyPrior,
     cfg: SolverConfig,
-) -> SolvedPlan:
+) -> GaussianPolicy:
     """Assemble per-period reward coefficients and run the backward pass."""
     basis = reward_basis(rbar_path, sigma_r, benchmark)
     return backward_pass(basis.coeffs(params), prior, cfg, basis.rbar)

@@ -4,10 +4,10 @@ CSV files carry a header row, stable column order, and full-precision decimal
 floats (shortest representation that round-trips).  All but the loss slices
 are long-format tables, written by one writer and read by one dense-table
 reader.  Asset indices are global: 0 is the bond, 1..n are the risky assets;
-return panels cover risky assets only.  A solved plan is stored as its
-policy, an uncompressed NPZ archive (compressing saves 30% at N=100 but writes
-30 times slower).  Readers raise ShapeError, naming the file, on content they
-cannot parse and on any number that is not finite (nan, inf).
+return panels cover risky assets only.  A solved plan, the policy the solver
+returns, is stored as an uncompressed NPZ archive (compressing saves 30% at
+N=100 but writes 30 times slower).  Readers raise ShapeError, naming the file,
+on content they cannot parse and on any number that is not finite (nan, inf).
 """
 
 from __future__ import annotations
@@ -159,8 +159,7 @@ _PLAN_MEMBERS = {"rbar": "TN", "u_tilde": "TN", "v_tilde": "TNN", "chol_tilde": 
 
 
 def write_plan_npz(path: Path, policy: GaussianPolicy) -> None:
-    """The policy's fields, one member each; of a SolvedPlan only its policy
-    is stored."""
+    """The policy's fields, one member each."""
     np.savez(path, **{name: getattr(policy, name) for name in _PLAN_MEMBERS})
 
 

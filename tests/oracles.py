@@ -6,12 +6,14 @@ maximization) and deliberately shares no code path with the package
 internals it checks.  The rest are the direct, per-path and per-step forms of
 computations the package batches or pools (the trajectory likelihood, the
 market simulation, the rollout, the equal-weight baseline, the shortfall);
-they call only the package's single-step building blocks.  The plan stores
-neither G nor F nor its prior: ``plan_g`` replays the backward recursion's G
-from the package's own step functions on the prior and reward the plan was
-solved from, bit for bit, and adds G's constant, which the package does not
-carry, from this module's own steps; F is recomputed from that G
-(``plan_f``).  The quadratic forms of a reward and of G are evaluated here
+they call only the package's single-step building blocks.  A solved policy
+holds neither G nor F, nor its prior, inverse temperature and discount, nor
+the posterior precision: ``plan_g`` replays the backward recursion's G from
+the package's own step functions on the prior, reward and solver settings
+the policy was solved from, bit for bit, and adds G's constant, which the
+package does not carry, from this module's own steps; F is recomputed from
+that G (``plan_f``), and ``solve_with_precision`` keeps every step's
+precision from the recursion's own step buffers.  The quadratic forms of a reward and of G are evaluated here
 (``quad_value``).
 The exact likelihood gradient has two oracles: central finite differences of
 the package's own likelihood, and the derivative's reverse (adjoint) mode,
@@ -32,8 +34,8 @@ from scipy import optimize, stats
 from gwealth.errors import GradientError, ParameterError
 from gwealth.girl import PARAM_NAMES, nll_from_stats, pack_reward, prepare_stats, unpack_reward
 from gwealth.glearner import (
-    Trajectory, _bayes_and_f, _step_q, _terminal_f, _terminal_solve, backward_pass,
-    cash_installment,
+    GaussianPolicy, Trajectory, _backward_steps, _bayes_and_f, _checked_path, _step_q,
+    _terminal_f, _terminal_solve, backward_pass, cash_installment,
 )
 from gwealth.market import ReturnPaths
 from gwealth.rewards import RewardCoeffs, _assemble, _reward_weights, reward_basis
@@ -55,10 +57,26 @@ def coeffs_of(rc):
     return rc.r_xx, rc.r_ux, rc.r_uu, rc.r_x, rc.r_u, rc.r_0
 
 
-def plan_g(plan, prior, reward):
+def solve_with_precision(reward, prior, cfg, rbar):
+    """``backward_pass``'s policy and every step's posterior precision
+    sigma_bar, stacked (T, N, N): the package's recursion
+    (``_backward_steps``) run into stacked buffers, where the package
+    overwrites one buffer of the precision at each step."""
+    rbar = _checked_path(prior, cfg, rbar)
+    t_len, n = rbar.shape
+    sigma_bar, v_tilde, chol_tilde = (np.empty((t_len, n, n)) for _ in range(3))
+    u_tilde = np.empty((t_len, n))
+    for _ in _backward_steps(reward, prior, cfg, rbar,
+                             lambda t: (sigma_bar[t], u_tilde[t], v_tilde[t], chol_tilde[t])):
+        pass
+    return (GaussianPolicy(rbar=rbar, u_tilde=u_tilde, v_tilde=v_tilde, chol_tilde=chol_tilde),
+            sigma_bar)
+
+
+def plan_g(plan, prior, reward, cfg):
     """G's six coefficients (q_xx, q_ux, q_uu, q_x, q_u, q_0) at every step of
-    a plan solved from ``prior`` on ``reward`` (as ``backward_pass`` takes
-    them), a list over t.
+    a plan solved from ``prior`` on ``reward`` under the solver settings
+    ``cfg`` (as ``backward_pass`` takes them), a list over t.
 
     The backward recursion is replayed from T-1 down to 0 with the package's
     own steps: ``_step_q`` forms G_t's five terms in x and u from F_{t+1}'s
@@ -74,13 +92,13 @@ def plan_g(plan, prior, reward):
     f_next, f_0 = (np.zeros((n, n)), np.zeros(n)), 0.0  # F is zero past the horizon
     for t in range(t_len - 1, -1, -1):
         r = reward(t)
-        q = _step_q(r, f_next, 1.0 + plan.rbar[t], plan.gamma)
-        steps[t] = (*q, r.r_0 + plan.gamma * f_0)
+        q = _step_q(r, f_next, 1.0 + plan.rbar[t], cfg.gamma)
+        steps[t] = (*q, r.r_0 + cfg.gamma * f_0)
         if t == t_len - 1:
             f_next, f_0 = _terminal_f(q), expected_g(steps[t], *argmax_policy(q))[2]
         else:
-            f_next = _bayes_and_f(q, prior, plan.beta, t, scratch)
-            f_0 = posterior_step(*steps[t], prior, plan.beta)[-1][2]
+            f_next = _bayes_and_f(q, prior, cfg.beta, t, scratch)
+            f_0 = posterior_step(*steps[t], prior, cfg.beta)[-1][2]
     return steps
 
 
@@ -103,13 +121,14 @@ def argmax_policy(q):
     return sol[:, :-1], sol[:, -1]
 
 
-def plan_f(plan, prior, g, t):
+def plan_f(plan, prior, g, t, beta):
     """F_t's (f_xx, f_x, f_0) from G at step t of the plan solved from
-    ``prior`` (``g`` as ``plan_g`` gives it): the soft log-partition of
-    ``posterior_step`` before T-1, and G at its argmax (the hard max) at T-1."""
+    ``prior`` at inverse temperature ``beta`` (``g`` as ``plan_g`` gives it):
+    the soft log-partition of ``posterior_step`` before T-1, and G at its
+    argmax (the hard max) at T-1."""
     q = g[t]
     if t < plan.horizon - 1:
-        return posterior_step(*q, prior, plan.beta)[-1]
+        return posterior_step(*q, prior, beta)[-1]
     return expected_g(q, *argmax_policy(q))
 
 
@@ -327,10 +346,10 @@ def sigma_tilde(policy, t):
     return policy.chol_tilde[t] @ policy.chol_tilde[t].T
 
 
-def action_log_prob(plan, prior, q, x, u, beta):
-    """Log probability of an action at the step of the plan solved from
-    ``prior`` where G has the coefficients ``q``: log pi0(u|x) + beta *
-    (G(x,u) - F(x)).
+def action_log_prob(prior, q, x, u, beta):
+    """Log probability of an action at the step of a plan solved from
+    ``prior`` at inverse temperature ``beta`` where G has the coefficients
+    ``q``: log pi0(u|x) + beta * (G(x,u) - F(x)).
 
     F here is the soft log-partition of that G, which makes this exactly the
     log-density of the posterior Gaussian policy.
@@ -343,7 +362,7 @@ def action_log_prob(plan, prior, q, x, u, beta):
     w = np.linalg.solve(chol, u - mean0)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
     log_pi0 = -0.5 * (n * LOG_2PI + logdet + float(w @ w))
-    f_soft = posterior_step(*q, prior, plan.beta)[-1]
+    f_soft = posterior_step(*q, prior, beta)[-1]
     return log_pi0 + beta * (quad_value(q, x, u) - quad_value(f_soft, x))
 
 
@@ -357,14 +376,14 @@ def trajectory_nll(theta, trajs, rbar_path):
     if len(trajs) == 0:
         return 0.0
     reward = reward_basis(rbar_path, theta.sigma_r, theta.benchmark).coeffs(theta.reward)
-    prior = theta.prior()
-    plan = backward_pass(reward, prior, theta.solver_config(), rbar_path)
-    g = plan_g(plan, prior, reward)
+    prior, cfg = theta.prior(), theta.solver_config()
+    plan = backward_pass(reward, prior, cfg, rbar_path)
+    g = plan_g(plan, prior, reward, cfg)
     total = 0.0
     for traj in trajs:
         assert traj.u.shape[0] == plan.horizon
         for t in range(plan.horizon):
-            total += action_log_prob(plan, prior, g[t], traj.x[t], traj.u[t], theta.beta)
+            total += action_log_prob(prior, g[t], traj.x[t], traj.u[t], theta.beta)
     return -total
 
 
@@ -438,9 +457,10 @@ def expected_g(q, gain, offset, cov=None):
     return f_xx, f_x, f_0
 
 
-def tangent_pass(plan, basis, params):
+def tangent_pass(plan, basis, params, gamma):
     """Derivatives of G's coefficients in (lam, eta, rho, omega) at every
-    step of the plan solved under ``params`` on ``basis``: a list over t of
+    step of the plan solved under ``params`` on ``basis`` at discount
+    ``gamma``: a list over t of
     (dq_xx, dq_ux, dq_uu, dq_x, dq_u, dq_0), each stacked on a leading axis
     of length 4, from the recursion's tangent run from T-1 down to 0.
 
@@ -458,14 +478,14 @@ def tangent_pass(plan, basis, params):
             # G at T-1, as plan_g replays it: the reward plus a zero F
             n = plan.n_assets
             g_last = _step_q(basis.coeffs(params)(t_last), (np.zeros((n, n)), np.zeros(n)),
-                             1.0 + plan.rbar[t_last], plan.gamma)
+                             1.0 + plan.rbar[t_last], gamma)
             df = expected_g(dq, *argmax_policy(g_last))
         else:
             df_xx, df_x, df_0 = df
-            growth = plan.gamma * df_xx * dr.sigma_hat
-            lin = plan.gamma * (1.0 + plan.rbar[t]) * df_x
+            growth = gamma * df_xx * dr.sigma_hat
+            lin = gamma * (1.0 + plan.rbar[t]) * df_x
             dq = (dq[0] + growth, dq[1] + 2.0 * growth, dq[2] + growth, dq[3] + lin,
-                  dq[4] + lin, dq[5] + plan.gamma * df_0)
+                  dq[4] + lin, dq[5] + gamma * df_0)
             df = expected_g(dq, plan.v_tilde[t], plan.u_tilde[t], sigma_tilde(plan, t))
         steps[t] = dq
     return steps
@@ -478,7 +498,8 @@ def tangent_gradient(theta, basis, plan, stats):
     trade moments of the pooled data ``stats`` (``girl.prepare_stats``)."""
     m = stats.count
     grad = np.zeros(len(PARAM_NAMES))
-    for t, (_, dq_ux, dq_uu, _, dq_u, _) in enumerate(tangent_pass(plan, basis, theta.reward)):
+    for t, (_, dq_ux, dq_uu, _, dq_u, _) in enumerate(
+            tangent_pass(plan, basis, theta.reward, theta.gamma)):
         v_t, x_mean = plan.v_tilde[t], stats.x_mean[t]
         mean = plan.u_tilde[t] + v_t @ x_mean
         w_u = m * (stats.u_mean[t] - mean)
@@ -486,8 +507,8 @@ def tangent_gradient(theta, basis, plan, stats):
         w_uu = (stats.cuu[t] - v_cxx @ v_t.T - m * sigma_tilde(plan, t)
                 + np.outer(w_u, stats.u_mean[t]) + np.outer(mean, w_u))
         w_ux = stats.cux[t] - v_cxx + np.outer(w_u, x_mean)
-        grad -= plan.beta * (np.einsum("kij,ij->k", dq_uu, w_uu)
-                             + np.einsum("kij,ij->k", dq_ux, w_ux) + dq_u @ w_u)
+        grad -= theta.beta * (np.einsum("kij,ij->k", dq_uu, w_uu)
+                              + np.einsum("kij,ij->k", dq_ux, w_ux) + dq_u @ w_u)
     reward = theta.reward
     return grad * (reward.lam, reward.eta, reward.rho * (1.0 - reward.rho), float(reward.omega))
 
@@ -496,9 +517,10 @@ def tangent_gradient(theta, basis, plan, stats):
 # reverse-mode likelihood gradient (the package runs one tangent pass)
 # ---------------------------------------------------------------------------
 
-def adjoint_pass(plan, basis, params, seed):
+def adjoint_pass(plan, basis, params, gamma, seed):
     """Adjoints of G's coefficients for a scalar function of the plan solved
-    under ``params`` on ``basis``, one step at a time from 0 to T-1.
+    under ``params`` on ``basis`` at discount ``gamma``, one step at a time
+    from 0 to T-1.
 
     ``seed(t, sigma_tilde_t)`` gives the function's own derivative in step
     t's (q_ux, q_uu, q_u).  Yields (t, (a_xx, a_ux, a_uu, a_x, a_u, a_0)),
@@ -532,9 +554,9 @@ def adjoint_pass(plan, basis, params, seed):
         yield t, (a_xx, a_ux, a_uu, a_x, a_u, a_0)
         # F_{t+1}'s adjoint: it enters G_t as gamma (f_xx * sigma_hat_t) on
         # q_xx, 2 q_ux and q_uu, gamma a_t * f_x on q_x and q_u, gamma f_0 on q_0
-        a_xx = plan.gamma * basis.sigma_hat[t] * (a_xx + 2.0 * a_ux + a_uu)
-        a_x = plan.gamma * (1.0 + plan.rbar[t]) * (a_x + a_u)
-        a_0 = plan.gamma * a_0
+        a_xx = gamma * basis.sigma_hat[t] * (a_xx + 2.0 * a_ux + a_uu)
+        a_x = gamma * (1.0 + plan.rbar[t]) * (a_x + a_u)
+        a_0 = gamma * a_0
 
 
 def pullback(basis, params, adjoints):
@@ -574,7 +596,8 @@ def adjoint_gradient(theta, basis, plan, stats):
         return w_ux, w_uu, w_u
 
     reward = theta.reward
-    grad = -plan.beta * pullback(basis, reward, adjoint_pass(plan, basis, reward, seed))
+    grad = -theta.beta * pullback(basis, reward,
+                                  adjoint_pass(plan, basis, reward, theta.gamma, seed))
     return grad * (reward.lam, reward.eta, reward.rho * (1.0 - reward.rho), float(reward.omega))
 
 

@@ -210,7 +210,8 @@ class TestCriterion6:
                 rng, n=2, t_len=2, beta=float(rng.uniform(0.5, 2.0))
             )
             plan = solve_plan(params, rbar_path, sigma_r, benchmark, prior, cfg)
-            g = plan_g(plan, prior, reward_basis(rbar_path, sigma_r, benchmark).coeffs(params))
+            g = plan_g(plan, prior, reward_basis(rbar_path, sigma_r, benchmark).coeffs(params),
+                       cfg)
             x = rng.normal(0.0, 5.0, size=2)
 
             def g_batch(u_draws, q=g[0], x=x):
@@ -222,14 +223,14 @@ class TestCriterion6:
             mean0 = prior.u_bar + prior.v_bar @ x
             # the 3-sigma bound is only meaningful when the importance sampler
             # has real overlap; screen instances on the log-weight spread
-            if logweight_spread(g_batch, plan.beta, mean0, prior.sigma_p, rng) > 3.5:
+            if logweight_spread(g_batch, cfg.beta, mean0, prior.sigma_p, rng) > 3.5:
                 continue
             accepted += 1
             est, se = mc_log_partition(
-                g_batch, plan.beta, mean0, prior.sigma_p,
+                g_batch, cfg.beta, mean0, prior.sigma_p,
                 n_draws=1_000_000, rng=rng,
             )
-            if abs(quad_value(plan_f(plan, prior, g, 0), x) - est) >= 3.0 * se:
+            if abs(quad_value(plan_f(plan, prior, g, 0, cfg.beta), x) - est) >= 3.0 * se:
                 failures += 1
         ok = failures <= 1  # one 3-sigma miss in twenty trials is within chance
         assert _report(6, "oracle b: Gaussian integral", ok,
@@ -249,11 +250,12 @@ class TestCriterion6:
             x = rng.normal(0.0, 20.0, size=n)
             u = rng.normal(0.0, 5.0, size=n)
             reward = reward_basis(rbar_path, sigma_r, benchmark).coeffs(params)
-            g = plan_g(plan, prior, reward)
+            g = plan_g(plan, prior, reward, cfg)
             from oracles import expected_next_value
 
             ev = expected_next_value(
-                plan_f(plan, prior, g, t + 1), 1.0 + rbar_path[t], pad(sigma_r.sigma_r), x + u,
+                plan_f(plan, prior, g, t + 1, cfg.beta), 1.0 + rbar_path[t], pad(sigma_r.sigma_r),
+                x + u,
             )
             want = quad_value(coeffs_of(reward(t)), x, u) + cfg.gamma * ev
             got = quad_value(g[t], x, u)
@@ -311,12 +313,13 @@ class TestCriterion6:
                 rng, n=2, t_len=2, beta=float(rng.uniform(1.0, 50.0))
             )
             plan = solve_plan(params, rbar_path, sigma_r, benchmark, prior, cfg)
-            g = plan_g(plan, prior, reward_basis(rbar_path, sigma_r, benchmark).coeffs(params))
+            g = plan_g(plan, prior, reward_basis(rbar_path, sigma_r, benchmark).coeffs(params),
+                       cfg)
             for _ in range(10):
                 t = int(rng.integers(0, 2))
                 x = rng.normal(0.0, 10.0, size=2)
                 u = rng.normal(0.0, 3.0, size=2)
-                got = action_log_prob(plan, prior, g[t], x, u, beta=cfg.beta)
+                got = action_log_prob(prior, g[t], x, u, beta=cfg.beta)
                 want = mvn_logpdf(u, policy_mean(plan, t, x), sigma_tilde(plan, t))
                 worst = max(worst, abs(got - want))
                 count += 1

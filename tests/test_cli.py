@@ -725,6 +725,19 @@ class TestRepro:
         assert "theta0_scale" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repro_fit_start_outside_the_domain_is_a_clean_error(self, tmp_path, capsys):
+        # reward.eta 0.05 moved by girl.theta0_scale 2 would start the fit at
+        # eta -0.9: the error names the start and both keys, and every file
+        # of the earlier stages is removed
+        out = tmp_path / "out"
+        data = tiny_config(out)
+        data["reward"]["eta"] = 0.05
+        assert main(["repro", "--config", str(write_config(tmp_path, data))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gwealth: error: the fit's start eta=-0.9 lies outside (0, inf)")
+        assert "reward.eta=0.05" in err and "girl.theta0_scale=2" in err
+        assert list(out.iterdir()) == []
+
     def test_repro_seed_flag_changes_outputs(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -29,7 +30,7 @@ from gwealth.girl import (
     scaled_start,
     unpack_reward,
 )
-from gwealth.glearner import Trajectories, default_prior, rollout, solve_plan
+from gwealth.glearner import Trajectories, backward_pass, default_prior, rollout, solve_plan
 from gwealth.market import (
     MarketSpec,
     ReturnCovariance,
@@ -79,7 +80,7 @@ def make_setup(rng, n=3, t_len=3, n_paths=40, beta=50.0, gamma=0.95, lam=None,
 def theta_g(theta, plan, rbar_path):
     """G at every step of the plan solved under ``theta`` (``plan_g``)."""
     return plan_g(plan, theta.prior(), reward_basis(rbar_path, theta.sigma_r, theta.benchmark)
-                  .coeffs(theta.reward))
+                  .coeffs(theta.reward), theta.solver_config())
 
 
 class TestActionLogProb:
@@ -87,7 +88,7 @@ class TestActionLogProb:
         theta, plan, trajs, rbar_path = make_setup(rng, beta=1e-12)
         x = trajs[0].x[0]
         u = trajs[0].u[0]
-        got = action_log_prob(plan, theta.prior(), theta_g(theta, plan, rbar_path)[0], x, u,
+        got = action_log_prob(theta.prior(), theta_g(theta, plan, rbar_path)[0], x, u,
                               beta=1e-12)
         want = mvn_logpdf(u, theta.u_bar, theta.sigma_p)
         assert got == pytest.approx(want, abs=1e-8)
@@ -99,7 +100,7 @@ class TestActionLogProb:
             t = int(rng.integers(0, plan.horizon))
             x = rng.normal(20.0, 10.0, size=3)
             u = rng.normal(0.0, 2.0, size=3)
-            got = action_log_prob(plan, theta.prior(), g[t], x, u, beta=theta.beta)
+            got = action_log_prob(theta.prior(), g[t], x, u, beta=theta.beta)
             want = mvn_logpdf(u, policy_mean(plan, t, x), sigma_tilde(plan, t))
             assert got == pytest.approx(want, abs=1e-8)
 
@@ -108,7 +109,7 @@ class TestActionLogProb:
         t = 1
         x = rng.normal(20.0, 5.0, size=3)
         mean = policy_mean(plan, t, x)
-        got = action_log_prob(plan, theta.prior(), theta_g(theta, plan, rbar_path)[t], x, mean,
+        got = action_log_prob(theta.prior(), theta_g(theta, plan, rbar_path)[t], x, mean,
                               beta=theta.beta)
         want = -0.5 * np.log(
             (2.0 * np.pi) ** 3 * np.linalg.det(sigma_tilde(plan, t))
@@ -125,7 +126,7 @@ class TestTrajectoryNLL:
         theta, plan, trajs, rbar_path = make_setup(rng, t_len=1)
         traj = trajs[0]
         got = trajectory_nll(theta, [traj], rbar_path)
-        want = -action_log_prob(plan, theta.prior(), theta_g(theta, plan, rbar_path)[0],
+        want = -action_log_prob(theta.prior(), theta_g(theta, plan, rbar_path)[0],
                                 traj.x[0], traj.u[0], theta.beta)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -143,6 +144,23 @@ class TestTrajectoryNLL:
         stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
         fast = nll_from_stats(theta, stats, rbar_path)
         assert fast == pytest.approx(direct, rel=1e-9)
+
+    def test_driver_gives_the_same_bits_on_policy_rows_and_step_buffers(self, rng):
+        # the fit scores each step in the rows of its trial's policy, the
+        # slices and nll_from_stats in one set of step buffers
+        theta, _, trajs, rbar_path = make_setup(rng, n=5, t_len=6)
+        stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
+        basis = reward_basis(rbar_path, theta.sigma_r, theta.benchmark)
+        prior = theta.prior()
+        for scale in (None, 2.0, 0.5):
+            at = theta if scale is None else theta.with_reward(scaled_start(theta.reward, scale))
+            policy, rows = glearner_mod._policy_rows(basis.rbar)
+            on_rows = girl_mod._nll(at, basis, prior, stats, rows)
+            assert on_rows == girl_mod._nll(at, basis, prior, stats, girl_mod._step_buffers(5))
+            assert on_rows == nll_from_stats(at, stats, rbar_path)
+            want = backward_pass(basis.coeffs(at.reward), prior, at.solver_config(), basis.rbar)
+            for name in ("rbar", "u_tilde", "v_tilde", "chol_tilde"):
+                assert np.array_equal(getattr(policy, name), getattr(want, name)), name
 
     def test_terminal_positions_are_not_read(self, rng):
         # the loss is of the actions given the states: the positions after
@@ -201,6 +219,19 @@ class TestReparameterization:
         assert float(start.omega) == pytest.approx(0.3)
         with pytest.raises(ParameterError):
             scaled_start(reward, 1.0)
+
+    @pytest.mark.parametrize("name, value, start", [
+        ("eta", 0.5, "eta=0 lies outside (0, inf)"),
+        ("eta", 0.3, "eta=-0.4 lies outside (0, inf)"),
+        ("lam", 1e308, "lam=inf lies outside (0, inf)"),
+        ("omega", 1e308, "omega=inf lies outside (0, inf)"),
+    ])
+    def test_scaled_start_outside_the_domain_names_it(self, name, value, start):
+        reward = replace(RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15),
+                         **{name: value})
+        message = f"start {start}: it is reward.{name}={value:g} moved by girl.theta0_scale=2"
+        with pytest.raises(ParameterError, match=re.escape(message) + "$"):
+            scaled_start(reward, 2.0)
 
 
 class TestGradient:
@@ -273,9 +304,10 @@ class TestGradient:
 
 
 def solve_at(theta, rbar_path):
-    """The market terms of theta and rbar_path, and the plan solved on them."""
+    """The market terms of theta and rbar_path, and the policy solved on them."""
     basis = reward_basis(rbar_path, theta.sigma_r, theta.benchmark)
-    return basis, girl_mod._solve_for(theta, basis, theta.prior())
+    return basis, backward_pass(basis.coeffs(theta.reward), theta.prior(),
+                                theta.solver_config(), basis.rbar)
 
 
 def exact_gradient(theta, trajs, rbar_path):
@@ -439,7 +471,7 @@ class TestInformation:
         # factor the decrement of an indefinite I is inf instead
         theta, _, trajs, rbar_path = make_setup(rng, n_paths=5)
         losses = iter(-np.arange(1.0, 100.0))
-        monkeypatch.setattr(girl_mod, "_nll_on_plan", lambda *args: next(losses))
+        monkeypatch.setattr(girl_mod, "_nll", lambda *args: next(losses))
         monkeypatch.setattr(girl_mod, "_plan_score", lambda *args: (
             np.array([0.0, 0.0, 1e-3, 0.0]), np.diag([1.0, 1.0, -1.0, 1.0])))
         report = fit(trajs, rbar_path, theta, FitConfig(max_iters=3))
@@ -458,6 +490,27 @@ class TestInformation:
         if report.converged:  # at the optimum, not where the information went singular
             assert near.converged
             assert abs(report.loss_path[-1] - near.loss_path[-1]) <= 2.0 * cfg.stop_tol
+
+
+def small_market(n_paths):
+    """A market of 3 assets over 8 periods at the reference reward and
+    beta=100, the data rolled out from the plan solved there, and the
+    return path."""
+    spec = MarketSpec(n_risky=2, horizon=8, n_paths=n_paths)
+    paths = simulate(spec)
+    rbar_path = np.concatenate(
+        [np.full((spec.horizon, 1), spec.r_f * spec.dt), mean_expected_returns(paths)],
+        axis=1)
+    prior = default_prior(spec.n_risky + 1, sigma_p_scale=10.0)
+    theta = GirlParams(
+        reward=RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15),
+        sigma_r=residual_covariance(paths), sigma_p=prior.sigma_p, u_bar=prior.u_bar,
+        beta=100.0, gamma=0.95,
+        benchmark=exponential_benchmark(1000.0, 0.5, spec.horizon, spec.dt),
+    )
+    trajs = rollout(solve_at(theta, rbar_path)[1], paths, np.full(3, 1000.0 / 3),
+                    np.random.default_rng(1))
+    return theta, trajs, rbar_path
 
 
 class TestFit:
@@ -508,20 +561,7 @@ class TestFit:
     def test_non_finite_start_names_its_parameters(self):
         # a lam at the edge of the float range overflows the start's loss,
         # without a warning; the error names the start, not a symptom further down
-        spec = MarketSpec(n_risky=2, horizon=8, n_paths=10)
-        paths = simulate(spec)
-        rbar_path = np.concatenate(
-            [np.full((spec.horizon, 1), spec.r_f * spec.dt), mean_expected_returns(paths)],
-            axis=1)
-        prior = default_prior(spec.n_risky + 1, sigma_p_scale=10.0)
-        theta = GirlParams(
-            reward=RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15),
-            sigma_r=residual_covariance(paths), sigma_p=prior.sigma_p, u_bar=prior.u_bar,
-            beta=100.0, gamma=0.95,
-            benchmark=exponential_benchmark(1000.0, 0.5, spec.horizon, spec.dt),
-        )
-        trajs = rollout(solve_at(theta, rbar_path)[1], paths, np.full(3, 1000.0 / 3),
-                        np.random.default_rng(1))
+        theta, trajs, rbar_path = small_market(n_paths=10)
         start = theta.with_reward(replace(theta.reward, lam=1e300))
         with pytest.raises(GradientError, match=r"starting parameters lam=1e\+300, eta=1.01, "
                                                 r"rho=0.4, omega=0.15"):
@@ -531,9 +571,10 @@ class TestFit:
         theta, _, trajs, rbar_path = make_setup(rng, n_paths=5)
         calls = {"n": 0}
         scores = {"n": 0}
-        plan_score = girl_mod._plan_score
+        nll, plan_score = girl_mod._nll, girl_mod._plan_score
 
         def increasing_nll(*args, **kwargs):
+            nll(*args, **kwargs)  # solves the policy that the score reads
             calls["n"] += 1
             return float(calls["n"])
 
@@ -541,7 +582,7 @@ class TestFit:
             scores["n"] += 1
             return plan_score(*args, **kwargs)
 
-        monkeypatch.setattr(girl_mod, "_nll_on_plan", increasing_nll)
+        monkeypatch.setattr(girl_mod, "_nll", increasing_nll)
         monkeypatch.setattr(girl_mod, "_plan_score", counted_score)
         report = fit(trajs, rbar_path, theta, FitConfig(max_iters=200))
         assert report.stop_reason == "damping" and not report.converged
@@ -559,7 +600,7 @@ class TestFit:
         theta, _, trajs, rbar_path = make_setup(rng, n_paths=40, beta=50.0)
         start = theta.with_reward(scaled_start(theta.reward, 2.0))
         vec0 = pack_reward(start.reward)
-        solve = girl_mod._solve_for
+        nll = girl_mod._nll
         plan_score = girl_mod._plan_score
         rejected = {"n": 0}
         scores = {"n": 0}
@@ -568,13 +609,13 @@ class TestFit:
             if np.linalg.norm(pack_reward(at.reward) - vec0) > 0.05:
                 rejected["n"] += 1
                 raise InfeasibleError("trial beyond the wall")
-            return solve(at, *args, **kwargs)
+            return nll(at, *args, **kwargs)
 
         def counted_score(*args, **kwargs):
             scores["n"] += 1
             return plan_score(*args, **kwargs)
 
-        monkeypatch.setattr(girl_mod, "_solve_for", walled_solve)
+        monkeypatch.setattr(girl_mod, "_nll", walled_solve)
         monkeypatch.setattr(girl_mod, "_plan_score", counted_score)
         report = fit(trajs, rbar_path, start, FitConfig(max_iters=1))
         # the damping grows until a step stays inside the wall
@@ -603,9 +644,8 @@ class TestFit:
             scores["n"] += 1
             return np.array([sign, 0.0, 0.0, 0.0]), np.eye(4)
 
-        plan = solve_at(theta, rbar_path)[1]  # every trial gets this plan
-        monkeypatch.setattr(girl_mod, "_solve_for", lambda *args: plan)
-        monkeypatch.setattr(girl_mod, "_nll_on_plan", lambda *args: next(losses))
+        # no trial is solved: the score is given
+        monkeypatch.setattr(girl_mod, "_nll", lambda *args: next(losses))
         monkeypatch.setattr(girl_mod, "_plan_score", unit_score)
         report = fit(trajs, rbar_path, start, FitConfig(max_iters=2))
         assert report.stop_reason == "budget" and report.iterations == 2
@@ -629,7 +669,7 @@ class TestFit:
         grad = np.zeros(4)
         grad[i] = -1.0 if name == "rho" else 1.0
         losses = iter(-np.arange(1.0, 100.0))
-        monkeypatch.setattr(girl_mod, "_nll_on_plan", lambda *args: next(losses))
+        monkeypatch.setattr(girl_mod, "_nll", lambda *args: next(losses))
         monkeypatch.setattr(girl_mod, "_plan_score", lambda *args: (grad, np.eye(4)))
         report = fit(trajs, rbar_path, start, FitConfig(max_iters=3))
         assert report.stop_reason == "budget" and report.iterations == 3
@@ -705,17 +745,6 @@ class TestLossSlices:
             assert np.array_equal(grid, grids[name])
             assert vals.tolist() == want[name].tolist(), name
 
-    def test_streamed_nll_equals_nll_on_plan(self, rng):
-        theta, _, trajs, rbar_path = make_setup(rng, n=5, t_len=6)
-        stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
-        basis = reward_basis(rbar_path, theta.sigma_r, theta.benchmark)
-        prior = theta.prior()
-        for scale in (None, 2.0, 0.5):
-            at = theta if scale is None else theta.with_reward(scaled_start(theta.reward, scale))
-            plan = girl_mod._solve_for(at, basis, prior)
-            assert (girl_mod._streamed_nll(at, basis, prior, stats)
-                    == girl_mod._nll_on_plan(plan, stats))
-
     def test_infeasible_point_raises_as_the_serial_loop(self, rng, monkeypatch):
         # the curvature turns convex from the 13th lam point on: the error is
         # that of the first failing point in grid order, as in a serial loop,
@@ -741,6 +770,29 @@ class TestLossSlices:
             loss_slices(theta, trajs, rbar_path, grids)
         assert str(pooled.value) == str(serial.value)
         assert f"lam={wall:g}," in str(pooled.value)
+
+    def test_overflowing_loss_is_inf_or_names_its_point_without_a_warning(self):
+        # at lam=1e300 every step's term overflows: nll_from_stats gives inf
+        # and the slices raise at their first point in grid order, on any
+        # worker, without a RuntimeWarning (which fails the test)
+        theta, trajs, rbar_path = small_market(n_paths=40)
+        at = theta.with_reward(replace(theta.reward, lam=1e300))
+        stats = prepare_stats(trajs, rbar_path, theta.sigma_r)
+        assert nll_from_stats(at, stats, rbar_path) == np.inf
+        with pytest.raises(GradientError, match=r"non-finite loss under reward parameters "
+                                                r"lam=5e\+299, eta=1.01, rho=0.4, omega=0.15$"):
+            loss_slices(at, trajs, rbar_path)
+
+    def test_default_grids_are_centred_unless_rho_is_clipped(self):
+        reward = RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15)
+        grids = default_slice_grids(reward)
+        for name, grid in grids.items():
+            value = float(getattr(reward, name))
+            assert len(grid) == 21 and grid[10] == pytest.approx(value, rel=1e-12), name
+            assert grid[0] + grid[-1] == pytest.approx(2.0 * value, rel=1e-12), name
+        rho = default_slice_grids(replace(reward, rho=0.97))["rho"]
+        assert rho[0] == pytest.approx(0.77, rel=1e-12) and rho[-1] == 0.98
+        assert rho[10] == pytest.approx(0.875, rel=1e-12)  # not the configured 0.97
 
     def test_workers_call_no_public_function(self, rng, monkeypatch):
         # a tracer that wraps the package's public functions sees every call

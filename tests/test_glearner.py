@@ -10,7 +10,6 @@ from gwealth.errors import InfeasibleError, ParameterError, ShapeError
 from gwealth.glearner import (
     GaussianPolicy,
     PolicyPrior,
-    SolvedPlan,
     SolverConfig,
     Trajectories,
     _terminal_f,
@@ -48,6 +47,7 @@ from oracles import (
     quad_value,
     rollout_loop,
     sigma_tilde,
+    solve_with_precision,
     tangent_pass,
 )
 
@@ -61,10 +61,17 @@ def build_plan(rng, n=3, t_len=3, **kwargs):
 G_NAMES = ("q_xx", "q_ux", "q_uu", "q_x", "q_u", "q_0")
 
 
-def replay_g(plan, prior, params, rbar_path, sigma_r, benchmark):
-    """G at every step of a plan solved from ``prior`` under ``params`` on
-    this market."""
-    return plan_g(plan, prior, reward_basis(rbar_path, sigma_r, benchmark).coeffs(params))
+def replay_g(plan, prior, params, rbar_path, sigma_r, benchmark, cfg):
+    """G at every step of a plan solved from ``prior`` under ``params`` and
+    the solver settings ``cfg`` on this market."""
+    return plan_g(plan, prior, reward_basis(rbar_path, sigma_r, benchmark).coeffs(params), cfg)
+
+
+def precision(params, rbar_path, sigma_r, benchmark, prior, cfg):
+    """Every step's posterior precision of the plan ``solve_plan`` solves on
+    these inputs, stacked (``solve_with_precision``)."""
+    basis = reward_basis(rbar_path, sigma_r, benchmark)
+    return solve_with_precision(basis.coeffs(params), prior, cfg, basis.rbar)[1]
 
 
 def chol_logdet(plan, t):
@@ -173,7 +180,7 @@ class TestBackwardPass:
         rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 0)
         plan = backward_pass(lambda t: rc, prior, cfg, rbar_path)
         # the package's F carries no constant: its terms in x
-        plan_fxx, plan_fx = _terminal_f(plan_g(plan, prior, lambda t: rc)[0][:5])
+        plan_fxx, plan_fx = _terminal_f(plan_g(plan, prior, lambda t: rc, cfg)[0][:5])
 
         # published closed form: sigma_tilde = sigma_hat + omega / lam
         lam = params.lam
@@ -195,8 +202,8 @@ class TestBackwardPass:
         plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(rng, n=3, t_len=2)
         rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 1)
         # the recursion's F at T-1: the package's terms in x, the oracle's constant
-        g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)
-        f_last = (*_terminal_f(g[1][:5]), plan_f(plan, prior, g, 1)[2])
+        g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark, cfg)
+        f_last = (*_terminal_f(g[1][:5]), plan_f(plan, prior, g, 1, cfg.beta)[2])
         for _ in range(5):
             x = rng.normal(0.0, 30.0, size=3)
             u_star = terminal_action(rc, x)
@@ -282,10 +289,12 @@ class TestBackwardPass:
             return replace(rc, r_xx=rc.r_xx + np.abs(rc.r_xx).max() * skews[0],
                            r_uu=rc.r_uu + np.abs(rc.r_uu).max() * skews[1])
 
-        got = backward_pass(skewed, prior, cfg, plan.rbar)
+        got, got_bar = solve_with_precision(skewed, prior, cfg, plan.rbar)
         arrays = {name: (getattr(got, name), getattr(plan, name))
-                  for name in ("sigma_bar", "u_tilde", "v_tilde", "chol_tilde")}
-        g_got, g_want = g_stacks(plan_g(got, prior, skewed)), g_stacks(plan_g(plan, prior, coeffs))
+                  for name in ("u_tilde", "v_tilde", "chol_tilde")}
+        arrays["sigma_bar"] = (got_bar, precision(params, rbar_path, sigma_r, benchmark, prior, cfg))
+        g_got = g_stacks(plan_g(got, prior, skewed, cfg))
+        g_want = g_stacks(plan_g(plan, prior, coeffs, cfg))
         arrays.update({name: (g_got[name], g_want[name]) for name in G_NAMES})
         for name in ("q_xx", "q_uu", "sigma_bar"):
             m = arrays[name][0]
@@ -293,11 +302,11 @@ class TestBackwardPass:
         for name, (m, want) in arrays.items():
             assert np.max(np.abs(m - want)) <= 1e-12 * np.max(np.abs(want)), name
 
-    def test_plan_adds_only_the_precision_to_the_policy(self):
+    def test_solve_returns_the_policy(self, rng):
+        # the precision is read at its own step only: no solve stores it
         assert [f.name for f in fields(GaussianPolicy)] == [
             "rbar", "u_tilde", "v_tilde", "chol_tilde"]
-        assert ([f.name for f in fields(SolvedPlan)]
-                == [f.name for f in fields(GaussianPolicy)] + ["beta", "gamma", "sigma_bar"])
+        assert type(build_plan(rng)[0]) is GaussianPolicy
 
 
 class TestTangentPass:
@@ -308,7 +317,8 @@ class TestTangentPass:
         for beta in (0.5, 5.0):
             plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(
                 rng, n=3, t_len=4, beta=beta)
-            steps = tangent_pass(plan, reward_basis(rbar_path, sigma_r, benchmark), params)
+            steps = tangent_pass(plan, reward_basis(rbar_path, sigma_r, benchmark), params,
+                                 cfg.gamma)
             assert len(steps) == plan.horizon
             for i, name in enumerate(names):
                 h = 1e-6 * float(getattr(params, name))
@@ -317,7 +327,7 @@ class TestTangentPass:
                     p = replace(params, **{name: float(getattr(params, name)) + d})
                     plan_d = solve_plan(p, rbar_path, sigma_r, benchmark, prior, cfg)
                     shifted.append(g_stacks(
-                        replay_g(plan_d, prior, p, rbar_path, sigma_r, benchmark)))
+                        replay_g(plan_d, prior, p, rbar_path, sigma_r, benchmark, cfg)))
                 up, down = shifted
                 for k, field in enumerate(G_NAMES):
                     want = (up[field] - down[field]) / (2.0 * h)
@@ -327,13 +337,20 @@ class TestTangentPass:
                     assert np.all(err <= 1e-6 * np.maximum(scale, 1e-9)), (name, field)
 
 
-def policy_tangents(plan, basis, params):
+def policy_tangents(plan, basis, params, gamma):
     """The package's tangent pass at every step: {t: (dq_uu, a_ux, a_u)}, in
     the order the contract is called."""
     steps = {}
-    package_tangent_pass(plan, basis.coeffs(params), basis.tangents(params),
+    package_tangent_pass(plan, gamma, basis.coeffs(params), basis.tangents(params),
                          lambda t, *tangents: steps.update({t: tangents}))
     return steps
+
+
+def solved_fields(basis, params, prior, cfg):
+    """{name: stack} of the precision, gain and offset solved under ``params``
+    on ``basis`` (``solve_with_precision``)."""
+    policy, sigma_bar = solve_with_precision(basis.coeffs(params), prior, cfg, basis.rbar)
+    return {"sigma_bar": sigma_bar, "v_tilde": policy.v_tilde, "u_tilde": policy.u_tilde}
 
 
 class TestPackageTangentPass:
@@ -345,9 +362,9 @@ class TestPackageTangentPass:
                 plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(
                     rng, n=3, t_len=t_len, beta=beta)
                 basis = reward_basis(rbar_path, sigma_r, benchmark)
-                steps = policy_tangents(plan, basis, params)
+                steps = policy_tangents(plan, basis, params, cfg.gamma)
                 assert list(steps) == list(range(t_len - 1, -1, -1))
-                for t, dq in enumerate(tangent_pass(plan, basis, params)):
+                for t, dq in enumerate(tangent_pass(plan, basis, params, cfg.gamma)):
                     want = (dq[2], dq[1] + 2.0 * dq[2] @ plan.v_tilde[t],
                             dq[4] + 2.0 * dq[2] @ plan.u_tilde[t])
                     for got, exact in zip(steps[t], want):
@@ -360,12 +377,13 @@ class TestPackageTangentPass:
         for beta in (0.5, 5.0):
             plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(
                 rng, n=3, t_len=4, beta=beta)
-            steps = policy_tangents(plan, reward_basis(rbar_path, sigma_r, benchmark), params)
+            basis = reward_basis(rbar_path, sigma_r, benchmark)
+            steps = policy_tangents(plan, basis, params, cfg.gamma)
             for i, name in enumerate(names):
                 h = 1e-6 * float(getattr(params, name))
                 up, down = (
-                    solve_plan(replace(params, **{name: float(getattr(params, name)) + d}),
-                               rbar_path, sigma_r, benchmark, prior, cfg)
+                    solved_fields(basis, replace(params, **{name: float(getattr(params, name)) + d}),
+                                  prior, cfg)
                     for d in (h, -h)
                 )
                 for t, (dq_uu, a_ux, a_u) in steps.items():
@@ -373,7 +391,7 @@ class TestPackageTangentPass:
                     for field, got in (("sigma_bar", -2.0 * beta * dq_uu[i]),
                                        ("v_tilde", beta * cov @ a_ux[i]),
                                        ("u_tilde", beta * cov @ a_u[i])):
-                        want = (getattr(up, field)[t] - getattr(down, field)[t]) / (2.0 * h)
+                        want = (up[field][t] - down[field][t]) / (2.0 * h)
                         scale = max(np.max(np.abs(want)), 1e-9)
                         assert np.max(np.abs(got - want)) <= 1e-6 * scale, (name, field, t)
 
@@ -390,7 +408,7 @@ class TestFreeEnergy:
             )
             x = rng.normal(0.0, 5.0, size=2)
 
-            g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)
+            g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark, cfg)
 
             def g_batch(u_draws, q=g[0], x=x):
                 q_xx, q_ux, q_uu, q_x, q_u, q_0 = q
@@ -400,14 +418,14 @@ class TestFreeEnergy:
 
             mean0 = prior.u_bar + prior.v_bar @ x
             # keep the importance sampler healthy so 3 sigma means 3 sigma
-            if logweight_spread(g_batch, plan.beta, mean0, prior.sigma_p, rng) > 3.5:
+            if logweight_spread(g_batch, cfg.beta, mean0, prior.sigma_p, rng) > 3.5:
                 continue
             accepted += 1
             est, se = mc_log_partition(
-                g_batch, plan.beta, mean0, prior.sigma_p,
+                g_batch, cfg.beta, mean0, prior.sigma_p,
                 n_draws=1_000_000, rng=rng,
             )
-            assert abs(quad_value(plan_f(plan, prior, g, 0), x) - est) < 3.0 * se
+            assert abs(quad_value(plan_f(plan, prior, g, 0, cfg.beta), x) - est) < 3.0 * se
 
     def test_large_beta_terminal_equals_max_reward(self, rng):
         params, rbar_path, sigma_r, benchmark, prior, _ = random_problem(rng, n=2, t_len=2)
@@ -416,7 +434,7 @@ class TestFreeEnergy:
         rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 1)
         x = rng.normal(0.0, 20.0, size=2)
         # the soft log-partition of G at T-1, which tends to the hard max
-        g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)
+        g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark, cfg)
         val = quad_value(posterior_step(*g[1], prior, cfg.beta)[-1], x)
         best = quad_value(coeffs_of(rc), x, terminal_action(rc, x))
         assert val == pytest.approx(best, rel=1e-3)
@@ -430,7 +448,7 @@ class TestGValue:
         rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 0)
         x = rng.normal(0.0, 20.0, size=3)
         u = rng.normal(0.0, 5.0, size=3)
-        g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)
+        g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark, cfg)
         assert quad_value(g[0], x, u) == pytest.approx(quad_value(coeffs_of(rc), x, u), rel=1e-9)
 
     def test_bellman_identity_closed_form(self, rng):
@@ -443,9 +461,10 @@ class TestGValue:
             x = rng.normal(0.0, 20.0, size=2)
             u = rng.normal(0.0, 5.0, size=2)
             rc = period_coeffs(params, rbar_path, sigma_r, benchmark, t)
-            g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)
+            g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark, cfg)
             # F_{t+1} from G_{t+1}: soft before T-1, the hard max at T-1
-            ev = expected_next_value(plan_f(plan, prior, g, t + 1), 1.0 + rbar_path[t], sig_pad,
+            ev = expected_next_value(plan_f(plan, prior, g, t + 1, cfg.beta), 1.0 + rbar_path[t],
+                                     sig_pad,
                                      x + u)
             want = quad_value(coeffs_of(rc), x, u) + cfg.gamma * ev
             got = quad_value(g[t], x, u)
@@ -456,8 +475,8 @@ class TestGValue:
         x = rng.normal(0.0, 10.0, size=2)
         u = rng.normal(0.0, 3.0, size=2)
         rc = period_coeffs(params, rbar_path, sigma_r, benchmark, 0)
-        g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)
-        f_xx, f_x, f_0 = plan_f(plan, prior, g, 1)
+        g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark, cfg)
+        f_xx, f_x, f_0 = plan_f(plan, prior, g, 1, cfg.beta)
         z = x + u
         n_draws = 100_000
         eps = rng.multivariate_normal(np.zeros(1), sigma_r.sigma_r, size=n_draws)
@@ -482,7 +501,7 @@ class TestPosterior:
             x = rng.normal(0.0, 10.0, size=2)
             mean0 = prior.u_bar + prior.v_bar @ x
             p0_inv = np.linalg.inv(prior.sigma_p)
-            q = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)[t]
+            q = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark, cfg)[t]
 
             def log_joint(u):
                 lp0 = -0.5 * (u - mean0) @ p0_inv @ (u - mean0)
@@ -511,12 +530,13 @@ class TestPosterior:
         # the sampling factor, the stored precision and log|sigma_tilde| all
         # describe the same posterior covariance at every step
         for beta in (0.5, 50.0, 1000.0):
-            plan, *_ = build_plan(rng, n=4, t_len=4, beta=beta)
+            plan, *inputs = build_plan(rng, n=4, t_len=4, beta=beta)
+            sigma_bar = precision(*inputs)
             for t in range(4):
                 chol = plan.chol_tilde[t]
                 sig = chol @ chol.T
                 assert np.allclose(chol, np.tril(chol))
-                assert np.allclose(plan.sigma_bar[t] @ sig, np.eye(4), rtol=0.0, atol=1e-10)
+                assert np.allclose(sigma_bar[t] @ sig, np.eye(4), rtol=0.0, atol=1e-10)
                 sign, logdet = np.linalg.slogdet(sig)
                 assert sign == 1.0
                 assert chol_logdet(plan, t) == pytest.approx(logdet, rel=1e-12, abs=1e-12)
@@ -527,25 +547,29 @@ class TestPosterior:
         # mean and gain, and the seed-1 market at N=100, T=30
         cases = []
         for _ in range(12):
-            plan, params, rbar_path, sigma_r, benchmark, prior, _ = build_plan(
+            plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(
                 rng, n=int(rng.integers(2, 7)), t_len=int(rng.integers(1, 6)),
                 beta=float(10.0 ** rng.uniform(-0.5, 3.0)))
-            cases.append((plan, prior,
-                          replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)))
-        plan, basis = market_plan(99, 200, seed=1)[0], market_basis(99, 200, seed=1)[0]
-        prior = default_prior(100, 10.0)  # market_plan's
-        cases.append((plan, prior, plan_g(plan, prior, basis.coeffs(MARKET_REWARD))))
-        for plan, prior, steps in cases:
+            cases.append((plan, precision(params, rbar_path, sigma_r, benchmark, prior, cfg),
+                          prior, cfg,
+                          replay_g(plan, prior, params, rbar_path, sigma_r, benchmark, cfg)))
+        basis = market_basis(99, 200, seed=1)[0]
+        prior, cfg = default_prior(100, 10.0), SolverConfig()  # market_plan's
+        plan, sigma_bar = solve_with_precision(basis.coeffs(MARKET_REWARD), prior, cfg,
+                                               basis.rbar)
+        cases.append((plan, sigma_bar, prior, cfg,
+                      plan_g(plan, prior, basis.coeffs(MARKET_REWARD), cfg)))
+        for plan, sigma_bar, prior, cfg, steps in cases:
             for t in range(plan.horizon):
-                *want, _ = posterior_step(*steps[t], prior, plan.beta)
-                got = (plan.sigma_bar[t], plan.u_tilde[t], plan.v_tilde[t],
+                *want, _ = posterior_step(*steps[t], prior, cfg.beta)
+                got = (sigma_bar[t], plan.u_tilde[t], plan.v_tilde[t],
                        plan.chol_tilde[t], chol_logdet(plan, t))
                 for g, w in zip(got, want):
                     assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
 
     def test_stored_matrices_symmetric(self, rng):
-        plan, params, rbar_path, sigma_r, benchmark, prior, _ = build_plan(rng, n=3, t_len=3)
-        g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark)
+        plan, params, rbar_path, sigma_r, benchmark, prior, cfg = build_plan(rng, n=3, t_len=3)
+        g = replay_g(plan, prior, params, rbar_path, sigma_r, benchmark, cfg)
         for t in range(3):
             for m in (g[t][0], g[t][2], sigma_tilde(plan, t)):
                 assert np.abs(m - m.T).max() < 1e-12

@@ -4,10 +4,12 @@ parent source tree against change.
 Times, at N=100 and N=20 assets and T=30 periods:
 
 - ``backward_pass``: one solve of the plan on a prebuilt reward basis;
-- ``nll_on_plan``: the likelihood contraction of a solved plan against the
-  pooled data moments (``girl._nll_on_plan``);
+- ``solve_nll``: the fit's cost per trial, one solve scored against the
+  pooled data moments step by step into the rows of a fresh policy
+  (``girl._nll``; in trees without it, ``girl._solve_for`` and then
+  ``girl._nll_on_plan`` of the plan);
 - ``plan_score``: the exact gradient of that likelihood and its Fisher
-  information over the plan (``girl._plan_score``);
+  information over the solved policy (``girl._plan_score``);
 - ``prepare_stats``: the pooled data moments of the rollout's trajectories
   (``girl.prepare_stats``);
 - ``loss_slices``: the 4 x 21 one-dimensional likelihood scans around the
@@ -153,10 +155,17 @@ def _layers(alias: str, n_assets: int, workdir: Path) -> dict:
         for t in range(HORIZON):
             at(t)
 
+    if hasattr(girl, "_nll"):
+        def solve_nll():
+            return girl._nll(theta, basis, prior, stats, glearner._policy_rows(basis.rbar)[1])
+    else:
+        def solve_nll():
+            return girl._nll_on_plan(girl._solve_for(theta, basis, prior), stats)
+
     layers = {
         "backward_pass": lambda: glearner.backward_pass(basis.coeffs(truth), prior, cfg,
                                                         basis.rbar),
-        "nll_on_plan": lambda: girl._nll_on_plan(plan, stats),
+        "solve_nll": solve_nll,
         "plan_score": lambda: girl._plan_score(theta, basis, plan, stats),
         "prepare_stats": lambda: girl.prepare_stats(trajs, rbar, sigma),
         "loss_slices": lambda: girl.loss_slices(theta, trajs, rbar),
