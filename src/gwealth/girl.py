@@ -17,14 +17,17 @@ Central finite differences and the adjoint form of the gradient in
 ``tests/oracles.py`` are its oracles.
 
 Sigma_r, the policy prior, beta and gamma are held fixed: only the reward is
-learned.  The loss slices run on every CPU of the process's affinity set (no
-setting changes that), bit-identical to a serial loop of ``nll_from_stats``.
+learned.  The loss slices run on a thread pool with a worker per CPU of the
+process's affinity set (no setting changes that), bit-identical to a serial
+loop of ``nll_from_stats``.  ``simulate`` and ``rollout`` run their path
+blocks on one worker thread of their own (``market._by_blocks``).
 """
 
 from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -438,8 +441,6 @@ def loss_slices(
     infeasible or whose loss is not finite raises ``InfeasibleError`` or
     ``GradientError`` naming it.
     """
-    from concurrent.futures import ThreadPoolExecutor  # no other path loads a thread pool
-
     if grids is None:
         grids = default_slice_grids(theta.reward)
     stats = prepare_stats(trajs, rbar_path, theta.sigma_r)

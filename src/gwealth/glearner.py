@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleError, ParameterError, ShapeError
-from .market import ReturnCovariance, ReturnPaths
+from .market import ReturnCovariance, ReturnPaths, _by_blocks
 from .rewards import BenchmarkPath, RewardCoeffs, RewardParams, reward_basis
 
 
@@ -405,13 +405,16 @@ def rollout(
 
     Trades are sampled from the per-step posterior, the cash installment is
     the sum of trades, and positions compound at the realized returns (the
-    bond at its expected, deterministic rate).  The noise is one path-major
-    (M, T, N) draw from ``rng``, so the first M' paths of an M-path rollout
-    equal an M'-path rollout from the same generator, up to the last bits of
-    the batched matrix products.
+    bond at its expected, deterministic rate).  The noise is drawn path-major
+    from ``rng`` into the (M, T, N) trades, so the first M' paths of an
+    M-path rollout equal an M'-path rollout from the same generator, up to
+    the last bits of the batched matrix products.
 
-    All paths advance together: one batched affine step per period, written
-    into the (M, T+1, N) positions and (M, T, N) trades of the returned batch.
+    The paths run in blocks of at most ``market.BLOCK`` (``market._by_blocks``):
+    the caller draws a block's noise, in path order, while one worker thread
+    advances the previous block, one batched affine step per period written
+    into its rows of the (M, T+1, N) positions and (M, T, N) trades.  The
+    batch's cash is booked on the caller once every block is done.
     """
     t_len, n = policy.horizon, policy.n_assets
     if paths.horizon != t_len:
@@ -421,16 +424,25 @@ def rollout(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (n,):
         raise ShapeError(f"x0 must have shape ({n},)")
+    if not np.isfinite(x0).all():
+        raise ParameterError("x0 has non-finite entries")
 
     m = paths.n_paths
     x = np.empty((m, t_len + 1, n))
     u = np.empty((m, t_len, n))
-    rng.standard_normal(out=u)  # the noise; each period overwrites it with the trade
-    x[:, 0] = x0
-    for t in range(t_len):
-        u[:, t] = (policy.u_tilde[t] + x[:, t] @ policy.v_tilde[t].T
-                   + u[:, t] @ policy.chol_tilde[t].T)
-        np.add(x[:, t], u[:, t], out=x[:, t + 1])
-        x[:, t + 1, 0] *= 1.0 + policy.rbar[t, 0]
-        x[:, t + 1, 1:] *= 1.0 + paths.realized[:, t]
+
+    def draw(a: int, b: int) -> None:
+        rng.standard_normal(out=u[a:b])  # the noise; each period overwrites it with the trade
+
+    def work(a: int, b: int) -> None:
+        xb, ub, realized = x[a:b], u[a:b], paths.realized[a:b]
+        xb[:, 0] = x0
+        for t in range(t_len):
+            ub[:, t] = (policy.u_tilde[t] + xb[:, t] @ policy.v_tilde[t].T
+                        + ub[:, t] @ policy.chol_tilde[t].T)
+            np.add(xb[:, t], ub[:, t], out=xb[:, t + 1])
+            xb[:, t + 1, 0] *= 1.0 + policy.rbar[t, 0]
+            xb[:, t + 1, 1:] *= 1.0 + realized[:, t]
+
+    _by_blocks(m, draw, work)
     return Trajectories(x=x, u=u, cash=cash_installment(u))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, UndefinedSharpeError
+from .errors import ParameterError, ShapeError, UndefinedSharpeError
 from .glearner import Trajectories
 from .market import ReturnPaths
 from .rewards import BenchmarkPath, RewardParams
@@ -53,20 +53,23 @@ def equal_weight_baseline(
     """Buy-and-hold benchmark: initial positions evolve at realized returns
     (bond at r_f * dt per period) with no trades and no cashflows.
 
-    All paths advance together, one in-place product per period, in the
-    positions of the returned batch (its trades and cash all zero).
+    The gross returns are written into the positions of the returned batch
+    (its trades and cash all zero) after x0, and one ``np.multiply.accumulate``
+    along the periods compounds them in place: position t+1 is position t
+    times period t's gross return, for all paths at once.
     """
     x0 = np.asarray(x0, dtype=float)
     n = paths.n_risky + 1
     if x0.shape != (n,):
         raise ShapeError(f"x0 must cover the bond plus {paths.n_risky} risky assets")
+    if not np.isfinite(x0).all():
+        raise ParameterError("x0 has non-finite entries")
     m, t_len = paths.n_paths, paths.horizon
     x = np.empty((m, t_len + 1, n))
     x[:, 0] = x0
-    bond = 1.0 + r_f * dt
-    for t in range(t_len):
-        np.multiply(x[:, t, 0], bond, out=x[:, t + 1, 0])
-        np.multiply(x[:, t, 1:], 1.0 + paths.realized[:, t], out=x[:, t + 1, 1:])
+    x[:, 1:, 0] = 1.0 + r_f * dt
+    np.add(paths.realized, 1.0, out=x[:, 1:, 1:])
+    np.multiply.accumulate(x, axis=1, out=x)
     return Trajectories(x=x, u=np.zeros((m, t_len, n)), cash=np.zeros((m, t_len)))
 
 

@@ -669,6 +669,13 @@ class TestRollout:
         with pytest.raises(ShapeError):
             rollout(plan, paths, np.full(3, 10.0), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x0_rejected(self, rng, bad):
+        plan, *_ = build_plan(rng, n=4, t_len=3)
+        with pytest.raises(ParameterError, match="x0"):
+            rollout(plan, flat_paths(2, 3, 3), np.array([bad, 1.0, 1.0, 1.0]),
+                    np.random.default_rng(0))
+
     def test_rollout_reproducible(self, rng):
         plan, *_ = build_plan(rng, n=3, t_len=3)
         paths = flat_paths(4, 3, 2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gwealth.errors import UndefinedSharpeError
+from gwealth.errors import ParameterError, UndefinedSharpeError
 from gwealth.glearner import Trajectory, cash_installment
 from gwealth.market import ReturnPaths
 from gwealth.metrics import _returns, equal_weight_baseline, performance_summary, sharpe
@@ -38,6 +38,12 @@ class TestEqualWeightBaseline:
         for traj in trajs:
             assert np.allclose(traj.x.sum(axis=1), 100.0, atol=1e-12)
             assert np.array_equal(traj.u, np.zeros((5, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x0_rejected(self, bad):
+        paths = flat_paths(2, 3, 3)
+        with pytest.raises(ParameterError, match="x0"):
+            equal_weight_baseline(paths, np.array([bad, 1.0, 1.0, 1.0]), r_f=0.02, dt=0.25)
 
     def test_bond_only_compounds_deterministically(self):
         paths = flat_paths(2, 6, 2, value=0.123)  # risky returns ignored by bond slot
