@@ -21,8 +21,8 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, GWealthError, ShapeError
-from .girl import GirlParams, fit, loss_slices, scaled_start
-from .glearner import PolicyPrior, default_prior, rollout, solve_plan
+from .girl import FIT_START, GirlParams, fit, loss_slices
+from .glearner import PolicyPrior, Trajectories, default_prior, rollout, solve_plan
 from .market import ReturnCovariance, ReturnPaths, residual_covariance, simulate
 from .metrics import equal_weight_baseline, performance_summary
 from .rewards import BenchmarkPath, RewardParams, exponential_benchmark
@@ -60,6 +60,7 @@ def _setup_logging() -> None:
 
 
 SIMULATE_FIRST = "run `gwealth simulate` first"
+ROLLOUT_FIRST = "run `gwealth rollout` first"
 
 
 class _Run:
@@ -111,14 +112,29 @@ def _benchmark(cfg: ExperimentConfig, horizon: int) -> BenchmarkPath:
     )
 
 
-def _check_width(cfg: ExperimentConfig, name: str, n_risky: int) -> None:
-    """Every stage sizes the problem from ``market.n_risky``; an input panel
-    of another width is an error, not a silently different problem."""
+def _check_width(cfg: ExperimentConfig, name: str, n_risky: int,
+                 stage: str = "simulate") -> None:
+    """Every stage sizes the problem from ``market.n_risky``; an input of
+    another width is an error, not a silently different problem."""
     if n_risky != cfg.market.n_risky:
         raise ShapeError(
             f"'{cfg.outdir / name}' covers {n_risky} risky assets but the config has "
-            f"market.n_risky = {cfg.market.n_risky}; re-run `gwealth simulate`"
+            f"market.n_risky = {cfg.market.n_risky}; re-run `gwealth {stage}`"
         )
+
+
+def _load_trajectories(run: _Run, name: str, hint: str | None, stage: str,
+                       horizon: int) -> Trajectories | None:
+    """The trajectory file ``name`` (None if it is optional and missing),
+    checked against ``market.n_risky`` and the ``horizon`` of the return
+    panels: trajectories of another market are an error naming the file."""
+    trajs = run.load(name, storage.read_trajectories_csv, hint)
+    if trajs is not None:
+        _check_width(run.cfg, name, trajs.u.shape[2] - 1, stage)
+        if trajs.u.shape[1] != horizon:
+            raise ShapeError(f"'{run.cfg.outdir / name}' covers {trajs.u.shape[1]} periods "
+                             f"but the return panels cover {horizon}; re-run `gwealth {stage}`")
+    return trajs
 
 
 def _market_inputs(run: _Run) -> tuple[ReturnCovariance, np.ndarray]:
@@ -203,11 +219,9 @@ def cmd_rollout(run: _Run) -> None:
 
 def cmd_fit(run: _Run) -> None:
     cfg = run.cfg
-    trajs = run.load(F_TRAJ, storage.read_trajectories_csv, "run `gwealth rollout` first")
     sigma, rbar_path = _market_inputs(run)
-    truth = cfg.reward.params()
-    theta0 = _girl_params(cfg, sigma, scaled_start(truth, cfg.girl.theta0_scale),
-                          rbar_path.shape[0])
+    trajs = _load_trajectories(run, F_TRAJ, ROLLOUT_FIRST, "rollout", rbar_path.shape[0])
+    theta0 = _girl_params(cfg, sigma, FIT_START, rbar_path.shape[0])
     logger.info("fitting reward parameters from %d trajectories", len(trajs))
     report = fit(trajs, rbar_path, theta0, cfg.girl)
     logger.info("fit stopped (%s) after %d iterations and %d solves, Newton decrement "
@@ -227,7 +241,7 @@ def cmd_fit(run: _Run) -> None:
         "newton_decrement": report.decrement if np.isfinite(report.decrement) else None,
     }
     run.save(F_GIRL_REPORT, _write_json, payload)
-    slices = loss_slices(report.params.with_reward(truth), trajs, rbar_path)
+    slices = loss_slices(report.params.with_reward(cfg.reward.params()), trajs, rbar_path)
     run.save(F_SLICES, storage.write_slices_csv, slices)
 
 
@@ -235,13 +249,12 @@ def cmd_report(run: _Run) -> None:
     cfg = run.cfg
     paths = _realized_paths(run)
     strategies = {
-        "glearner": run.load(F_TRAJ, storage.read_trajectories_csv,
-                             "run `gwealth rollout` first"),
+        "glearner": _load_trajectories(run, F_TRAJ, ROLLOUT_FIRST, "rollout", paths.horizon),
         "equal_weight": equal_weight_baseline(
             paths, _x0(cfg), cfg.market.r_f, cfg.market.dt
         ),
     }
-    girl = run.load(F_TRAJ_GIRL, storage.read_trajectories_csv, None)
+    girl = _load_trajectories(run, F_TRAJ_GIRL, None, "repro", paths.horizon)
     if girl is not None:
         strategies["girl"] = girl
 

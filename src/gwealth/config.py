@@ -49,17 +49,6 @@ class SolverSection(SolverConfig):
 
 
 @dataclass(frozen=True)
-class GirlSection(FitConfig):
-    """FitConfig plus the factor that moves the fit's start off the reward."""
-
-    theta0_scale: float = 2.0
-
-    def __post_init__(self):
-        if not (self.theta0_scale > 0.0 and self.theta0_scale != 1.0):
-            raise ValueError(f"theta0_scale must be > 0 and not 1, got {self.theta0_scale}")
-
-
-@dataclass(frozen=True)
 class IoSection:
     outdir: str = "out"
     seed: int = 7  # the only seed: the simulation's and the rollouts'
@@ -74,7 +63,7 @@ class ExperimentConfig:
     market: MarketSpec = field(default_factory=MarketSpec)
     reward: RewardSection = field(default_factory=RewardSection)
     solver: SolverSection = field(default_factory=SolverSection)
-    girl: GirlSection = field(default_factory=GirlSection)
+    girl: FitConfig = field(default_factory=FitConfig)
     io: IoSection = field(default_factory=IoSection)
 
     @property
@@ -90,7 +79,7 @@ _SECTION_TYPES = {
     "market": MarketSpec,
     "reward": RewardSection,
     "solver": SolverSection,
-    "girl": GirlSection,
+    "girl": FitConfig,
     "io": IoSection,
 }
 
@@ -151,7 +140,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         market=_build_section("market", MarketSpec, data.get("market", {}), seed=io_sec.seed),
         reward=_build_section("reward", RewardSection, data.get("reward", {})),
         solver=_build_section("solver", SolverSection, data.get("solver", {})),
-        girl=_build_section("girl", GirlSection, data.get("girl", {})),
+        girl=_build_section("girl", FitConfig, data.get("girl", {})),
         io=io_sec,
     )
     try:

@@ -102,8 +102,11 @@ class FitConfig:
     max_iters: int = 1000
 
     def validate(self) -> None:
-        if not all(v > 0 for v in (self.stop_tol, self.max_iters)):
-            raise ParameterError("all fit configuration values must be positive")
+        iters = self.max_iters
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
+            raise ParameterError(f"max_iters must be an int of at least 1, got {iters!r}")
+        if not self.stop_tol > 0:
+            raise ParameterError(f"stop_tol must be positive, got {self.stop_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -127,17 +130,23 @@ class FitReport:
         return self.stop_reason == "converged"
 
 
+# The fit's start: one fixed reward, read from neither the data nor the
+# configured reward.  Of three such starts it converged in the fewest solves on
+# ten 20-asset markets, to the fit from twice the generating reward.
+FIT_START = RewardParams(lam=1e-2, eta=1.05, rho=0.5, omega=1.0)
+
+
 def scaled_start(reward: RewardParams, scale: float = 2.0) -> RewardParams:
-    """Default starting point for the fit: every coordinate moved away from
-    the configured values by the given factor (never at them).
+    """The benchmark's start for the fit: every coordinate of ``reward``
+    moved away from it by the given factor (never at it).
 
     The growth rate is scaled through its excess over one; rho is capped
     inside the open unit interval.  A start outside the fit's domain (lam,
     eta and omega positive and finite, rho in (0, 1)) raises ParameterError
-    naming it, the ``reward`` key it comes from and ``girl.theta0_scale``.
+    naming it, the value it comes from and the scale.
     """
     if scale == 1.0:
-        raise ParameterError("starting scale of 1.0 would start at the configured values")
+        raise ParameterError("starting scale of 1.0 would start at the given reward")
     if np.ndim(reward.omega) != 0:
         raise ParameterError("inference starting point needs a scalar omega")
     start = RewardParams(
@@ -150,8 +159,8 @@ def scaled_start(reward: RewardParams, scale: float = 2.0) -> RewardParams:
         value, upper = float(getattr(start, name)), 1.0 if name == "rho" else math.inf
         if not 0.0 < value < upper:
             raise ParameterError(f"the fit's start {name}={value:g} lies outside (0, {upper:g}): "
-                                 f"it is reward.{name}={float(getattr(reward, name)):g} moved "
-                                 f"by girl.theta0_scale={scale:g}")
+                                 f"it is {name}={float(getattr(reward, name)):g} moved "
+                                 f"by the scale {scale:g}")
     return start
 
 
@@ -465,13 +474,15 @@ def loss_slices(
 
 def default_slice_grids(reward: RewardParams, n_points: int = 21) -> dict[str, np.ndarray]:
     """Scan grids centred on lam and omega (0.5 to 1.5 times each) and on eta
-    (+- 0.06); rho's spans rho +- 0.2 clipped to [0.02, 0.98], so it is
+    (+- 0.06, or +- eta / 2 below eta = 0.12, so that every point is
+    positive); rho's spans rho +- 0.2 clipped to [0.02, 0.98], so it is
     centred on rho only for rho in [0.22, 0.78]."""
     rho_lo = max(0.02, reward.rho - 0.2)
     rho_hi = min(0.98, reward.rho + 0.2)
+    eta_span = min(0.06, 0.5 * reward.eta)
     return {
         "lam": np.linspace(0.5 * reward.lam, 1.5 * reward.lam, n_points),
-        "eta": np.linspace(reward.eta - 0.06, reward.eta + 0.06, n_points),
+        "eta": np.linspace(reward.eta - eta_span, reward.eta + eta_span, n_points),
         "rho": np.linspace(rho_lo, rho_hi, n_points),
         "omega": np.linspace(0.5 * float(reward.omega), 1.5 * float(reward.omega), n_points),
     }

@@ -7,6 +7,7 @@ contribution divided by beginning-of-period wealth plus the contribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,14 @@ class PerformanceSummary:
     sharpe: float
     terminal_wealth_stats: dict
     shortfall: np.ndarray | None = None
+
+
+def _check_rates(r_f: float, dt: float) -> None:
+    """The risk-free rate must be finite and the period length finite and positive."""
+    if not math.isfinite(r_f):
+        raise ParameterError(f"r_f must be finite, got {r_f!r}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ParameterError(f"dt must be finite and positive, got {dt!r}")
 
 
 def _returns(wealth: np.ndarray, cash: np.ndarray) -> np.ndarray:
@@ -58,6 +67,7 @@ def equal_weight_baseline(
     along the periods compounds them in place: position t+1 is position t
     times period t's gross return, for all paths at once.
     """
+    _check_rates(r_f, dt)
     x0 = np.asarray(x0, dtype=float)
     n = paths.n_risky + 1
     if x0.shape != (n,):
@@ -77,6 +87,7 @@ def sharpe(trajs: Trajectories, r_f: float, dt: float) -> float:
     """Annualized Sharpe ratio of per-period investment returns pooled over
     paths and periods: mean excess over r_f * dt divided by the standard
     deviation, scaled by sqrt(1 / dt)."""
+    _check_rates(r_f, dt)
     return _sharpe(_returns(trajs.x.sum(axis=2), trajs.cash), r_f, dt)
 
 
@@ -97,6 +108,7 @@ def performance_summary(
     (1 - rho) B_t + rho eta W_t of the reward) requires the reward
     parameters and the benchmark path and is omitted when they are not given.
     """
+    _check_rates(r_f, dt)
     wealth = trajs.x.sum(axis=2)
     rets = _returns(wealth, trajs.cash)
     terminal = wealth[:, -1]

@@ -17,7 +17,9 @@ from gwealth import cli, storage
 from gwealth.cli import main
 from gwealth.config import config_from_dict, load_config
 from gwealth.errors import ConfigError, ShapeError
-from gwealth.girl import FitConfig
+from gwealth.girl import (
+    FIT_START, FitConfig, nll_from_stats, pack_reward, prepare_stats, unpack_reward,
+)
 from gwealth.glearner import (
     GaussianPolicy, Trajectories, Trajectory, backward_pass, rollout, solve_plan,
 )
@@ -104,7 +106,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("learning_rate", 0.1), ("adam_beta1", 0.9), ("adam_beta2", 0.999),
-        ("adam_eps", 1e-8), ("fd_step", 1e-5),
+        ("adam_eps", 1e-8), ("fd_step", 1e-5), ("theta0_scale", 2.0),
     ])
     def test_removed_girl_keys_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -130,8 +132,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("section, key, value", [
         ("solver", "sigma_p_scale", -3.0), ("solver", "sigma_p_scale", 0.0),
+        # girl.theta0_scale is gone: every value of it is an unknown key
         ("girl", "theta0_scale", -1.0), ("girl", "theta0_scale", 0.0),
-        ("girl", "theta0_scale", 1.0), ("reward", "initial_wealth", 0.0),
+        ("girl", "theta0_scale", 1.0),
+        ("girl", "max_iters", 0), ("girl", "stop_tol", 0.0), ("reward", "initial_wealth", 0.0),
         ("reward", "initial_wealth", -100.0),
     ])
     def test_out_of_range_rejected(self, section, key, value):
@@ -588,7 +592,50 @@ class TestCliStages:
         assert main(["fit", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("gwealth: error:")
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "trajectories.csv' covers" in err
+        assert not (tmp_path / "out" / "girl_report.json").exists()
+
+    @pytest.mark.parametrize("key, value, stages, name", [
+        ("n_risky", 5, ("simulate",), "trajectories.csv"),
+        ("horizon", 6, ("simulate",), "trajectories.csv"),
+        ("n_risky", 5, ("simulate", "solve", "rollout"), "trajectories_girl.csv"),
+    ], ids=["width", "horizon", "girl_width"])
+    def test_report_on_trajectories_of_another_market_is_a_clean_error(
+            self, tmp_path, capsys, key, value, stages, name):
+        # repro on one market, then the stages on another into the same
+        # outdir: report must not summarise the old market's trajectories
+        data = tiny_config(tmp_path / "out")
+        cfg_path = write_config(tmp_path, data)
+        assert main(["repro", "--config", str(cfg_path)]) == 0
+        data["market"][key] = value
+        write_config(tmp_path, data)
+        for cmd in stages:
+            assert main([cmd, "--config", str(cfg_path)]) == 0, cmd
+        (tmp_path / "out" / "summary.json").unlink()
+        (tmp_path / "out" / "performance.csv").unlink()
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gwealth: error:") and "Traceback" not in err
+        assert f"{name}' covers" in err
+        assert not (tmp_path / "out" / "summary.json").exists()
+        assert not (tmp_path / "out" / "performance.csv").exists()
+
+    def test_fit_starts_from_the_fixed_start(self, tmp_path):
+        # the first loss of the report is the loss at girl.FIT_START (as the
+        # fit's coordinates carry it), whatever the configured reward
+        cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
+        for cmd in ("simulate", "solve", "rollout", "fit"):
+            assert main([cmd, "--config", str(cfg_path)]) == 0, cmd
+        cfg = load_config(cfg_path)
+        run = cli._Run(cfg)
+        sigma, rbar = cli._market_inputs(run)
+        trajs = read_trajectories_csv(cfg.outdir / "trajectories.csv")
+        start = cli._girl_params(cfg, sigma, unpack_reward(pack_reward(FIT_START)),
+                                 rbar.shape[0])
+        want = nll_from_stats(start, prepare_stats(trajs, rbar, sigma), rbar)
+        report = json.loads((cfg.outdir / "girl_report.json").read_text())
+        assert report["loss_path"][0] == want
 
     @pytest.mark.parametrize("n_risky", [2, 4])
     @pytest.mark.parametrize("command", ["solve", "rollout", "fit", "report"])
@@ -632,9 +679,8 @@ class TestCliStages:
         ("solver", "sigma_p_scale", 1e200, "solve", "sigma_p_scale"),
         ("solver", "beta", 1e300, "fit", "beta"),
         ("reward", "initial_wealth", 1e150, "fit", "Newton decrement overflows at iteration 1"),
-        ("reward", "lam", 1e300, "fit", "non-finite likelihood gradient or information"),
     ], ids=["benchmark_not_finite", "benchmark_square_overflows", "prior_variance_overflows",
-            "beta_square_overflows", "newton_decrement_overflows", "score_overflows"])
+            "beta_square_overflows", "newton_decrement_overflows"])
     def test_overflowing_value_is_a_clean_error(self, tmp_path, capsys, section, key, value,
                                                 command, needle):
         # a value whose arithmetic leaves the float range fails its stage with a
@@ -720,23 +766,24 @@ class TestRepro:
 
     def test_repro_out_of_range_config_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "out"
-        cfg = write_config(tmp_path, tiny_config(out, theta0_scale=-1))
+        cfg = write_config(tmp_path, tiny_config(out, max_iters=0))
         assert main(["repro", "--config", str(cfg)]) == 2
-        assert "theta0_scale" in capsys.readouterr().err
+        assert "max_iters" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_repro_fit_start_outside_the_domain_is_a_clean_error(self, tmp_path, capsys):
-        # reward.eta 0.05 moved by girl.theta0_scale 2 would start the fit at
-        # eta -0.9: the error names the start and both keys, and every file
-        # of the earlier stages is removed
+    def test_repro_fit_start_outside_the_domain_is_a_clean_error(self, tmp_path):
+        # the fit starts from girl.FIT_START, inside its domain whatever the
+        # reward: with reward.eta 0.05 repro runs, and the eta slice of the
+        # loss is centred on 0.05 with every point positive
         out = tmp_path / "out"
         data = tiny_config(out)
         data["reward"]["eta"] = 0.05
-        assert main(["repro", "--config", str(write_config(tmp_path, data))]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("gwealth: error: the fit's start eta=-0.9 lies outside (0, inf)")
-        assert "reward.eta=0.05" in err and "girl.theta0_scale=2" in err
-        assert list(out.iterdir()) == []
+        assert main(["repro", "--config", str(write_config(tmp_path, data))]) == 0
+        assert len(list(out.iterdir())) == 13
+        rows = [r.split(",") for r in (out / "loss_slices.csv").read_text().splitlines()[1:]]
+        eta = np.array([float(v) for name, v, _ in rows if name == "eta"])
+        assert eta.min() > 0.0
+        np.testing.assert_allclose(eta, np.linspace(0.025, 0.075, 21), rtol=1e-12)
 
     def test_repro_seed_flag_changes_outputs(self, tmp_path):
         out_a = tmp_path / "a"

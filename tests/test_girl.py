@@ -229,7 +229,7 @@ class TestReparameterization:
     def test_scaled_start_outside_the_domain_names_it(self, name, value, start):
         reward = replace(RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15),
                          **{name: value})
-        message = f"start {start}: it is reward.{name}={value:g} moved by girl.theta0_scale=2"
+        message = f"start {start}: it is {name}={value:g} moved by the scale 2"
         with pytest.raises(ParameterError, match=re.escape(message) + "$"):
             scaled_start(reward, 2.0)
 
@@ -514,6 +514,15 @@ def small_market(n_paths):
 
 
 class TestFit:
+    @pytest.mark.parametrize("name, value", [
+        ("max_iters", 2.5), ("max_iters", True), ("max_iters", 0), ("max_iters", np.int64(0)),
+        ("stop_tol", 0.0), ("stop_tol", float("nan")),
+    ])
+    def test_fit_config_out_of_range_names_the_field(self, name, value):
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            FitConfig(**{name: value}).validate()
+        FitConfig(max_iters=np.int64(3)).validate()  # a numpy int is an int
+
     def test_restart_at_fit_stays_there(self, rng):
         theta, _, trajs, rbar_path = make_setup(rng, n_paths=80, beta=200.0)
         start = theta.with_reward(scaled_start(theta.reward, 2.0))
@@ -566,6 +575,18 @@ class TestFit:
         with pytest.raises(GradientError, match=r"starting parameters lam=1e\+300, eta=1.01, "
                                                 r"rho=0.4, omega=0.15"):
             fit(trajs, rbar_path, start, FitConfig())
+
+    def test_overflowing_score_is_a_clean_error(self):
+        # on data from the plan at lam=1e300, the loss at the start lam=2e300
+        # is finite but its score is not: a GradientError, without a warning
+        theta, _, rbar_path = small_market(n_paths=25)
+        at = theta.with_reward(replace(theta.reward, lam=1e300))
+        paths = simulate(MarketSpec(n_risky=2, horizon=8, n_paths=25))
+        trajs = rollout(solve_at(at, rbar_path)[1], paths, np.full(3, 1000.0 / 3),
+                        np.random.default_rng(1))
+        start = at.with_reward(replace(at.reward, lam=2e300))
+        with pytest.raises(GradientError, match="^non-finite likelihood gradient or information$"):
+            fit(trajs, rbar_path, start, FitConfig(max_iters=3))
 
     def test_rising_loss_ends_in_damping(self, rng, monkeypatch):
         theta, _, trajs, rbar_path = make_setup(rng, n_paths=5)
@@ -793,6 +814,14 @@ class TestLossSlices:
         rho = default_slice_grids(replace(reward, rho=0.97))["rho"]
         assert rho[0] == pytest.approx(0.77, rel=1e-12) and rho[-1] == 0.98
         assert rho[10] == pytest.approx(0.875, rel=1e-12)  # not the configured 0.97
+
+    @pytest.mark.parametrize("eta, span", [(0.01, 0.005), (0.05, 0.025), (1.01, 0.06)])
+    def test_eta_grid_is_centred_and_positive(self, eta, span):
+        # +- 0.06 around eta, narrowed to +- eta / 2 where that would reach 0
+        reward = RewardParams(lam=0.001, eta=eta, rho=0.4, omega=0.15)
+        grid = default_slice_grids(reward)["eta"]
+        assert np.array_equal(grid, np.linspace(eta - span, eta + span, 21))
+        assert grid[0] > 0.0 and grid[10] == pytest.approx(eta, rel=1e-12)
 
     def test_workers_call_no_public_function(self, rng, monkeypatch):
         # a tracer that wraps the package's public functions sees every call

@@ -168,3 +168,29 @@ class TestPerformanceSummary:
         assert np.array_equal(summary.mean_returns, want_returns)
         terminal = [t.x[-1].sum() for t in trajs]
         assert summary.terminal_wealth_stats["mean"] == pytest.approx(np.mean(terminal), rel=1e-15)
+
+
+BAD_RATES = [("r_f", np.nan, 0.25), ("r_f", np.inf, 0.25), ("dt", 0.02, -0.25),
+             ("dt", 0.02, 0.0), ("dt", 0.02, np.nan), ("dt", 0.02, np.inf)]
+
+
+class TestRateArguments:
+    # a bad dt or a non-finite r_f is a ParameterError naming the argument,
+    # not a NaN, a RuntimeWarning or a ZeroDivisionError
+
+    @pytest.mark.parametrize("name, r_f, dt", BAD_RATES)
+    def test_equal_weight_baseline(self, name, r_f, dt):
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            equal_weight_baseline(flat_paths(2, 3, 3), np.full(4, 25.0), r_f=r_f, dt=dt)
+
+    @pytest.mark.parametrize("name, r_f, dt", BAD_RATES)
+    def test_sharpe(self, name, r_f, dt):
+        traj = single_asset_trajectory([100.0, 102.0, 101.0, 104.0])
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            sharpe(batch([traj]), r_f=r_f, dt=dt)
+
+    @pytest.mark.parametrize("name, r_f, dt", BAD_RATES)
+    def test_performance_summary(self, name, r_f, dt):
+        traj = single_asset_trajectory([100.0, 102.0, 101.0, 104.0])
+        with pytest.raises(ParameterError, match=f"^{name} must be"):
+            performance_summary(batch([traj]), r_f=r_f, dt=dt)

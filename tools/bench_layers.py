@@ -6,8 +6,7 @@ Times, at N=100 and N=20 assets and T=30 periods:
 - ``backward_pass``: one solve of the plan on a prebuilt reward basis;
 - ``solve_nll``: the fit's cost per trial, one solve scored against the
   pooled data moments step by step into the rows of a fresh policy
-  (``girl._nll``; in trees without it, ``girl._solve_for`` and then
-  ``girl._nll_on_plan`` of the plan);
+  (``girl._nll``);
 - ``plan_score``: the exact gradient of that likelihood and its Fisher
   information over the solved policy (``girl._plan_score``);
 - ``prepare_stats``: the pooled data moments of the rollout's trajectories
@@ -37,13 +36,13 @@ spec and rolls out its own plan, but the rollout, the baseline and the
 summary of both trees read one market and one set of trajectories, the
 change's, since these panels take about 0.2 GB.
 
-PARENT_SRC and CHANGE_SRC are directories holding a ``gwealth`` package;
-both are imported into the same process under their own names, and each of
-the 25 repeats times every layer once per tree, alternating which tree goes
-first, so that a drift of the machine's speed touches both trees
-and all layers alike.  A layer's figure is the median over the repeats, with
-the quartiles.  A layer whose function one tree lacks is timed for the other
-tree alone and recorded as ``null`` (absent) for it.
+PARENT_SRC and CHANGE_SRC are directories holding a ``gwealth`` package
+that has ``girl._nll`` and ``girl._plan_score`` (every tree since the one
+likelihood driver); both are imported into the same process under their own
+names, and each of the 25 repeats times every layer once per tree,
+alternating which tree goes first, so that a drift of the machine's speed
+touches both trees and all layers alike.  A layer's figure is the median
+over the repeats, with the quartiles.
 
     python3 tools/bench_layers.py PARENT_SRC CHANGE_SRC     # e.g. ../parent/src src
 
@@ -124,8 +123,7 @@ def _load(alias: str, src: Path):
 
 def _layers(alias: str, n_assets: int, workdir: Path) -> dict:
     """The timed callables of one tree at one size, on inputs built once;
-    the storage layers write and read their files in ``workdir``.  A layer
-    whose function the tree lacks is left out."""
+    the storage layers write and read their files in ``workdir``."""
     girl, glearner, market, rewards, storage = (
         importlib.import_module(f"{alias}.{name}")
         for name in ("girl", "glearner", "market", "rewards", "storage"))
@@ -155,17 +153,11 @@ def _layers(alias: str, n_assets: int, workdir: Path) -> dict:
         for t in range(HORIZON):
             at(t)
 
-    if hasattr(girl, "_nll"):
-        def solve_nll():
-            return girl._nll(theta, basis, prior, stats, glearner._policy_rows(basis.rbar)[1])
-    else:
-        def solve_nll():
-            return girl._nll_on_plan(girl._solve_for(theta, basis, prior), stats)
-
-    layers = {
+    return {
         "backward_pass": lambda: glearner.backward_pass(basis.coeffs(truth), prior, cfg,
                                                         basis.rbar),
-        "solve_nll": solve_nll,
+        "solve_nll": lambda: girl._nll(theta, basis, prior, stats,
+                                       glearner._policy_rows(basis.rbar)[1]),
         "plan_score": lambda: girl._plan_score(theta, basis, plan, stats),
         "prepare_stats": lambda: girl.prepare_stats(trajs, rbar, sigma),
         "loss_slices": lambda: girl.loss_slices(theta, trajs, rbar),
@@ -177,9 +169,6 @@ def _layers(alias: str, n_assets: int, workdir: Path) -> dict:
         "read_trajectories_csv": lambda: storage.read_trajectories_csv(trajs_csv),
         "write_plan_npz": lambda: storage.write_plan_npz(plan_npz, plan),
     }
-    needs = {"plan_score": (girl, "_plan_score")}
-    return {name: fn for name, fn in layers.items()
-            if name not in needs or hasattr(*needs[name])}
 
 
 def _rollout_rng() -> np.random.Generator:
@@ -222,26 +211,24 @@ def _montecarlo_layers(alias: str, inputs, paths, trajs) -> dict:
 
 
 def _time(layers: dict) -> dict:
-    """{layer: {tree: quartiles (ms) or None}} over REPEATS alternating rounds
-    of ``layers`` = {tree: {layer: callable}}, after one warm-up call each."""
+    """{layer: {tree: quartiles (ms)}} over REPEATS alternating rounds of
+    ``layers`` = {tree: {layer: callable}}, after one warm-up call each."""
     for fns in layers.values():  # warm-up: caches and lazy set-up
         for fn in fns.values():
             fn()
     labels = list(layers)
-    names = list(dict.fromkeys(name for fns in layers.values() for name in fns))
-    times = {name: {label: [] for label in labels if name in layers[label]} for name in names}
+    names = list(layers[labels[0]])
+    times = {name: {label: [] for label in labels} for name in names}
     for rep in range(REPEATS):
         order = labels if rep % 2 == 0 else labels[::-1]
         for name in names:
             for label in order:
-                if name not in layers[label]:
-                    continue
                 start = time.perf_counter()
                 layers[label][name]()
                 times[name][label].append(1e3 * (time.perf_counter() - start))
     return {name: {label: dict(zip(("q1", "median", "q3"),
                                    np.percentile(per_label[label], [25, 50, 75])
-                                   .round(4).tolist())) if label in per_label else None
+                                   .round(4).tolist()))
                    for label in labels}
             for name, per_label in times.items()}
 
@@ -280,8 +267,8 @@ def main(argv=None) -> int:
     for size, layers in result["sizes"].items():
         for name, per_label in layers.items():
             print(f"{size:>6} {name:<22} " + "  ".join(
-                f"{label} {q['median']:8.3f} [{q['q1']:.3f}, {q['q3']:.3f}]" if q else
-                f"{label}   absent" for label, q in per_label.items()) + " ms")
+                f"{label} {q['median']:8.3f} [{q['q1']:.3f}, {q['q3']:.3f}]"
+                for label, q in per_label.items()) + " ms")
     return 0
 
 
