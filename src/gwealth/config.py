@@ -51,11 +51,7 @@ class SolverSection(SolverConfig):
 @dataclass(frozen=True)
 class IoSection:
     outdir: str = "out"
-    seed: int = 7  # the only seed: the simulation's and the rollouts'
-
-    def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+    seed: int = 7  # the only seed: the simulation's and the rollouts' (MarketSpec checks it)
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,7 @@ def _typed_value(where: str, value, hint):
         return float(value)
     if hint is int and isinstance(value, int) and not isinstance(value, bool):
         return value
-    if hint in (bool, str) and isinstance(value, hint):
+    if hint is str and isinstance(value, str):
         return value
     if hint == tuple[float, float]:
         if not (isinstance(value, (list, tuple)) and len(value) == 2

@@ -44,16 +44,19 @@ from .glearner import (
     tangent_pass,
 )
 from .market import ReturnCovariance
-from .rewards import BenchmarkPath, RewardBasis, RewardParams, reward_basis
+from .rewards import BenchmarkPath, RewardBasis, RewardParams, _named, reward_basis
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 PARAM_NAMES = ("lam", "eta", "rho", "omega")
 
+SLICE_POINTS = 21  # points per grid of ``default_slice_grids``
+
 # the damped scoring step (I + mu diag I) s = -g of ``fit``
 DAMPING_START, DAMPING_UP, DAMPING_DOWN = 1e-2, 4.0, 3.0  # mu's start, its factors
 GAIN_RATIO = 0.25  # of the predicted loss decrease, for a step to shrink mu
 MAX_STEP, DAMPING_TRIALS = 1.0, 30  # longest step per coordinate; rejections in a row to stop
+STOP_TOL = 1e-4  # the Newton decrement (nats) below which the fit has converged
 
 
 @dataclass(frozen=True)
@@ -95,18 +98,14 @@ class GirlParams:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer settings for the likelihood fit: the tolerance on the Newton
-    decrement (nats) and the budget of accepted steps."""
+    """Optimizer settings for the likelihood fit: the budget of accepted steps."""
 
-    stop_tol: float = 1e-4
     max_iters: int = 1000
 
     def validate(self) -> None:
         iters = self.max_iters
         if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
             raise ParameterError(f"max_iters must be an int of at least 1, got {iters!r}")
-        if not self.stop_tol > 0:
-            raise ParameterError(f"stop_tol must be positive, got {self.stop_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -191,12 +190,6 @@ def unpack_reward(vec: np.ndarray) -> RewardParams:
 # fast likelihood evaluation on pooled sufficient statistics
 # ---------------------------------------------------------------------------
 
-def _named(reward: RewardParams) -> str:
-    """The reward parameters as an error message names them."""
-    return (f"lam={reward.lam:g}, eta={reward.eta:g}, rho={reward.rho:g}, "
-            f"omega={float(reward.omega):g}")
-
-
 @dataclass(frozen=True)
 class _DataStats:
     """Per-step pooled moments of the observed states and actions, centred so
@@ -218,7 +211,8 @@ def prepare_stats(
 ) -> _DataStats:
     """Pool the data into per-step moments, read from the batch's (M, T+1, N)
     positions and (M, T, N) trades; the terminal positions are not read.
-    ``rbar_path`` and ``sigma_r`` are only checked against the data's shape."""
+    ``rbar_path`` and ``sigma_r`` are only checked against the data's shape.
+    Moments that leave the float range raise ParameterError naming them."""
     x_all, u_all = trajs.x, trajs.u
     m, t_len, n = u_all.shape
     if rbar_path.shape != (t_len, n) or sigma_r.n_risky != n - 1:
@@ -226,17 +220,23 @@ def prepare_stats(
             f"trajectories of {t_len} periods x {n} assets do not match the return "
             f"path {rbar_path.shape} and Sigma_r of {sigma_r.n_risky} risky assets"
         )
-    x_mean = x_all[:, :-1].mean(axis=0)
-    u_mean = u_all.mean(axis=0)
     cxx = np.empty((t_len, n, n))
     cux = np.empty((t_len, n, n))
     cuu = np.empty((t_len, n, n))
-    for t in range(t_len):
-        x_t = x_all[:, t, :] - x_mean[t]
-        u_t = u_all[:, t, :] - u_mean[t]
-        cxx[t] = x_t.T @ x_t
-        cux[t] = u_t.T @ x_t
-        cuu[t] = u_t.T @ u_t
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment is refused below
+        x_mean = x_all[:, :-1].mean(axis=0)
+        u_mean = u_all.mean(axis=0)
+        for t in range(t_len):
+            x_t = x_all[:, t, :] - x_mean[t]
+            u_t = u_all[:, t, :] - u_mean[t]
+            cxx[t] = x_t.T @ x_t
+            cux[t] = u_t.T @ x_t
+            cuu[t] = u_t.T @ u_t
+    if not all(np.isfinite(a).all() for a in (x_mean, u_mean, cxx, cux, cuu)):
+        raise ParameterError(
+            "the trajectories' pooled moments of positions and trades leave the float range "
+            f"(largest |position| {np.abs(x_all).max():g}, largest |trade| "
+            f"{np.abs(u_all).max():g})")
     return _DataStats(
         cxx=cxx, cux=cux, cuu=cuu, x_mean=x_mean, u_mean=u_mean,
         count=m, horizon=t_len, n_assets=n,
@@ -354,7 +354,7 @@ def fit(
     trajs: Trajectories,
     rbar_path: np.ndarray,
     theta0: GirlParams,
-    cfg: FitConfig | None = None,
+    cfg: FitConfig,
 ) -> FitReport:
     """Recover the reward parameters by damped Fisher scoring on the negative
     log-likelihood, in the unconstrained coordinates of ``pack_reward``.
@@ -367,11 +367,10 @@ def fit(
     range (all before any solve), its solve is infeasible, or its loss is not
     lower.  A step that gains GAIN_RATIO of the predicted decrease divides mu
     by DAMPING_DOWN.  Stops ``converged`` when the Newton decrement
-    g'I^{-1}g / 2 is below ``stop_tol`` nats, after ``max_iters`` accepted
+    g'I^{-1}g / 2 is below STOP_TOL nats, after ``max_iters`` accepted
     steps (``budget``), or after DAMPING_TRIALS rejections in a row (``damping``).
     A decrement past the float range raises ``GradientError`` naming the iteration.
     """
-    cfg = cfg if cfg is not None else FitConfig()
     cfg.validate()
     theta0.validate()
     stats = prepare_stats(trajs, rbar_path, theta0.sigma_r)
@@ -405,7 +404,7 @@ def fit(
                 decrement = 0.5 * float(z @ z)
             if not math.isfinite(decrement):  # of a finite gradient and information
                 raise GradientError(f"the Newton decrement overflows at iteration {iteration}")
-        if decrement < cfg.stop_tol:
+        if decrement < STOP_TOL:
             stop_reason = "converged"
             break
         for _ in range(DAMPING_TRIALS):
@@ -472,17 +471,18 @@ def loss_slices(
                 for name, grid in grids.items()}
 
 
-def default_slice_grids(reward: RewardParams, n_points: int = 21) -> dict[str, np.ndarray]:
-    """Scan grids centred on lam and omega (0.5 to 1.5 times each) and on eta
-    (+- 0.06, or +- eta / 2 below eta = 0.12, so that every point is
-    positive); rho's spans rho +- 0.2 clipped to [0.02, 0.98], so it is
-    centred on rho only for rho in [0.22, 0.78]."""
+def default_slice_grids(reward: RewardParams) -> dict[str, np.ndarray]:
+    """Scan grids of SLICE_POINTS points centred on lam and omega (0.5 to 1.5
+    times each) and on eta (+- 0.06, or +- eta / 2 below eta = 0.12, so that
+    every point is positive); rho's spans rho +- 0.2 clipped to [0.02, 0.98],
+    so it is centred on rho only for rho in [0.22, 0.78]."""
     rho_lo = max(0.02, reward.rho - 0.2)
     rho_hi = min(0.98, reward.rho + 0.2)
     eta_span = min(0.06, 0.5 * reward.eta)
     return {
-        "lam": np.linspace(0.5 * reward.lam, 1.5 * reward.lam, n_points),
-        "eta": np.linspace(reward.eta - eta_span, reward.eta + eta_span, n_points),
-        "rho": np.linspace(rho_lo, rho_hi, n_points),
-        "omega": np.linspace(0.5 * float(reward.omega), 1.5 * float(reward.omega), n_points),
+        "lam": np.linspace(0.5 * reward.lam, 1.5 * reward.lam, SLICE_POINTS),
+        "eta": np.linspace(reward.eta - eta_span, reward.eta + eta_span, SLICE_POINTS),
+        "rho": np.linspace(rho_lo, rho_hi, SLICE_POINTS),
+        "omega": np.linspace(0.5 * float(reward.omega), 1.5 * float(reward.omega),
+                             SLICE_POINTS),
     }

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InfeasibleError, ParameterError, ShapeError
 from .market import ReturnCovariance, ReturnPaths, _by_blocks
-from .rewards import BenchmarkPath, RewardCoeffs, RewardParams, reward_basis
+from .rewards import BenchmarkPath, RewardCoeffs, RewardParams, _named, reward_basis
 
 
 @dataclass(frozen=True)
@@ -390,9 +390,15 @@ def solve_plan(
     prior: PolicyPrior,
     cfg: SolverConfig,
 ) -> GaussianPolicy:
-    """Assemble per-period reward coefficients and run the backward pass."""
+    """Assemble per-period reward coefficients and run the backward pass.  A
+    policy that is not finite raises ParameterError naming the reward
+    parameters, so that no caller stores or rolls it out."""
     basis = reward_basis(rbar_path, sigma_r, benchmark)
-    return backward_pass(basis.coeffs(params), prior, cfg, basis.rbar)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite policy is refused below
+        policy = backward_pass(basis.coeffs(params), prior, cfg, basis.rbar)
+    if not all(np.isfinite(a).all() for a in (policy.u_tilde, policy.v_tilde, policy.chol_tilde)):
+        raise ParameterError(f"the policy solved under {_named(params)} leaves the float range")
+    return policy
 
 
 def rollout(

@@ -38,7 +38,6 @@ class MarketSpec:
     n_paths: int = 1000
     horizon: int = 30
     seed: int = 0
-    exact_gbm: bool = False  # exponential market increments instead of arithmetic
 
     def validate(self) -> None:
         if self.n_risky < 1:
@@ -163,8 +162,8 @@ def _by_blocks(m: int, draw: Callable[[int, int], None], work: Callable[[int, in
 def simulate(spec: MarketSpec) -> ReturnPaths:
     """Simulate expected and realized return panels under ``spec``.
 
-    The market return each period is a GBM increment with drift mu_m*dt and
-    volatility sigma_m*sqrt(dt); per-asset alphas are drawn from the
+    The market return each period is an arithmetic increment with mean
+    mu_m*dt and volatility sigma_m*sqrt(dt); per-asset alphas are drawn from the
     annualized ``alpha_range`` and scaled to alpha*dt.  Expected returns mix
     the unconditional market drift with the contemporaneous market return
     through the oracle coefficient; realized returns add the systematic
@@ -188,7 +187,6 @@ def simulate(spec: MarketSpec) -> ReturnPaths:
 
     mu_dt = spec.mu_m * spec.dt
     vol = spec.sigma_m * np.sqrt(spec.dt)
-    drift = (spec.mu_m - 0.5 * spec.sigma_m**2) * spec.dt if spec.exact_gbm else mu_dt
     idio = spec.sigma_i * np.sqrt(1.0 - beta**2) * np.sqrt(spec.dt)
 
     # the outputs allocated first in this order, and every block computed inside them: no
@@ -206,10 +204,7 @@ def simulate(spec: MarketSpec) -> ReturnPaths:
     def work(a: int, b: int) -> None:
         mk, ex, re = market[a:b], expected[a:b], realized[a:b]
         mk *= vol
-        mk += drift
-        if spec.exact_gbm:  # exponential increments
-            np.exp(mk, out=mk)
-            mk -= 1.0
+        mk += mu_dt
         re *= idio
         # the systematic surprise beta (r_m - mu_dt), staged in `expected`
         np.subtract(mk[:, :, None], mu_dt, out=ex)

@@ -21,13 +21,13 @@ from .rewards import BenchmarkPath, RewardParams
 @dataclass(frozen=True)
 class PerformanceSummary:
     """Path-averaged per-period returns, annualized Sharpe, terminal-wealth
-    statistics, and (when reward parameters are supplied) the path-averaged
-    rectified shortfall against the wealth target."""
+    statistics, and the path-averaged rectified shortfall against the
+    reward's wealth target."""
 
     mean_returns: np.ndarray
     sharpe: float
     terminal_wealth_stats: dict
-    shortfall: np.ndarray | None = None
+    shortfall: np.ndarray
 
 
 def _check_rates(r_f: float, dt: float) -> None:
@@ -95,18 +95,17 @@ def performance_summary(
     trajs: Trajectories,
     r_f: float,
     dt: float,
-    params: RewardParams | None = None,
-    benchmark: BenchmarkPath | None = None,
+    params: RewardParams,
+    benchmark: BenchmarkPath,
 ) -> PerformanceSummary:
     """Summarize a strategy's trajectories.
 
     Total wealth (M, T+1) is summed once from the batch's positions; with
     its cash (M, T) it gives the returns, the Sharpe ratio (the same pooled
     returns as ``sharpe``), the terminal-wealth statistics and the
-    shortfall.  The shortfall diagnostic (positive part of target minus
-    next-period wealth, path-averaged per period, with the wealth target
-    (1 - rho) B_t + rho eta W_t of the reward) requires the reward
-    parameters and the benchmark path and is omitted when they are not given.
+    shortfall: the positive part of target minus next-period wealth,
+    path-averaged per period, with the wealth target (1 - rho) B_t + rho eta
+    W_t of the reward ``params`` on the ``benchmark`` path.
     """
     _check_rates(r_f, dt)
     wealth = trajs.x.sum(axis=2)
@@ -121,13 +120,11 @@ def performance_summary(
         "q75": float(np.quantile(terminal, 0.75)),
         "q95": float(np.quantile(terminal, 0.95)),
     }
-    shortfall = None
-    if params is not None and benchmark is not None:
-        if benchmark.horizon != rets.shape[1]:
-            raise ShapeError("benchmark horizon does not match trajectories")
-        # the reward's next-period target for every path and period at once
-        target = (1.0 - params.rho) * benchmark.b + params.rho * params.eta * wealth[:, :-1]
-        shortfall = np.maximum(target - wealth[:, 1:], 0.0).mean(axis=0)
+    if benchmark.horizon != rets.shape[1]:
+        raise ShapeError("benchmark horizon does not match trajectories")
+    # the reward's next-period target for every path and period at once
+    target = (1.0 - params.rho) * benchmark.b + params.rho * params.eta * wealth[:, :-1]
+    shortfall = np.maximum(target - wealth[:, 1:], 0.0).mean(axis=0)
     return PerformanceSummary(
         mean_returns=rets.mean(axis=0),
         sharpe=_sharpe(rets, r_f, dt),

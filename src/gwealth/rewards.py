@@ -178,11 +178,13 @@ class RewardBasis:
     (entry 0 the bond rate), the (T, N, N) second-moment matrices
     sigma_hat_t of the gross returns (the return covariance, padded with a
     zero row/column for the bond, plus the outer product of the expected
-    gross returns) and the (T,) benchmark values."""
+    gross returns) and the (T,) benchmark values; ``scale`` holds the largest
+    |1 + rbar|, |sigma_hat| and b, which bound every coefficient's terms."""
 
     rbar: np.ndarray
     sigma_hat: np.ndarray
     b: np.ndarray
+    scale: tuple[float, float, float]
 
     @property
     def n_assets(self) -> int:
@@ -192,6 +194,7 @@ class RewardBasis:
         """Period t's reward coefficients under ``params``, assembled when
         asked for, so that a pass holds one period's at a time."""
         weights, _, shape = _reward_weights(params, self.n_assets)
+        _check_range(weights, shape, self, params)
         return lambda t: _assemble(weights, shape, self, t)
 
     def tangents(self, params: RewardParams) -> Callable[[int], RewardCoeffs]:
@@ -202,6 +205,7 @@ class RewardBasis:
             raise ParameterError("reward derivatives need a scalar omega (cost matrix omega * I)")
         _, jacobian, shape = _reward_weights(params, self.n_assets)
         w = jacobian.T[:, :, None, None]  # (4, 1, 1) per weight
+        _check_range(w, shape, self, params)
         def at(t: int) -> RewardCoeffs:
             r = _assemble(w, shape, self, t)
             return replace(r, r_x=r.r_x[:, 0], r_u=r.r_u[:, 0], r_0=r.r_0[:, 0, 0])
@@ -234,7 +238,33 @@ def reward_basis(
     for t, g in enumerate(1.0 + rbar):  # expected gross returns
         s = sig_pad + np.outer(g, g)
         sigma_hat[t] = 0.5 * (s + s.T)
-    return RewardBasis(rbar=rbar, sigma_hat=sigma_hat, b=benchmark.b)
+    scale = (float(np.abs(1.0 + rbar).max()), float(np.abs(sigma_hat).max()),
+             float(benchmark.b.max()))
+    return RewardBasis(rbar=rbar, sigma_hat=sigma_hat, b=benchmark.b, scale=scale)
+
+
+def _check_range(w: np.ndarray, shape: np.ndarray, basis: RewardBasis,
+                 params: RewardParams) -> None:
+    """Raise ParameterError, naming ``params`` and the largest benchmark
+    value, when a coefficient that ``_assemble`` builds from the weights
+    ``w`` and the solver reads (all but r_0) could leave the float range:
+    each is bounded by its weights times the largest magnitudes of their
+    theta-free terms (``basis.scale``), one bound for every period."""
+    g, s, b = basis.scale
+    g = max(g, 1.0)  # 2 b w_bg is formed before it is multiplied by g
+    unit, w_11, w_g1, w_s, w_om, w_b1, w_bg, _ = np.abs(w).reshape(8, -1).max(axis=1)
+    with np.errstate(over="ignore"):
+        bound = (2.0 * (w_g1 * g + w_s * s + b * (w_bg * g + w_b1)) + w_11 + unit
+                 + w_om * float(np.abs(shape).max()))
+    if not np.isfinite(bound):
+        raise ParameterError(f"the reward coefficients under {_named(params)} and a largest "
+                             f"benchmark value of {b:g} leave the float range")
+
+
+def _named(params: RewardParams) -> str:
+    """The reward parameters as an error message names them."""
+    omega = f"{float(params.omega):g}" if np.ndim(params.omega) == 0 else "a matrix"
+    return f"lam={params.lam:g}, eta={params.eta:g}, rho={params.rho:g}, omega={omega}"
 
 
 def _assemble(w: np.ndarray, shape: np.ndarray, basis: RewardBasis, t: int) -> RewardCoeffs:
@@ -259,5 +289,7 @@ def _assemble(w: np.ndarray, shape: np.ndarray, basis: RewardBasis, t: int) -> R
     bg = (2.0 * b_t * w_bg) * g
     r_x = bg - 2.0 * b_t * w_b1
     r_u = bg - unit
+    with np.errstate(over="ignore"):  # r_0, which no solve reads, may leave the float range
+        r_0 = -w_bb * b_t**2
     return RewardCoeffs(r_xx=r_xx, r_ux=r_ux, r_uu=r_uu, r_x=r_x, r_u=r_u,
-                        r_0=-w_bb * b_t**2, sigma_hat=sigma_hat)
+                        r_0=r_0, sigma_hat=sigma_hat)

@@ -69,6 +69,9 @@ def _read_long(path: Path, header: str, n_values: int, first: int = 0) -> np.nda
     idx[:, -1] -= first
     if not ((idx >= 0) & (idx == np.floor(idx))).all():
         raise ShapeError(f"'{path}' has an index that is not a non-negative integer")
+    if (idx >= raw.shape[0]).any():  # a dense table of R rows has no extent above R
+        raise ShapeError(f"'{path}' has an index past the extent of a table of "
+                         f"{raw.shape[0]} rows")
     idx = idx.astype(np.int64)
     shape = tuple(int(k) + 1 for k in idx.max(axis=0))
     if idx.shape[0] != math.prod(shape):

@@ -628,11 +628,7 @@ def simulate_loop(spec):
         z_m = market_noise.standard_normal(t_len)
         z_i = idio_noise.standard_normal((t_len, n))
         for t in range(t_len):
-            if spec.exact_gbm:
-                drift = (spec.mu_m - 0.5 * spec.sigma_m**2) * spec.dt
-                r_m = math.exp(drift + vol_dt * z_m[t]) - 1.0
-            else:
-                r_m = mu_dt + vol_dt * z_m[t]
+            r_m = mu_dt + vol_dt * z_m[t]
             rbar = alpha + beta * ((1.0 - c) * mu_dt + c * r_m)
             market[p, t] = r_m
             expected[p, t] = rbar

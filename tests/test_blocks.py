@@ -26,9 +26,8 @@ N_RISKY, HORIZON = 3, 5
 X0 = np.array([40.0, 20.0, 25.0, 15.0])
 
 
-def small_spec(n_paths, exact_gbm=False):
-    return MarketSpec(n_risky=N_RISKY, horizon=HORIZON, n_paths=n_paths, seed=5,
-                      exact_gbm=exact_gbm)
+def small_spec(n_paths):
+    return MarketSpec(n_risky=N_RISKY, horizon=HORIZON, n_paths=n_paths, seed=5)
 
 
 def small_plan():
@@ -67,12 +66,14 @@ BATCH = ("x", "u", "cash")
 
 
 class TestBlockBoundaries:
-    @pytest.mark.parametrize("exact_gbm", [False, True])
+    @pytest.mark.parametrize("inline", [False, True])
     @pytest.mark.parametrize("n_paths", N_PATHS)
-    def test_simulate(self, monkeypatch, n_paths, exact_gbm):
-        spec = small_spec(n_paths, exact_gbm)
+    def test_simulate(self, monkeypatch, n_paths, inline):
+        spec = small_spec(n_paths)
         whole = simulate(spec)
         monkeypatch.setattr(market, "BLOCK", B)
+        if inline:  # every block's work on the caller, in block order
+            monkeypatch.setattr(market, "ThreadPoolExecutor", InlinePool)
         blocked = simulate(spec)
         assert_same_bits(blocked, whole, PANELS)
         want = simulate_loop(spec)
@@ -115,13 +116,12 @@ class TestBlockBoundaries:
 
         def kernels():
             paths = simulate(small_spec(m))
-            return (paths, simulate(small_spec(m, exact_gbm=True)),
-                    rollout(plan, paths, X0, np.random.default_rng(42)))
+            return paths, rollout(plan, paths, X0, np.random.default_rng(42))
 
         worker = kernels()
         monkeypatch.setattr(market, "ThreadPoolExecutor", InlinePool)
         inline = kernels()
-        for got, want, fields in zip(inline, worker, (PANELS, PANELS, BATCH), strict=True):
+        for got, want, fields in zip(inline, worker, (PANELS, BATCH), strict=True):
             assert_same_bits(got, want, fields)
 
 
@@ -156,8 +156,7 @@ class TestThreads:
         plan = small_plan()
         before = threading.active_count()
         calls = record_threads(monkeypatch, (market, glearner, metrics))
-        for exact_gbm in (False, True):
-            paths = market.simulate(small_spec(2 * B + 3, exact_gbm))
+        paths = market.simulate(small_spec(2 * B + 3))
         glearner.rollout(plan, paths, X0, np.random.default_rng(42))
         metrics.equal_weight_baseline(paths, X0, 0.02, 0.25)
         names = {name for name, _ in calls}

@@ -71,7 +71,7 @@ class TestConfig:
         assert cfg.market.n_paths == 1000
         assert cfg.solver.beta == 1000.0
         assert cfg.reward.lam == 0.001
-        assert cfg.girl.stop_tol == 1e-4
+        assert cfg.girl.max_iters == 1000
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
@@ -106,7 +106,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, value", [
         ("learning_rate", 0.1), ("adam_beta1", 0.9), ("adam_beta2", 0.999),
-        ("adam_eps", 1e-8), ("fd_step", 1e-5), ("theta0_scale", 2.0),
+        ("adam_eps", 1e-8), ("fd_step", 1e-5), ("theta0_scale", 2.0), ("stop_tol", 1e-4),
     ])
     def test_removed_girl_keys_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -121,7 +121,7 @@ class TestConfig:
     @pytest.mark.parametrize("section, key, value", [
         ("solver", "beta", "x"), ("reward", "lam", True), ("reward", "rho", None),
         ("market", "n_paths", 2.5), ("market", "n_risky", True), ("market", "horizon", "30"),
-        ("market", "exact_gbm", 1), ("market", "alpha_range", ["a", 0.1]),
+        ("market", "oracle_c", [0.2]), ("market", "alpha_range", ["a", 0.1]),
         ("market", "beta_range", [False, 0.5]), ("girl", "max_iters", 10.0),
         ("io", "seed", "7"), ("io", "outdir", 5),
         ("market", "dt", float("nan")), ("reward", "initial_wealth", float("inf")),
@@ -135,6 +135,7 @@ class TestConfig:
         # girl.theta0_scale is gone: every value of it is an unknown key
         ("girl", "theta0_scale", -1.0), ("girl", "theta0_scale", 0.0),
         ("girl", "theta0_scale", 1.0),
+        # girl.stop_tol is the constant girl.STOP_TOL: every value of it is an unknown key
         ("girl", "max_iters", 0), ("girl", "stop_tol", 0.0), ("reward", "initial_wealth", 0.0),
         ("reward", "initial_wealth", -100.0),
     ])
@@ -161,6 +162,18 @@ class TestConfig:
         # io.seed is the only seed; market.seed overrode it for the simulation alone
         with pytest.raises(ConfigError, match="unknown key.*seed"):
             config_from_dict({"market": {"seed": 3}, "io": {"seed": 5}})
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("market", "exact_gbm", 1), ("girl", "stop_tol", 1e-4),
+    ])
+    def test_removed_key_exits_2(self, tmp_path, capsys, section, key, value):
+        # each had one value in use: the arithmetic market increments and girl.STOP_TOL
+        cfg_path = write_config(tmp_path, {section: {key: value},
+                                           "io": {"outdir": str(tmp_path / "out")}})
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gwealth: error: unknown key(s) in section '{section}': {key}")
+        assert not (tmp_path / "out").exists()
 
     def test_removed_market_key_rejected(self):
         # price_range drew initial prices that nothing read: an unknown key (exit 2)
@@ -365,6 +378,17 @@ class TestCsvIndexValidation:
             READERS[reader][0](path)
 
     @pytest.mark.parametrize("reader, row", [
+        ("returns", "1e20,0,2,0.25"), ("returns", "0,0,9223372036854775808,0.25"),
+        ("matrix", "1e20,1,2.0"), ("matrix", "1,9223372036854775808,2.0"),
+        ("trajectories", "0,1,1e20,4.0,0.0"), ("trajectories", "9223372036854775808,1,1,4.0,0.0"),
+    ])
+    def test_index_past_the_row_count_rejected(self, tmp_path, reader, row):
+        # 1e20 and 2**63 lie beyond int64: bounded by the row count before any cast
+        path = self.write(tmp_path / "t.csv", reader, last_row=row)
+        with pytest.raises(ShapeError, match="t.csv.*past the extent of a table of"):
+            READERS[reader][0](path)
+
+    @pytest.mark.parametrize("reader, row", [
         ("returns", "0,0,1.5,0.25"), ("matrix", "1,0.7,2.0"),
         ("trajectories", "0,1,0.5,4.0,0.0"),
     ])
@@ -541,9 +565,11 @@ class TestCliStages:
          "chol_tilde"),
         ("rollout", "plan.npz", edit_plan(lambda m: m["chol_tilde"][2].__imul__(-1.0)),
          "chol_tilde"),
+        ("solve", "returns_expected.csv", set_cell(7, 0, "1e20"), "past the extent"),
     ], ids=["plan_without_u_tilde", "plan_not_a_zip", "sigma_r_not_numeric",
             "plan_member_shape", "sigma_r_two_columns", "plan_member_nan",
-            "plan_chol_upper_triangular", "plan_chol_negative_diagonal"])
+            "plan_chol_upper_triangular", "plan_chol_negative_diagonal",
+            "expected_return_index_past_int64"])
     def test_malformed_artifact_is_a_clean_error(self, tmp_path, capsys,
                                                  command, name, corrupt, needle):
         cfg_path = write_config(tmp_path, tiny_config(tmp_path / "out"))
@@ -699,6 +725,34 @@ class TestCliStages:
         assert err.startswith("gwealth: error:")
         assert "Traceback" not in err and needle in err
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == before  # no plan file
+
+    @pytest.mark.parametrize("command, reward, needle", [
+        ("solve", {"lam": 1e300, "initial_wealth": 1e12, "benchmark_rate": 50.0},
+         "coefficients under lam=1e+300, eta=1.01, rho=0.4, omega=0.15 and a largest "
+         "benchmark value of 1.00177e+50 leave the float range"),
+        ("repro", {"lam": 1e300, "initial_wealth": 1e12, "benchmark_rate": 50.0},
+         "coefficients under lam=1e+300"),
+        ("repro", {"initial_wealth": 1e150, "eta": 1e150},
+         "the trajectories' pooled moments"),
+    ], ids=["coefficients_overflow_solve", "coefficients_overflow_repro",
+            "moments_overflow_repro"])
+    def test_overflow_names_what_overflowed(self, tmp_path, capsys, command, reward, needle):
+        # the error names the quantity past the float range, not the fit's start or
+        # a symptom further down, and no plan or report is left (a RuntimeWarning
+        # fails the test)
+        data = tiny_config(tmp_path / "out")
+        data["market"]["horizon"] = 8
+        data["reward"].update(reward)
+        cfg_path = write_config(tmp_path, data)
+        if command == "solve":
+            assert main(["simulate", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gwealth: error:")
+        assert "Traceback" not in err and needle in err
+        assert not (tmp_path / "out" / "plan.npz").exists()
+        assert not (tmp_path / "out" / "girl_report.json").exists()
 
     def test_solve_at_the_edge_of_the_float_range_is_finite(self, tmp_path):
         # a lam of 1e300 leaves every policy term in range: the solve exits 0

@@ -1,6 +1,7 @@
 """Solver tests: terminal step, backward recursion, Gaussian integration,
 Bayesian policy update, limits in the inverse temperature, and rollouts."""
 
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -27,7 +28,9 @@ from gwealth.market import (
     residual_covariance,
     simulate,
 )
-from gwealth.rewards import RewardCoeffs, RewardParams, exponential_benchmark, reward_basis
+from gwealth.rewards import (
+    BenchmarkPath, RewardCoeffs, RewardParams, exponential_benchmark, reward_basis,
+)
 
 from conftest import random_problem, random_spd
 from oracles import (
@@ -785,6 +788,25 @@ class TestSolverInputs:
         params, rbar_path, sigma_r, benchmark, prior, cfg = random_problem(rng)
         with pytest.raises(ParameterError, match="float range"):
             solve_plan(replace(params, eta=1e200), rbar_path, sigma_r, benchmark, prior, cfg)
+
+    @pytest.mark.parametrize("lam, b_value, needle", [
+        (1e300, 1e50, "coefficients under lam=1e+300, eta=1.01, rho=0.4, omega=0.15 and "
+                      "a largest benchmark value of 1e+50 leave the float range"),
+        # every coefficient in range, but beta q_uu of the recursion is not
+        (1e306, 1.0, "the policy solved under lam=1e+306, eta=1.01, rho=0.4, omega=0.15 "
+                     "leaves the float range"),
+    ], ids=["coefficients", "policy"])
+    def test_reward_past_the_float_range_names_it(self, lam, b_value, needle):
+        # a typed error before any policy is returned, without a RuntimeWarning
+        spec = MarketSpec(n_risky=2, horizon=8, n_paths=25)
+        paths = simulate(spec)
+        rbar = np.concatenate([np.full((8, 1), spec.r_f * spec.dt),
+                               mean_expected_returns(paths)], axis=1)
+        params = RewardParams(lam=lam, eta=1.01, rho=0.4, omega=0.15)
+        with pytest.raises(ParameterError, match=re.escape(needle)):
+            solve_plan(params, rbar, residual_covariance(paths),
+                       BenchmarkPath(np.full(8, b_value)), default_prior(3),
+                       SolverConfig(beta=100.0))
 
     def test_prior_mean_must_be_a_vector(self, rng):
         *_, prior, _ = random_problem(rng)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gwealth import market
 from gwealth.errors import EstimationError, ParameterError
 from gwealth.market import (
     MarketSpec,
@@ -114,25 +115,24 @@ class TestSimulate:
         lo, hi = spec.alpha_range
         assert (quarterly >= spec.dt * lo).all() and (quarterly <= spec.dt * hi).all()
 
-    def test_exact_gbm_market_increments(self):
-        spec = reference_spec(n_paths=5, horizon=4, exact_gbm=True)
-        paths = simulate(spec)
-        assert (paths.market > -1.0).all()
-
-    @pytest.mark.parametrize("exact_gbm", [False, True])
-    def test_matches_per_path_loop(self, exact_gbm):
-        spec = reference_spec(n_risky=7, n_paths=30, horizon=6, exact_gbm=exact_gbm)
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_matches_per_path_loop(self, monkeypatch, blocked):
+        if blocked:  # 30 paths in blocks of at most 4, worked on by a second thread
+            monkeypatch.setattr(market, "BLOCK", 4)
+        spec = reference_spec(n_risky=7, n_paths=30, horizon=6)
         got, want = simulate(spec), simulate_loop(spec)
         assert np.array_equal(got.alpha, want.alpha) and np.array_equal(got.beta, want.beta)
         for name in ("expected", "realized", "market"):
             g, w = getattr(got, name), getattr(want, name)
             assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max(), name
 
-    @pytest.mark.parametrize("exact_gbm", [False, True])
-    def test_first_paths_equal_a_shorter_run(self, exact_gbm):
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_first_paths_equal_a_shorter_run(self, monkeypatch, blocked):
         # path p's numbers are the p-th block of each panel's stream
-        many = simulate(reference_spec(n_risky=6, n_paths=57, horizon=5, exact_gbm=exact_gbm))
-        few = simulate(reference_spec(n_risky=6, n_paths=9, horizon=5, exact_gbm=exact_gbm))
+        if blocked:  # the two runs split into blocks at different paths
+            monkeypatch.setattr(market, "BLOCK", 4)
+        many = simulate(reference_spec(n_risky=6, n_paths=57, horizon=5))
+        few = simulate(reference_spec(n_risky=6, n_paths=9, horizon=5))
         for name in ("expected", "realized", "market"):
             assert np.array_equal(getattr(many, name)[:9], getattr(few, name)), name
 

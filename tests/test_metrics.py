@@ -21,6 +21,9 @@ def flat_paths(n_paths, horizon, n_risky, value=0.0):
     )
 
 
+PARAMS = RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15)
+
+
 def single_asset_trajectory(wealth_path, cash=None):
     w = np.asarray(wealth_path, dtype=float)
     t_len = w.shape[0] - 1
@@ -133,12 +136,14 @@ class TestPerformanceSummary:
     def test_shapes_and_finiteness(self, rng):
         w = np.abs(rng.normal(100.0, 10.0, size=(6,))).cumsum() + 50.0
         trajs = [single_asset_trajectory(w * (1.0 + 0.01 * k)) for k in range(3)]
-        summary = performance_summary(batch(trajs), r_f=0.02, dt=0.25)
+        bench = BenchmarkPath(b=np.full(5, 100.0))
+        summary = performance_summary(batch(trajs), r_f=0.02, dt=0.25, params=PARAMS,
+                                      benchmark=bench)
         assert summary.mean_returns.shape == (5,)
         assert np.isfinite(summary.mean_returns).all()
         assert np.isfinite(summary.sharpe)
         assert summary.terminal_wealth_stats["q05"] <= summary.terminal_wealth_stats["q95"]
-        assert summary.shortfall is None
+        assert summary.shortfall.shape == (5,) and np.isfinite(summary.shortfall).all()
 
     def test_shortfall_diagnostic(self):
         params = RewardParams(lam=0.001, eta=1.0, rho=1.0, omega=0.1)
@@ -158,10 +163,9 @@ class TestPerformanceSummary:
             x = rng.uniform(50.0, 150.0, size=(t_len + 1, 3))
             u = rng.normal(0.0, 5.0, size=(t_len, 3))
             trajs.append(Trajectory(x=x, u=u, cash=cash_installment(u)))
-        params = RewardParams(lam=0.001, eta=1.01, rho=0.4, omega=0.15)
         bench = BenchmarkPath(b=rng.uniform(200.0, 400.0, size=t_len))
-        summary = performance_summary(batch(trajs), 0.02, 0.25, params=params, benchmark=bench)
-        assert np.array_equal(summary.shortfall, shortfall_loop(trajs, params, bench))
+        summary = performance_summary(batch(trajs), 0.02, 0.25, params=PARAMS, benchmark=bench)
+        assert np.array_equal(summary.shortfall, shortfall_loop(trajs, PARAMS, bench))
         assert summary.shortfall.max() > 0.0
         assert summary.sharpe == sharpe(batch(trajs), 0.02, 0.25)
         want_returns = np.mean([_returns(t.x.sum(axis=1), t.cash) for t in trajs], axis=0)
@@ -193,4 +197,5 @@ class TestRateArguments:
     def test_performance_summary(self, name, r_f, dt):
         traj = single_asset_trajectory([100.0, 102.0, 101.0, 104.0])
         with pytest.raises(ParameterError, match=f"^{name} must be"):
-            performance_summary(batch([traj]), r_f=r_f, dt=dt)
+            performance_summary(batch([traj]), r_f=r_f, dt=dt, params=PARAMS,
+                                benchmark=BenchmarkPath(b=np.full(3, 100.0)))

@@ -270,6 +270,21 @@ class TestRewardBasis:
                 assert np.array_equal(getattr(rc, field), getattr(one, field)), (t, field)
             assert np.shares_memory(rc.sigma_hat, basis.sigma_hat)
 
+    def test_every_coefficient_but_r_0_stays_in_the_float_range(self, rng):
+        # lam 1e300 on a benchmark of 1e5 overflows only r_0 = -lam (1 - rho)^2 b^2,
+        # which no solve reads: no error and no warning; at 1e20 the rest overflow too
+        _, rbar, sigma_r, _ = random_reward_inputs(rng)
+        params = RewardParams(lam=1e300, eta=1.01, rho=0.4, omega=0.15)
+        rc = one_period_basis(rbar, sigma_r, 1e5).coeffs(params)(0)
+        assert rc.r_0 == -np.inf
+        for field in ("r_xx", "r_ux", "r_uu", "r_x", "r_u"):
+            assert np.isfinite(getattr(rc, field)).all(), field
+        basis = one_period_basis(rbar, sigma_r, 1e20)
+        for build in (basis.coeffs, basis.tangents):
+            with pytest.raises(ParameterError, match=r"lam=1e\+300, .* largest benchmark "
+                                                     r"value of 1e\+20 leave the float range"):
+                build(params)
+
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_returns_rejected(self, rng, value):
         params, rbar, sigma_r, b_t = random_reward_inputs(rng)
