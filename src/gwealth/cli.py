@@ -106,34 +106,29 @@ def _rollout_rng(cfg: ExperimentConfig) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=cfg.io.seed, spawn_key=(1,)))
 
 
-def _benchmark(cfg: ExperimentConfig, horizon: int) -> BenchmarkPath:
+def _benchmark(cfg: ExperimentConfig) -> BenchmarkPath:
     return exponential_benchmark(
-        cfg.reward.initial_wealth, cfg.reward.benchmark_rate, horizon, cfg.market.dt
+        cfg.reward.initial_wealth, cfg.reward.benchmark_rate, cfg.market.horizon, cfg.market.dt
     )
 
 
-def _check_width(cfg: ExperimentConfig, name: str, n_risky: int,
-                 stage: str = "simulate") -> None:
-    """Every stage sizes the problem from ``market.n_risky``; an input of
-    another width is an error, not a silently different problem."""
-    if n_risky != cfg.market.n_risky:
-        raise ShapeError(
-            f"'{cfg.outdir / name}' covers {n_risky} risky assets but the config has "
-            f"market.n_risky = {cfg.market.n_risky}; re-run `gwealth {stage}`"
-        )
+def _check_size(cfg: ExperimentConfig, name: str, size: tuple, stage: str = "simulate") -> None:
+    """Every stage sizes the problem from ``cfg.market``: a file whose (paths, periods,
+    risky assets) ``size`` differs from it, on an axis that is not None, is an error."""
+    for axis, key, got in zip(("paths", "periods", "risky assets"),
+                              ("n_paths", "horizon", "n_risky"), size):
+        want = getattr(cfg.market, key)
+        if got is not None and got != want:
+            raise ShapeError(f"'{cfg.outdir / name}' covers {got} {axis} but the config has "
+                             f"market.{key} = {want}; re-run `gwealth {stage}`")
 
 
-def _load_trajectories(run: _Run, name: str, hint: str | None, stage: str,
-                       horizon: int) -> Trajectories | None:
-    """The trajectory file ``name`` (None if it is optional and missing),
-    checked against ``market.n_risky`` and the ``horizon`` of the return
-    panels: trajectories of another market are an error naming the file."""
+def _load_trajectories(run: _Run, name: str, hint: str | None, stage: str) -> Trajectories | None:
+    """The trajectory file ``name`` (None if it is optional and missing), sized by the config."""
     trajs = run.load(name, storage.read_trajectories_csv, hint)
     if trajs is not None:
-        _check_width(run.cfg, name, trajs.u.shape[2] - 1, stage)
-        if trajs.u.shape[1] != horizon:
-            raise ShapeError(f"'{run.cfg.outdir / name}' covers {trajs.u.shape[1]} periods "
-                             f"but the return panels cover {horizon}; re-run `gwealth {stage}`")
+        m, t_len, n = trajs.u.shape
+        _check_size(run.cfg, name, (m, t_len, n - 1), stage)
     return trajs
 
 
@@ -142,18 +137,16 @@ def _market_inputs(run: _Run) -> tuple[ReturnCovariance, np.ndarray]:
     likelihood: the bond's period rate, then the cross-path mean of the
     expected-return panel."""
     expected = run.load(F_EXPECTED, storage.read_returns_csv, SIMULATE_FIRST)
-    _check_width(run.cfg, F_EXPECTED, expected.shape[2])
-    sigma = ReturnCovariance(
-        sigma_r=run.load(F_SIGMA, storage.read_matrix_csv, SIMULATE_FIRST)
-    )
-    _check_width(run.cfg, F_SIGMA, sigma.n_risky)
+    _check_size(run.cfg, F_EXPECTED, expected.shape)
+    sigma = ReturnCovariance(run.load(F_SIGMA, storage.read_matrix_csv, SIMULATE_FIRST))
+    _check_size(run.cfg, F_SIGMA, (None, None, sigma.n_risky))
     bond = np.full((expected.shape[1], 1), run.cfg.rf_period)
     return sigma, np.concatenate([bond, expected.mean(axis=0)], axis=1)
 
 
 def _realized_paths(run: _Run) -> ReturnPaths:
     realized = run.load(F_REALIZED, storage.read_returns_csv, SIMULATE_FIRST)
-    _check_width(run.cfg, F_REALIZED, realized.shape[2])
+    _check_size(run.cfg, F_REALIZED, realized.shape)
     return ReturnPaths(expected=realized, realized=realized,
                        market=np.zeros(realized.shape[:2]))
 
@@ -164,11 +157,11 @@ def _prior(cfg: ExperimentConfig) -> PolicyPrior:
 
 
 def _girl_params(cfg: ExperimentConfig, sigma: ReturnCovariance,
-                 reward: RewardParams, horizon: int) -> GirlParams:
+                 reward: RewardParams) -> GirlParams:
     prior = _prior(cfg)
     return GirlParams(reward=reward, sigma_r=sigma, sigma_p=prior.sigma_p, u_bar=prior.u_bar,
                       beta=cfg.solver.beta, gamma=cfg.solver.gamma,
-                      benchmark=_benchmark(cfg, horizon))
+                      benchmark=_benchmark(cfg))
 
 
 def _x0(cfg: ExperimentConfig) -> np.ndarray:
@@ -195,10 +188,8 @@ def cmd_simulate(run: _Run) -> None:
 def _solve_stage(run: _Run, reward: RewardParams, plan_file: str) -> None:
     cfg = run.cfg
     sigma, rbar_path = _market_inputs(run)
-    horizon, n = rbar_path.shape
-    logger.info("solving plan for %d periods, %d assets", horizon, n)
-    policy = solve_plan(reward, rbar_path, sigma, _benchmark(cfg, horizon), _prior(cfg),
-                        cfg.solver)
+    logger.info("solving plan for %d periods, %d assets", *rbar_path.shape)
+    policy = solve_plan(reward, rbar_path, sigma, _benchmark(cfg), _prior(cfg), cfg.solver)
     run.save(plan_file, storage.write_plan_npz, policy)
 
 
@@ -220,8 +211,8 @@ def cmd_rollout(run: _Run) -> None:
 def cmd_fit(run: _Run) -> None:
     cfg = run.cfg
     sigma, rbar_path = _market_inputs(run)
-    trajs = _load_trajectories(run, F_TRAJ, ROLLOUT_FIRST, "rollout", rbar_path.shape[0])
-    theta0 = _girl_params(cfg, sigma, FIT_START, rbar_path.shape[0])
+    trajs = _load_trajectories(run, F_TRAJ, ROLLOUT_FIRST, "rollout")
+    theta0 = _girl_params(cfg, sigma, FIT_START)
     logger.info("fitting reward parameters from %d trajectories", len(trajs))
     report = fit(trajs, rbar_path, theta0, cfg.girl)
     logger.info("fit stopped (%s) after %d iterations and %d solves, Newton decrement "
@@ -249,17 +240,17 @@ def cmd_report(run: _Run) -> None:
     cfg = run.cfg
     paths = _realized_paths(run)
     strategies = {
-        "glearner": _load_trajectories(run, F_TRAJ, ROLLOUT_FIRST, "rollout", paths.horizon),
+        "glearner": _load_trajectories(run, F_TRAJ, ROLLOUT_FIRST, "rollout"),
         "equal_weight": equal_weight_baseline(
             paths, _x0(cfg), cfg.market.r_f, cfg.market.dt
         ),
     }
-    girl = _load_trajectories(run, F_TRAJ_GIRL, None, "repro", paths.horizon)
+    girl = _load_trajectories(run, F_TRAJ_GIRL, None, "repro")
     if girl is not None:
         strategies["girl"] = girl
 
     reward = cfg.reward.params()
-    bench = _benchmark(cfg, paths.horizon)
+    bench = _benchmark(cfg)
     summaries = {
         name: performance_summary(trajs, cfg.market.r_f, cfg.market.dt,
                                   params=reward, benchmark=bench)

@@ -275,13 +275,14 @@ def _step_buffers(n: int):
     return lambda t: step
 
 
+@np.errstate(over="ignore", invalid="ignore")  # thread-local: entered on the caller's thread
 def _nll(theta: GirlParams, basis: RewardBasis, prior: PolicyPrior, stats: _DataStats,
          out) -> float:
     """The loss of ``stats`` under theta on the market terms of ``basis``
     with theta's ``prior``, the one driver of the likelihood: the recursion
     writes step t into ``out(t)``'s buffers, where ``_step_nll`` scores it
     before the next step.  The terms are added in t order, so any ``out``
-    gives the same bits.  A term that overflows makes the loss non-finite
+    gives the same bits.  An overflow in a step makes the loss non-finite
     without a warning; an infeasible solve names theta's reward parameters."""
     cfg = theta.solver_config()
     rbar = _checked_path(prior, cfg, basis.rbar)
@@ -290,8 +291,7 @@ def _nll(theta: GirlParams, basis: RewardBasis, prior: PolicyPrior, stats: _Data
     terms = [0.0] * stats.horizon
     try:
         for t in _backward_steps(basis.coeffs(theta.reward), prior, cfg, rbar, out):
-            with np.errstate(over="ignore"):  # thread-local: entered on the caller's thread
-                terms[t] = _step_nll(stats, t, *out(t))
+            terms[t] = _step_nll(stats, t, *out(t))
     except InfeasibleError as exc:
         raise InfeasibleError(f"{exc} (under reward parameters {_named(theta.reward)})") from exc
     total = 0.0
@@ -336,7 +336,7 @@ def _plan_score(theta: GirlParams, basis: RewardBasis, policy: GaussianPolicy,
         info[:] += 2.0 * m * (c_uu.reshape(k, -1) @ np.swapaxes(c_uu, 1, 2).reshape(k, -1).T)
 
     r = theta.reward
-    with np.errstate(over="ignore"):  # an overflow is a non-finite result, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected below
         tangent_pass(policy, theta.gamma, basis.coeffs(r), basis.tangents(r), contract)
         # chain rule from (lam, eta, rho, omega) to the coordinates of pack_reward
         scale = np.array([r.lam, r.eta, r.rho * (1.0 - r.rho), float(r.omega)])
@@ -350,6 +350,7 @@ def _plan_score(theta: GirlParams, basis: RewardBasis, policy: GaussianPolicy,
     return grad, 0.5 * (info + info.T)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result is refused, not warned of
 def fit(
     trajs: Trajectories,
     rbar_path: np.ndarray,
@@ -390,7 +391,8 @@ def fit(
     loss, theta, policy = evaluate(vec)
     if not np.isfinite(loss):
         raise GradientError(
-            f"non-finite objective at the starting parameters {_named(theta0.reward)}")
+            f"non-finite objective at the starting parameters {_named(theta0.reward)} "
+            f"under beta={theta0.beta:g}")
     loss_path, mu, stop_reason = [loss], DAMPING_START, "budget"
     for iteration in range(1, cfg.max_iters + 1):
         grad, info = _plan_score(theta, basis, policy, stats)  # both finite, or it raises
@@ -400,8 +402,7 @@ def fit(
         except np.linalg.LinAlgError:
             decrement = math.inf
         else:
-            with np.errstate(over="ignore"):
-                decrement = 0.5 * float(z @ z)
+            decrement = 0.5 * float(z @ z)
             if not math.isfinite(decrement):  # of a finite gradient and information
                 raise GradientError(f"the Newton decrement overflows at iteration {iteration}")
         if decrement < STOP_TOL:

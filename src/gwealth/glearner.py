@@ -86,6 +86,9 @@ class PolicyPrior:
         except np.linalg.LinAlgError as exc:
             raise ParameterError("prior covariance must be positive definite") from exc
         inv = np.linalg.solve(self.sigma_p, np.eye(n))
+        if not np.isfinite(inv).all():
+            raise ParameterError(f"the inverse of the prior covariance (smallest variance "
+                                 f"{np.diagonal(self.sigma_p).min():g}) leaves the float range")
         inv = 0.5 * (inv + inv.T)
         pull_u, pull_v = inv @ self.u_bar, inv @ self.v_bar
         for name, value in (("sigma_p_inv", inv), ("pull_u", pull_u), ("pull_v", pull_v),
@@ -138,50 +141,52 @@ class GaussianPolicy:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One simulated account history: positions x (T+1, N), trades u (T, N),
-    and the cash installments c_t = sum(u_t)."""
+    """One simulated account history: positions x (T+1, N) and trades u (T, N)."""
 
     x: np.ndarray
     u: np.ndarray
-    cash: np.ndarray
+
+    @property
+    def cash(self) -> np.ndarray:
+        """The (T,) cash installments c_t = sum(u_t) of the budget constraint."""
+        return cash_installment(self.u)
 
 
 @dataclass(frozen=True)
 class Trajectories:
-    """M simulated account histories as one batch: positions x (M, T+1, N),
-    trades u (M, T, N) and cash installments (M, T).  ``trajs[p]`` is path p,
-    a ``Trajectory`` of views into the batch (and iteration runs over them)."""
+    """M simulated account histories as one batch: positions x (M, T+1, N)
+    and trades u (M, T, N).  ``trajs[p]`` is path p, a ``Trajectory`` of
+    views into the batch (and iteration runs over them)."""
 
     x: np.ndarray
     u: np.ndarray
-    cash: np.ndarray
 
     def __post_init__(self):
         if self.x.ndim != 3 or self.x.shape[0] == 0:
             raise ShapeError(f"positions must be an (M, T+1, N) batch of at least one "
                              f"path, got shape {self.x.shape}")
         m, t_len, n = self.x.shape[0], self.x.shape[1] - 1, self.x.shape[2]  # T+1 positions
-        if self.u.shape != (m, t_len, n) or self.cash.shape != (m, t_len):
-            raise ShapeError(f"trades {self.u.shape} and cash {self.cash.shape} do not fit "
-                             f"positions {self.x.shape}")
+        if self.u.shape != (m, t_len, n):
+            raise ShapeError(f"trades {self.u.shape} do not fit positions {self.x.shape}")
+
+    @property
+    def cash(self) -> np.ndarray:
+        """The (M, T) installments c_t = sum(u_t), summed from the trades on each read."""
+        return cash_installment(self.u)
 
     def __len__(self) -> int:
         return self.x.shape[0]
 
     def __getitem__(self, p: int) -> Trajectory:
         p = operator.index(p)  # one path; a batch is not sliced
-        return Trajectory(x=self.x[p], u=self.u[p], cash=self.cash[p])
+        return Trajectory(x=self.x[p], u=self.u[p])
 
 
 def cash_installment(u: np.ndarray) -> float | np.ndarray:
-    """Cash injected at each step: the sum of the trades over the last axis.
-
-    Takes one trade vector (returns a scalar) or any batch of them, such as
-    the (M, T, N) trades of M paths (returns their (M, T) installments).
-    Every consumer of the budget identity goes through this helper so the
-    summation order (and hence the float result) is identical everywhere: a
-    row of a batch sums to the same bits as the row on its own.
-    """
+    """Cash injected at each step, the budget identity c_t = sum(u_t): the sum
+    over the last axis of one trade vector (a scalar) or of a batch, such as
+    the (M, T, N) trades of M paths (their (M, T) installments).  A row of a
+    batch sums to the same bits as the row on its own."""
     return np.sum(u, axis=-1)
 
 
@@ -419,8 +424,8 @@ def rollout(
     The paths run in blocks of at most ``market.BLOCK`` (``market._by_blocks``):
     the caller draws a block's noise, in path order, while one worker thread
     advances the previous block, one batched affine step per period written
-    into its rows of the (M, T+1, N) positions and (M, T, N) trades.  The
-    batch's cash is booked on the caller once every block is done.
+    into its rows of the (M, T+1, N) positions and (M, T, N) trades.  Trades
+    or positions past the float range raise ParameterError.
     """
     t_len, n = policy.horizon, policy.n_assets
     if paths.horizon != t_len:
@@ -440,6 +445,7 @@ def rollout(
     def draw(a: int, b: int) -> None:
         rng.standard_normal(out=u[a:b])  # the noise; each period overwrites it with the trade
 
+    @np.errstate(over="ignore", invalid="ignore")  # on the thread that works the block
     def work(a: int, b: int) -> None:
         xb, ub, realized = x[a:b], u[a:b], paths.realized[a:b]
         xb[:, 0] = x0
@@ -451,4 +457,6 @@ def rollout(
             xb[:, t + 1, 1:] *= 1.0 + realized[:, t]
 
     _by_blocks(m, draw, work)
-    return Trajectories(x=x, u=u, cash=cash_installment(u))
+    if not np.isfinite(x[:, -1]).all():  # a non-finite trade or position carries to the end
+        raise ParameterError("the rollout's trades or positions leave the float range")
+    return Trajectories(x=x, u=u)

@@ -63,7 +63,7 @@ def equal_weight_baseline(
     (bond at r_f * dt per period) with no trades and no cashflows.
 
     The gross returns are written into the positions of the returned batch
-    (its trades and cash all zero) after x0, and one ``np.multiply.accumulate``
+    (its trades all zero) after x0, and one ``np.multiply.accumulate``
     along the periods compounds them in place: position t+1 is position t
     times period t's gross return, for all paths at once.
     """
@@ -80,7 +80,7 @@ def equal_weight_baseline(
     x[:, 1:, 0] = 1.0 + r_f * dt
     np.add(paths.realized, 1.0, out=x[:, 1:, 1:])
     np.multiply.accumulate(x, axis=1, out=x)
-    return Trajectories(x=x, u=np.zeros((m, t_len, n)), cash=np.zeros((m, t_len)))
+    return Trajectories(x=x, u=np.zeros((m, t_len, n)))
 
 
 def sharpe(trajs: Trajectories, r_f: float, dt: float) -> float:

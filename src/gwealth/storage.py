@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ShapeError
-from .glearner import GaussianPolicy, Trajectories, cash_installment
+from .glearner import GaussianPolicy, Trajectories
 
 
 def _write_long(path: Path, header: str, rows, first: int = 0) -> None:
@@ -129,7 +129,7 @@ def write_trajectories_csv(path: Path, trajs: Trajectories) -> None:
 def read_trajectories_csv(path: Path) -> Trajectories:
     x, u_all = _read_long(path, _TRAJECTORIES, 2)
     u = u_all[:, :-1]  # the last period row holds terminal positions only
-    return Trajectories(x=x, u=u, cash=cash_installment(u))
+    return Trajectories(x=x, u=u)
 
 
 def write_cash_csv(path: Path, trajs: Trajectories) -> None:

@@ -57,8 +57,7 @@ def random_problem(
 
 def batch(trajs) -> Trajectories:
     """The batch of a list of single-path trajectories, stacked path by path."""
-    return Trajectories(x=np.stack([t.x for t in trajs]), u=np.stack([t.u for t in trajs]),
-                        cash=np.stack([t.cash for t in trajs]))
+    return Trajectories(x=np.stack([t.x for t in trajs]), u=np.stack([t.u for t in trajs]))
 
 
 @pytest.fixture

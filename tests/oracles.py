@@ -35,7 +35,7 @@ from gwealth.errors import GradientError, ParameterError
 from gwealth.girl import PARAM_NAMES, nll_from_stats, pack_reward, prepare_stats, unpack_reward
 from gwealth.glearner import (
     GaussianPolicy, Trajectory, _backward_steps, _bayes_and_f, _checked_path, _step_q,
-    _terminal_f, _terminal_solve, backward_pass, cash_installment,
+    _terminal_f, _terminal_solve, backward_pass,
 )
 from gwealth.market import ReturnPaths
 from gwealth.rewards import RewardCoeffs, _assemble, _reward_weights, reward_basis
@@ -651,8 +651,7 @@ def rollout_loop(plan, paths, x0, rng):
             u[t] = policy_mean(plan, t, x[t]) + plan.chol_tilde[t] @ z[t]
             gross = np.concatenate([[1.0 + plan.rbar[t, 0]], 1.0 + paths.realized[p, t]])
             x[t + 1] = gross * (x[t] + u[t])
-        cash = np.array([cash_installment(u[t]) for t in range(t_len)])
-        out.append(Trajectory(x=x, u=u, cash=cash))
+        out.append(Trajectory(x=x, u=u))
     return out
 
 
@@ -666,7 +665,7 @@ def equal_weight_loop(paths, x0, r_f, dt):
         for t in range(t_len):
             gross = np.concatenate([[1.0 + r_f * dt], 1.0 + paths.realized[p, t]])
             x[t + 1] = gross * x[t]
-        out.append(Trajectory(x=x, u=np.zeros((t_len, n)), cash=np.zeros(t_len)))
+        out.append(Trajectory(x=x, u=np.zeros((t_len, n))))
     return out
 
 

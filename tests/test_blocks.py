@@ -157,7 +157,7 @@ class TestThreads:
         before = threading.active_count()
         calls = record_threads(monkeypatch, (market, glearner, metrics))
         paths = market.simulate(small_spec(2 * B + 3))
-        glearner.rollout(plan, paths, X0, np.random.default_rng(42))
+        glearner.rollout(plan, paths, X0, np.random.default_rng(42)).cash  # summed on read
         metrics.equal_weight_baseline(paths, X0, 0.02, 0.25)
         names = {name for name, _ in calls}
         assert {"gwealth.market.simulate", "gwealth.glearner.rollout",

@@ -209,8 +209,7 @@ class TestStorageRoundTrip:
         for _ in range(3):
             u = rng.normal(size=(4, 2))
             x = np.abs(rng.normal(10.0, 2.0, size=(5, 2)))
-            cash = np.array([float(np.sum(u[t])) for t in range(4)])
-            trajs.append(Trajectory(x=x, u=u, cash=cash))
+            trajs.append(Trajectory(x=x, u=u))
         path = tmp_path / "t.csv"
         write_trajectories_csv(path, batch(trajs))
         back = read_trajectories_csv(path)
@@ -220,7 +219,7 @@ class TestStorageRoundTrip:
             assert np.array_equal(a.u, b.u)
             assert np.array_equal(a.cash, b.cash)
         # views into one panel per field, no per-path copies
-        for field in ("x", "u", "cash"):
+        for field in ("x", "u"):
             bases = {id(getattr(b, field).base) for b in back}
             assert len(bases) == 1 and getattr(back[0], field).base is not None
 
@@ -262,12 +261,12 @@ class TestStorageRoundTrip:
 
 THIRD = 1.0 / 3.0
 
-# a tiny batch of two paths, two periods and two assets (the bond first)
+# a tiny batch of two paths, two periods and two assets (the bond first); its
+# trades sum to installments of -1.5, 1/3, 0 and 1e-300
 GOLDEN_TRAJS = Trajectories(
     x=np.array([[[10.0, THIRD], [11.0, -0.0], [12.0, 1e-300]],
                 [[5.0, 2.0], [4.0, 2.5], [3.0, 0.5]]]),
-    u=np.array([[[1e-300, -1.5], [0.25, THIRD]], [[-0.0, 0.25], [1.0, -2.0]]]),
-    cash=np.array([[-1.5, THIRD], [-0.0, 1e-300]]),
+    u=np.array([[[1e-300, -1.5], [THIRD, -0.0]], [[0.25, -0.25], [1e-300, 0.0]]]),
 )
 
 
@@ -304,16 +303,18 @@ class TestFileContract:
         assert self.written(tmp_path, write_trajectories_csv, GOLDEN_TRAJS) == (
             "path,period,asset,x,u\n"
             "0,0,0,10.0,1e-300\n0,0,1,0.3333333333333333,-1.5\n"
-            "0,1,0,11.0,0.25\n0,1,1,-0.0,0.3333333333333333\n"
+            "0,1,0,11.0,0.3333333333333333\n0,1,1,-0.0,-0.0\n"
             "0,2,0,12.0,0.0\n0,2,1,1e-300,0.0\n"
-            "1,0,0,5.0,-0.0\n1,0,1,2.0,0.25\n"
-            "1,1,0,4.0,1.0\n1,1,1,2.5,-2.0\n"
+            "1,0,0,5.0,0.25\n1,0,1,2.0,-0.25\n"
+            "1,1,0,4.0,1e-300\n1,1,1,2.5,0.0\n"
             "1,2,0,3.0,0.0\n1,2,1,0.5,0.0\n"
         )
 
     def test_cash(self, tmp_path):
+        # the installments are the trades' sums; a sum is never -0.0 (it starts
+        # from +0.0), so the signed zero is pinned by the other tables
         assert self.written(tmp_path, write_cash_csv, GOLDEN_TRAJS) == (
-            "path,period,c\n0,0,-1.5\n0,1,0.3333333333333333\n1,0,-0.0\n1,1,1e-300\n"
+            "path,period,c\n0,0,-1.5\n0,1,0.3333333333333333\n1,0,0.0\n1,1,1e-300\n"
         )
 
     def test_performance(self, tmp_path):
@@ -657,8 +658,7 @@ class TestCliStages:
         run = cli._Run(cfg)
         sigma, rbar = cli._market_inputs(run)
         trajs = read_trajectories_csv(cfg.outdir / "trajectories.csv")
-        start = cli._girl_params(cfg, sigma, unpack_reward(pack_reward(FIT_START)),
-                                 rbar.shape[0])
+        start = cli._girl_params(cfg, sigma, unpack_reward(pack_reward(FIT_START)))
         want = nll_from_stats(start, prepare_stats(trajs, rbar, sigma), rbar)
         report = json.loads((cfg.outdir / "girl_report.json").read_text())
         assert report["loss_path"][0] == want
@@ -682,6 +682,31 @@ class TestCliStages:
         assert "Traceback" not in err
         assert "covers 3 risky assets" in err and f"market.n_risky = {n_risky}" in err
 
+    @pytest.mark.parametrize("key, value, axis", [
+        ("horizon", 3, "4 periods"), ("horizon", 5, "4 periods"), ("n_paths", 7, "25 paths"),
+    ])
+    @pytest.mark.parametrize("command, name", [
+        ("solve", "returns_expected.csv"), ("rollout", "returns_realized.csv"),
+        ("fit", "returns_expected.csv"), ("report", "returns_realized.csv"),
+    ])
+    def test_stage_on_files_of_another_size_is_a_clean_error(self, tmp_path, capsys, command,
+                                                             name, key, value, axis):
+        # the config, not the files, sizes every stage: files of another horizon
+        # or path count are an error naming the file, the axis and the key
+        data = tiny_config(tmp_path / "out")
+        cfg_path = write_config(tmp_path, data)
+        for cmd in ("simulate", "solve", "rollout"):
+            assert main([cmd, "--config", str(cfg_path)]) == 0, cmd
+        data["market"][key] = value
+        write_config(tmp_path, data)
+        before = sorted(p.name for p in (tmp_path / "out").iterdir())
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gwealth: error:") and "Traceback" not in err
+        assert f"{name}' covers {axis} but the config has market.{key} = {value}" in err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == before
+
     def test_likelihood_prior_is_the_solve_prior(self, tmp_path):
         # the plan file of `gwealth solve` is, bit for bit, the plan solved from
         # the likelihood's prior under the configured solver
@@ -690,7 +715,7 @@ class TestCliStages:
             assert main([cmd, "--config", str(cfg_path)]) == 0, cmd
         cfg = load_config(cfg_path)
         sigma, rbar = cli._market_inputs(cli._Run(cfg))  # read back from the files
-        theta = cli._girl_params(cfg, sigma, cfg.reward.params(), 4)
+        theta = cli._girl_params(cfg, sigma, cfg.reward.params())
         basis = reward_basis(rbar, sigma, theta.benchmark)
         want = backward_pass(basis.coeffs(cfg.reward.params()), theta.prior(), cfg.solver,
                              basis.rbar)
@@ -753,6 +778,45 @@ class TestCliStages:
         assert "Traceback" not in err and needle in err
         assert not (tmp_path / "out" / "plan.npz").exists()
         assert not (tmp_path / "out" / "girl_report.json").exists()
+
+    @pytest.mark.parametrize("market, reward, solver, needle", [
+        ({"n_risky": 3, "horizon": 8, "n_paths": 60}, {}, {"beta": 1e307},
+         "non-finite objective at the starting parameters lam=0.01, eta=1.05, rho=0.5, "
+         "omega=1 under beta=1e+307"),
+        ({"n_risky": 2, "horizon": 2, "n_paths": 30}, {},
+         {"beta": 2.893227010089277e-277, "sigma_p_scale": 2.4757018781690732e+92,
+          "gamma": 0.0862},
+         "non-finite likelihood gradient or information"),
+        ({"n_risky": 3, "horizon": 4, "n_paths": 23},
+         {"initial_wealth": 3.1622776601683795, "benchmark_rate": -25.270995110948984,
+          "rho": 0.5, "eta": 4.219944136209016e+152, "lam": 1.0, "omega": 3.1622776601683795},
+         {"beta": 1.0, "gamma": 5e-324, "sigma_p_scale": 1.0},
+         "the rollout's trades or positions leave the float range"),
+        ({"n_risky": 1, "horizon": 3, "n_paths": 19}, {}, {"sigma_p_scale": 1e-159},
+         "the inverse of the prior covariance (smallest variance 9.99999e-319) leaves"),
+        ({"n_risky": 3, "horizon": 2, "n_paths": 39},
+         {"lam": 1.0, "initial_wealth": 8.044276934246039e+101, "rho": 0.0,
+          "eta": 1.2883630204565698e+84, "omega": 1.2883630204565698e+84,
+          "benchmark_rate": 14.46323362702634},
+         {"beta": 8.044276934246039e+101, "gamma": 5e-324, "sigma_p_scale": 1.0},
+         "non-finite loss under reward parameters lam=1, eta=1.28836e+84, rho=0.02"),
+    ], ids=["huge_beta_fit", "tiny_beta_huge_prior_score", "rollout_positions_overflow",
+            "prior_inverse_overflow", "damped_step_overflow"])
+    def test_repro_past_the_float_range_is_a_clean_error(self, tmp_path, capsys, market,
+                                                         reward, solver, needle):
+        # the fit's solves and score, the rollout and the prior's inverse run past
+        # the float range without a RuntimeWarning (which fails the test) and end in
+        # a typed error naming the cause; the output directory is left empty
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, {"market": market, "reward": reward,
+                                           "solver": solver, "girl": {"max_iters": 3},
+                                           "io": {"outdir": str(out), "seed": 3}})
+        capsys.readouterr()
+        assert main(["repro", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gwealth: error:")
+        assert "Traceback" not in err and needle in err
+        assert list(out.iterdir()) == []
 
     def test_solve_at_the_edge_of_the_float_range_is_finite(self, tmp_path):
         # a lam of 1e300 leaves every policy term in range: the solve exits 0

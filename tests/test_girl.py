@@ -170,7 +170,7 @@ class TestTrajectoryNLL:
         before = nll_from_stats(theta, prepare_stats(trajs, rbar_path, theta.sigma_r), rbar_path)
         x = trajs.x.copy()
         x[:, -1] *= rng.uniform(0.5, 2.0, size=x[:, -1].shape)
-        moved = Trajectories(x=x, u=trajs.u, cash=trajs.cash)
+        moved = Trajectories(x=x, u=trajs.u)
         after = nll_from_stats(theta, prepare_stats(moved, rbar_path, theta.sigma_r), rbar_path)
         assert after == before
 
@@ -564,8 +564,7 @@ class TestFit:
         # the batch of zero paths that fit would be given is rejected on construction
         theta, _, trajs, rbar_path = make_setup(rng)
         with pytest.raises(ShapeError):
-            fit(Trajectories(x=trajs.x[:0], u=trajs.u[:0], cash=trajs.cash[:0]), rbar_path,
-                theta, FitConfig())
+            fit(Trajectories(x=trajs.x[:0], u=trajs.u[:0]), rbar_path, theta, FitConfig())
 
     def test_non_finite_start_names_its_parameters(self):
         # a lam at the edge of the float range overflows the start's loss,

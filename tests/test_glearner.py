@@ -28,9 +28,11 @@ from gwealth.market import (
     residual_covariance,
     simulate,
 )
+from gwealth.metrics import equal_weight_baseline
 from gwealth.rewards import (
     BenchmarkPath, RewardCoeffs, RewardParams, exponential_benchmark, reward_basis,
 )
+from gwealth.storage import read_trajectories_csv, write_trajectories_csv
 
 from conftest import random_problem, random_spd
 from oracles import (
@@ -660,9 +662,10 @@ class TestRollout:
         assert len(trajs) == len(list(trajs)) == 5
         for p, traj in enumerate(trajs):
             for path in (traj, trajs[p]):
-                for field in ("x", "u", "cash"):
+                for field in ("x", "u"):
                     got, whole = getattr(path, field), getattr(trajs, field)
                     assert np.shares_memory(got, whole) and np.array_equal(got, whole[p])
+                assert np.array_equal(path.cash, trajs.cash[p])  # summed from the view
         with pytest.raises(TypeError):
             trajs[1:3]
 
@@ -699,7 +702,7 @@ class TestRollout:
             assert np.abs(g.u - w.u).max() <= 1e-12 * scale
             assert np.array_equal(g.cash, cash_installment(g.u))
         # views into one batch per field, no per-path copies
-        for field in ("x", "u", "cash"):
+        for field in ("x", "u"):
             assert len({id(getattr(t, field).base) for t in got}) == 1
 
     def test_one_draw_from_the_callers_generator(self):
@@ -816,12 +819,24 @@ class TestSolverInputs:
 
 class TestTrajectoryType:
     def test_shape_validation(self):
-        for x, u, cash in (
-            (np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(2)),           # one path, not 3-D
-            (np.zeros((0, 3, 2)), np.zeros((0, 2, 2)), np.zeros((0, 2))),  # zero paths
-            (np.zeros((4, 3, 2)), np.zeros((4, 3, 2)), np.zeros((4, 3))),  # as many trades
-            (np.zeros((4, 3, 2)), np.zeros((4, 2, 3)), np.zeros((4, 2))),  # other width
-            (np.zeros((4, 3, 2)), np.zeros((4, 2, 2)), np.zeros((3, 2))),  # cash of 3 paths
+        for x, u in (
+            (np.zeros((3, 2)), np.zeros((2, 2))),          # one path, not 3-D
+            (np.zeros((0, 3, 2)), np.zeros((0, 2, 2))),    # zero paths
+            (np.zeros((4, 3, 2)), np.zeros((4, 3, 2))),    # as many trades
+            (np.zeros((4, 3, 2)), np.zeros((4, 2, 3))),    # other width
         ):
             with pytest.raises(ShapeError):
-                Trajectories(x=x, u=u, cash=cash)
+                Trajectories(x=x, u=u)
+
+    def test_cash_is_the_sum_of_the_trades(self, tmp_path):
+        # every source of a batch: the installments are cash_installment of its
+        # trades, bit for bit, for the batch and for each of its paths
+        plan, paths = market_plan(3, n_paths=20, horizon=6)
+        x0 = np.full(4, 250.0)
+        rolled = rollout(plan, paths, x0, np.random.default_rng(4))
+        write_trajectories_csv(tmp_path / "t.csv", rolled)
+        for trajs in (rolled, equal_weight_baseline(paths, x0, 0.02, 0.25),
+                      read_trajectories_csv(tmp_path / "t.csv")):
+            assert np.array_equal(trajs.cash, cash_installment(trajs.u))
+            for traj in trajs:
+                assert np.array_equal(traj.cash, cash_installment(traj.u))

@@ -31,7 +31,7 @@ def single_asset_trajectory(wealth_path, cash=None):
     x = w[:, None].copy()
     u = cash[:, None].copy()
     # positions live in one slot; trades equal the cash injections
-    return Trajectory(x=x, u=u, cash=cash)
+    return Trajectory(x=x, u=u)
 
 
 class TestEqualWeightBaseline:
@@ -162,7 +162,7 @@ class TestPerformanceSummary:
         for _ in range(9):
             x = rng.uniform(50.0, 150.0, size=(t_len + 1, 3))
             u = rng.normal(0.0, 5.0, size=(t_len, 3))
-            trajs.append(Trajectory(x=x, u=u, cash=cash_installment(u)))
+            trajs.append(Trajectory(x=x, u=u))
         bench = BenchmarkPath(b=rng.uniform(200.0, 400.0, size=t_len))
         summary = performance_summary(batch(trajs), 0.02, 0.25, params=PARAMS, benchmark=bench)
         assert np.array_equal(summary.shortfall, shortfall_loop(trajs, PARAMS, bench))
